@@ -3,7 +3,7 @@
 
 PY ?= python
 
-.PHONY: lint format test test-backends bench-smoke
+.PHONY: lint format test bench-smoke
 
 lint:
 	ruff check .
@@ -16,9 +16,6 @@ format:
 
 test:
 	$(PY) -m pytest -x -q
-
-test-backends:
-	$(PY) -m pytest -q -m backend
 
 bench-smoke:
 	$(PY) -m repro.bench run --suite smoke

@@ -22,18 +22,8 @@ The sweep's regimes map onto the system's real phases:
   column.  The acceptance bar lives here: the engine must be at least
   **2x** faster than full recomputation.
 
-The sweep runs once per kernel backend (reference / threaded /
-compiled / float32, see :mod:`repro.core.backends`; unavailable
-backends are skipped loudly with an obs event and a CI annotation) and
-gates the tentpole claim: the threaded backend must beat the reference
-backend on a full recompute by a core- and workload-aware floor (2x on
->= 4 cores — the CI runner class — once rounds are long enough to
-amortize pool dispatch; sub-2ms rounds and smaller hosts degrade the
-floor honestly instead of gating on measurement constants).
-
 The benchmark doubles as an equivalence check — every round asserts the
 engine's cached matrix equals a from-scratch reference call bit for bit
-for float64 backends and within the declared tolerance band for float32
 (the script exits non-zero otherwise) — and reports a peak-memory probe
 (:mod:`tracemalloc`): one full-recompute pass through the engine's
 blocked workspaces next to one reference pass that materializes the
@@ -53,17 +43,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import tracemalloc
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.core.assignment_engine import AssignmentEngine
-from repro.core.backends import BACKEND_NAMES, available_backends
 from repro.core.dimension_selection import select_dimensions
 from repro.core.objective import ObjectiveFunction, grouped_assignment_gains
 from repro.core.thresholds import make_threshold
@@ -75,44 +62,6 @@ DIRTY_FRACTIONS = (1.0, 0.5, 0.1)
 
 #: Hard floor on the near-converged (<=10% dirty) speedup.
 NEAR_CONVERGED_MIN_SPEEDUP = 2.0
-
-#: Hard floor on the threaded backend's full-recompute speedup over the
-#: reference backend — the tentpole gate — *where the host and the
-#: workload can physically express it*.  Thread scaling is bounded by
-#: the core count, and sub-millisecond rounds measure pool-dispatch
-#: constants rather than kernel throughput, so the effective floor
-#: degrades honestly (see :func:`effective_threaded_floor`) instead of
-#: flaking on hardware or scales that cannot show the win.  GitHub's
-#: ubuntu runners have 4 vCPUs, so multi-core CI always enforces a
-#: threads-must-win floor, and the full 2x bar engages at paper scale.
-THREADED_MIN_FULL_SPEEDUP = 2.0
-
-#: Below this reference full-recompute round time the measurement is
-#: dominated by per-call dispatch constants, not kernel throughput.
-AMORTIZED_MIN_REFERENCE_SECONDS = 2e-3
-
-
-def _visible_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def effective_threaded_floor(cores: int, reference_full_seconds: float) -> float:
-    """The threaded-vs-reference floor this host/workload can be held to."""
-    amortized = reference_full_seconds >= AMORTIZED_MIN_REFERENCE_SECONDS
-    if cores < 2:
-        # Single core: threads cannot beat the inline loop; just require
-        # the dispatch + verify-backstop overhead to stay bounded.  On
-        # sub-2ms rounds that constant overhead is a large fraction of
-        # the round, so the bound loosens further.
-        return 0.75 if amortized else 0.6
-    if cores < 4 or not amortized:
-        # Few cores, or rounds too short to amortize pool dispatch:
-        # threads must still win, but 2x is not physically available.
-        return 1.2
-    return THREADED_MIN_FULL_SPEEDUP
 
 
 def build_cluster_specs(
@@ -168,8 +117,7 @@ def _sweep_point(
     repeats: int,
     block_rows: int,
     seed: int,
-    backend: str = "reference",
-) -> dict:
+) -> Tuple[float, float, bool]:
     """Best (minimum) per-round seconds for the (reference, engine) arms.
 
     Every round is homogeneous — the same number of clusters goes dirty
@@ -177,22 +125,15 @@ def _sweep_point(
     measurement of the regime; it filters the descheduling blips a
     sharded CI runner injects into summed timings (which would otherwise
     swamp the engine arm's very short intervals).
-
-    The engine arm runs on ``backend``; every round is diffed against a
-    from-scratch reference call — bitwise for float64 backends, with
-    the maximum absolute/relative deviation tracked for float32.
     """
     k = len(dims)
     n_dirty = max(1, int(round(fraction * k)))
     identical = True
-    max_abs_dev = max_rel_dev = 0.0
     best_naive, best_engine = float("inf"), float("inf")
-    bit_identical = True
     for repeat in range(repeats):
         rng = np.random.default_rng([seed, repeat])
         centers_run = [center.copy() for center in centers]
-        engine = AssignmentEngine(data, block_rows=block_rows, backend=backend)
-        bit_identical = bool(getattr(engine.backend, "bit_identical", False))
+        engine = AssignmentEngine(data, block_rows=block_rows)
         engine.set_clusters(dims, centers_run, thresholds)
         engine.gains()  # warm: the sweep times steady-state rounds only
         for round_index in range(rounds):
@@ -208,31 +149,8 @@ def _sweep_point(
             start = time.perf_counter()
             naive_gains = grouped_assignment_gains(data, dims, centers_run, thresholds)
             best_naive = min(best_naive, time.perf_counter() - start)
-            if bit_identical:
-                identical = identical and np.array_equal(engine_gains, naive_gains)
-            else:
-                finite = np.isfinite(naive_gains)
-                deviation = np.abs(engine_gains[finite] - naive_gains[finite])
-                max_abs_dev = max(max_abs_dev, float(deviation.max(initial=0.0)))
-                scale = np.maximum(np.abs(naive_gains[finite]), 1.0)
-                max_rel_dev = max(
-                    max_rel_dev, float((deviation / scale).max(initial=0.0))
-                )
-                identical = identical and bool(
-                    np.allclose(
-                        engine_gains[finite], naive_gains[finite],
-                        rtol=engine.backend.rtol, atol=engine.backend.atol,
-                    )
-                )
-    return {
-        "naive_seconds_per_round": best_naive,
-        "engine_seconds_per_round": best_engine,
-        "speedup": best_naive / best_engine if best_engine > 0 else float("inf"),
-        "within_contract": bool(identical),
-        "bit_identical_contract": bit_identical,
-        "max_abs_deviation": max_abs_dev,
-        "max_rel_deviation": max_rel_dev,
-    }
+            identical = identical and np.array_equal(engine_gains, naive_gains)
+    return best_naive, best_engine, identical
 
 
 def _peak_memory_mib(
@@ -260,69 +178,26 @@ def _peak_memory_mib(
 def run_benchmark(args: argparse.Namespace) -> dict:
     data, dims, centers, thresholds = build_cluster_specs(args)
 
-    availability = available_backends()
-    backend_sweep: Dict[str, dict] = {}
-    skipped_backends: Dict[str, str] = {}
-    backends_bit_identical = True
-    float32_within_tolerance = True
-    float32_max_abs = float32_max_rel = 0.0
-    for backend in BACKEND_NAMES:
-        available, detail = availability[backend]
-        if not available:
-            # Loud skip, never silent: the obs event lands in traces
-            # and the CI annotation in the job summary.
-            skipped_backends[backend] = detail
-            obs.event("backend_skipped", backend=backend, reason=detail)
-            if os.environ.get("GITHUB_ACTIONS"):
-                print("::warning title=perf_assignment::backend %r skipped: %s"
-                      % (backend, detail))
-            continue
-        points = {}
-        for fraction in DIRTY_FRACTIONS:
-            point = _sweep_point(
-                data, dims, centers, thresholds,
-                fraction=fraction,
-                rounds=args.rounds,
-                repeats=args.repeats,
-                block_rows=args.block_rows,
-                seed=args.seed,
-                backend=backend,
-            )
-            points["%g" % fraction] = point
-            if point["bit_identical_contract"]:
-                backends_bit_identical = backends_bit_identical and point["within_contract"]
-            else:
-                float32_within_tolerance = (
-                    float32_within_tolerance and point["within_contract"]
-                )
-                float32_max_abs = max(float32_max_abs, point["max_abs_deviation"])
-                float32_max_rel = max(float32_max_rel, point["max_rel_deviation"])
-        backend_sweep[backend] = {"detail": detail, "sweep": points}
-
-    # The tentpole gate: threaded vs reference on a full recompute,
-    # held to a floor the host's core count and the workload's round
-    # time can physically express.
-    cores = _visible_cores()
-    reference_full = backend_sweep["reference"]["sweep"]["1"]["engine_seconds_per_round"]
-    threaded_full = backend_sweep["threaded"]["sweep"]["1"]["engine_seconds_per_round"]
-    threaded_floor = effective_threaded_floor(cores, reference_full)
-    threaded_full_speedup = (
-        reference_full / threaded_full if threaded_full > 0 else float("inf")
-    )
-    if threaded_floor < THREADED_MIN_FULL_SPEEDUP:
-        obs.event(
-            "threaded_floor_degraded",
-            cores=cores,
-            floor=threaded_floor,
-            reference_round_ms=reference_full * 1e3,
+    sweep = {}
+    identical = True
+    for fraction in DIRTY_FRACTIONS:
+        naive_seconds, engine_seconds, point_identical = _sweep_point(
+            data,
+            dims,
+            centers,
+            thresholds,
+            fraction=fraction,
+            rounds=args.rounds,
+            repeats=args.repeats,
+            block_rows=args.block_rows,
+            seed=args.seed,
         )
-        if os.environ.get("GITHUB_ACTIONS"):
-            print("::warning title=perf_assignment::threaded floor degraded to "
-                  "%.2fx (%d core(s), %.2fms reference rounds)"
-                  % (threaded_floor, cores, reference_full * 1e3))
-
-    sweep = backend_sweep["reference"]["sweep"]
-    identical = all(point["within_contract"] for point in sweep.values())
+        identical = identical and point_identical
+        sweep["%g" % fraction] = {
+            "naive_seconds_per_round": naive_seconds,
+            "engine_seconds_per_round": engine_seconds,
+            "speedup": naive_seconds / engine_seconds if engine_seconds > 0 else float("inf"),
+        }
 
     peak_broadcast_mib, peak_blocked_mib = _peak_memory_mib(
         data, dims, centers, thresholds, args.block_rows
@@ -342,8 +217,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         },
         "dirty_fractions": list(DIRTY_FRACTIONS),
         "sweep": sweep,
-        "backend_sweep": backend_sweep,
-        "skipped_backends": skipped_backends,
         "results_identical": bool(identical),
         "near_converged_speedup": near["speedup"],
         "near_converged_floor_ok": bool(
@@ -353,15 +226,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         "full_recompute_speedup": full["speedup"],
         "naive_seconds_per_round": near["naive_seconds_per_round"],
         "engine_seconds_per_round": near["engine_seconds_per_round"],
-        "backends_bit_identical": bool(backends_bit_identical),
-        "float32_within_tolerance": bool(float32_within_tolerance),
-        "float32_max_abs_deviation": float32_max_abs,
-        "float32_max_rel_deviation": float32_max_rel,
-        "compiled_available": bool(availability["compiled"][0]),
-        "threaded_cores": cores,
-        "threaded_floor_effective": threaded_floor,
-        "threaded_full_speedup": threaded_full_speedup,
-        "threaded_floor_ok": bool(threaded_full_speedup >= threaded_floor),
         "peak_broadcast_mib": peak_broadcast_mib,
         "peak_blocked_mib": peak_blocked_mib,
         "blocked_memory_fraction": (
@@ -409,45 +273,26 @@ def main(argv=None) -> int:
 
     print("assignment-engine micro-benchmark (n=%d, d=%d, k=%d, block=%d)" % (
         args.n_objects, args.n_dimensions, args.n_clusters, args.block_rows))
-    for backend, entry in report["backend_sweep"].items():
-        print("  backend %-9s (%s)" % (backend, entry["detail"]))
-        for fraction in report["dirty_fractions"]:
-            point = entry["sweep"]["%g" % fraction]
-            print("    dirty %4.0f%% : naive %.3f ms  engine %.3f ms  speedup %.2fx" % (
+    for fraction in report["dirty_fractions"]:
+        point = report["sweep"]["%g" % fraction]
+        print(
+            "  dirty %4.0f%% : naive %.3f ms  engine %.3f ms  speedup %.2fx"
+            % (
                 fraction * 100,
                 point["naive_seconds_per_round"] * 1e3,
                 point["engine_seconds_per_round"] * 1e3,
-                point["speedup"]))
-    for backend, reason in report["skipped_backends"].items():
-        print("  backend %-9s SKIPPED: %s" % (backend, reason))
-    print("  threaded vs reference (full recompute): %.2fx on %d core(s), floor %.2fx" % (
-        report["threaded_full_speedup"], report["threaded_cores"],
-        report["threaded_floor_effective"]))
+                point["speedup"],
+            )
+        )
     print("  peak memory : broadcast %.2f MiB  blocked %.2f MiB (%.0f%%)" % (
         report["peak_broadcast_mib"], report["peak_blocked_mib"],
         report["blocked_memory_fraction"] * 100))
-    print("  results identical: %s  (float64 backends: %s, float32 in band: %s)" % (
-        report["results_identical"], report["backends_bit_identical"],
-        report["float32_within_tolerance"]))
+    print("  results identical: %s" % report["results_identical"])
     if args.output:
         print("  report written to %s" % args.output)
 
-    if not report["results_identical"] or not report["backends_bit_identical"]:
-        print("ERROR: a float64 backend diverged from the reference kernel",
-              file=sys.stderr)
-        return 1
-    if not report["float32_within_tolerance"]:
-        print("ERROR: float32 backend exceeded its declared tolerance "
-              "(max abs %.3g, max rel %.3g)" % (
-                  report["float32_max_abs_deviation"],
-                  report["float32_max_rel_deviation"]), file=sys.stderr)
-        return 1
-    if not report["threaded_floor_ok"]:
-        print("ERROR: threaded backend full-recompute speedup %.2fx below the "
-              "%.2fx floor for %d core(s)" % (
-                  report["threaded_full_speedup"],
-                  report["threaded_floor_effective"],
-                  report["threaded_cores"]), file=sys.stderr)
+    if not report["results_identical"]:
+        print("ERROR: engine and reference kernels diverged", file=sys.stderr)
         return 1
     if args.min_speedup is not None and report["near_converged_speedup"] < args.min_speedup:
         print("ERROR: near-converged speedup %.2fx below required %.2fx" % (

@@ -4,11 +4,12 @@ Times one full iteration of the main loop (Listing 2, steps 3-6:
 assignment + ``SelectDim`` + ``phi`` + representative replacement) in
 two configurations that produce **bit-identical** results:
 
-* **naive** — the seed implementation's behaviour: per-cluster
-  assignment-gain passes, a second full gain pass for the forced
-  assignment, and a fresh statistics pass in each of ``SelectDim``, the
-  ``phi`` evaluation and the median replacement (statistics cache
-  disabled via ``max_entries=0``).
+* **naive** — the seed implementation's behaviour: one stateless
+  :func:`~repro.core.objective.grouped_assignment_gains` pass per
+  cluster, a second full set of those passes for the forced assignment,
+  and a fresh statistics pass in each of ``SelectDim``, the ``phi``
+  evaluation and the median replacement (statistics cache disabled via
+  ``max_entries=0``).
 * **optimized** — the shared-workspace path: one fused broadcasted gain
   pass reused by the forced assignment, and one cached statistics pass
   per member set shared by all three consumers.
@@ -40,7 +41,7 @@ import numpy as np
 from repro.core.assignment import ClusterState, compute_gains_matrix, members_from_labels
 from repro.core.dimension_selection import select_dimensions
 from repro.core.model import OUTLIER_LABEL
-from repro.core.objective import ObjectiveFunction
+from repro.core.objective import ObjectiveFunction, grouped_assignment_gains
 from repro.core.representatives import compute_phi_scores, replace_representatives
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import make_threshold
@@ -88,6 +89,20 @@ def initial_states(objective: ObjectiveFunction, truth_labels: np.ndarray, n_clu
     return states
 
 
+def naive_gains_matrix(objective: ObjectiveFunction, states: List[ClusterState]) -> np.ndarray:
+    """The seed implementation's gain matrix: one kernel pass per cluster."""
+    gains = np.full((objective.n_objects, len(states)), -np.inf)
+    for index, state in enumerate(states):
+        dims = state.dimensions
+        if dims.size == 0:
+            continue
+        thresholds = objective.threshold.values(max(state.size_hint, 2))[dims]
+        gains[:, index] = grouped_assignment_gains(
+            objective.data, [dims], [state.representative[dims]], [thresholds]
+        )[:, 0]
+    return gains
+
+
 def labels_from_gains(gains: np.ndarray) -> np.ndarray:
     """The assignment tail shared by both arms (argmax + outlier rule)."""
     n_objects = gains.shape[0]
@@ -112,26 +127,20 @@ def run_iterations(
     start = time.perf_counter()
     for _ in range(n_iterations):
         if optimized:
-            gains = compute_gains_matrix(objective, states, fused=True)
+            gains = compute_gains_matrix(objective, states)
             labels = labels_from_gains(gains)
             # Forced assignment reuses the gain matrix.
             outliers = np.flatnonzero(labels == OUTLIER_LABEL)
             if outliers.size:
                 labels[outliers] = np.argmax(gains[outliers], axis=1)
         else:
-            gains = compute_gains_matrix(objective, states, fused=False)
+            gains = naive_gains_matrix(objective, states)
             labels = labels_from_gains(gains)
             # Seed behaviour: the forced assignment recomputes every
             # cluster's gains from scratch.
             outliers = np.flatnonzero(labels == OUTLIER_LABEL)
             if outliers.size:
-                redone = np.full((outliers.size, len(states)), -np.inf)
-                for index, state in enumerate(states):
-                    if state.dimensions.size == 0:
-                        continue
-                    redone[:, index] = objective.assignment_gains(
-                        state.representative, state.dimensions, max(state.size_hint, 2)
-                    )[outliers]
+                redone = naive_gains_matrix(objective, states)[outliers]
                 labels[outliers] = np.argmax(redone, axis=1)
 
         members = members_from_labels(labels, len(states))

@@ -1056,27 +1056,6 @@ def _aggregate_assignment(payloads: Sequence[Mapping[str, object]]) -> Dict[str,
                 point["speedup"],
             )
         )
-    for backend, entry in report["backend_sweep"].items():
-        full = entry["sweep"]["%g" % report["dirty_fractions"][0]]
-        lines.append(
-            "backend %-9s: full recompute %.3f ms (%.2fx vs naive)  %s"
-            % (
-                backend,
-                full["engine_seconds_per_round"] * 1e3,
-                full["speedup"],
-                entry["detail"],
-            )
-        )
-    for backend, reason in report["skipped_backends"].items():
-        lines.append("backend %-9s: SKIPPED (%s)" % (backend, reason))
-    lines.append(
-        "threaded vs reference (full): %.2fx on %d core(s), floor %.2fx"
-        % (
-            report["threaded_full_speedup"],
-            report["threaded_cores"],
-            report["threaded_floor_effective"],
-        )
-    )
     lines.append(
         "peak memory : broadcast %.2f MiB  blocked %.2f MiB"
         % (report["peak_broadcast_mib"], report["peak_blocked_mib"])
@@ -1097,17 +1076,6 @@ def _aggregate_assignment(payloads: Sequence[Mapping[str, object]]) -> Dict[str,
             "peak_broadcast_mib": float(report["peak_broadcast_mib"]),
             "peak_blocked_mib": float(report["peak_blocked_mib"]),
             "blocked_memory_fraction": float(report["blocked_memory_fraction"]),
-            # Backend-sweep gates (booleans gate absolutely; the raw
-            # threaded ratio is informational because its floor is
-            # core- and workload-aware inside perf_assignment itself).
-            "backends_bit_identical": 1.0 if report["backends_bit_identical"] else 0.0,
-            "float32_within_tolerance": (
-                1.0 if report["float32_within_tolerance"] else 0.0
-            ),
-            "threaded_floor_ok": 1.0 if report["threaded_floor_ok"] else 0.0,
-            "threaded_full_speedup": float(report["threaded_full_speedup"]),
-            "float32_max_abs_deviation": float(report["float32_max_abs_deviation"]),
-            "compiled_available": 1.0 if report["compiled_available"] else 0.0,
         },
         "table": "\n".join(lines),
         "details": {"report": report},
@@ -1850,16 +1818,6 @@ registry.register(
             MetricSpec("peak_broadcast_mib", "info"),
             MetricSpec("peak_blocked_mib", "info"),
             MetricSpec("blocked_memory_fraction", "info"),
-            # Kernel-backend sweep: equivalence gates are bit-exact
-            # booleans; the threaded floor check runs in-process with a
-            # core/workload-aware bar, so the boolean gates here while
-            # the ratio stays informational.
-            MetricSpec("backends_bit_identical", "accuracy", "higher", 0.0),
-            MetricSpec("float32_within_tolerance", "accuracy", "higher", 0.0),
-            MetricSpec("threaded_floor_ok", "accuracy", "higher", 0.0),
-            MetricSpec("threaded_full_speedup", "info"),
-            MetricSpec("float32_max_abs_deviation", "info"),
-            MetricSpec("compiled_available", "info"),
         ),
     )
 )

@@ -11,7 +11,7 @@ representative ``r`` and selected dimensions ``V_i`` is
 
     gain_i(x) = sum_{v_j in V_i} (1 - (x_j - r_j)^2 / s_hat^2_ij)
 
-(see :meth:`repro.core.objective.ObjectiveFunction.assignment_gains`).
+(see :meth:`repro.core.objective.ObjectiveFunction.assignment_gains_matrix`).
 An optional pairwise-constraint set (extension) restricts which clusters
 an object may join.
 """
@@ -66,32 +66,19 @@ class ClusterState:
 def compute_gains_matrix(
     objective: ObjectiveFunction,
     states: Sequence[ClusterState],
-    *,
-    fused: bool = True,
 ) -> np.ndarray:
     """The ``(n, k)`` assignment-gain matrix for the current states.
 
-    With ``fused=True`` (default) the matrix comes from the incremental
-    assignment engine behind
+    The matrix comes from the incremental assignment engine behind
     :meth:`~repro.core.objective.ObjectiveFunction.assignment_gains_matrix`:
     a persistent grouped plan, blocked evaluation, and per-cluster dirty
     tracking so that between iterations only the columns of clusters
     that actually changed are recomputed (the returned matrix is the
-    engine's read-only cache).  ``fused=False`` keeps the
-    one-cluster-at-a-time reference loop, which always recomputes
-    everything.  The two paths are bit-identical — the naive path exists
-    for the equivalence tests and the hot-path benchmark.
+    engine's read-only cache).  It is bit-identical to
+    :func:`~repro.core.objective.grouped_assignment_gains`, the
+    stateless reference the equivalence tests and the hot-path
+    benchmark compare against.
     """
-    n_objects = objective.n_objects
-    if not fused:
-        gains = np.full((n_objects, len(states)), -np.inf)
-        for cluster_index, state in enumerate(states):
-            if state.dimensions.size == 0:
-                continue
-            gains[:, cluster_index] = objective.assignment_gains(
-                state.representative, state.dimensions, max(state.size_hint, 2)
-            )
-        return gains
     return objective.assignment_gains_matrix(
         [state.representative for state in states],
         [state.dimensions for state in states],

@@ -22,13 +22,11 @@ observations:
 2. **Dirty-cluster tracking** — a gain column is a pure function of
    ``(points, dims_i, center_i, thresholds_i)``, so when the engine is
    bound to a *fixed* point set (the training data) it caches the
-   ``(n, k)`` matrix and recomputes only the columns of clusters marked
-   dirty.  Callers may mark clusters dirty explicitly (membership
-   change, median replacement, ``SelectDim`` re-run, threshold refresh)
-   via ``force=True`` / :meth:`mark_dirty`; otherwise
-   :meth:`update_cluster` diffs the submitted values against the plan
-   and leaves bit-identical clusters clean — the exact backstop that
-   makes the cache safe no matter what the caller forgets to report.
+   ``(n, k)`` matrix and recomputes only the columns of clusters that
+   changed.  :meth:`update_cluster` diffs the submitted values against
+   the plan and leaves bit-identical clusters clean, so callers never
+   report changes themselves and a cluster that comes back with
+   identical values (a restored best-so-far snapshot) costs nothing.
 3. **Blocked, preallocated evaluation** — columns are evaluated in
    bounded row blocks through reusable flat workspaces filled with
    ``out=`` ufuncs, so peak memory is capped at
@@ -47,40 +45,25 @@ elements with numpy's pairwise summation — which is independent of both
 the row blocking and of which other clusters share the stack.  The
 equivalence suite (``tests/test_assignment_engine.py``) and the
 ``perf_assignment`` bench scenario enforce this after every mutation.
-
-Kernel backends
----------------
-The column evaluator itself is a pluggable strategy
-(:mod:`repro.core.backends`): ``reference`` (the blocked numpy loop,
-the bit-identity oracle), ``threaded`` (row-chunk thread pool,
-bit-identical), ``compiled`` (optional Numba kernel, bit-identical,
-loud fallback to threaded) and ``float32`` (opt-in low precision,
-tolerance-banded).  Whenever a non-reference backend is active the
-engine re-evaluates a small sample of rows through a private reference
-oracle on every recompute — exact comparison for float64 backends,
-the backend's declared ``rtol``/``atol`` band for float32 — so a
-kernel that drifts from the contract fails fast instead of serving
-wrong gains.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.backends import resolve_backend
-from repro.core.backends.reference import (
-    MAX_WORKSPACE_ELEMENTS,
-    ReferenceBackend,
-)
 
 __all__ = ["AssignmentEngine", "DEFAULT_BLOCK_ROWS", "MAX_WORKSPACE_ELEMENTS"]
 
 #: Default number of rows evaluated per block.  The effective block also
 #: honours :data:`MAX_WORKSPACE_ELEMENTS`, so wide plans shrink it.
 DEFAULT_BLOCK_ROWS = 2048
+
+#: Cap on the gather workspace size (float64 elements, 16 MiB): the
+#: effective row block is ``min(block_rows, cap // (g * c))``.
+MAX_WORKSPACE_ELEMENTS = 1 << 21
 
 
 class _GroupPlan:
@@ -136,13 +119,6 @@ class AssignmentEngine:
     block_rows:
         Row-block bound of the evaluation loop (peak workspace memory is
         ``min(block_rows, cap // (g c)) * g * c`` floats per plan group).
-    backend:
-        Kernel backend: ``None`` (the ``REPRO_ASSIGNMENT_BACKEND``
-        environment variable, defaulting to ``"reference"``), a
-        registered name (``"reference"`` / ``"threaded"`` /
-        ``"compiled"`` / ``"float32"``, see
-        :func:`repro.core.backends.get_backend`) or a ready-made
-        backend instance.
 
     Notes
     -----
@@ -157,18 +133,11 @@ class AssignmentEngine:
         points: Optional[np.ndarray] = None,
         *,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        backend=None,
     ) -> None:
         if block_rows < 1:
             raise ValueError("block_rows must be at least 1")
         self._points = points
         self.block_rows = int(block_rows)
-        self._backend = resolve_backend(backend)
-        self._backend.bind_points(points)
-        # Non-reference kernels are spot-checked against a private
-        # reference oracle on every recompute (the value-diff backstop).
-        self._verify_backend = getattr(self._backend, "name", "custom") != "reference"
-        self._oracle: Optional[ReferenceBackend] = None
         self._dims: List[np.ndarray] = []
         self._centers: List[np.ndarray] = []
         self._thresholds: List[np.ndarray] = []
@@ -176,6 +145,8 @@ class AssignmentEngine:
         self._groups: Dict[int, _GroupPlan] = {}
         self._dirty: set = set()
         self._gains: Optional[np.ndarray] = None
+        self._workspace = np.empty(0)
+        self._reduce_buffer = np.empty(0)
         # Observability counters (tests, the perf_assignment bench and
         # the dirty-fraction sweep read these).
         self.n_gains_calls = 0
@@ -190,16 +161,6 @@ class AssignmentEngine:
     def points(self) -> Optional[np.ndarray]:
         """The bound fixed point set (``None`` in per-batch mode)."""
         return self._points
-
-    @property
-    def backend(self):
-        """The active kernel backend instance."""
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        """The active kernel backend's registered name."""
-        return getattr(self._backend, "name", "custom")
 
     @property
     def n_clusters(self) -> int:
@@ -258,24 +219,19 @@ class AssignmentEngine:
         dimensions,
         center,
         threshold,
-        *,
-        force: bool = False,
     ) -> bool:
         """Patch one cluster's plan entry; returns whether it changed.
 
-        With ``force=False`` (default) the submitted values are diffed
-        against the plan and a bit-identical cluster stays clean — the
-        safety net behind implicit callers.  ``force=True`` skips the
-        comparison and marks the column dirty unconditionally (the
-        explicit dirty-report path: membership change, median
-        replacement, ``SelectDim`` re-run, threshold refresh).
+        The submitted values are diffed against the plan: a cluster
+        whose dims, center and thresholds are bit-identical to the
+        planned ones stays clean and keeps its cached column.
         """
         if not (0 <= index < self.n_clusters):
             raise IndexError("cluster index %d out of range" % index)
         dims = _as_dims(dimensions)
         center_ = _as_values(center, dims.size, "center")
         threshold_ = _as_values(threshold, dims.size, "threshold")
-        if not force and (
+        if (
             np.array_equal(self._dims[index], dims)
             and np.array_equal(self._centers[index], center_)
             and np.array_equal(self._thresholds[index], threshold_)
@@ -304,14 +260,6 @@ class AssignmentEngine:
         self._dirty.add(index)
         self.n_updates_changed += 1
         return True
-
-    def mark_dirty(self, indices: Iterable[int]) -> None:
-        """Explicitly flag columns for recomputation on the next :meth:`gains`."""
-        for index in indices:
-            index = int(index)
-            if not (0 <= index < self.n_clusters):
-                raise IndexError("cluster index %d out of range" % index)
-            self._dirty.add(index)
 
     def invalidate(self) -> None:
         """Mark every column dirty (full recomputation on next :meth:`gains`)."""
@@ -391,8 +339,7 @@ class AssignmentEngine:
             recorder.observe("engine.dirty_fraction", len(self._dirty) / k if k else 0.0)
         if self._dirty:
             with obs.span("engine.recompute", category="engine",
-                          dirty=len(self._dirty), n_clusters=k, rows=n,
-                          backend=self.backend_name):
+                          dirty=len(self._dirty), n_clusters=k, rows=n):
                 by_count: Dict[int, List[int]] = {}
                 for index in sorted(self._dirty):
                     count = self._dims[index].size
@@ -400,9 +347,7 @@ class AssignmentEngine:
                         self._gains[:, index] = -np.inf
                     else:
                         by_count.setdefault(count, []).append(index)
-                points = self._backend.prepare_points(self._points)
-                with obs.span("engine.kernel", category="engine",
-                              backend=self.backend_name, rows=n,
+                with obs.span("engine.kernel", category="engine", rows=n,
                               groups=len(by_count)):
                     for count, ids in by_count.items():
                         group = self._groups[count]
@@ -416,13 +361,11 @@ class AssignmentEngine:
                             centers = group.centers[rows]
                             thresholds = group.thresholds[rows]
                         self._evaluate_columns(
-                            points, np.asarray(ids, dtype=np.intp), dims, centers,
-                            thresholds, self._gains,
+                            self._points, np.asarray(ids, dtype=np.intp), dims,
+                            centers, thresholds, self._gains,
                         )
                 self.n_columns_recomputed += len(self._dirty)
                 self._dirty.clear()
-                if self._verify_backend:
-                    self._verify_against_oracle(self._points, self._gains)
         self.n_gains_calls += 1
         return self._gains
 
@@ -445,19 +388,14 @@ class AssignmentEngine:
         if recorder is not None:
             recorder.incr("engine.compute_calls")
             recorder.observe("engine.compute_rows", float(n))
-        with obs.span("engine.compute", category="engine", rows=n, n_clusters=k,
-                      backend=self.backend_name):
-            prepared = self._backend.prepare_points(points)
-            with obs.span("engine.kernel", category="engine",
-                          backend=self.backend_name, rows=n,
+        with obs.span("engine.compute", category="engine", rows=n, n_clusters=k):
+            with obs.span("engine.kernel", category="engine", rows=n,
                           groups=len(self._groups)):
                 for group in self._groups.values():
                     self._evaluate_columns(
-                        prepared, group.cluster_ids, group.dims, group.centers,
+                        points, group.cluster_ids, group.dims, group.centers,
                         group.thresholds, out,
                     )
-            if self._verify_backend:
-                self._verify_against_oracle(points, out)
         return out
 
     def _evaluate_columns(
@@ -469,74 +407,63 @@ class AssignmentEngine:
         thresholds: np.ndarray,
         out: np.ndarray,
     ) -> None:
-        """Evaluate one stacked group through the active kernel backend."""
-        self._backend.evaluate_columns(
-            points, cluster_ids, dims, centers, thresholds, out,
-            block_rows=self.block_rows,
-        )
+        """Blocked zero-allocation evaluation of one stacked group.
 
-    # ------------------------------------------------------------------ #
-    # value-diff backstop
-    # ------------------------------------------------------------------ #
-    def _verify_against_oracle(self, points: np.ndarray, out: np.ndarray) -> None:
-        """Spot-check the active backend against the reference kernel.
-
-        A small row sample (first / middle / last) is re-evaluated
-        through a private :class:`ReferenceBackend` and compared to what
-        the active backend wrote: bitwise for float64 backends,
-        within the backend's declared ``rtol``/``atol`` for float32.
-        Row subsetting cannot change the reference bits (see the
-        bit-identity contract), so exact comparison is sound.  A
-        mismatch raises — wrong gains must never be served silently.
+        Bit-identical to
+        :func:`~repro.core.objective.grouped_assignment_gains`: the
+        element-wise operation sequence is the same, and the workspace
+        replicates the reference gather's memory layout — the fancy
+        index ``points[:, dims_stack]`` materializes a subspace-major
+        ``(g c, n)`` buffer viewed as a transposed ``(n, g, c)`` array,
+        so the reference reduction over the dimension axis is a
+        *strided* pairwise sum.  The workspace here is filled in that
+        same ``(g c, rows)`` layout and summed through the same
+        transposed view; pairwise-summation grouping depends only on the
+        reduction length and on (non-)contiguity, never on the stride
+        value or the row count, so blocking the rows changes nothing.
         """
+        g, c = dims.shape
         n = points.shape[0]
-        k = self.n_clusters
-        if n == 0 or k == 0 or not self._groups:
+        if g == 0 or c == 0 or n == 0:
             return
-        if n == 1:
-            sample = np.array([0])
-        else:
-            sample = np.unique([0, n // 2, n - 1])
-        subset = np.ascontiguousarray(points[sample])
-        expected = np.full((sample.size, k), -np.inf)
-        if self._oracle is None:
-            self._oracle = ReferenceBackend()
-        for group in self._groups.values():
-            self._oracle.evaluate_columns(
-                subset, group.cluster_ids, group.dims, group.centers,
-                group.thresholds, expected, block_rows=self.block_rows,
-            )
-        actual = out[sample]
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.incr("engine.backend.verify_rows", float(sample.size))
-        if getattr(self._backend, "bit_identical", False):
-            ok = np.array_equal(actual, expected)
-        else:
-            ok = np.allclose(
-                actual, expected,
-                rtol=getattr(self._backend, "rtol", 0.0),
-                atol=getattr(self._backend, "atol", 0.0),
-            )
-        if not ok:
-            if recorder is not None:
-                recorder.incr("engine.backend.mismatch")
-            finite = np.isfinite(expected) & np.isfinite(actual)
-            deviation = (
-                float(np.max(np.abs(actual[finite] - expected[finite])))
-                if finite.any() else float("nan")
-            )
-            raise RuntimeError(
-                "backend %r diverged from the reference kernel on the "
-                "sampled backstop rows (max |deviation| %.3g)"
-                % (self.backend_name, deviation)
-            )
+        # A single-row block would make the transposed view's reduction
+        # axis contiguous and flip numpy onto a differently-grouped sum,
+        # so blocks are at least 2 rows and the final block absorbs an
+        # orphan row (n == 1 overall is fine: the reference gather is
+        # contiguous there too).
+        block = max(2, min(self.block_rows, MAX_WORKSPACE_ELEMENTS // (g * c)))
+        flat_dims = dims.reshape(-1)
+        if self._workspace.size < (block + 1) * g * c:
+            self._workspace = np.empty((block + 1) * g * c)
+        if self._reduce_buffer.size < (block + 1) * g:
+            self._reduce_buffer = np.empty((block + 1) * g)
+        start = 0
+        while start < n:
+            stop = min(start + block, n)
+            if n - stop == 1:
+                stop = n
+            rows = stop - start
+            gathered = self._workspace[: rows * g * c].reshape(g * c, rows)
+            np.take(points[start:stop].T, flat_dims, axis=0, out=gathered)
+            cube = gathered.reshape(g, c, rows).transpose(2, 0, 1)
+            np.subtract(cube, centers[None, :, :], out=cube)
+            np.square(cube, out=cube)
+            np.divide(cube, thresholds[None, :, :], out=cube)
+            np.subtract(1.0, cube, out=cube)
+            # The reference sum allocates its output in F order (the
+            # layout nditer derives from the transposed operand) and
+            # accumulates the dimension axis plane by plane; an
+            # F-ordered out= view keeps that exact association, where a
+            # C-ordered one would flip numpy onto a different grouping.
+            reduced = self._reduce_buffer[: rows * g].reshape(g, rows).T
+            cube.sum(axis=2, out=reduced)
+            out[start:stop, cluster_ids] = reduced
+            start = stop
 
     def __repr__(self) -> str:
-        return "AssignmentEngine(k=%d, fixed=%s, dirty=%d, block_rows=%d, backend=%s)" % (
+        return "AssignmentEngine(k=%d, fixed=%s, dirty=%d, block_rows=%d)" % (
             self.n_clusters,
             self._points is not None,
             len(self._dirty),
             self.block_rows,
-            self.backend_name,
         )

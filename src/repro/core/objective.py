@@ -63,11 +63,13 @@ def grouped_assignment_gains(
     broadcasted pass over a contiguous ``(n, g, c)`` gather of
     ``points``; grouping (rather than padding) keeps every per-cluster
     reduction over exactly the same elements in the same order as a
-    scalar one-cluster evaluation, so the matrix is **bit-identical** to
-    ``k`` separate passes.
+    one-cluster call, so the matrix is **bit-identical** to ``k``
+    separate one-cluster calls.
 
     This function is the *reference* kernel and the single source of
-    truth for the gain arithmetic.  The hot paths — the training loop
+    truth for the gain arithmetic: the equivalence tests and the naive
+    arms of the ``hotpath`` and ``perf_assignment`` bench scenarios
+    compare against it.  The hot paths — the training loop
     (:meth:`ObjectiveFunction.assignment_gains_matrix`), the serving
     index (:meth:`repro.serving.index.ProjectedClusterIndex.gains_matrix`)
     and, through the index, the streaming engine — are backed by the
@@ -90,10 +92,11 @@ def grouped_assignment_gains(
     cluster_centers, cluster_thresholds:
         Per-cluster center values and thresholds, each *already
         restricted* to the cluster's selected dimensions (length
-        ``|V_i|`` arrays aligned with ``cluster_dimensions``),
-        preferably already contiguous float64 — list-of-array inputs are
-        coerced here on every call, which is exactly the per-call cost
-        the persistent engine plan exists to avoid.
+        ``|V_i|`` arrays aligned with ``cluster_dimensions``; any other
+        length raises ``ValueError``), preferably already contiguous
+        float64 — list-of-array inputs are coerced here on every call,
+        which is exactly the per-call cost the persistent engine plan
+        exists to avoid.
     """
     k = len(cluster_dimensions)
     if not (len(cluster_centers) == len(cluster_thresholds) == k):
@@ -114,6 +117,8 @@ def grouped_assignment_gains(
         thresholds = np.stack(
             [np.asarray(cluster_thresholds[index], dtype=float) for index in cluster_ids]
         )
+        if centers.shape != dims_stack.shape or thresholds.shape != dims_stack.shape:
+            raise ValueError("every center and threshold needs one value per selected dimension")
         deltas = points[:, dims_stack] - centers[None, :, :]
         gains[:, cluster_ids] = (1.0 - (deltas ** 2) / thresholds[None, :, :]).sum(axis=2)
     return gains
@@ -185,10 +190,7 @@ class ObjectiveFunction:
     results are bit-identical with and without the cache.
     """
 
-    def __init__(
-        self, data, threshold: SelectionThreshold, *,
-        stats_cache=None, assignment_backend=None,
-    ) -> None:
+    def __init__(self, data, threshold: SelectionThreshold, *, stats_cache=None) -> None:
         self.data = check_array_2d(data, name="data", min_rows=2)
         if not threshold.is_fitted:
             threshold.fit(self.data)
@@ -210,12 +212,10 @@ class ObjectiveFunction:
             ):
                 raise ValueError("stats_cache was built for different data")
         self.stats_cache = stats_cache
-        # Lazily built incremental backend of assignment_gains_matrix:
+        # Lazily built incremental engine behind assignment_gains_matrix:
         # a persistent grouped plan plus a cached (n, k) gain matrix
         # whose columns are recomputed only for clusters that changed.
         self._assignment_engine = None
-        self._assignment_backend = assignment_backend
-        self._assignment_dirty_hints: set = set()
 
     # ------------------------------------------------------------------ #
     # basic shapes
@@ -325,13 +325,13 @@ class ObjectiveFunction:
     # ------------------------------------------------------------------ #
     # assignment support
     # ------------------------------------------------------------------ #
-    def assignment_gains(
+    def assignment_gains_matrix(
         self,
-        representative: np.ndarray,
-        dimensions: Sequence[int],
-        cluster_size: int,
+        representatives: Sequence[np.ndarray],
+        dimension_sets: Sequence[Sequence[int]],
+        cluster_sizes: Sequence[int],
     ) -> np.ndarray:
-        """Improvement of ``phi_i`` from adding each object to a cluster.
+        """Improvement of every ``phi_i`` from adding each object: ``(n, k)``.
 
         During the assignment step the cluster median is temporarily
         substituted by the representative's projection (Listing 2,
@@ -340,63 +340,21 @@ class ObjectiveFunction:
 
             sum_{v_j in V_i} (1 - (x_j - rep_j)^2 / s_hat^2_ij)
 
-        which is what this method returns for every object at once.
-        Objects whose gain is not positive for any cluster are placed on
-        the outlier list by the caller.
+        which is what this method returns for every object and cluster
+        at once.  Objects whose gain is not positive for any cluster are
+        placed on the outlier list by the caller.
 
-        Parameters
-        ----------
-        representative:
-            The cluster representative's full ``d``-vector.
-        dimensions:
-            The cluster's currently selected dimensions ``V_i``.
-        cluster_size:
-            Current size of the cluster, used by cluster-size dependent
-            threshold schemes (the chi-square scheme).  The paper's
-            assignment step evaluates candidates against the cluster as
-            it grows; using the size at the start of the pass is the
-            stable choice and is what we do here.
-
-        Returns
-        -------
-        numpy.ndarray
-            Length-``n`` vector of score gains.
-        """
-        dimensions = np.asarray(dimensions, dtype=int)
-        representative = np.asarray(representative, dtype=float).ravel()
-        if representative.shape[0] != self.n_dimensions:
-            raise ValueError("representative must have one value per dimension")
-        if dimensions.size == 0:
-            return np.zeros(self.n_objects)
-        thresholds = self.threshold.values(max(cluster_size, 2))[dimensions]
-        deltas = self.data[:, dimensions] - representative[dimensions]
-        return (1.0 - (deltas ** 2) / thresholds).sum(axis=1)
-
-    def assignment_gains_matrix(
-        self,
-        representatives: Sequence[np.ndarray],
-        dimension_sets: Sequence[Sequence[int]],
-        cluster_sizes: Sequence[int],
-    ) -> np.ndarray:
-        """Fused assignment kernel: the full ``(n, k)`` gains matrix.
-
-        Evaluates :meth:`assignment_gains` for every cluster at once,
-        backed by the incremental
+        The matrix is backed by the incremental
         :class:`~repro.core.assignment_engine.AssignmentEngine`: the
         grouped per-cluster stacks persist across calls, the submitted
-        clusters are diffed against that plan (clusters hinted via
-        :meth:`mark_assignment_dirty` skip the diff), and only the gain
-        columns of clusters that actually changed are recomputed — the
+        clusters are diffed against that plan, and only the gain columns
+        of clusters whose values actually changed are recomputed — the
         rest are served from the cached ``(n, k)`` matrix.  Columns are
         evaluated in bounded row blocks through preallocated workspaces,
-        so no ``(n, g, c)`` broadcast is ever materialized.
-
-        The matrix is **bit-identical** to stacking ``k``
-        :meth:`assignment_gains` calls (and to
-        :func:`grouped_assignment_gains`): grouping keeps every
-        per-cluster reduction over exactly the same elements in the same
-        order as the one-cluster kernel, and neither caching, row
-        blocking nor dirty-only recomputation changes a single bit.
+        so no ``(n, g, c)`` broadcast is ever materialized.  The result
+        is **bit-identical** to :func:`grouped_assignment_gains`: neither
+        caching, row blocking nor dirty-only recomputation changes a
+        single bit.
 
         Clusters with an empty dimension set receive ``-inf`` (they can
         never win an assignment), matching the assignment step's
@@ -409,8 +367,11 @@ class ObjectiveFunction:
         dimension_sets:
             Per-cluster selected dimension index arrays.
         cluster_sizes:
-            Per-cluster sizes for the size-dependent threshold schemes;
-            values below 2 are clamped to 2 as in the scalar kernel.
+            Per-cluster sizes for the size-dependent threshold schemes
+            (the chi-square scheme); values below 2 are clamped to 2.
+            The paper's assignment step evaluates candidates against the
+            cluster as it grows; using the size at the start of the pass
+            is the stable choice and is what the caller passes.
 
         Returns
         -------
@@ -435,36 +396,14 @@ class ObjectiveFunction:
         ]
         engine = self._assignment_engine
         if engine is None:
-            engine = self._assignment_engine = AssignmentEngine(
-                self.data, backend=self._assignment_backend
-            )
-        hints = self._assignment_dirty_hints
-        self._assignment_dirty_hints = set()
+            engine = self._assignment_engine = AssignmentEngine(self.data)
         if engine.n_clusters != k:
             engine.set_clusters(dimensions, centers, thresholds)
         else:
             for index in range(k):
                 engine.update_cluster(
-                    index,
-                    dimensions[index],
-                    centers[index],
-                    thresholds[index],
-                    force=index in hints,
+                    index, dimensions[index], centers[index], thresholds[index]
                 )
         gains = engine.gains().view()
         gains.flags.writeable = False
         return gains
-
-    def mark_assignment_dirty(self, indices) -> None:
-        """Hint that these clusters changed since the last gains call.
-
-        The dirty-tracking contract of the incremental assignment
-        backend: callers that *know* a cluster mutated (membership
-        change, median replacement, ``SelectDim`` re-run, threshold
-        refresh) report it here and the next
-        :meth:`assignment_gains_matrix` call recomputes those columns
-        unconditionally.  Unhinted clusters are still value-diffed
-        against the persistent plan, so missing a hint can never produce
-        a stale result — hints only skip the comparison.
-        """
-        self._assignment_dirty_hints.update(int(index) for index in indices)

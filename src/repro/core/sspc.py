@@ -117,13 +117,6 @@ class SSPC:
         ``stats_cache_`` afterwards (streaming re-selection, the
         baselines sharing the workspace) can raise it; ``0`` disables
         caching entirely.
-    backend:
-        Assignment-kernel backend name for the fit loop and the serving
-        indexes built by :meth:`predict` (``"reference"`` /
-        ``"threaded"`` / ``"compiled"`` / ``"float32"``; see
-        :mod:`repro.core.backends`).  ``None`` defers to the
-        ``REPRO_ASSIGNMENT_BACKEND`` environment variable and then the
-        bit-identical reference kernel.
     random_state:
         Seed or generator controlling medoid draws and grid sampling.
 
@@ -156,7 +149,6 @@ class SSPC:
         public_group_factor: int = 3,
         allow_outliers: bool = True,
         stats_cache_max_entries: Optional[int] = None,
-        backend: Optional[str] = None,
         random_state: RandomState = None,
     ) -> None:
         self.n_clusters = check_positive_int(n_clusters, name="n_clusters", minimum=1)
@@ -182,15 +174,6 @@ class SSPC:
         if stats_cache_max_entries is not None and stats_cache_max_entries < 0:
             raise ValueError("stats_cache_max_entries must be non-negative or None")
         self.stats_cache_max_entries = stats_cache_max_entries
-        if backend is not None:
-            from repro.core.backends import BACKEND_NAMES
-
-            if backend not in BACKEND_NAMES:
-                raise ValueError(
-                    "unknown assignment backend %r (choose from %s)"
-                    % (backend, ", ".join(BACKEND_NAMES))
-                )
-        self.backend = backend
         self.random_state = random_state
 
         self.result_: Optional[ClusteringResult] = None
@@ -252,10 +235,7 @@ class SSPC:
         # across estimators, so zero the counters — keeping the cached
         # entries — before this run starts.
         workspace.reset_counters()
-        objective = ObjectiveFunction(
-            data, threshold, stats_cache=workspace,
-            assignment_backend=self.backend,
-        )
+        objective = ObjectiveFunction(data, threshold, stats_cache=workspace)
         self.stats_cache_ = workspace
         self.threshold_ = threshold
         # A refit invalidates any serving state built from the old model.
@@ -302,19 +282,12 @@ class SSPC:
                         if not self.allow_outliers:
                             labels = self._force_assign(labels, gains)
                     members = members_from_labels(labels, self.n_clusters)
-                    # Per-iteration membership deltas feed the incremental
-                    # assignment engine's dirty tracking: a cluster whose member
-                    # set changed gets a new median representative below, so its
-                    # gain column must be recomputed next iteration.  (Clusters
-                    # not reported are still value-diffed by the engine, so the
-                    # hints are an accelerant, never a correctness obligation.)
-                    changed_clusters = {
-                        cluster_index
-                        for cluster_index, (state, cluster_members) in enumerate(zip(states, members))
-                        if not np.array_equal(state.members, cluster_members)
-                    }
-                    it_span.set(changed_clusters=len(changed_clusters))
-                    obs.observe("fit.changed_clusters", len(changed_clusters))
+                    changed_clusters = sum(
+                        not np.array_equal(state.members, cluster_members)
+                        for state, cluster_members in zip(states, members)
+                    )
+                    it_span.set(changed_clusters=changed_clusters)
+                    obs.observe("fit.changed_clusters", changed_clusters)
                     for state, cluster_members in zip(states, members):
                         state.members = cluster_members
                     # Re-determine selected dimensions with the actual members and
@@ -357,12 +330,6 @@ class SSPC:
                         states = replace_representatives(
                             objective, states, bad_cluster, new_medoid, new_dims
                         )
-                    # The bad cluster drew a brand-new medoid and every changed
-                    # cluster's representative was replaced by its new median —
-                    # report both to the assignment engine so the next gains
-                    # call recomputes exactly those columns.
-                    changed_clusters.add(bad_cluster)
-                    objective.mark_assignment_dirty(changed_clusters)
 
             assert best is not None  # the loop always runs at least one iteration
             self._store_result(data, objective, best, iteration)
@@ -459,9 +426,7 @@ class SSPC:
             self._serving_artifact = self.to_artifact()
         index = self._serving_indexes.get(center)
         if index is None:
-            index = ProjectedClusterIndex(
-                self._serving_artifact, center=center, backend=self.backend
-            )
+            index = ProjectedClusterIndex(self._serving_artifact, center=center)
             self._serving_indexes[center] = index
         if top_m is not None:
             return index.top_assignments(data, top_m)
@@ -482,8 +447,6 @@ class SSPC:
         }
         if self.stats_cache_max_entries is not None:
             params["stats_cache_max_entries"] = self.stats_cache_max_entries
-        if self.backend is not None:
-            params["backend"] = self.backend
         params.update({k: v for k, v in self._threshold_args.items() if v is not None})
         return params
 

@@ -110,10 +110,6 @@ class ServerConfig:
     adaptive_batching: bool = True
     #: Assignment center the index is built with.
     center: str = "median"
-    #: Assignment-kernel backend the indexes run on (a
-    #: :mod:`repro.core.backends` name; ``None`` defers to
-    #: ``REPRO_ASSIGNMENT_BACKEND`` and then the reference kernel).
-    kernel_backend: Optional[str] = None
     #: ``"r"`` maps the artifact (shared pages); ``None`` loads eagerly.
     mmap_mode: Optional[str] = "r"
     #: Where ``partial_update`` generations land; ``None`` = private tempdir.
@@ -145,7 +141,6 @@ class PredictServer:
             n_workers=self.config.workers,
             center=self.config.center,
             mmap_mode=self.config.mmap_mode,
-            kernel_backend=self.config.kernel_backend,
         )
         self.batcher = MicroBatcher(
             self._flush_predict,

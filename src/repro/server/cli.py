@@ -17,7 +17,6 @@ import signal
 import sys
 from typing import Optional, Sequence
 
-from repro.core.backends import BACKEND_NAMES
 from repro.server.app import PredictServer, ServerConfig
 
 
@@ -56,13 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="median",
         choices=("median", "mean"),
         help="assignment center (default %(default)s)",
-    )
-    parser.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=BACKEND_NAMES,
-        help="assignment-kernel backend the workers run on "
-             "(default: $REPRO_ASSIGNMENT_BACKEND or reference)",
     )
     parser.add_argument(
         "--no-mmap",
@@ -124,7 +116,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_wait_us=args.max_wait_us,
         adaptive_batching=not args.no_adaptive,
         center=args.center,
-        kernel_backend=args.kernel_backend,
         mmap_mode=None if args.no_mmap else "r",
         state_dir=args.state_dir,
         slo_availability_target=args.slo_availability_target,

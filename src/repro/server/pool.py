@@ -79,31 +79,21 @@ def build_serving_index(
     *,
     center: str = "median",
     mmap_mode: Optional[str] = "r",
-    kernel_backend: Optional[str] = None,
 ) -> ProjectedClusterIndex:
     """Build the daemon's index over an artifact, preferring the mmap path.
 
     Artifacts written before the uncompressed-NPZ schema cannot be
     mapped; they fall back to the eager load (with an ``obs`` event so
     the fallback is visible in traces) instead of failing the boot.
-    ``kernel_backend`` selects the index's assignment-kernel backend
-    (a :mod:`repro.core.backends` name); each worker resolves it
-    post-fork, so pool workers never share kernel workspaces.
     """
     if mmap_mode is None:
-        return ProjectedClusterIndex(
-            load_artifact(artifact_path), center=center, backend=kernel_backend
-        )
+        return ProjectedClusterIndex(load_artifact(artifact_path), center=center)
     try:
         artifact = load_artifact(artifact_path, mmap_mode=mmap_mode)
     except CompressedMemberError:
         obs.event("mmap_fallback", path=str(artifact_path))
-        return ProjectedClusterIndex(
-            load_artifact(artifact_path), center=center, backend=kernel_backend
-        )
-    return ProjectedClusterIndex(
-        artifact, center=center, copy_arrays=False, backend=kernel_backend
-    )
+        return ProjectedClusterIndex(load_artifact(artifact_path), center=center)
+    return ProjectedClusterIndex(artifact, center=center, copy_arrays=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -147,7 +137,6 @@ def _worker_main(
     artifact_path: str,
     center: str,
     mmap_mode: Optional[str],
-    kernel_backend: Optional[str] = None,
 ) -> None:
     """Run one pool worker: build the index, answer ops until ``stop``.
 
@@ -156,10 +145,7 @@ def _worker_main(
     by construction — the parent holds a per-worker lock.
     """
     try:
-        index = build_serving_index(
-            artifact_path, center=center, mmap_mode=mmap_mode,
-            kernel_backend=kernel_backend,
-        )
+        index = build_serving_index(artifact_path, center=center, mmap_mode=mmap_mode)
         conn.send(("ok", {"n_clusters": index.n_clusters, "n_dimensions": index.n_dimensions}))
     except BaseException as exc:
         conn.send(("error", type(exc).__name__, str(exc), traceback.format_exc()))
@@ -181,10 +167,7 @@ def _worker_main(
             elif op == "partial_update":
                 payload = _apply_partial_update(index, message[1], message[2], message[3])
             elif op == "reload":
-                index = build_serving_index(
-                    message[1], center=center, mmap_mode=mmap_mode,
-                    kernel_backend=kernel_backend,
-                )
+                index = build_serving_index(message[1], center=center, mmap_mode=mmap_mode)
                 payload = {"n_clusters": index.n_clusters}
             elif op == "info":
                 payload = {
@@ -277,12 +260,10 @@ class InProcessBackend:
         *,
         center: str = "median",
         mmap_mode: Optional[str] = "r",
-        kernel_backend: Optional[str] = None,
     ) -> None:
         self.artifact_path = str(artifact_path)
         self.center = center
         self.mmap_mode = mmap_mode
-        self.kernel_backend = kernel_backend
         self._index: Optional[ProjectedClusterIndex] = None
         self._compute = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
 
@@ -291,8 +272,7 @@ class InProcessBackend:
         self._index = await loop.run_in_executor(
             self._compute,
             lambda: build_serving_index(
-                self.artifact_path, center=self.center, mmap_mode=self.mmap_mode,
-                kernel_backend=self.kernel_backend,
+                self.artifact_path, center=self.center, mmap_mode=self.mmap_mode
             ),
         )
 
@@ -356,7 +336,6 @@ class WorkerPoolBackend:
         n_workers: int,
         center: str = "median",
         mmap_mode: Optional[str] = "r",
-        kernel_backend: Optional[str] = None,
         call_timeout_s: float = DEFAULT_CALL_TIMEOUT_S,
     ) -> None:
         if n_workers < 1:
@@ -365,7 +344,6 @@ class WorkerPoolBackend:
         self.n_workers = int(n_workers)
         self.center = center
         self.mmap_mode = mmap_mode
-        self.kernel_backend = kernel_backend
         self.call_timeout_s = float(call_timeout_s)
         self._handles: List[_WorkerHandle] = []
         self._rr = 0
@@ -383,8 +361,7 @@ class WorkerPoolBackend:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, self.artifact_path, self.center, self.mmap_mode,
-                      self.kernel_backend),
+                args=(child_conn, self.artifact_path, self.center, self.mmap_mode),
                 daemon=True,
                 name="repro-server-worker-%d" % position,
             )
@@ -498,15 +475,8 @@ def make_backend(
     n_workers: int,
     center: str = "median",
     mmap_mode: Optional[str] = "r",
-    kernel_backend: Optional[str] = None,
 ) -> Union[InProcessBackend, WorkerPoolBackend]:
     """The backend the configuration asks for (``n_workers=0`` → in-process)."""
     if n_workers == 0:
-        return InProcessBackend(
-            artifact_path, center=center, mmap_mode=mmap_mode,
-            kernel_backend=kernel_backend,
-        )
-    return WorkerPoolBackend(
-        artifact_path, n_workers=n_workers, center=center, mmap_mode=mmap_mode,
-        kernel_backend=kernel_backend,
-    )
+        return InProcessBackend(artifact_path, center=center, mmap_mode=mmap_mode)
+    return WorkerPoolBackend(artifact_path, n_workers=n_workers, center=center, mmap_mode=mmap_mode)

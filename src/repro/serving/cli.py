@@ -32,7 +32,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.backends import BACKEND_NAMES
 from repro.core.model import OUTLIER_LABEL
 from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
@@ -146,7 +145,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         n_clusters=args.n_clusters,
         max_iterations=args.max_iterations,
         random_state=args.random_state,
-        backend=args.backend,
         **threshold_kwargs,
     )
     with obs.trace_session(args.trace, args.metrics_out, log=_log_stderr):
@@ -162,7 +160,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print("predict: --save-back requires --update", file=sys.stderr)
         return 2
     artifact = load_artifact(args.artifact)
-    index = ProjectedClusterIndex(artifact, center=args.center, backend=args.backend)
+    index = ProjectedClusterIndex(artifact, center=args.center)
     points, _ = _load_matrix(args.input)
 
     with obs.trace_session(args.trace, args.metrics_out, log=_log_stderr):
@@ -246,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="chi-square threshold parameter (overrides --m)")
     fit.add_argument("--max-iterations", type=int, default=30)
     fit.add_argument("--random-state", type=int, default=0)
-    fit.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                     help="assignment-kernel backend (default: "
-                          "$REPRO_ASSIGNMENT_BACKEND or reference)")
     _add_obs_arguments(fit)
     fit.set_defaults(func=_cmd_fit)
 
@@ -261,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also emit the top-m soft assignments per point")
     predict.add_argument("--center", choices=("median", "representative", "mean"),
                          default="median", help="per-cluster center used for scoring")
-    predict.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                         help="assignment-kernel backend (default: "
-                              "$REPRO_ASSIGNMENT_BACKEND or reference)")
     predict.add_argument("--update", action="store_true",
                          help="fold accepted points into the serving statistics")
     predict.add_argument("--save-back", action="store_true",

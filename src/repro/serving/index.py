@@ -166,13 +166,6 @@ class ProjectedClusterIndex:
         *replaces* the buffer with a freshly built array, at which point
         the cluster silently stops referencing the mapped pages.  The
         small per-cluster statistic vectors are always copied.
-    backend:
-        Assignment-kernel backend for the gain evaluations (a
-        :mod:`repro.core.backends` name or instance; ``None`` defers to
-        ``REPRO_ASSIGNMENT_BACKEND`` and then the reference kernel).
-        Serving deployments that do not need bit-identity to training
-        can opt into ``"threaded"``, ``"compiled"`` or ``"float32"``
-        here; float64 backends stay bit-identical regardless.
 
     Notes
     -----
@@ -191,7 +184,6 @@ class ProjectedClusterIndex:
         allow_outliers: Optional[bool] = None,
         projection_window: Optional[int] = None,
         copy_arrays: bool = True,
-        backend=None,
     ) -> None:
         if center not in _CENTER_MODES:
             raise ValueError("center must be one of %s" % (_CENTER_MODES,))
@@ -250,7 +242,7 @@ class ProjectedClusterIndex:
         # thresholds coerced and stacked once, then surgically patched
         # by the mutation methods below instead of being rebuilt from
         # the cluster list on every predict batch.
-        self._engine = AssignmentEngine(backend=backend)
+        self._engine = AssignmentEngine()
         specs = [self._plan_spec(cluster) for cluster in self._clusters]
         self._engine.set_clusters(
             [spec[0] for spec in specs],
@@ -263,8 +255,7 @@ class ProjectedClusterIndex:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_path(
-        cls, path, *, center: str = "median", mmap_mode: Optional[str] = None,
-        backend=None,
+        cls, path, *, center: str = "median", mmap_mode: Optional[str] = None
     ) -> "ProjectedClusterIndex":
         """Load an artifact directory and build an index over it.
 
@@ -277,7 +268,6 @@ class ProjectedClusterIndex:
             load_artifact(path, mmap_mode=mmap_mode),
             center=center,
             copy_arrays=mmap_mode is None,
-            backend=backend,
         )
 
     # ------------------------------------------------------------------ #

@@ -345,7 +345,7 @@ def describe_checkpoint(path: PathLike) -> Dict[str, object]:
     }
 
 
-def load_checkpoint(path: PathLike, *, config=None, backend=None):
+def load_checkpoint(path: PathLike, *, config=None):
     """Rebuild a :class:`~repro.stream.engine.StreamingSSPC` from ``path``.
 
     Tries the committed generation first and automatically rolls back
@@ -358,10 +358,7 @@ def load_checkpoint(path: PathLike, *, config=None, backend=None):
 
     ``config`` overrides the checkpointed :class:`StreamConfig` (e.g. to
     change adaptation knobs mid-stream); buffers sized by the old config
-    are re-bounded under the new one.  ``backend`` selects the restored
-    engine's assignment-kernel backend (a :mod:`repro.core.backends`
-    name) — kernel choice is per-process runtime state, so it is never
-    part of the checkpoint itself.
+    are re-bounded under the new one.
     """
     directory = Path(path)
     candidates = _candidate_dirs(directory)
@@ -372,7 +369,7 @@ def load_checkpoint(path: PathLike, *, config=None, backend=None):
     problems: List[str] = []
     for candidate in candidates:
         try:
-            engine = _load_generation(candidate, config=config, backend=backend)
+            engine = _load_generation(candidate, config=config)
         except (IntegrityError, FileNotFoundError, OSError) as exc:
             problems.append("%s: %s" % (candidate.name, exc))
             continue
@@ -384,7 +381,7 @@ def load_checkpoint(path: PathLike, *, config=None, backend=None):
     )
 
 
-def _load_generation(directory: Path, *, config=None, backend=None):
+def _load_generation(directory: Path, *, config=None):
     """Restore one generation directory, verifying every checksum."""
     from repro.stream.engine import StreamConfig, StreamEvent, StreamingSSPC
 
@@ -396,9 +393,7 @@ def _load_generation(directory: Path, *, config=None, backend=None):
 
     artifact = load_artifact(directory / MODEL_DIR)
     engine_config = config if config is not None else StreamConfig.from_dict(_field("config"))
-    engine = StreamingSSPC(
-        artifact, config=engine_config, center=str(_field("center")), backend=backend
-    )
+    engine = StreamingSSPC(artifact, config=engine_config, center=str(_field("center")))
 
     arrays_path = directory / ARRAYS_NAME
     if not arrays_path.is_file():

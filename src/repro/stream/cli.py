@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.backends import BACKEND_NAMES
 from repro.data.streams import DriftingStreamGenerator, make_drift_schedule
 from repro.evaluation import adjusted_rand_index
 from repro.stream.checkpoint import checkpoint_metadata, describe_checkpoint, load_checkpoint
@@ -161,9 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             max_iterations=args.fit_iterations,
             random_state=args.seed,
         ).fit(warmup.data)
-        engine = StreamingSSPC(
-            model.to_artifact(), config=_config_from_args(args), backend=args.backend
-        )
+        engine = StreamingSSPC(model.to_artifact(), config=_config_from_args(args))
         print(
             "fitted initial model on %d warmup points (k=%d); streaming %d batches of %d"
             % (warmup.data.shape[0], engine.n_clusters, args.n_batches, args.batch_size),
@@ -184,7 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    engine = load_checkpoint(args.checkpoint, backend=args.backend)
+    engine = load_checkpoint(args.checkpoint)
     spec = checkpoint_metadata(args.checkpoint).get("stream")
     if not isinstance(spec, dict):
         print(
@@ -258,9 +255,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="shift-statistic threshold flagging drift")
     engine.add_argument("--projection-window", type=int, default=None,
                         help="bound each cluster's projection buffer (window medians)")
-    engine.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                        help="assignment-kernel backend (default: "
-                             "$REPRO_ASSIGNMENT_BACKEND or reference)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--output", default=None,
                         help="write the continued checkpoint elsewhere "
                              "(default: back into --checkpoint)")
-    replay.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                        help="assignment-kernel backend for the restored engine")
     replay.add_argument("--quiet", action="store_true")
     replay.set_defaults(func=_cmd_replay)
 

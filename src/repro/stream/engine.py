@@ -231,10 +231,6 @@ class StreamingSSPC:
         Engine tuning; defaults to :class:`StreamConfig`'s defaults.
     center:
         Scoring center handed to the serving index.
-    backend:
-        Assignment-kernel backend handed to the serving index (a
-        :mod:`repro.core.backends` name; ``None`` defers to
-        ``REPRO_ASSIGNMENT_BACKEND`` and then the reference kernel).
 
     Notes
     -----
@@ -249,13 +245,11 @@ class StreamingSSPC:
         *,
         config: Optional[StreamConfig] = None,
         center: str = "median",
-        backend=None,
     ) -> None:
         self.config = config if config is not None else StreamConfig()
         self.center = str(center)
         self.index = ProjectedClusterIndex(
-            artifact, center=center, projection_window=self.config.projection_window,
-            backend=backend,
+            artifact, center=center, projection_window=self.config.projection_window
         )
         self._source_artifact = artifact
         # Points the source artifact had already absorbed before this

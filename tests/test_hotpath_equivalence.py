@@ -1,9 +1,11 @@
 """Equivalence suite: cached/fused hot paths versus the naive reference.
 
-The optimised SSPC hot loop (shared statistics workspace + fused
-assignment kernel + gain-matrix reuse) must be **bit-identical** to the
-naive reference — per-cluster gain passes and a fresh statistics pass at
-every consumer — for the same ``random_state``.  These tests pin that
+The optimised SSPC hot loop (shared statistics workspace + incremental
+assignment engine + gain-matrix reuse) must be **bit-identical** to the
+naive reference — the stateless
+:func:`~repro.core.objective.grouped_assignment_gains` kernel and a
+fresh statistics pass at every consumer — for the same
+``random_state``.  These tests pin that
 invariant end to end (labels, selected dimensions, ``phi``) and at the
 individual kernel level.
 """
@@ -15,7 +17,7 @@ import pytest
 
 import repro.core.assignment as assignment_module
 from repro.core.assignment import ClusterState, assign_objects, compute_gains_matrix
-from repro.core.objective import ObjectiveFunction
+from repro.core.objective import ObjectiveFunction, grouped_assignment_gains
 from repro.core.sspc import SSPC
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import ChiSquareThreshold, VarianceRatioThreshold
@@ -48,6 +50,19 @@ def dataset():
     ).generate(11)
 
 
+def _reference_gains(objective, states):
+    """The stateless reference kernel over the states' current plan."""
+    return grouped_assignment_gains(
+        objective.data,
+        [state.dimensions for state in states],
+        [state.representative[state.dimensions] for state in states],
+        [
+            objective.threshold.values(max(state.size_hint, 2))[state.dimensions]
+            for state in states
+        ],
+    )
+
+
 def _random_states(objective, rng, n_clusters, *, equal_dim_counts=False):
     states = []
     for index in range(n_clusters):
@@ -75,9 +90,9 @@ def test_fused_gains_matrix_bit_identical(dataset, scheme, equal_dim_counts):
     rng = np.random.default_rng(5)
     for trial in range(5):
         states = _random_states(objective, rng, n_clusters=4, equal_dim_counts=equal_dim_counts)
-        fused = compute_gains_matrix(objective, states, fused=True)
-        naive = compute_gains_matrix(objective, states, fused=False)
-        assert np.array_equal(fused, naive), "trial %d diverged" % trial
+        fused = compute_gains_matrix(objective, states)
+        reference = _reference_gains(objective, states)
+        assert np.array_equal(fused, reference), "trial %d diverged" % trial
 
 
 def test_fused_kernel_handles_all_empty_dimension_sets(dataset):
@@ -124,13 +139,7 @@ def test_force_assign_reuse_matches_recompute(dataset):
 
     # Seed implementation: recompute every cluster's gains from scratch.
     reference = labels.copy()
-    redone = np.full((outliers.size, len(states)), -np.inf)
-    for index, state in enumerate(states):
-        if state.dimensions.size == 0:
-            continue
-        redone[:, index] = objective.assignment_gains(
-            state.representative, state.dimensions, max(state.size_hint, 2)
-        )[outliers]
+    redone = _reference_gains(objective, states)[outliers]
     reference[outliers] = np.argmax(redone, axis=1)
 
     assert np.array_equal(fast, reference)
@@ -171,13 +180,8 @@ def _fit_pair(dataset, monkeypatch, *, knowledge=None, constraints=None, **param
         dataset.data, knowledge, constraints=constraints
     )
 
-    # Naive arm: no statistics cache and the unfused per-cluster gain loop.
-    original = compute_gains_matrix
-    monkeypatch.setattr(
-        assignment_module,
-        "compute_gains_matrix",
-        lambda objective, states, fused=True: original(objective, states, fused=False),
-    )
+    # Naive arm: no statistics cache and the stateless reference kernel.
+    monkeypatch.setattr(assignment_module, "compute_gains_matrix", _reference_gains)
     naive = NaiveSSPC(n_clusters=3, random_state=7, **params).fit(
         dataset.data, knowledge, constraints=constraints
     )

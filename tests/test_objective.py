@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.objective import ObjectiveFunction
+from repro.core.objective import ObjectiveFunction, grouped_assignment_gains
 from repro.core.thresholds import VarianceRatioThreshold
 
 
@@ -108,24 +108,33 @@ class TestPhiScores:
             simple_objective.phi([np.arange(5)], [[0], [1]])
 
 
+def _one_cluster_gains(objective, representative, dims, cluster_size):
+    """One column of the reference kernel, scored around ``representative``."""
+    dims = np.asarray(dims, dtype=int)
+    thresholds = objective.threshold.values(cluster_size)[dims]
+    return grouped_assignment_gains(
+        objective.data, [dims], [representative[dims]], [thresholds]
+    )[:, 0]
+
+
 class TestAssignmentGains:
     def test_cluster_members_gain_more_than_strangers(self, simple_objective):
         representative = np.median(simple_objective.data[:20], axis=0)
-        gains = simple_objective.assignment_gains(representative, [0, 1], cluster_size=20)
+        gains = _one_cluster_gains(simple_objective, representative, [0, 1], 20)
         members_gain = gains[:20].mean()
         strangers_gain = gains[20:].mean()
         assert members_gain > strangers_gain
         assert members_gain > 0
 
-    def test_empty_dimensions_give_zero_gain(self, simple_objective):
+    def test_empty_dimensions_never_win(self, simple_objective):
         representative = simple_objective.data[0]
-        gains = simple_objective.assignment_gains(representative, [], cluster_size=10)
-        assert np.all(gains == 0)
+        gains = _one_cluster_gains(simple_objective, representative, [], 10)
+        assert np.all(np.isneginf(gains))
 
     def test_gain_formula(self, simple_objective):
         representative = simple_objective.data[0]
         dims = np.asarray([0, 3])
-        gains = simple_objective.assignment_gains(representative, dims, cluster_size=10)
+        gains = _one_cluster_gains(simple_objective, representative, dims, 10)
         thresholds = simple_objective.threshold.values(10)[dims]
         deltas = simple_objective.data[:, dims] - representative[dims]
         expected = (1.0 - deltas**2 / thresholds).sum(axis=1)
@@ -133,7 +142,9 @@ class TestAssignmentGains:
 
     def test_wrong_representative_length_rejected(self, simple_objective):
         with pytest.raises(ValueError):
-            simple_objective.assignment_gains(np.zeros(3), [0], cluster_size=5)
+            grouped_assignment_gains(
+                simple_objective.data, [np.asarray([0])], [np.zeros(3)], [np.ones(1)]
+            )
 
 
 class TestConstruction:
