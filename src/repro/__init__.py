@@ -45,7 +45,7 @@ from repro.semisupervision.knowledge import Knowledge
 from repro.serving import ModelArtifact, ProjectedClusterIndex, load_artifact
 from repro.stream import StreamConfig, StreamingSSPC
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "SSPC",

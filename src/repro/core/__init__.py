@@ -15,7 +15,8 @@ the paper:
 * :mod:`repro.core.dimension_selection` — the ``SelectDim`` procedure
   (Lemma 1).
 * :mod:`repro.core.grid` — the multi-dimensional histogram (grid) engine
-  with localized hill-climbing used during initialisation.
+  with localized hill-climbing used during initialisation; the grids of
+  one seed-group search share one :class:`~repro.core.grid.GridBinning`.
 * :mod:`repro.core.seed_groups` — seed-group construction for the four
   knowledge cases (Section 4.2) including the max-min mechanism.
 * :mod:`repro.core.assignment` / :mod:`repro.core.representatives` — the
@@ -41,7 +42,7 @@ from repro.core.objective import (
 )
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.dimension_selection import select_dimensions
-from repro.core.grid import Grid, GridSearchResult
+from repro.core.grid import Grid, GridBinning, GridSearchResult
 from repro.core.seed_groups import SeedGroup, SeedGroupBuilder
 from repro.core.sspc import SSPC
 from repro.core.analysis import (
@@ -64,6 +65,7 @@ __all__ = [
     "ClusterStatsCache",
     "select_dimensions",
     "Grid",
+    "GridBinning",
     "GridSearchResult",
     "SeedGroup",
     "SeedGroupBuilder",

@@ -17,17 +17,29 @@ Two peak-finding modes are needed:
   object) — used when an approximate cluster centre is known, and also to
   cope with grids whose building dimensions are relevant to several
   clusters (multiple peaks).
+
+All grids of one seed-group search share a :class:`GridBinning` of the
+same objects, so the data is validated and each dimension binned once per
+search; a :class:`Grid` then only combines its ``c`` bin columns into one
+cell id per object and counts the cells.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_array_2d, check_index_sequence, check_positive_int
+
+#: Largest ``bins ** c`` for which a grid counts cells in a dense array with
+#: one slot per possible cell (8 MiB of counts); above it only the occupied
+#: cells are numbered.  The defaults (c=3, at most 8 bins) give 512 cells.
+DENSE_CELL_LIMIT = 1 << 20
 
 
 @dataclass
@@ -53,37 +65,37 @@ class GridSearchResult:
     dimensions: np.ndarray
 
 
-class Grid:
-    """Equal-width multi-dimensional histogram over selected dimensions.
+class GridBinning:
+    """One equal-width binning of a fixed object set, shared by many grids.
+
+    A seed-group search builds ``g`` grids over the same objects with the
+    same resolution; only the building dimensions differ.  The binning
+    validates the data and the object subset once, and bins each
+    dimension the first time a grid asks for it (then serves the cached
+    column to every later grid of the search).
 
     Parameters
     ----------
     data:
         The full ``(n, d)`` dataset.
-    dimensions:
-        The building dimensions (the grid only spans these).
     bins_per_dimension:
         Number of equal-width bins per building dimension.  The paper
         keeps the number of building dimensions small (3) so each cell
         still holds enough objects; with ``b`` bins per dimension a grid
         has ``b ** c`` cells.
     restrict_to:
-        Optional subset of object indices to place in the grid (used when
+        Optional subset of object indices to place in the grids (used when
         previously seeded clusters' likely members are excluded).
     """
 
     def __init__(
         self,
         data,
-        dimensions: Sequence[int],
         *,
         bins_per_dimension: int = 5,
         restrict_to: Optional[Sequence[int]] = None,
     ) -> None:
         self.data = check_array_2d(data, name="data")
-        self.dimensions = check_index_sequence(
-            dimensions, self.data.shape[1], name="dimensions", allow_empty=False
-        )
         self.bins_per_dimension = check_positive_int(
             bins_per_dimension, name="bins_per_dimension", minimum=2
         )
@@ -93,71 +105,118 @@ class Grid:
             self.object_indices = check_index_sequence(
                 restrict_to, self.data.shape[0], name="restrict_to", allow_empty=False
             )
-        self._build()
+        self._columns: Dict[int, Tuple[np.ndarray, float, float]] = {}
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    def _build(self) -> None:
-        values = self.data[np.ix_(self.object_indices, self.dimensions)]
-        lows = values.min(axis=0)
-        highs = values.max(axis=0)
-        spans = np.where(highs > lows, highs - lows, 1.0)
-        # Scale each coordinate into [0, bins) and clip the right edge so the
-        # maximum falls in the last bin rather than a phantom extra bin.
-        scaled = (values - lows) / spans * self.bins_per_dimension
-        bin_indices = np.minimum(scaled.astype(int), self.bins_per_dimension - 1)
+    def column(self, dimension: int) -> Tuple[np.ndarray, float, float]:
+        """``(bin index per object, low, span)`` of one dimension, cached."""
+        dimension = int(dimension)
+        binned = self._columns.get(dimension)
+        if binned is None:
+            values = self.data[self.object_indices, dimension]
+            low = values.min()
+            high = values.max()
+            span = high - low if high > low else 1.0
+            # Scale each coordinate into [0, bins) and clip the right edge so
+            # the maximum falls in the last bin rather than a phantom extra bin.
+            scaled = (values - low) / span * self.bins_per_dimension
+            bins = np.minimum(scaled.astype(int), self.bins_per_dimension - 1)
+            binned = self._columns[dimension] = (bins, low, span)
+        return binned
 
-        self._lows = lows
-        self._spans = spans
-        # Group objects by cell in one vectorised pass: stable lexsort of
-        # the bin tuples brings equal cells together (lexsort handles any
-        # number of building dimensions — no dense cell-id encoding that
-        # could overflow for large bins ** c), then split at the row
-        # boundaries.  Cells are inserted in first-occurrence (row) order
-        # and members keep their row order, so the mapping — including
-        # the iteration-order tie-breaking of :meth:`absolute_peak` — is
-        # identical to the per-row dictionary build it replaces.
-        self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
-        n_rows = bin_indices.shape[0]
-        if n_rows == 0:
-            return
-        order = np.lexsort(bin_indices.T)
-        sorted_bins = bin_indices[order]
-        sorted_objects = np.asarray(self.object_indices, dtype=int)[order]
-        changed = np.any(sorted_bins[1:] != sorted_bins[:-1], axis=1)
-        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-        first_rows = order[starts]
-        ends = np.concatenate((starts[1:], [n_rows]))
-        for position in np.argsort(first_rows, kind="stable"):
-            start, end = int(starts[position]), int(ends[position])
-            cell = tuple(int(b) for b in bin_indices[first_rows[position]])
-            self._cells[cell] = sorted_objects[start:end]
+
+class Grid:
+    """Equal-width multi-dimensional histogram over selected dimensions.
+
+    Every object of ``binning`` gets one integer cell id and the cell
+    densities are a single ``np.bincount`` of those ids.  Members are
+    materialised only for a cell a caller asks for, in row order.
+
+    Parameters
+    ----------
+    binning:
+        The shared binning of the objects to place in the grid.
+    dimensions:
+        The building dimensions (the grid only spans these).
+    """
+
+    def __init__(self, binning: GridBinning, dimensions: Sequence[int]) -> None:
+        self.binning = binning
+        self.dimensions = check_index_sequence(
+            dimensions, binning.data.shape[1], name="dimensions", allow_empty=False
+        )
+        self.bins_per_dimension = binning.bins_per_dimension
+        self.object_indices = binning.object_indices
+        columns = [binning.column(dimension) for dimension in self.dimensions]
+        self._bins = [bins for bins, _, _ in columns]
+        self._lows = np.array([low for _, low, _ in columns])
+        self._spans = np.array([span for _, _, span in columns])
+
+        n_possible = self.bins_per_dimension ** len(self._bins)
+        self._cell_index: Optional[Dict[Tuple[int, ...], int]] = None
+        if n_possible <= DENSE_CELL_LIMIT:
+            # Mixed-radix id of the bin tuple: every possible cell has a slot.
+            ids = self._bins[0].copy()
+            for bins in self._bins[1:]:
+                ids *= self.bins_per_dimension
+                ids += bins
+            self._counts = np.bincount(ids, minlength=n_possible)
+        else:
+            # Too many possible cells for a dense array: number only the
+            # occupied ones, which keeps memory O(m) for any ``bins ** c``.
+            occupied, ids = np.unique(
+                np.column_stack(self._bins), axis=0, return_inverse=True
+            )
+            ids = ids.ravel()
+            self._cell_index = {tuple(cell): i for i, cell in enumerate(occupied.tolist())}
+            self._counts = np.bincount(ids)
+        self._ids = ids
 
     # ------------------------------------------------------------------ #
     # cell queries
     # ------------------------------------------------------------------ #
+    def _cell_id(self, cell: Tuple[int, ...]) -> int:
+        """Id of an occupied or possible cell; ``-1`` when no object can fall in it."""
+        if self._cell_index is not None:
+            return self._cell_index.get(tuple(cell), -1)
+        if len(cell) != len(self._bins):
+            return -1
+        cell_id = 0
+        for b in cell:
+            if not 0 <= b < self.bins_per_dimension:
+                return -1
+            cell_id = cell_id * self.bins_per_dimension + b
+        return int(cell_id)
+
+    def _result(self, cell: Tuple[int, ...]) -> GridSearchResult:
+        members = self.cell_members(cell)
+        return GridSearchResult(
+            cell=cell,
+            members=members,
+            density=int(members.size),
+            dimensions=self.dimensions,
+        )
+
     @property
     def n_cells(self) -> int:
         """Number of non-empty cells."""
-        return len(self._cells)
+        return int(np.count_nonzero(self._counts))
 
     def cell_members(self, cell: Tuple[int, ...]) -> np.ndarray:
-        """Object indices in one cell (empty array for empty cells)."""
-        members = self._cells.get(tuple(cell))
-        if members is None:
+        """Object indices in one cell, in row order (empty array for empty cells)."""
+        cell_id = self._cell_id(cell)
+        if cell_id < 0:
             return np.empty(0, dtype=int)
-        return members
+        return self.object_indices[self._ids == cell_id]
 
     def cell_density(self, cell: Tuple[int, ...]) -> int:
         """Number of objects in one cell."""
-        members = self._cells.get(tuple(cell))
-        return 0 if members is None else int(members.size)
+        cell_id = self._cell_id(cell)
+        return 0 if cell_id < 0 else int(self._counts[cell_id])
 
     def cell_of(self, point: Sequence[float]) -> Tuple[int, ...]:
         """The cell containing an arbitrary point (full ``d``-vector)."""
         point = np.asarray(point, dtype=float).ravel()
-        if point.shape[0] != self.data.shape[1]:
+        if point.shape[0] != self.binning.data.shape[1]:
             raise ValueError("point must be a full d-dimensional vector")
         coords = point[self.dimensions]
         scaled = (coords - self._lows) / self._spans * self.bins_per_dimension
@@ -168,19 +227,13 @@ class Grid:
     # peak searches
     # ------------------------------------------------------------------ #
     def absolute_peak(self) -> GridSearchResult:
-        """The densest cell of the whole grid."""
-        if not self._cells:
-            return GridSearchResult(
-                cell=(), members=np.empty(0, dtype=int), density=0, dimensions=self.dimensions
-            )
-        best_cell = max(self._cells, key=lambda cell: len(self._cells[cell]))
-        members = self.cell_members(best_cell)
-        return GridSearchResult(
-            cell=best_cell,
-            members=members,
-            density=int(members.size),
-            dimensions=self.dimensions,
-        )
+        """The densest cell of the whole grid.
+
+        Ties go to the cell of the earliest object (in row order) among
+        the densest cells.
+        """
+        row = int(np.argmax(self._counts[self._ids]))
+        return self._result(tuple(int(bins[row]) for bins in self._bins))
 
     def hill_climb(self, start_point: Sequence[float]) -> GridSearchResult:
         """Localized hill-climbing search from the cell containing ``start_point``.
@@ -201,23 +254,23 @@ class Grid:
                 if density > current_density:
                     current, current_density = neighbour, density
                     improved = True
-        members = self.cell_members(current)
-        return GridSearchResult(
-            cell=current,
-            members=members,
-            density=int(members.size),
-            dimensions=self.dimensions,
-        )
+        return self._result(current)
 
     def _neighbours(self, cell: Tuple[int, ...]):
         """All neighbouring cells of ``cell`` (Moore neighbourhood)."""
-        offsets = itertools.product((-1, 0, 1), repeat=len(cell))
-        for offset in offsets:
-            if all(delta == 0 for delta in offset):
-                continue
-            neighbour = tuple(coordinate + delta for coordinate, delta in zip(cell, offset))
-            if all(0 <= coordinate < self.bins_per_dimension for coordinate in neighbour):
+        upper = self.bins_per_dimension
+        for offset in _moore_offsets(len(cell)):
+            neighbour = tuple(map(operator.add, cell, offset))
+            if min(neighbour) >= 0 and max(neighbour) < upper:
                 yield neighbour
+
+
+@functools.lru_cache(maxsize=8)
+def _moore_offsets(n_dimensions: int) -> Tuple[Tuple[int, ...], ...]:
+    """Non-zero offsets in ``{-1, 0, 1} ** n_dimensions``, in product order."""
+    return tuple(
+        offset for offset in itertools.product((-1, 0, 1), repeat=n_dimensions) if any(offset)
+    )
 
 
 def one_dimensional_density(

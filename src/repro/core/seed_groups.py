@@ -45,12 +45,19 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.dimension_selection import select_dimensions
-from repro.core.grid import Grid, one_dimensional_density_profile
+from repro.core.grid import Grid, GridBinning, one_dimensional_density_profile
 from repro.core.objective import ObjectiveFunction
 from repro.core.thresholds import ChiSquareThreshold
 from repro.semisupervision.knowledge import Knowledge
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
+
+
+#: Largest number of broadcast elements (rows x seeds x dimensions) that one
+#: row block of the max-min distance fold materialises: 2 MiB per float64
+#: temporary, whatever ``n``.  On the stream_drift benchmark (2 vCPUs) 8 MiB
+#: blocks ran no faster and left a peak RSS of 137 MiB against 122 MiB.
+MAX_MIN_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -109,6 +116,49 @@ class SeedGroup:
             self._untried = list(self.seeds)
         position = int(rng.integers(len(self._untried)))
         return self._untried.pop(position)
+
+
+class _NearestSeedDistances:
+    """Each object's normalised squared distance to its nearest seed so far.
+
+    The max-min anchor (Section 4.2.4) needs, for every object, the minimum
+    over the existing groups of its distance to the group's seeds in the
+    group's subspace.  Groups are only ever appended while one
+    :meth:`SeedGroupBuilder.build` runs, so this running minimum folds in
+    each group once, in row blocks of at most ``MAX_MIN_BLOCK_ELEMENTS``
+    broadcast elements, instead of rebuilding every group's
+    ``(n, seeds, dims)`` broadcast for every anchor.
+    """
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = data
+        self.distance = np.full(data.shape[0], np.inf)
+        self.n_seen = 0
+        self.n_folded = 0
+
+    def update(self, groups: List["SeedGroup"]) -> None:
+        """Fold in the groups appended to ``groups`` since the previous call."""
+        for group in groups[self.n_seen :]:
+            if group.n_seeds > 0 and group.dimensions.size > 0:
+                self._fold(group)
+        self.n_seen = len(groups)
+
+    def _fold(self, group: "SeedGroup") -> None:
+        dims = group.dimensions
+        seeds = self.data[np.ix_(group.seeds, dims)]
+        n_objects = self.data.shape[0]
+        block = max(1, MAX_MIN_BLOCK_ELEMENTS // seeds.size)
+        for start in range(0, n_objects, block):
+            stop = min(start + block, n_objects)
+            # np.ix_ gathers a row-major block (a row slice with a column
+            # index would give a column-major one), so each row's sum runs
+            # in the same order as in one full broadcast: bit-identical.
+            candidates = self.data[np.ix_(np.arange(start, stop), dims)]
+            diffs = candidates[:, None, :] - seeds[None, :, :]
+            distances = (diffs ** 2).sum(axis=2).min(axis=1) / dims.size
+            running = self.distance[start:stop]
+            np.minimum(running, distances, out=running)
+        self.n_folded += 1
 
 
 class SeedGroupBuilder:
@@ -209,8 +259,9 @@ class SeedGroupBuilder:
         )
         public_groups: List[SeedGroup] = []
         n_public = self.public_group_factor * max(n_without_knowledge, 0)
+        nearest = _NearestSeedDistances(self.objective.data)
         for _ in range(n_public):
-            group = self._build_public_group(existing_groups, excluded_objects, rng)
+            group = self._build_public_group(existing_groups, excluded_objects, rng, nearest)
             if group.n_seeds == 0:
                 continue
             public_groups.append(group)
@@ -340,13 +391,14 @@ class SeedGroupBuilder:
         existing_groups: List[SeedGroup],
         excluded_objects: set,
         rng: np.random.Generator,
+        nearest: _NearestSeedDistances,
     ) -> SeedGroup:
         available = self._available_objects(excluded_objects)
         if available.size == 0:
             # Every object is already claimed by earlier seed groups; there is
             # nothing left to anchor a new public group on.
             return SeedGroup(seeds=[], dimensions=[], cluster=None, knowledge_kind="none")
-        anchor_index = self._max_min_object(existing_groups, excluded_objects, rng)
+        anchor_index = self._max_min_object(existing_groups, excluded_objects, rng, nearest)
         anchor = self.objective.data[anchor_index]
 
         histogram_bins = max(2 * self._effective_bins(available.size), 8)
@@ -381,33 +433,26 @@ class SeedGroupBuilder:
         existing_groups: List[SeedGroup],
         excluded_objects: set,
         rng: np.random.Generator,
+        nearest: Optional[_NearestSeedDistances] = None,
     ) -> int:
         """Object whose minimum distance to all picked seeds is maximal.
 
         Distances to each group's seeds are computed in the group's
         estimated relevant subspace and normalised by the number of
         dimensions (Section 4.2.4).  With no existing groups the anchor
-        is a random object.
+        is a random object.  ``nearest`` carries the running minimum from
+        one anchor of a build to the next, so only groups appended since
+        are folded in; without it every group is folded afresh.
         """
         available = self._available_objects(excluded_objects)
         if available.size == 0:
             available = np.arange(self.objective.n_objects)
-        groups_with_seeds = [
-            group for group in existing_groups if group.n_seeds > 0 and group.dimensions.size > 0
-        ]
-        if not groups_with_seeds:
+        if nearest is None:
+            nearest = _NearestSeedDistances(self.objective.data)
+        nearest.update(existing_groups)
+        if nearest.n_folded == 0:
             return int(available[rng.integers(available.size)])
-
-        min_distance = np.full(available.size, np.inf)
-        for group in groups_with_seeds:
-            dims = group.dimensions
-            seeds = self.objective.data[np.ix_(group.seeds, dims)]
-            candidates = self.objective.data[np.ix_(available, dims)]
-            # normalised squared Euclidean distance to every seed of the group
-            diffs = candidates[:, None, :] - seeds[None, :, :]
-            distances = (diffs ** 2).sum(axis=2).min(axis=1) / dims.size
-            min_distance = np.minimum(min_distance, distances)
-        return int(available[int(np.argmax(min_distance))])
+        return int(available[int(np.argmax(nearest.distance[available]))])
 
     def _available_objects(self, excluded_objects: set) -> np.ndarray:
         """Objects not yet claimed as seeds by previously built groups."""
@@ -456,7 +501,11 @@ class SeedGroupBuilder:
             return np.empty(0, dtype=int), 0
 
         n_building = min(self.grid_dimensions, candidate_dimensions.size)
-        bins = self._effective_bins(available.size)
+        binning = GridBinning(
+            self.objective.data,
+            bins_per_dimension=self._effective_bins(available.size),
+            restrict_to=available,
+        )
         best_members = np.empty(0, dtype=int)
         best_density = 0
         for _ in range(self.grids_per_group):
@@ -466,12 +515,7 @@ class SeedGroupBuilder:
                 replace=False,
                 p=probabilities,
             )
-            grid = Grid(
-                self.objective.data,
-                building,
-                bins_per_dimension=bins,
-                restrict_to=available,
-            )
+            grid = Grid(binning, building)
             if anchor is not None:
                 result = grid.hill_climb(anchor)
             else:

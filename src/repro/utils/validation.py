@@ -125,7 +125,10 @@ def check_index_sequence(
     unique: bool = True,
 ) -> np.ndarray:
     """Validate a sequence of indices into a dimension of size ``upper``."""
-    array = np.asarray(list(indices), dtype=int)
+    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind == "i":
+        array = np.array(indices, dtype=int)
+    else:
+        array = np.asarray(list(indices), dtype=int)
     if array.ndim != 1:
         raise ValueError("%s must be a flat sequence of integers" % name)
     if not allow_empty and array.size == 0:
@@ -136,7 +139,12 @@ def check_index_sequence(
                 "%s must lie in [0, %d), got range [%d, %d]"
                 % (name, upper, array.min(), array.max())
             )
-        if unique and len(np.unique(array)) != len(array):
+        # A strictly increasing array (the common case) has no duplicates.
+        if (
+            unique
+            and not np.all(array[1:] > array[:-1])
+            and len(np.unique(array)) != len(array)
+        ):
             raise ValueError("%s contains duplicate entries" % name)
     return array
 

@@ -262,8 +262,8 @@ def test_allowed_clusters_with_partner_maps_identical(dataset):
 
 
 def test_grid_build_matches_per_row_reference(dataset):
-    """The vectorised cell grouping reproduces the per-row dict build."""
-    from repro.core.grid import Grid
+    """The dense-cell grid reproduces the per-row dict build."""
+    from repro.core.grid import Grid, GridBinning
 
     rng = np.random.default_rng(8)
     for trial in range(3):
@@ -271,7 +271,7 @@ def test_grid_build_matches_per_row_reference(dataset):
         restrict = np.sort(
             rng.choice(dataset.data.shape[0], size=150, replace=False)
         )
-        grid = Grid(dataset.data, dims, bins_per_dimension=4, restrict_to=restrict)
+        grid = Grid(GridBinning(dataset.data, bins_per_dimension=4, restrict_to=restrict), dims)
 
         # Reference: the seed implementation's row-order dictionary build.
         values = dataset.data[np.ix_(restrict, dims)]
@@ -284,20 +284,30 @@ def test_grid_build_matches_per_row_reference(dataset):
             key = tuple(int(b) for b in bins[row])
             reference.setdefault(key, []).append(int(obj))
 
-        assert list(grid._cells.keys()) == list(reference.keys())  # insertion order
+        assert grid.n_cells == len(reference)
         for cell, members in reference.items():
             assert grid.cell_members(cell).tolist() == members
+            assert grid.cell_density(cell) == len(members)
+        # max() over the insertion-ordered dict: ties go to the first-seen cell.
+        best = max(reference, key=lambda cell: len(reference[cell]))
+        peak = grid.absolute_peak()
+        assert peak.cell == best
+        assert peak.members.tolist() == reference[best]
 
 
 def test_grid_build_supports_many_building_dimensions(dataset):
-    """No dense cell-id encoding: bins ** c may exceed the int64 range."""
-    from repro.core.grid import Grid
+    """bins ** c beyond the int64 range: only occupied cells are numbered."""
+    from repro.core.grid import Grid, GridBinning
 
     dims = np.arange(min(30, dataset.data.shape[1]))  # 8 ** 30 >> 2 ** 63
-    grid = Grid(dataset.data, dims, bins_per_dimension=8)
+    grid = Grid(GridBinning(dataset.data, bins_per_dimension=8), dims)
     assert grid.n_cells >= 1
-    total = sum(grid.cell_density(cell) for cell in grid._cells)
+    cells = {grid.cell_of(row) for row in dataset.data}
+    assert grid.n_cells == len(cells)
+    total = sum(grid.cell_density(cell) for cell in cells)
     assert total == dataset.data.shape[0]
+    for index in range(dataset.data.shape[0]):
+        assert index in grid.cell_members(grid.cell_of(dataset.data[index]))
 
 
 def test_density_profile_matches_scalar_helper(dataset):

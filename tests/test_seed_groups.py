@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.seed_groups as seed_groups_module
 from repro.core.objective import ObjectiveFunction
 from repro.core.seed_groups import SeedGroup, SeedGroupBuilder
 from repro.core.thresholds import VarianceRatioThreshold
@@ -137,3 +138,79 @@ class TestBuilderConfiguration:
     def test_invalid_seed_selection_p(self, dataset_objective):
         with pytest.raises(ValueError):
             SeedGroupBuilder(dataset_objective, 3, seed_selection_p=0.0)
+
+
+def _full_broadcast_anchor(data, existing_groups, excluded_objects, rng):
+    """Reference max-min anchor: every group's full distance broadcast."""
+    mask = np.ones(data.shape[0], dtype=bool)
+    mask[list(excluded_objects)] = False
+    available = np.flatnonzero(mask)
+    if available.size == 0:
+        available = np.arange(data.shape[0])
+    groups = [g for g in existing_groups if g.n_seeds > 0 and g.dimensions.size > 0]
+    if not groups:
+        return int(available[rng.integers(available.size)]), None
+    min_distance = np.full(available.size, np.inf)
+    for group in groups:
+        dims = group.dimensions
+        seeds = data[np.ix_(group.seeds, dims)]
+        candidates = data[np.ix_(available, dims)]
+        diffs = candidates[:, None, :] - seeds[None, :, :]
+        distances = (diffs ** 2).sum(axis=2).min(axis=1) / dims.size
+        min_distance = np.minimum(min_distance, distances)
+    return int(available[int(np.argmax(min_distance))]), min_distance
+
+
+class TestMaxMinAnchor:
+    @pytest.mark.parametrize("block_elements", [None, 64, 1])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_anchor_matches_full_broadcast(
+        self, small_dataset, dataset_objective, monkeypatch, block_elements, trial
+    ):
+        if block_elements is not None:
+            monkeypatch.setattr(seed_groups_module, "MAX_MIN_BLOCK_ELEMENTS", block_elements)
+        data = small_dataset.data
+        n, d = data.shape
+        rng = np.random.default_rng(trial)
+        builder = SeedGroupBuilder(dataset_objective, 3, Knowledge.empty())
+        nearest = seed_groups_module._NearestSeedDistances(dataset_objective.data)
+        groups, excluded = [], set()
+        for step in range(6):
+            if step or trial % 2:
+                n_seeds = int(rng.integers(0, 12)) if step % 3 else int(rng.integers(1, 40))
+                n_dims = int(rng.integers(0 if step == 2 else 1, 9))
+                groups.append(
+                    SeedGroup(
+                        seeds=rng.choice(n, size=n_seeds, replace=False),
+                        dimensions=rng.choice(d, size=n_dims, replace=False),
+                    )
+                )
+            excluded.update(int(i) for i in rng.choice(n, size=15, replace=False))
+            expected, distances = _full_broadcast_anchor(
+                data, groups, excluded, np.random.default_rng(step)
+            )
+            incremental = builder._max_min_object(
+                groups, excluded, np.random.default_rng(step), nearest
+            )
+            fresh = builder._max_min_object(groups, excluded, np.random.default_rng(step))
+            assert incremental == fresh == expected
+            if distances is not None:
+                available = builder._available_objects(excluded)
+                np.testing.assert_array_equal(nearest.distance[available], distances)
+
+    def test_anchor_memory_is_bounded(self, rng):
+        import tracemalloc
+
+        data = np.random.default_rng(3).normal(size=(4000, 20))
+        objective = ObjectiveFunction(data, VarianceRatioThreshold(m=0.5))
+        builder = SeedGroupBuilder(objective, 2, Knowledge.empty())
+        group = SeedGroup(seeds=np.arange(0, 4000, 8), dimensions=np.arange(10))
+        assert group.n_seeds == 500
+        tracemalloc.start()
+        try:
+            builder._max_min_object([group], set(), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The full broadcast would hold two 4000 x 500 x 10 float64 arrays (160 MB each).
+        assert peak < 32 * 2**20

@@ -136,3 +136,68 @@ class TestLabelAndIndexChecks:
         with pytest.raises(ValueError):
             check_random_partition_sizes([3, 3], total=7)
         np.testing.assert_array_equal(check_random_partition_sizes([3, 4], total=7), [3, 4])
+
+
+def _reference_check_index_sequence(indices, upper, *, name="indices", allow_empty=True, unique=True):
+    """The list round-trip implementation the fast paths must agree with."""
+    array = np.asarray(list(indices), dtype=int)
+    if array.ndim != 1:
+        raise ValueError("%s must be a flat sequence of integers" % name)
+    if not allow_empty and array.size == 0:
+        raise ValueError("%s may not be empty" % name)
+    if array.size:
+        if array.min() < 0 or array.max() >= upper:
+            raise ValueError("%s out of range" % name)
+        if unique and len(np.unique(array)) != len(array):
+            raise ValueError("%s contains duplicate entries" % name)
+    return array
+
+
+def _outcome(check, indices, **kwargs):
+    try:
+        return check(indices, 10, **kwargs)
+    except Exception as error:  # compared by type below
+        return type(error)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [3, 1, 4],
+        (0, 2, 9),
+        range(2, 8),
+        {5, 1, 7},
+        [1, 1, 2],
+        np.arange(10),
+        np.array([0, 4, 9], dtype=np.int32),
+        np.array([9, 2, 5]),
+        np.array([2, 5, 5, 7]),
+        np.array([7, 3, 7]),
+        np.array([0, 10]),
+        np.array([-1, 3]),
+        np.array([], dtype=int),
+        [],
+        np.array([0.0, 2.0, 3.0]),
+        np.array([0.5, 2.7]),
+        np.array([np.nan]),
+        np.array([True, False]),
+        np.array([True, True]),
+        np.array([[0, 1], [2, 3]]),
+        np.array([1, 2, 3], dtype=np.uint8),
+        np.int64(3),
+    ],
+    ids=lambda value: type(value).__name__ + repr(np.asarray(value).tolist()),
+)
+@pytest.mark.parametrize("unique", [True, False])
+@pytest.mark.parametrize("allow_empty", [True, False])
+def test_index_sequence_matches_list_round_trip(indices, unique, allow_empty):
+    kwargs = {"unique": unique, "allow_empty": allow_empty}
+    result = _outcome(check_index_sequence, indices, **kwargs)
+    expected = _outcome(_reference_check_index_sequence, indices, **kwargs)
+    if isinstance(expected, type):
+        assert result is expected
+    else:
+        assert result.dtype == expected.dtype
+        np.testing.assert_array_equal(result, expected)
+        if isinstance(indices, np.ndarray):
+            assert not np.shares_memory(result, indices)
