@@ -13,9 +13,9 @@ from repro.bench import registry
 SCENARIO = registry.get("ablations")
 
 
-def test_ablations(benchmark, bench_scale):
+def test_ablations(bench_scale):
     """A1-A3: representatives, initialisation and threshold schemes."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
 
     print("\n=== Ablations A1-A3 (design choices) ===")
     print(summary.table)

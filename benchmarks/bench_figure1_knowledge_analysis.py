@@ -14,9 +14,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure1_knowledge_analysis")
 
 
-def test_figure1_curves(benchmark, bench_scale):
+def test_figure1_curves(bench_scale):
     """Regenerate the Figure 1 probability curves."""
-    summary = benchmark(lambda: SCENARIO.run(bench_scale))
+    summary = SCENARIO.run(bench_scale)
     print("\n=== Figure 1: P(at least one all-relevant grid) vs labeled objects ===")
     print(summary.table)
 

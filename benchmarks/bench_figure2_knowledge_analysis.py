@@ -13,9 +13,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure2_knowledge_analysis")
 
 
-def test_figure2_curves(benchmark, bench_scale):
+def test_figure2_curves(bench_scale):
     """Regenerate the Figure 2 probability curves."""
-    summary = benchmark(lambda: SCENARIO.run(bench_scale))
+    summary = SCENARIO.run(bench_scale)
     print("\n=== Figure 2: P(at least one exclusively-relevant grid) vs labeled dimensions ===")
     print(summary.table)
 

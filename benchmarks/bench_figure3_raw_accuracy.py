@@ -18,9 +18,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure3_raw_accuracy")
 
 
-def test_figure3_raw_accuracy(benchmark, bench_scale):
+def test_figure3_raw_accuracy(bench_scale):
     """Regenerate the Figure 3 accuracy-vs-dimensionality comparison."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
     print("\n=== Figure 3: best raw ARI vs average cluster dimensionality (d = 100) ===")
     print(summary.table)
 

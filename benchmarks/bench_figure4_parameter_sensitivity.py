@@ -14,9 +14,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure4_parameter_sensitivity")
 
 
-def test_figure4_parameter_sensitivity(benchmark, bench_scale):
+def test_figure4_parameter_sensitivity(bench_scale):
     """Regenerate the Figure 4 parameter-sensitivity comparison."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
 
     print("\n=== Figure 4: ARI under different parameter values (l_real = 10) ===")
     print(summary.table)

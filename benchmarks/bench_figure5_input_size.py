@@ -18,9 +18,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure5_input_size")
 
 
-def test_figure5_input_size(benchmark, bench_scale):
+def test_figure5_input_size(bench_scale):
     """Regenerate the Figure 5 accuracy-vs-input-size curves."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
 
     print("\n=== Figure 5: median ARI vs input size (coverage = 1, 1%-dimensional clusters) ===")
     print(summary.table)

@@ -14,9 +14,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure6_coverage")
 
 
-def test_figure6_coverage(benchmark, bench_scale):
+def test_figure6_coverage(bench_scale):
     """Regenerate the Figure 6 accuracy-vs-coverage curves."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
 
     print("\n=== Figure 6: median ARI vs knowledge coverage (input size = 6) ===")
     print(summary.table)

@@ -15,9 +15,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure7_multiple_groupings")
 
 
-def test_figure7_multiple_groupings(benchmark, bench_scale):
+def test_figure7_multiple_groupings(bench_scale):
     """Regenerate the Figure 7 comparison."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
 
     print("\n=== Figure 7: ARI against the two possible groupings ===")
     print(summary.table)

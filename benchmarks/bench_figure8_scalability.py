@@ -14,9 +14,9 @@ from repro.bench import registry
 SCENARIO = registry.get("figure8_scalability")
 
 
-def test_figure8_scalability(benchmark, bench_scale):
+def test_figure8_scalability(bench_scale):
     """Regenerate the Figure 8 runtime scaling curves."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
 
     print("\n=== Figure 8: total runtime of repeated runs (SSPC vs PROCLUS) ===")
     print(summary.table)

@@ -14,9 +14,9 @@ from repro.bench import registry
 SCENARIO = registry.get("outlier_immunity")
 
 
-def test_outlier_immunity(benchmark, bench_scale):
+def test_outlier_immunity(bench_scale):
     """Regenerate the outlier-immunity table."""
-    summary = benchmark.pedantic(lambda: SCENARIO.run(bench_scale), iterations=1, rounds=1)
+    summary = SCENARIO.run(bench_scale)
 
     print("\n=== Section 5.2: SSPC accuracy and outlier detection vs outlier fraction ===")
     print(summary.table)

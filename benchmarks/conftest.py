@@ -1,16 +1,13 @@
-"""Shared configuration for the pytest-benchmark harness.
+"""Shared configuration for the paper-claim pytest modules.
 
 Every module regenerates one table or figure of the paper by running the
 corresponding *registered scenario* (see :mod:`repro.bench.scenarios`)
 through exactly the same plan / execute / aggregate pipeline as the
 ``repro-bench`` orchestrator, so the two paths cannot drift.  Each
-benchmark both:
-
-* times the experiment via ``pytest-benchmark`` (so regressions in the
-  algorithms show up as timing changes), and
-* prints the figure-style table of reproduced numbers, so running
-  ``pytest benchmarks/ --benchmark-only -s`` regenerates the paper's
-  results.
+module prints the figure-style table of reproduced numbers and asserts
+the paper's shape claims on top, so running ``pytest benchmarks/ -s``
+regenerates the paper's results.  Per-task seconds are recorded by
+``repro-bench run``.
 
 Scale resolution is centralized in :mod:`repro.bench.config`: the suite
 runs at the ``reduced`` scale by default and at the full paper scale
@@ -31,12 +28,6 @@ SCALE = resolve_scale()
 def bench_scale() -> str:
     """The resolved benchmark scale (``smoke`` / ``reduced`` / ``paper``)."""
     return SCALE
-
-
-@pytest.fixture(scope="session")
-def paper_scale() -> bool:
-    """Whether the full paper-scale configurations were requested."""
-    return SCALE == "paper"
 
 
 def pytest_report_header(config):

@@ -24,11 +24,6 @@ Three arms, each driven by seeded, replayable :class:`FaultPlan`\\ s from
   its deadline on their first attempts; the retried run must still
   return every result in order.
 
-Run as a script::
-
-    PYTHONPATH=src python benchmarks/bench_chaos.py             # smoke sweep
-    PYTHONPATH=src python -m repro.bench run --suite smoke --scenario chaos
-
 Every fault position, kind and mutation offset is drawn from seeded
 generators, so a failing seed replays the identical failure on any
 machine.
@@ -36,11 +31,8 @@ machine.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -487,49 +479,3 @@ def chaos_aggregate(payloads: Sequence[Mapping[str, object]]) -> Dict[str, objec
             "executor": executor_runs,
         },
     }
-
-
-# ---------------------------------------------------------------------------
-# standalone entry point (benchmarks/bench_chaos.py)
-# ---------------------------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-tasks", type=int, default=None,
-                        help="seeded sweep width (default: the suite's)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--reduced", action="store_true",
-                        help="run the reduced-scale configuration (default: smoke)")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON report here (default: print only)")
-    args = parser.parse_args(argv)
-    config = dict(REDUCED_CONFIG if args.reduced else SMOKE_CONFIG)
-    if args.n_tasks is not None:
-        config["n_tasks"] = args.n_tasks
-    if args.seed is not None:
-        config["seed"] = args.seed
-
-    payloads = [chaos_execute(dict(task.params)) for task in chaos_plan(config)]
-    outcome = chaos_aggregate(payloads)
-    metrics = outcome["metrics"]
-    print("SSPC chaos benchmark (%d seeds)" % len(payloads))
-    print(outcome["table"])
-    print("  recovered bit-identical : %.2f" % metrics["recovered_bit_identical"])
-    print("  corruption detection    : %.2f" % metrics["corruption_detection_rate"])
-    print("  silent corruptions      : %d" % metrics["silent_corruptions"])
-    print("  executor fault tolerant : %.2f" % metrics["executor_fault_tolerant"])
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump({"metrics": metrics, "payloads": payloads}, handle, indent=2)
-        print("  report written to %s" % args.output)
-    ok = (
-        metrics["recovered_bit_identical"] == 1.0
-        and metrics["silent_corruptions"] == 0
-        and metrics["executor_fault_tolerant"] == 1.0
-    )
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

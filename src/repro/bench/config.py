@@ -1,11 +1,9 @@
-"""Central scale and budget resolution for every benchmark entry point.
+"""Central scale and budget resolution for the benchmarks.
 
-Two different consumers previously interpreted the ``REPRO_BENCH_SCALE``
-environment variable on their own: the pytest-benchmark harness in
-``benchmarks/conftest.py`` and the ad-hoc benchmark scripts.  This module
-is now the single source of truth — both the pytest path and the
-``repro-bench`` orchestrator resolve the scale (and the per-task time
-budgets attached to it) here, so the two paths cannot drift.
+This module is the single source of truth for the ``REPRO_BENCH_SCALE``
+environment variable: the paper-claim pytest modules in ``benchmarks/``
+and the ``repro-bench`` orchestrator both resolve the scale (and the
+per-task time budgets attached to it) here, so the two cannot drift.
 
 Scales
 ------

@@ -14,27 +14,19 @@ two configurations that produce **bit-identical** results:
   pass reused by the forced assignment, and one cached statistics pass
   per member set shared by all three consumers.
 
-Run as a script::
-
-    PYTHONPATH=src python benchmarks/bench_hotpath.py            # full (n=5000, d=100, k=10)
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke    # quick CI smoke run
-
 Reports the per-iteration timings, the measured speedup and the
-statistics-pass counts of both arms (``--output`` writes them as JSON;
-the committed baselines live in ``BENCH_smoke.json`` /
-``BENCH_reduced.json`` through the ``repro-bench`` gate).  The script
-exits non-zero if the two arms ever disagree on labels, selected
-dimensions or ``phi`` — the benchmark doubles as an equivalence check.
+statistics-pass counts of both arms (the ``hotpath`` scenario; committed
+baselines live in ``BENCH_smoke.json`` / ``BENCH_reduced.json``).  The
+gated ``results_identical`` metric fails if the two arms ever disagree
+on labels, selected dimensions or ``phi`` — the benchmark doubles as an
+equivalence check.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
 import tracemalloc
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -180,8 +172,11 @@ def traces_identical(first: list, second: list) -> bool:
     return True
 
 
-def run_benchmark(args: argparse.Namespace) -> dict:
-    dataset = build_dataset(args.n_objects, args.n_dimensions, args.n_clusters, args.seed)
+def run_benchmark(params: Mapping[str, object]) -> dict:
+    n_clusters = params["n_clusters"]
+    iterations = params["iterations"]
+    seed = params["seed"]
+    dataset = build_dataset(params["n_objects"], params["n_dimensions"], n_clusters, seed)
     data = dataset.data
 
     # Separate evaluators so the naive arm cannot benefit from the cache.
@@ -193,25 +188,25 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     fast_cache = ClusterStatsCache(data)
     objective_fast = ObjectiveFunction(data, threshold_fast, stats_cache=fast_cache)
 
-    states = initial_states(objective_fast, dataset.labels, args.n_clusters, args.seed)
+    states = initial_states(objective_fast, dataset.labels, n_clusters, seed)
 
     naive_times, fast_times = [], []
     identical = True
-    for _ in range(args.repeats):
+    for _ in range(params["repeats"]):
         fast_cache.clear()
         naive_cache.clear()
         naive_seconds, naive_trace = run_iterations(
-            objective_naive, states, args.iterations, optimized=False
+            objective_naive, states, iterations, optimized=False
         )
         fast_seconds, fast_trace = run_iterations(
-            objective_fast, states, args.iterations, optimized=True
+            objective_fast, states, iterations, optimized=True
         )
         identical = identical and traces_identical(naive_trace, fast_trace)
         naive_times.append(naive_seconds)
         fast_times.append(fast_seconds)
 
-    naive_per_iter = min(naive_times) / args.iterations
-    fast_per_iter = min(fast_times) / args.iterations
+    naive_per_iter = min(naive_times) / iterations
+    fast_per_iter = min(fast_times) / iterations
     # Snapshot the statistics-pass counters before the memory probe
     # below adds its own (untimed, uncounted) iterations.
     stat_passes_naive = naive_cache.n_stat_passes
@@ -230,15 +225,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     tracemalloc.stop()
 
     return {
-        "config": {
-            "n_objects": args.n_objects,
-            "n_dimensions": args.n_dimensions,
-            "n_clusters": args.n_clusters,
-            "iterations": args.iterations,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "smoke": bool(args.smoke),
-        },
         "naive_seconds_per_iteration": naive_per_iter,
         "optimized_seconds_per_iteration": fast_per_iter,
         "speedup": naive_per_iter / fast_per_iter if fast_per_iter > 0 else float("inf"),
@@ -251,68 +237,3 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         "peak_optimized_mib": peak_fast / (1024.0 ** 2),
         "results_identical": bool(identical),
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-objects", type=int, default=5000)
-    parser.add_argument("--n-dimensions", type=int, default=100)
-    parser.add_argument("--n-clusters", type=int, default=10)
-    parser.add_argument("--iterations", type=int, default=5,
-                        help="hot-loop iterations per timed run")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed runs per arm; the best run is reported")
-    parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI smoke runs")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON report here (default: print only; "
-                             "committed baselines live in BENCH_smoke.json / "
-                             "BENCH_reduced.json via repro-bench)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero when the speedup falls below this")
-    args = parser.parse_args(argv)
-    for name in ("n_objects", "n_dimensions", "n_clusters", "iterations", "repeats"):
-        if getattr(args, name) < 1:
-            parser.error("--%s must be at least 1" % name.replace("_", "-"))
-    if args.smoke:
-        args.n_objects = min(args.n_objects, 800)
-        args.n_dimensions = min(args.n_dimensions, 40)
-        args.n_clusters = min(args.n_clusters, 5)
-        args.iterations = min(args.iterations, 3)
-        # repeats stay as requested: best-of-N damps scheduler noise on
-        # shared CI runners, and each smoke repeat costs well under a
-        # second.
-
-    report = run_benchmark(args)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-
-    print("SSPC hot-path micro-benchmark (n=%d, d=%d, k=%d)" % (
-        args.n_objects, args.n_dimensions, args.n_clusters))
-    print("  naive     : %.4f s/iteration (%d statistics passes)" % (
-        report["naive_seconds_per_iteration"], report["stat_passes_naive_last_repeat"]))
-    print("  optimized : %.4f s/iteration (%d statistics passes)" % (
-        report["optimized_seconds_per_iteration"],
-        report["stat_passes_optimized_last_repeat"]))
-    print("  speedup   : %.2fx   stat-pass reduction: %.2fx" % (
-        report["speedup"], report["stat_pass_reduction"]))
-    print("  peak mem  : naive %.2f MiB, optimized %.2f MiB (per iteration)" % (
-        report["peak_naive_mib"], report["peak_optimized_mib"]))
-    print("  results identical: %s" % report["results_identical"])
-    if args.output:
-        print("  report written to %s" % args.output)
-
-    if not report["results_identical"]:
-        print("ERROR: naive and optimized paths diverged", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and report["speedup"] < args.min_speedup:
-        print("ERROR: speedup %.2fx below required %.2fx" % (
-            report["speedup"], args.min_speedup), file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,22 +23,17 @@ Three claims are gated:
   distinct categories (fit, engine, stream, serve, executor), so the
   instrumentation cannot silently rot away.
 
-Run as a script::
-
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --smoke
-
-The committed baselines live in ``BENCH_smoke.json`` /
-``BENCH_reduced.json`` through the ``repro-bench`` gate.
+The committed baselines of the ``obs_overhead`` scenario live in
+``BENCH_smoke.json`` / ``BENCH_reduced.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import json
-import sys
 import time
+from typing import Mapping
 
 import numpy as np
 
@@ -69,45 +64,46 @@ def _executor_leg(item: int) -> int:
     return item * item
 
 
-def run_workload(args: argparse.Namespace) -> str:
+def run_workload(params: Mapping[str, object]) -> str:
     """One deterministic pass through fit / stream / serve / executor.
 
     Returns a fingerprint hash of every produced label array; identical
     inputs must yield an identical fingerprint whether or not a
     recorder is installed.
     """
+    n_dimensions = params["n_dimensions"]
+    batch_size = params["batch_size"]
+    seed = params["seed"]
     dataset = SyntheticDataGenerator(
-        n_objects=args.n_objects,
-        n_dimensions=args.n_dimensions,
-        n_clusters=args.n_clusters,
-        avg_cluster_dimensionality=max(args.n_dimensions // 10, 3),
+        n_objects=params["n_objects"],
+        n_dimensions=n_dimensions,
+        n_clusters=params["n_clusters"],
+        avg_cluster_dimensionality=max(n_dimensions // 10, 3),
         outlier_fraction=0.05,
-        random_state=args.seed,
-    ).generate(args.seed)
+        random_state=seed,
+    ).generate(seed)
     digest = hashlib.sha256()
 
     model = SSPC(
-        n_clusters=args.n_clusters,
+        n_clusters=params["n_clusters"],
         m=0.5,
-        max_iterations=args.fit_iterations,
-        random_state=args.seed,
+        max_iterations=params["fit_iterations"],
+        random_state=seed,
     ).fit(dataset.data)
     digest.update(np.ascontiguousarray(model.labels_).tobytes())
     digest.update(np.float64(model.objective_).tobytes())
 
     engine = StreamingSSPC(
         model.to_artifact(),
-        config=StreamConfig(seed=args.seed, drift_check_every=2, lifecycle_every=4),
+        config=StreamConfig(seed=seed, drift_check_every=2, lifecycle_every=4),
     )
-    rng = np.random.default_rng(args.seed + 1)
-    for _ in range(args.stream_batches):
-        result = engine.process_batch(
-            rng.normal(size=(args.batch_size, args.n_dimensions))
-        )
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(params["stream_batches"]):
+        result = engine.process_batch(rng.normal(size=(batch_size, n_dimensions)))
         digest.update(np.ascontiguousarray(result.labels).tobytes())
 
     index = ProjectedClusterIndex(model.to_artifact())
-    queries = rng.normal(size=(args.batch_size, args.n_dimensions))
+    queries = rng.normal(size=(batch_size, n_dimensions))
     labels = index.predict(queries)
     index.partial_update(queries, labels)
     digest.update(np.ascontiguousarray(labels).tobytes())
@@ -115,11 +111,11 @@ def run_workload(args: argparse.Namespace) -> str:
     squares = SerialExecutor().map(_executor_leg, list(range(16)))
     digest.update(np.asarray(squares, dtype=np.int64).tobytes())
 
-    digest.update(run_telemetry_workload(args).encode("ascii"))
+    digest.update(run_telemetry_workload(params).encode("ascii"))
     return digest.hexdigest()
 
 
-def run_telemetry_workload(args: argparse.Namespace) -> str:
+def run_telemetry_workload(params: Mapping[str, object]) -> str:
     """One deterministic tour through the serving-telemetry hot path.
 
     A counter clock makes every duration, SLO window and burn rate
@@ -135,7 +131,7 @@ def run_telemetry_workload(args: argparse.Namespace) -> str:
         trace_prefix="bench",
     )
     statuses = (200, 200, 200, 200, 404, 200, 500, 200)
-    for i in range(args.telemetry_requests):
+    for i in range(params["telemetry_requests"]):
         route = "predict" if i % 3 else "predict_soft"
         trace = telemetry.begin_request("POST", route, telemetry.next_request_id())
         if i % 5 == 0:
@@ -187,21 +183,21 @@ def measure_telemetry_record_seconds() -> float:
     return (time.perf_counter() - start) / TELEMETRY_PROBE_CALLS
 
 
-def run_benchmark(args: argparse.Namespace) -> dict:
+def run_benchmark(params: Mapping[str, object]) -> dict:
     # ---- disabled arm: plain wall clock, shielded from outer recorders
     disabled_times = []
     fingerprint_disabled = ""
     with obs.suspended():
-        for _ in range(args.repeats):
+        for _ in range(params["repeats"]):
             start = time.perf_counter()
-            fingerprint_disabled = run_workload(args)
+            fingerprint_disabled = run_workload(params)
             disabled_times.append(time.perf_counter() - start)
     disabled_seconds = min(disabled_times)
 
     # ---- enabled arm: a fresh recorder captures the whole workload
     with obs.recording() as recorder:
         start = time.perf_counter()
-        fingerprint_enabled = run_workload(args)
+        fingerprint_enabled = run_workload(params)
         enabled_seconds = time.perf_counter() - start
         n_hook_calls = recorder.n_hook_calls
         n_spans = len(recorder.spans)
@@ -213,29 +209,18 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     # always-on telemetry record, each priced at its measured per-call
     # cost, relative to the real workload.
     hook_seconds = n_hook_calls * per_hook_seconds
-    telemetry_seconds = args.telemetry_requests * per_telemetry_seconds
+    telemetry_requests = params["telemetry_requests"]
+    telemetry_seconds = telemetry_requests * per_telemetry_seconds
     overhead_disabled_pct = 100.0 * (hook_seconds + telemetry_seconds) / disabled_seconds
     telemetry_overhead_pct = 100.0 * telemetry_seconds / disabled_seconds
     overhead_enabled_pct = 100.0 * (enabled_seconds - disabled_seconds) / disabled_seconds
 
     return {
-        "config": {
-            "n_objects": args.n_objects,
-            "n_dimensions": args.n_dimensions,
-            "n_clusters": args.n_clusters,
-            "fit_iterations": args.fit_iterations,
-            "stream_batches": args.stream_batches,
-            "batch_size": args.batch_size,
-            "telemetry_requests": args.telemetry_requests,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "smoke": bool(args.smoke),
-        },
         "disabled_seconds": disabled_seconds,
         "enabled_seconds": enabled_seconds,
         "n_hook_calls": n_hook_calls,
         "per_hook_disabled_ns": per_hook_seconds * 1e9,
-        "n_telemetry_requests": args.telemetry_requests,
+        "n_telemetry_requests": telemetry_requests,
         "per_telemetry_record_ns": per_telemetry_seconds * 1e9,
         "telemetry_overhead_pct": telemetry_overhead_pct,
         "overhead_disabled_pct": overhead_disabled_pct,
@@ -247,71 +232,3 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         "n_spans": n_spans,
         "fingerprint": fingerprint_disabled,
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-objects", type=int, default=2000)
-    parser.add_argument("--n-dimensions", type=int, default=60)
-    parser.add_argument("--n-clusters", type=int, default=8)
-    parser.add_argument("--fit-iterations", type=int, default=8)
-    parser.add_argument("--stream-batches", type=int, default=8)
-    parser.add_argument("--batch-size", type=int, default=200)
-    parser.add_argument("--telemetry-requests", type=int, default=400,
-                        help="requests driven through the serving telemetry leg")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="disabled-arm runs; the best is the denominator")
-    parser.add_argument("--seed", type=int, default=23)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI smoke runs")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON report here")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.n_objects = min(args.n_objects, 500)
-        args.n_dimensions = min(args.n_dimensions, 24)
-        args.n_clusters = min(args.n_clusters, 4)
-        args.fit_iterations = min(args.fit_iterations, 4)
-        args.stream_batches = min(args.stream_batches, 4)
-        args.batch_size = min(args.batch_size, 100)
-        args.telemetry_requests = min(args.telemetry_requests, 200)
-
-    report = run_benchmark(args)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-
-    print("observability overhead gate (n=%d, d=%d, k=%d)" % (
-        args.n_objects, args.n_dimensions, args.n_clusters))
-    print("  workload (disabled)  : %.3f s (best of %d)" % (
-        report["disabled_seconds"], args.repeats))
-    print("  workload (enabled)   : %.3f s (%+.1f%% — noisy, info only)" % (
-        report["enabled_seconds"], report["overhead_enabled_pct"]))
-    print("  hook crossings       : %d at %.1f ns each (disabled)" % (
-        report["n_hook_calls"], report["per_hook_disabled_ns"]))
-    print("  telemetry records    : %d at %.0f ns each (%.4f%% of workload)" % (
-        report["n_telemetry_requests"], report["per_telemetry_record_ns"],
-        report["telemetry_overhead_pct"]))
-    print("  disabled overhead    : %.4f%% (bound incl. telemetry; gate < %.1f%%)" % (
-        report["overhead_disabled_pct"], MAX_DISABLED_OVERHEAD_PCT))
-    print("  bit identical        : %s" % report["enabled_bit_identical"])
-    print("  subsystems spanned   : %s" % ", ".join(report["categories"]))
-    if args.output:
-        print("  report written to %s" % args.output)
-
-    failed = []
-    if not report["overhead_disabled_ok"]:
-        failed.append("disabled overhead %.3f%% breaches the %.1f%% gate"
-                      % (report["overhead_disabled_pct"], MAX_DISABLED_OVERHEAD_PCT))
-    if not report["enabled_bit_identical"]:
-        failed.append("results diverge when a recorder is installed")
-    if not report["subsystem_coverage_ok"]:
-        failed.append("trace covers %d subsystem(s), need %d"
-                      % (len(report["categories"]), MIN_SUBSYSTEM_CATEGORIES))
-    for message in failed:
-        print("ERROR: %s" % message, file=sys.stderr)
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,41 +1,31 @@
 """Benchmark of the serving subsystem: inference throughput + artifact I/O.
 
-Measures, on a model fitted at the paper-scale configuration
-(default d=100, k=10):
+Measures, on a model fitted at the scenario's configuration (d=100,
+k=10 at paper scale):
 
 * **batch throughput** — points/second of
   :meth:`ProjectedClusterIndex.predict` over large out-of-sample query
-  batches (the fused grouped kernel), best of ``--repeats`` runs;
+  batches (the fused grouped kernel), best of ``repeats`` runs;
 * **single-point throughput** — the scalar reference path, for the
   batching speedup headline;
 * **artifact round trip** — seconds to ``save`` + ``load`` the model
   artifact, and a **divergence gate**: predictions from the reloaded
   artifact must be bit-identical to the in-memory ones, and the batch
-  path bit-identical to the single-point path (the script exits non-zero
-  otherwise, so CI can use it as a correctness gate).
+  path bit-identical to the single-point path.
 
-Run as a script::
-
-    PYTHONPATH=src python benchmarks/bench_serving.py            # full (d=100, k=10)
-    PYTHONPATH=src python benchmarks/bench_serving.py --smoke    # quick CI smoke run
-
-``--output`` writes the report as JSON (the committed baselines live in
-``BENCH_smoke.json`` / ``BENCH_reduced.json`` through the
-``repro-bench`` gate).  ``--min-points-per-sec`` turns the throughput
-number into a gate as well (the acceptance bar is 10k points/sec at
-d=100, k=10; the batched numpy kernel measures orders of magnitude
-above that).
+The ``serving`` scenario gates both identities and a 10k points/sec
+throughput floor (the acceptance bar at d=100, k=10; the batched numpy
+kernel measures orders of magnitude above that); its committed baselines
+live in ``BENCH_smoke.json`` / ``BENCH_reduced.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -71,27 +61,30 @@ def build_queries(dataset, n_queries: int, seed: int) -> np.ndarray:
     return queries
 
 
-def run_benchmark(args: argparse.Namespace) -> dict:
-    dataset = build_dataset(args.n_objects, args.n_dimensions, args.n_clusters, args.seed)
+def run_benchmark(params: Mapping[str, object]) -> dict:
+    n_clusters = params["n_clusters"]
+    n_queries = params["n_queries"]
+    seed = params["seed"]
+    dataset = build_dataset(params["n_objects"], params["n_dimensions"], n_clusters, seed)
     fit_start = time.perf_counter()
     model = SSPC(
-        n_clusters=args.n_clusters,
+        n_clusters=n_clusters,
         m=0.5,
-        max_iterations=args.fit_iterations,
-        random_state=args.seed,
+        max_iterations=params["fit_iterations"],
+        random_state=seed,
     ).fit(dataset.data)
     fit_seconds = time.perf_counter() - fit_start
 
-    queries = build_queries(dataset, args.n_queries, args.seed)
+    queries = build_queries(dataset, n_queries, seed)
     index = ProjectedClusterIndex(model.to_artifact())
 
     # ---- batch throughput ------------------------------------------------
     batch_times = []
-    for _ in range(args.repeats):
+    for _ in range(params["repeats"]):
         start = time.perf_counter()
         labels_batch = index.predict(queries)
         batch_times.append(time.perf_counter() - start)
-    batch_points_per_sec = args.n_queries / min(batch_times)
+    batch_points_per_sec = n_queries / min(batch_times)
 
     # Peak-memory probe (tracemalloc, reported info-only): one untimed
     # batch predict through the index's blocked assignment plan.
@@ -101,7 +94,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     tracemalloc.stop()
 
     # ---- single-point reference path ------------------------------------
-    n_single = min(args.n_single, args.n_queries)
+    n_single = min(params["n_single"], n_queries)
     start = time.perf_counter()
     labels_single = np.asarray(
         [index.predict_one(point) for point in queries[:n_single]]
@@ -129,17 +122,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
 
     n_outliers = int(np.count_nonzero(labels_batch == -1))
     return {
-        "config": {
-            "n_objects": args.n_objects,
-            "n_dimensions": args.n_dimensions,
-            "n_clusters": args.n_clusters,
-            "n_queries": args.n_queries,
-            "n_single": n_single,
-            "repeats": args.repeats,
-            "fit_iterations": args.fit_iterations,
-            "seed": args.seed,
-            "smoke": bool(args.smoke),
-        },
         "fit_seconds": fit_seconds,
         "batch_points_per_sec": batch_points_per_sec,
         "batch_seconds_best": min(batch_times),
@@ -154,80 +136,3 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         "batch_equals_single": batch_equals_single,
         "roundtrip_predictions_identical": roundtrip_identical,
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-objects", type=int, default=5000,
-                        help="training-set size for the fitted model")
-    parser.add_argument("--n-dimensions", type=int, default=100)
-    parser.add_argument("--n-clusters", type=int, default=10)
-    parser.add_argument("--n-queries", type=int, default=200_000,
-                        help="out-of-sample points per timed batch")
-    parser.add_argument("--n-single", type=int, default=2000,
-                        help="points scored through the scalar reference path")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed batch runs; the best run is reported")
-    parser.add_argument("--fit-iterations", type=int, default=10,
-                        help="SSPC max_iterations for the one-off fit")
-    parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI smoke runs "
-                             "(keeps d and k at the gate configuration)")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON report here (default: print only; "
-                             "committed baselines live in BENCH_smoke.json / "
-                             "BENCH_reduced.json via repro-bench)")
-    parser.add_argument("--min-points-per-sec", type=float, default=None,
-                        help="exit non-zero when batch throughput falls below this")
-    args = parser.parse_args(argv)
-    for name in ("n_objects", "n_dimensions", "n_clusters", "n_queries",
-                 "n_single", "repeats", "fit_iterations"):
-        if getattr(args, name) < 1:
-            parser.error("--%s must be at least 1" % name.replace("_", "-"))
-    if args.smoke:
-        # d and k stay at the acceptance configuration; only the fit size,
-        # query volume and fit length shrink.
-        args.n_objects = min(args.n_objects, 800)
-        args.n_queries = min(args.n_queries, 20_000)
-        args.n_single = min(args.n_single, 500)
-        args.fit_iterations = min(args.fit_iterations, 3)
-
-    report = run_benchmark(args)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-
-    print("SSPC serving benchmark (d=%d, k=%d, %d queries)" % (
-        args.n_dimensions, args.n_clusters, args.n_queries))
-    print("  fit (one-off)        : %.2f s" % report["fit_seconds"])
-    print("  batch inference      : %.0f points/s" % report["batch_points_per_sec"])
-    print("  single-point path    : %.0f points/s (batch speedup %.1fx)" % (
-        report["single_points_per_sec"], report["batch_speedup_over_single"]))
-    print("  artifact round trip  : save %.4f s + load %.4f s (%.1f KiB)" % (
-        report["artifact_save_seconds"], report["artifact_load_seconds"],
-        report["artifact_bytes"] / 1024.0))
-    print("  predict peak memory  : %.2f MiB" % report["predict_peak_mib"])
-    print("  outlier gate         : %d/%d queries rejected" % (
-        report["queries_marked_outlier"], args.n_queries))
-    print("  batch == single      : %s" % report["batch_equals_single"])
-    print("  round trip identical : %s" % report["roundtrip_predictions_identical"])
-    if args.output:
-        print("  report written to %s" % args.output)
-
-    if not report["batch_equals_single"]:
-        print("ERROR: batch and single-point paths diverged", file=sys.stderr)
-        return 1
-    if not report["roundtrip_predictions_identical"]:
-        print("ERROR: predictions diverged after artifact save/load", file=sys.stderr)
-        return 1
-    if (args.min_points_per_sec is not None
-            and report["batch_points_per_sec"] < args.min_points_per_sec):
-        print("ERROR: throughput %.0f points/s below required %.0f" % (
-            report["batch_points_per_sec"], args.min_points_per_sec), file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

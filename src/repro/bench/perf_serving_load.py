@@ -7,13 +7,13 @@ with single-point ``/predict`` requests in three phases:
 1. **sequential floor** — one keep-alive connection, one request at a
    time.  This is the daemon's un-batched unit of account: what a
    client sees with zero concurrency.
-2. **capacity** — a closed-loop pool of ``--connections`` keep-alive
+2. **capacity** — a closed-loop pool of ``connections`` keep-alive
    connections.  Concurrent singles coalesce in the micro-batcher and
    ride the blocked kernel together; sustained requests/sec here over
    the floor is the **batching speedup** the daemon buys (the
    acceptance gate: >= 4x at the smoke configuration, workers=0).
 3. **Poisson open-loop** — requests scheduled by a Poisson process at
-   ``--open-utilization`` of the measured capacity; latency is counted
+   ``open_utilization`` of the measured capacity; latency is counted
    from the *scheduled* arrival, not the send (no coordinated
    omission), and reported as p50/p99.
 
@@ -28,25 +28,18 @@ daemon's CPU and measure scheduler contention instead of serving
 throughput.  Ratios (speedup) are robust to the shared-loop overhead
 because both phases pay it.
 
-Run as a script::
-
-    PYTHONPATH=src python benchmarks/bench_serving_load.py --smoke
-    PYTHONPATH=src python benchmarks/bench_serving_load.py --workers 2
-
-``--output`` writes the JSON report; committed floors live in
-``BENCH_smoke.json`` / ``BENCH_reduced.json`` via ``repro-bench``.
+The committed floors of the ``serving_load`` scenario live in
+``BENCH_smoke.json`` / ``BENCH_reduced.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import gc
 import json
-import sys
 import tempfile
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -87,12 +80,14 @@ def _percentile_ms(latencies_s: List[float], fraction: float) -> float:
     return nearest_rank(sorted(latencies_s), fraction) * 1e3
 
 
-async def _run_phases(args: argparse.Namespace, artifact_path: str, queries: np.ndarray) -> dict:
+async def _run_phases(
+    params: Mapping[str, object], artifact_path: str, queries: np.ndarray
+) -> dict:
     config = ServerConfig(
         port=0,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
+        workers=params["workers"],
+        max_batch=params["max_batch"],
+        max_wait_us=params["max_wait_us"],
     )
     server = PredictServer(artifact_path, config)
     host, port = await server.start()
@@ -111,10 +106,10 @@ async def _run_phases(args: argparse.Namespace, artifact_path: str, queries: np.
     try:
         # ---- warmup + sequential floor -------------------------------
         reader, writer = await asyncio.open_connection(host, port)
-        for index in range(min(args.warmup, len(bodies))):
+        for index in range(min(params["warmup"], len(bodies))):
             writer.write(bodies[index])
             await _read_label(reader)
-        n_sequential = min(args.n_sequential, len(bodies))
+        n_sequential = min(params["n_sequential"], len(bodies))
         start = time.perf_counter()
         for index in range(n_sequential):
             writer.write(bodies[index])
@@ -124,9 +119,9 @@ async def _run_phases(args: argparse.Namespace, artifact_path: str, queries: np.
 
         # ---- capacity: closed loop over the connection pool ----------
         connections: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        for _ in range(args.connections):
+        for _ in range(params["connections"]):
             connections.append(await asyncio.open_connection(host, port))
-        n_capacity = min(args.n_capacity, len(bodies))
+        n_capacity = min(params["n_capacity"], len(bodies))
         cursor = {"next": 0}
 
         async def capacity_worker(conn) -> None:
@@ -142,9 +137,9 @@ async def _run_phases(args: argparse.Namespace, artifact_path: str, queries: np.
         capacity_pps = n_capacity / (time.perf_counter() - start)
 
         # ---- Poisson open loop at a fraction of measured capacity ----
-        offered_pps = args.open_utilization * capacity_pps
-        n_open = min(args.n_open, len(bodies))
-        gaps = np.random.default_rng(args.seed + 2).exponential(
+        offered_pps = params["open_utilization"] * capacity_pps
+        n_open = min(params["n_open"], len(bodies))
+        gaps = np.random.default_rng(params["seed"] + 2).exponential(
             scale=1.0 / offered_pps, size=n_open
         )
         arrivals = np.cumsum(gaps)
@@ -197,24 +192,28 @@ async def _run_phases(args: argparse.Namespace, artifact_path: str, queries: np.
     }
 
 
-def run_benchmark(args: argparse.Namespace) -> dict:
-    dataset = build_dataset(args.n_objects, args.n_dimensions, args.n_clusters, args.seed)
+def run_benchmark(params: Mapping[str, object]) -> dict:
+    n_clusters = params["n_clusters"]
+    seed = params["seed"]
+    dataset = build_dataset(params["n_objects"], params["n_dimensions"], n_clusters, seed)
     fit_start = time.perf_counter()
     model = SSPC(
-        n_clusters=args.n_clusters,
+        n_clusters=n_clusters,
         m=0.5,
-        max_iterations=args.fit_iterations,
-        random_state=args.seed,
+        max_iterations=params["fit_iterations"],
+        random_state=seed,
     ).fit(dataset.data)
     fit_seconds = time.perf_counter() - fit_start
 
-    n_queries = max(args.n_sequential + args.warmup, args.n_capacity, args.n_open)
-    queries = build_queries(dataset, n_queries, args.seed)
+    n_queries = max(
+        params["n_sequential"] + params["warmup"], params["n_capacity"], params["n_open"]
+    )
+    queries = build_queries(dataset, n_queries, seed)
 
     with tempfile.TemporaryDirectory(prefix="repro-serving-load-") as tmp:
         artifact_path = "%s/model" % tmp
         model.to_artifact().save(artifact_path)
-        phases = asyncio.run(_run_phases(args, artifact_path, queries))
+        phases = asyncio.run(_run_phases(params, artifact_path, queries))
         reference_labels = ProjectedClusterIndex(load_artifact(artifact_path)).predict(queries)
 
     seen = phases.pop("labels_seen")
@@ -223,129 +222,10 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     )
 
     return {
-        "config": {
-            "n_objects": args.n_objects,
-            "n_dimensions": args.n_dimensions,
-            "n_clusters": args.n_clusters,
-            "fit_iterations": args.fit_iterations,
-            "workers": args.workers,
-            "max_batch": args.max_batch,
-            "max_wait_us": args.max_wait_us,
-            "connections": args.connections,
-            "warmup": args.warmup,
-            "n_sequential": args.n_sequential,
-            "n_capacity": args.n_capacity,
-            "n_open": args.n_open,
-            "open_utilization": args.open_utilization,
-            "min_speedup": args.min_speedup,
-            "p99_budget_ms": args.p99_budget_ms,
-            "seed": args.seed,
-            "smoke": bool(args.smoke),
-        },
         "fit_seconds": fit_seconds,
         **phases,
         "n_labels_checked": len(seen),
         "labels_bit_identical": bool(labels_bit_identical),
-        "speedup_floor_ok": bool(phases["batching_speedup"] >= args.min_speedup),
-        "p99_within_budget": bool(phases["p99_latency_ms"] <= args.p99_budget_ms),
+        "speedup_floor_ok": bool(phases["batching_speedup"] >= params["min_speedup"]),
+        "p99_within_budget": bool(phases["p99_latency_ms"] <= params["p99_budget_ms"]),
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-objects", type=int, default=5000,
-                        help="training-set size for the fitted model")
-    parser.add_argument("--n-dimensions", type=int, default=100)
-    parser.add_argument("--n-clusters", type=int, default=10)
-    parser.add_argument("--fit-iterations", type=int, default=10,
-                        help="SSPC max_iterations for the one-off fit")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="server worker processes (0 = in-process backend)")
-    parser.add_argument("--max-batch", type=int, default=128,
-                        help="micro-batcher flush size")
-    parser.add_argument("--max-wait-us", type=float, default=5000.0,
-                        help="micro-batcher deadline in microseconds")
-    parser.add_argument("--connections", type=int, default=128,
-                        help="client connection-pool size for the load phases")
-    parser.add_argument("--warmup", type=int, default=20,
-                        help="untimed requests before the sequential floor")
-    parser.add_argument("--n-sequential", type=int, default=500,
-                        help="requests in the sequential-floor phase")
-    parser.add_argument("--n-capacity", type=int, default=8000,
-                        help="requests in the closed-loop capacity phase")
-    parser.add_argument("--n-open", type=int, default=6000,
-                        help="requests in the Poisson open-loop phase")
-    parser.add_argument("--open-utilization", type=float, default=0.6,
-                        help="Poisson offered rate as a fraction of measured capacity")
-    parser.add_argument("--min-speedup", type=float, default=4.0,
-                        help="gate: batched throughput must be this multiple of the floor")
-    parser.add_argument("--p99-budget-ms", type=float, default=150.0,
-                        help="gate: open-loop p99 latency budget")
-    parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI smoke runs "
-                             "(keeps d, k and the batching knobs at the gate configuration)")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON report here (default: print only)")
-    args = parser.parse_args(argv)
-    for name in ("n_objects", "n_dimensions", "n_clusters", "fit_iterations",
-                 "connections", "n_sequential", "n_capacity", "n_open"):
-        if getattr(args, name) < 1:
-            parser.error("--%s must be at least 1" % name.replace("_", "-"))
-    if args.workers < 0:
-        parser.error("--workers may not be negative")
-    if not 0.0 < args.open_utilization <= 1.0:
-        parser.error("--open-utilization must be in (0, 1]")
-    if args.smoke:
-        # d, k and the batcher knobs stay at the acceptance configuration;
-        # only the fit size, request volumes and fit length shrink.
-        args.n_objects = min(args.n_objects, 800)
-        args.fit_iterations = min(args.fit_iterations, 3)
-        args.n_sequential = min(args.n_sequential, 300)
-        args.n_capacity = min(args.n_capacity, 5000)
-        args.n_open = min(args.n_open, 3000)
-
-    report = run_benchmark(args)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-
-    print("SSPC serving-load benchmark (d=%d, k=%d, workers=%d, %d conns)" % (
-        args.n_dimensions, args.n_clusters, args.workers, args.connections))
-    print("  fit (one-off)        : %.2f s" % report["fit_seconds"])
-    print("  sequential floor     : %.0f req/s (%d requests)" % (
-        report["sequential_points_per_sec"], args.n_sequential))
-    print("  batched capacity     : %.0f req/s (%d requests)" % (
-        report["batched_points_per_sec"], args.n_capacity))
-    print("  batching speedup     : %.2fx (gate >= %.1fx: %s)" % (
-        report["batching_speedup"], args.min_speedup, report["speedup_floor_ok"]))
-    print("  open loop            : offered %.0f req/s, achieved %.0f req/s" % (
-        report["offered_points_per_sec"], report["achieved_open_loop_pps"]))
-    print("  latency              : p50 %.1f ms, p99 %.1f ms (budget %.0f ms: %s)" % (
-        report["p50_latency_ms"], report["p99_latency_ms"],
-        args.p99_budget_ms, report["p99_within_budget"]))
-    batcher = report["batcher"]
-    print("  batcher              : %d flushes, mean batch %.1f, reasons %s" % (
-        batcher.get("n_flushes", 0), batcher.get("mean_batch_size", 0.0),
-        batcher.get("flush_reasons", {})))
-    print("  labels bit-identical : %s (%d checked)" % (
-        report["labels_bit_identical"], report["n_labels_checked"]))
-    if args.output:
-        print("  report written to %s" % args.output)
-
-    if not report["labels_bit_identical"]:
-        print("ERROR: HTTP labels diverged from the in-process index", file=sys.stderr)
-        return 1
-    if not report["speedup_floor_ok"]:
-        print("ERROR: batching speedup %.2fx below required %.1fx" % (
-            report["batching_speedup"], args.min_speedup), file=sys.stderr)
-        return 1
-    if not report["p99_within_budget"]:
-        print("ERROR: open-loop p99 %.1f ms over budget %.0f ms" % (
-            report["p99_latency_ms"], args.p99_budget_ms), file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,7 +1,7 @@
 """Benchmark of the streaming subsystem: sustained throughput + drift recovery.
 
 Measures, on a drifting synthetic stream (a mean shift of one cluster
-plus a cluster birth at ``--drift-batch``):
+plus a cluster birth at ``drift_batch``):
 
 * **sustained throughput** — points/second through
   :meth:`StreamingSSPC.process_batch` over the whole stream (assignment,
@@ -21,11 +21,6 @@ plus a cluster birth at ``--drift-batch``):
   statistics must match bit for bit and no adaptation event may fire
   (the engine adds bookkeeping, never arithmetic).
 
-Run as a script::
-
-    PYTHONPATH=src python benchmarks/bench_stream.py            # reduced scale
-    PYTHONPATH=src python benchmarks/bench_stream.py --smoke    # quick CI smoke run
-
 Everything is seeded, so the report is bit-identical across runs and
 machines up to floating-point environment differences — which is what
 lets the ``stream`` scenario gate its accuracy metrics absolutely.
@@ -33,10 +28,8 @@ lets the ``stream`` scenario gate its accuracy metrics absolutely.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
+from typing import Mapping
 
 import numpy as np
 
@@ -47,41 +40,41 @@ from repro.serving.index import ProjectedClusterIndex
 from repro.stream.engine import StreamConfig, StreamingSSPC
 
 
-def build_stream(args: argparse.Namespace, *, drifting: bool) -> DriftingStreamGenerator:
+def build_stream(params: Mapping[str, object], *, drifting: bool) -> DriftingStreamGenerator:
     """The benchmark stream: optional mean shift + birth at ``drift_batch``."""
     events = ()
     if drifting:
         events = (
-            MeanShift(batch=args.drift_batch, cluster=0, magnitude=0.35),
-            ClusterBirth(batch=args.drift_batch),
+            MeanShift(batch=params["drift_batch"], cluster=0, magnitude=0.35),
+            ClusterBirth(batch=params["drift_batch"]),
         )
     return DriftingStreamGenerator(
-        n_dimensions=args.n_dimensions,
-        n_clusters=args.n_clusters,
-        avg_cluster_dimensionality=args.cluster_dim,
+        n_dimensions=params["n_dimensions"],
+        n_clusters=params["n_clusters"],
+        avg_cluster_dimensionality=params["cluster_dim"],
         outlier_fraction=0.05,
         events=events,
-        random_state=args.seed,
+        random_state=params["seed"],
     )
 
 
-def fit_initial_model(stream: DriftingStreamGenerator, args: argparse.Namespace) -> SSPC:
+def fit_initial_model(stream: DriftingStreamGenerator, params: Mapping[str, object]) -> SSPC:
     """Fit the pre-stream model on a warmup block."""
-    warmup = stream.warmup(args.warmup)
+    warmup = stream.warmup(params["warmup"])
     return SSPC(
-        n_clusters=args.n_clusters,
+        n_clusters=params["n_clusters"],
         m=0.5,
-        max_iterations=args.fit_iterations,
-        random_state=args.seed,
+        max_iterations=params["fit_iterations"],
+        random_state=params["seed"],
     ).fit(warmup.data)
 
 
-def engine_config(args: argparse.Namespace) -> StreamConfig:
+def engine_config(params: Mapping[str, object]) -> StreamConfig:
     return StreamConfig(
-        seed=args.seed,
+        seed=params["seed"],
         lifecycle_every=4,
         drift_check_every=2,
-        spawn_min_points=max(args.batch_size // 8, 16),
+        spawn_min_points=max(params["batch_size"] // 8, 16),
     )
 
 
@@ -92,12 +85,12 @@ def _batch_ari(batch, labels: np.ndarray) -> float:
     return adjusted_rand_index(batch.labels[clustered], labels[clustered])
 
 
-def run_control(model: SSPC, args: argparse.Namespace) -> bool:
+def run_control(model: SSPC, params: Mapping[str, object]) -> bool:
     """Drift-free control: engine statistics must equal bare-index ones."""
-    stream = build_stream(args, drifting=False)
-    engine = StreamingSSPC(model.to_artifact(), config=engine_config(args))
+    stream = build_stream(params, drifting=False)
+    engine = StreamingSSPC(model.to_artifact(), config=engine_config(params))
     index = ProjectedClusterIndex(model.to_artifact())
-    for batch in stream.batches(args.control_batches, args.batch_size):
+    for batch in stream.batches(params["control_batches"], params["batch_size"]):
         engine.process_batch(batch.data)
         index.partial_update(batch.data)
     if engine.n_spawned or engine.n_retired or engine.n_drift_refreshes:
@@ -116,13 +109,17 @@ def run_control(model: SSPC, args: argparse.Namespace) -> bool:
     return True
 
 
-def run_benchmark(args: argparse.Namespace) -> dict:
-    stream = build_stream(args, drifting=True)
-    model = fit_initial_model(stream, args)
-    control_bit_identical = run_control(model, args)
+def run_benchmark(params: Mapping[str, object]) -> dict:
+    n_batches = params["n_batches"]
+    batch_size = params["batch_size"]
+    drift_batch = params["drift_batch"]
+    oracle_window_size = params["oracle_window"]
+    stream = build_stream(params, drifting=True)
+    model = fit_initial_model(stream, params)
+    control_bit_identical = run_control(model, params)
 
-    engine = StreamingSSPC(model.to_artifact(), config=engine_config(args))
-    batches = list(stream.batches(args.n_batches, args.batch_size))
+    engine = StreamingSSPC(model.to_artifact(), config=engine_config(params))
+    batches = list(stream.batches(n_batches, batch_size))
     aris = []
     stream_seconds = 0.0
     for batch in batches:
@@ -130,11 +127,11 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         result = engine.process_batch(batch.data)
         stream_seconds += time.perf_counter() - start
         aris.append(_batch_ari(batch, result.labels))
-    total_points = args.n_batches * args.batch_size
+    total_points = n_batches * batch_size
     points_per_sec = total_points / stream_seconds if stream_seconds > 0 else float("inf")
 
-    eval_start = args.n_batches - args.eval_batches
-    pre_window = [a for a in aris[1:args.drift_batch] if not np.isnan(a)]
+    eval_start = n_batches - params["eval_batches"]
+    pre_window = [a for a in aris[1:drift_batch] if not np.isnan(a)]
     post_window = [a for a in aris[eval_start:] if not np.isnan(a)]
     pre_drift_ari = float(np.mean(pre_window)) if pre_window else float("nan")
     post_drift_ari = float(np.mean(post_window)) if post_window else float("nan")
@@ -146,17 +143,17 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     # evaluation batches the engine is.
     train_rows = []
     position = eval_start - 1
-    while position >= 0 and sum(block.shape[0] for block in train_rows) < args.oracle_window:
+    while position >= 0 and sum(block.shape[0] for block in train_rows) < oracle_window_size:
         train_rows.append(batches[position].data)
         position -= 1
-    oracle_train = np.concatenate(list(reversed(train_rows)), axis=0)[-args.oracle_window:]
+    oracle_train = np.concatenate(list(reversed(train_rows)), axis=0)[-oracle_window_size:]
     oracle_k = len(stream.active_cluster_ids(eval_start))
     refit_start = time.perf_counter()
     oracle = SSPC(
         n_clusters=oracle_k,
         m=0.5,
-        max_iterations=args.fit_iterations,
-        random_state=args.seed,
+        max_iterations=params["fit_iterations"],
+        random_state=params["seed"],
     ).fit(oracle_train)
     refit_seconds = time.perf_counter() - refit_start
     oracle_index = ProjectedClusterIndex(oracle.to_artifact())
@@ -167,7 +164,7 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     oracle_post_ari = float(np.mean(oracle_window)) if oracle_window else float("nan")
     recovery_gap = max(0.0, oracle_post_ari - post_drift_ari)
 
-    refit_points = args.oracle_refit_every * args.batch_size
+    refit_points = params["oracle_refit_every"] * batch_size
     refit_cost_per_point = refit_seconds / refit_points
     stream_cost_per_point = stream_seconds / total_points
     amortized_speedup = (
@@ -177,22 +174,6 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     )
 
     return {
-        "config": {
-            "n_dimensions": args.n_dimensions,
-            "n_clusters": args.n_clusters,
-            "cluster_dim": args.cluster_dim,
-            "batch_size": args.batch_size,
-            "n_batches": args.n_batches,
-            "drift_batch": args.drift_batch,
-            "eval_batches": args.eval_batches,
-            "warmup": args.warmup,
-            "fit_iterations": args.fit_iterations,
-            "oracle_window": args.oracle_window,
-            "oracle_refit_every": args.oracle_refit_every,
-            "control_batches": args.control_batches,
-            "seed": args.seed,
-            "smoke": bool(args.smoke),
-        },
         "control_bit_identical": bool(control_bit_identical),
         "pre_drift_ari": pre_drift_ari,
         "post_drift_ari": post_drift_ari,
@@ -208,72 +189,3 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         "n_drift_refreshes": int(engine.n_drift_refreshes),
         "n_clusters_final": int(engine.n_clusters),
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-dimensions", type=int, default=60)
-    parser.add_argument("--n-clusters", type=int, default=4)
-    parser.add_argument("--cluster-dim", type=int, default=8,
-                        help="average relevant dimensions per cluster")
-    parser.add_argument("--batch-size", type=int, default=250)
-    parser.add_argument("--n-batches", type=int, default=48)
-    parser.add_argument("--drift-batch", type=int, default=20,
-                        help="batch index of the mean shift + cluster birth")
-    parser.add_argument("--eval-batches", type=int, default=10,
-                        help="final batches forming the recovery evaluation window")
-    parser.add_argument("--warmup", type=int, default=1500,
-                        help="pre-stream points the initial model is fitted on")
-    parser.add_argument("--fit-iterations", type=int, default=12)
-    parser.add_argument("--oracle-window", type=int, default=1500,
-                        help="freshest points the oracle refit trains on")
-    parser.add_argument("--oracle-refit-every", type=int, default=4,
-                        help="batches between oracle refits (amortization interval; "
-                             "matches the engine's drift-check cadence)")
-    parser.add_argument("--control-batches", type=int, default=10,
-                        help="stationary batches of the bit-identity control")
-    parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small configuration for CI smoke runs")
-    parser.add_argument("--output", default=None,
-                        help="write the JSON report here (default: print only)")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.n_dimensions = min(args.n_dimensions, 40)
-        args.n_clusters = min(args.n_clusters, 3)
-        args.cluster_dim = min(args.cluster_dim, 6)
-        args.batch_size = min(args.batch_size, 150)
-        args.n_batches = min(args.n_batches, 30)
-        args.drift_batch = min(args.drift_batch, 10)
-        args.eval_batches = min(args.eval_batches, 6)
-        args.warmup = min(args.warmup, 900)
-        args.fit_iterations = min(args.fit_iterations, 10)
-        args.oracle_window = min(args.oracle_window, 900)
-        args.control_batches = min(args.control_batches, 8)
-    if args.drift_batch >= args.n_batches - args.eval_batches:
-        parser.error("--drift-batch must leave room for the evaluation window")
-
-    report = run_benchmark(args)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-
-    print("SSPC streaming benchmark (d=%d, k=%d, %d batches of %d)" % (
-        args.n_dimensions, args.n_clusters, args.n_batches, args.batch_size))
-    print("  sustained throughput : %.0f points/s" % report["points_per_sec"])
-    print("  pre-drift ARI        : %.3f" % report["pre_drift_ari"])
-    print("  post-drift ARI       : %.3f (oracle %.3f, gap %.3f)" % (
-        report["post_drift_ari"], report["oracle_post_ari"],
-        report["recovery_gap_vs_oracle"]))
-    print("  amortized vs refit   : %.1fx cheaper per point (floor 10x: %s)" % (
-        report["amortized_speedup_over_refit"], report["speedup_floor_ok"]))
-    print("  adaptation           : %d spawned, %d retired, %d drift refreshes" % (
-        report["n_spawned"], report["n_retired"], report["n_drift_refreshes"]))
-    print("  drift-free control   : bit-identical = %s" % report["control_bit_identical"])
-    if args.output:
-        print("  report written to %s" % args.output)
-    return 0 if report["control_bit_identical"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,7 +6,7 @@ the figure it reproduces, per-scale configurations, a *plan* that fans
 the configuration out into independently seeded tasks, an *execute*
 callable that runs one task, and an *aggregate* callable that folds the
 task records back into figure-level metrics, a printable table and the
-details the pytest wrappers assert on.
+details the paper-claim pytest modules assert on.
 
 Tasks are the unit of sharding and of resumability: every task owns a
 JSON-safe parameter dictionary (including its own integer seed drawn via
@@ -233,9 +233,10 @@ class Scenario:
     def run(self, scale: str) -> ScenarioSummary:
         """Execute every task serially in-process and aggregate.
 
-        This is the path the pytest-benchmark wrappers use; it goes
-        through exactly the same plan / execute / aggregate pipeline as
-        the sharded runner, so the two cannot drift.
+        This is the path the paper-claim pytest modules in
+        ``benchmarks/`` use; it goes through exactly the same plan /
+        execute / aggregate pipeline as the sharded runner, so the two
+        cannot drift.
         """
         records = [self.run_task(task) for task in self.build_tasks(scale)]
         return self.summarize(scale, records)

@@ -15,7 +15,6 @@ this is what makes ``--workers N`` equal to ``--workers 1``.
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from repro.bench.chaos import (
     chaos_plan,
 )
 from repro.bench.scenario import MetricSpec, Scenario, TaskSpec
-from repro.bench.perf_assignment import run_benchmark as run_assignment_benchmark
 from repro.bench.perf_hotpath import run_benchmark as run_hotpath_benchmark
 from repro.bench.perf_obs import run_benchmark as run_obs_benchmark
 from repro.bench.perf_serving import run_benchmark as run_serving_benchmark
@@ -810,19 +808,6 @@ def _plan_single(config: Mapping[str, object]) -> List[TaskSpec]:
     return [TaskSpec(name="all", params=dict(config))]
 
 
-def _execute_hotpath(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_objects=int(params["n_objects"]),
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        iterations=int(params["iterations"]),
-        repeats=int(params["repeats"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_hotpath_benchmark(args)
-
-
 def _aggregate_hotpath(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     report = dict(payloads[0])
     table = "\n".join(
@@ -859,21 +844,6 @@ def _aggregate_hotpath(payloads: Sequence[Mapping[str, object]]) -> Dict[str, ob
     }
 
 
-def _execute_serving(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_objects=int(params["n_objects"]),
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        n_queries=int(params["n_queries"]),
-        n_single=int(params["n_single"]),
-        repeats=int(params["repeats"]),
-        fit_iterations=int(params["fit_iterations"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_serving_benchmark(args)
-
-
 def _aggregate_serving(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     report = dict(payloads[0])
     table = "\n".join(
@@ -891,8 +861,7 @@ def _aggregate_serving(payloads: Sequence[Mapping[str, object]]) -> Dict[str, ob
     return {
         "metrics": {
             "batch_speedup_over_single": float(report["batch_speedup_over_single"]),
-            # Absolute floor carried over from the old CI gate
-            # (--min-points-per-sec 10000): ~40x under the measured
+            # Absolute 10k points/sec floor: ~40x under the measured
             # throughput, it catches catastrophic kernel regressions that
             # slow batch and single-point paths equally (invisible to the
             # speedup ratio) while staying immune to runner noise.
@@ -911,29 +880,6 @@ def _aggregate_serving(payloads: Sequence[Mapping[str, object]]) -> Dict[str, ob
         "table": table,
         "details": {"report": report},
     }
-
-
-def _execute_serving_load(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_objects=int(params["n_objects"]),
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        fit_iterations=int(params["fit_iterations"]),
-        workers=int(params["workers"]),
-        max_batch=int(params["max_batch"]),
-        max_wait_us=float(params["max_wait_us"]),
-        connections=int(params["connections"]),
-        warmup=int(params["warmup"]),
-        n_sequential=int(params["n_sequential"]),
-        n_capacity=int(params["n_capacity"]),
-        n_open=int(params["n_open"]),
-        open_utilization=float(params["open_utilization"]),
-        min_speedup=float(params["min_speedup"]),
-        p99_budget_ms=float(params["p99_budget_ms"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_serving_load_benchmark(args)
 
 
 def _aggregate_serving_load(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
@@ -976,22 +922,6 @@ def _aggregate_serving_load(payloads: Sequence[Mapping[str, object]]) -> Dict[st
     }
 
 
-def _execute_obs(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_objects=int(params["n_objects"]),
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        fit_iterations=int(params["fit_iterations"]),
-        stream_batches=int(params["stream_batches"]),
-        batch_size=int(params["batch_size"]),
-        telemetry_requests=int(params.get("telemetry_requests", 400)),
-        repeats=int(params["repeats"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_obs_benchmark(args)
-
-
 def _aggregate_obs(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     report = dict(payloads[0])
     table = "\n".join(
@@ -1026,80 +956,6 @@ def _aggregate_obs(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object
         "table": table,
         "details": {"report": report},
     }
-
-
-def _execute_assignment(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_objects=int(params["n_objects"]),
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        rounds=int(params["rounds"]),
-        repeats=int(params["repeats"]),
-        block_rows=int(params["block_rows"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_assignment_benchmark(args)
-
-
-def _aggregate_assignment(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
-    report = dict(payloads[0])
-    lines = []
-    for fraction in report["dirty_fractions"]:
-        point = report["sweep"]["%g" % fraction]
-        lines.append(
-            "dirty %4.0f%% : naive %.3f ms  engine %.3f ms  speedup %.2fx"
-            % (
-                float(fraction) * 100,
-                point["naive_seconds_per_round"] * 1e3,
-                point["engine_seconds_per_round"] * 1e3,
-                point["speedup"],
-            )
-        )
-    lines.append(
-        "peak memory : broadcast %.2f MiB  blocked %.2f MiB"
-        % (report["peak_broadcast_mib"], report["peak_blocked_mib"])
-    )
-    lines.append("results identical: %s" % report["results_identical"])
-    return {
-        "metrics": {
-            "results_identical": 1.0 if report["results_identical"] else 0.0,
-            # Hard >=2x floor on the near-converged (<=10% dirty)
-            # regime: bit-exact booleans gate absolutely, so runner
-            # speed cannot flake it the way a raw ratio could.
-            "near_converged_floor_ok": 1.0 if report["near_converged_floor_ok"] else 0.0,
-            "near_converged_speedup": float(report["near_converged_speedup"]),
-            "half_dirty_speedup": float(report["half_dirty_speedup"]),
-            "full_recompute_speedup": float(report["full_recompute_speedup"]),
-            "naive_seconds_per_round": float(report["naive_seconds_per_round"]),
-            "engine_seconds_per_round": float(report["engine_seconds_per_round"]),
-            "peak_broadcast_mib": float(report["peak_broadcast_mib"]),
-            "peak_blocked_mib": float(report["peak_blocked_mib"]),
-            "blocked_memory_fraction": float(report["blocked_memory_fraction"]),
-        },
-        "table": "\n".join(lines),
-        "details": {"report": report},
-    }
-
-
-def _execute_stream(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        cluster_dim=int(params["cluster_dim"]),
-        batch_size=int(params["batch_size"]),
-        n_batches=int(params["n_batches"]),
-        drift_batch=int(params["drift_batch"]),
-        eval_batches=int(params["eval_batches"]),
-        warmup=int(params["warmup"]),
-        fit_iterations=int(params["fit_iterations"]),
-        oracle_window=int(params["oracle_window"]),
-        oracle_refit_every=int(params["oracle_refit_every"]),
-        control_batches=int(params["control_batches"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_stream_benchmark(args)
 
 
 def _aggregate_stream(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
@@ -1685,7 +1541,7 @@ registry.register(
             },
         },
         plan=_plan_single,
-        execute=_execute_hotpath,
+        execute=run_hotpath_benchmark,
         aggregate=_aggregate_hotpath,
         metrics=(
             MetricSpec("results_identical", "accuracy", "higher", 0.0),
@@ -1718,6 +1574,7 @@ registry.register(
                 "fit_iterations": 4,
                 "stream_batches": 4,
                 "batch_size": 100,
+                "telemetry_requests": 400,
                 "repeats": 3,
                 "seed": 23,
             },
@@ -1728,6 +1585,7 @@ registry.register(
                 "fit_iterations": 8,
                 "stream_batches": 8,
                 "batch_size": 200,
+                "telemetry_requests": 400,
                 "repeats": 3,
                 "seed": 23,
             },
@@ -1738,18 +1596,21 @@ registry.register(
                 "fit_iterations": 10,
                 "stream_batches": 12,
                 "batch_size": 400,
+                "telemetry_requests": 400,
                 "repeats": 3,
                 "seed": 23,
             },
         },
         plan=_plan_single,
-        execute=_execute_obs,
+        execute=run_obs_benchmark,
         aggregate=_aggregate_obs,
         metrics=(
-            # The three gates are boolean (1.0 = pass) and exact: the
-            # overhead bound is computed from counted hook crossings, so
-            # it is deterministic up to per-hook timing jitter that sits
-            # orders of magnitude under the 2% bar.
+            # The three gates are boolean (1.0 = pass) and exact.  The
+            # hook term of the overhead bound comes from counted hook
+            # crossings and sits orders of magnitude under the 2% bar;
+            # the always-on telemetry term is a timed probe priced
+            # against the small smoke workload and can cross the bar on
+            # its own (ROADMAP.md records how often).
             MetricSpec("overhead_disabled_ok", "accuracy", "higher", 0.0),
             MetricSpec("enabled_bit_identical", "accuracy", "higher", 0.0),
             MetricSpec("subsystem_coverage_ok", "accuracy", "higher", 0.0),
@@ -1761,63 +1622,6 @@ registry.register(
             MetricSpec("per_telemetry_record_ns", "info"),
             MetricSpec("telemetry_overhead_pct", "info"),
             MetricSpec("n_subsystems", "info"),
-        ),
-    )
-)
-
-registry.register(
-    Scenario(
-        scenario_id="perf_assignment",
-        figure="perf",
-        title="Incremental assignment engine: dirty-fraction sweep vs full recompute",
-        group="perf",
-        scale_configs={
-            "smoke": {
-                "n_objects": 2500,
-                "n_dimensions": 50,
-                "n_clusters": 10,
-                "rounds": 8,
-                "repeats": 3,
-                "block_rows": 512,
-                "seed": 19,
-            },
-            "reduced": {
-                "n_objects": 4000,
-                "n_dimensions": 60,
-                "n_clusters": 10,
-                "rounds": 10,
-                "repeats": 3,
-                "block_rows": 512,
-                "seed": 19,
-            },
-            "paper": {
-                "n_objects": 10000,
-                "n_dimensions": 100,
-                "n_clusters": 12,
-                "rounds": 12,
-                "repeats": 3,
-                "block_rows": 512,
-                "seed": 19,
-            },
-        },
-        plan=_plan_single,
-        execute=_execute_assignment,
-        aggregate=_aggregate_assignment,
-        metrics=(
-            MetricSpec("results_identical", "accuracy", "higher", 0.0),
-            # The load-bearing gate: >=2x measured in-process, immune to
-            # runner speed.  The relative ratios below carry wide
-            # tolerances because the serially-measured baselines sit
-            # well above what a contended CI shard observes.
-            MetricSpec("near_converged_floor_ok", "accuracy", "higher", 0.0),
-            MetricSpec("near_converged_speedup", "throughput", "higher", 0.75),
-            MetricSpec("half_dirty_speedup", "throughput", "higher", 0.65),
-            MetricSpec("full_recompute_speedup", "info"),
-            MetricSpec("naive_seconds_per_round", "timing"),
-            MetricSpec("engine_seconds_per_round", "timing"),
-            MetricSpec("peak_broadcast_mib", "info"),
-            MetricSpec("peak_blocked_mib", "info"),
-            MetricSpec("blocked_memory_fraction", "info"),
         ),
     )
 )
@@ -1876,7 +1680,7 @@ registry.register(
             },
         },
         plan=_plan_single,
-        execute=_execute_stream,
+        execute=run_stream_benchmark,
         aggregate=_aggregate_stream,
         metrics=(
             MetricSpec("control_bit_identical", "accuracy", "higher", 0.0),
@@ -1937,7 +1741,7 @@ registry.register(
             },
         },
         plan=_plan_single,
-        execute=_execute_serving,
+        execute=run_serving_benchmark,
         aggregate=_aggregate_serving,
         metrics=(
             MetricSpec("batch_equals_single", "accuracy", "higher", 0.0),
@@ -2018,7 +1822,7 @@ registry.register(
             },
         },
         plan=_plan_single,
-        execute=_execute_serving_load,
+        execute=run_serving_load_benchmark,
         aggregate=_aggregate_serving_load,
         metrics=(
             MetricSpec("labels_bit_identical", "accuracy", "higher", 0.0),

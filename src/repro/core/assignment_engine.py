@@ -43,8 +43,9 @@ sequence (gather, subtract, square, divide, subtract-from-one) is the
 same, and each per-cluster reduction runs over the same ``c`` contiguous
 elements with numpy's pairwise summation — which is independent of both
 the row blocking and of which other clusters share the stack.  The
-equivalence suite (``tests/test_assignment_engine.py``) and the
-``perf_assignment`` bench scenario enforce this after every mutation.
+equivalence suite (``tests/test_assignment_engine.py``) enforces this
+after every mutation, and the ``hotpath`` bench scenario checks it
+through the training loop.
 """
 
 from __future__ import annotations
@@ -147,8 +148,7 @@ class AssignmentEngine:
         self._gains: Optional[np.ndarray] = None
         self._workspace = np.empty(0)
         self._reduce_buffer = np.empty(0)
-        # Observability counters (tests, the perf_assignment bench and
-        # the dirty-fraction sweep read these).
+        # Observability counters (the equivalence tests read these).
         self.n_gains_calls = 0
         self.n_columns_recomputed = 0
         self.n_updates_changed = 0

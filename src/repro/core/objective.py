@@ -68,8 +68,8 @@ def grouped_assignment_gains(
 
     This function is the *reference* kernel and the single source of
     truth for the gain arithmetic: the equivalence tests and the naive
-    arms of the ``hotpath`` and ``perf_assignment`` bench scenarios
-    compare against it.  The hot paths — the training loop
+    arm of the ``hotpath`` bench scenario compare against it.  The hot
+    paths — the training loop
     (:meth:`ObjectiveFunction.assignment_gains_matrix`), the serving
     index (:meth:`repro.serving.index.ProjectedClusterIndex.gains_matrix`)
     and, through the index, the streaming engine — are backed by the
@@ -77,7 +77,7 @@ def grouped_assignment_gains(
     which holds the grouped stacks persistently, recomputes only dirty
     columns against a fixed point set and evaluates in bounded row
     blocks; its results are bit-identical to this kernel (enforced by
-    the equivalence suite and the ``perf_assignment`` bench scenario).
+    the equivalence suite and the ``hotpath`` bench scenario).
 
     Parameters
     ----------

@@ -38,8 +38,8 @@ builder all hit the same store), and the baselines
 same engine for their own per-cluster statistics.
 
 Setting ``max_entries=0`` disables storage entirely (every call computes
-fresh statistics); the micro-benchmark
-(``benchmarks/bench_hotpath.py``) uses this to time the naive reference
+fresh statistics); the ``hotpath`` bench scenario
+(:mod:`repro.bench.perf_hotpath`) uses this to time the naive reference
 path against the cached path on identical code.
 """
 

@@ -1,5 +1,6 @@
 """Registry completeness and scenario-declaration invariants."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -10,6 +11,39 @@ from repro.bench.config import SCALES
 from repro.bench.scenario import MetricSpec, TaskSpec
 
 BENCHMARKS_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+BENCH_PACKAGE_DIR = Path(registry.__file__).resolve().parent
+
+
+def _bench_modules():
+    """``(name, parsed module)`` for every module of ``repro.bench``."""
+    return [
+        (path.name, ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(BENCH_PACKAGE_DIR.glob("*.py"))
+    ]
+
+
+def _imports_argparse(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "argparse" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "argparse":
+                return True
+    return False
+
+
+def _has_main_block(tree) -> bool:
+    """Whether the module body holds ``if __name__ == "__main__":``."""
+    for node in tree.body:
+        if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
+            continue
+        operands = [node.test.left, *node.test.comparators]
+        names = [op.id for op in operands if isinstance(op, ast.Name)]
+        constants = [op.value for op in operands if isinstance(op, ast.Constant)]
+        if names == ["__name__"] and constants == ["__main__"]:
+            return True
+    return False
 
 
 class TestCompleteness:
@@ -24,6 +58,29 @@ class TestCompleteness:
         assert expected, "no benchmark scripts found"
         missing = expected - set(registry.ids())
         assert not missing, "benchmark scripts without a registered scenario: %s" % sorted(missing)
+
+    def test_only_the_cli_parses_arguments(self):
+        """``repro-bench`` is the one benchmark entry point: no script mains."""
+        offenders = [name for name, tree in _bench_modules() if _imports_argparse(tree)]
+        assert offenders == ["cli.py"]
+
+    def test_only_the_cli_has_a_main_block(self):
+        offenders = [name for name, tree in _bench_modules() if _has_main_block(tree)]
+        assert offenders == ["__main__.py", "cli.py"]
+
+    def test_every_benchmark_module_is_a_pytest_claim(self):
+        """``benchmarks/bench_*.py`` hold paper claims, not launchers."""
+        if not BENCHMARKS_DIR.is_dir():
+            pytest.skip("benchmarks/ not present in this checkout")
+        without_tests = []
+        for path in sorted(BENCHMARKS_DIR.glob("bench_*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            if not any(
+                isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+                for node in tree.body
+            ):
+                without_tests.append(path.name)
+        assert not without_tests, "benchmark modules without a test: %s" % without_tests
 
     def test_all_scenarios_registered(self):
         assert len(registry.ids()) >= 14

@@ -216,8 +216,8 @@ class TestObsLint:
     def test_cli_and_obs_modules_are_exempt(self, lint):
         assert lint.is_exempt("src/repro/obs/core.py")
         assert lint.is_exempt("src/repro/bench/cli.py")
-        assert lint.is_exempt("src/repro/bench/perf_obs.py")
-        assert lint.is_exempt("src/repro/bench/chaos.py")
+        assert not lint.is_exempt("src/repro/bench/perf_obs.py")
+        assert not lint.is_exempt("src/repro/bench/chaos.py")
         assert not lint.is_exempt("src/repro/core/sspc.py")
         assert not lint.is_exempt("src/repro/bench/store.py")
 

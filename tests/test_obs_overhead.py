@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
-
 import pytest
 
 from repro import obs
@@ -33,10 +31,9 @@ def tiny_args(**overrides):
         telemetry_requests=50,
         repeats=1,
         seed=23,
-        smoke=True,
     )
     params.update(overrides)
-    return argparse.Namespace(**params)
+    return params
 
 
 class TestOverheadGate:

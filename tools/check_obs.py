@@ -13,9 +13,7 @@ Exempt, by design:
 * ``src/repro/obs/`` — the observability package itself wraps the real
   clock and the report CLI prints;
 * any ``cli.py`` / ``__main__.py`` — command-line front-ends own their
-  stdout;
-* ``bench/perf_*.py``, ``bench/chaos.py`` — benchmark report mains,
-  invoked as scripts.
+  stdout.
 
 A second, complementary check guards against **metric-name drift**:
 every metric name the library emits — ``obs.incr`` / ``obs.observe`` /
@@ -46,8 +44,6 @@ EXEMPT_PATTERNS = (
     "src/repro/*/cli.py",
     "src/repro/*/__main__.py",
     "src/repro/__main__.py",
-    "src/repro/bench/perf_*.py",
-    "src/repro/bench/chaos.py",
 )
 
 
