@@ -13,10 +13,15 @@ block — in three different places:
 
 The seed implementation recomputed the full statistics from scratch at
 each site — three full passes over every cluster's data block per
-iteration, with the median (a sort-based :math:`O(m d \\log m)`
-operation) dominating.  :class:`ClusterStatsCache` removes the
-redundancy: statistics are computed **exactly once per distinct member
-set** and shared by every consumer.
+iteration.  :class:`ClusterStatsCache` removes the redundancy:
+statistics are computed **exactly once per distinct member set** and
+shared by every consumer.  The pass itself
+(:meth:`~repro.core.objective.ClusterStatistics.from_members`) gathers
+the member block once; the median, still its largest cost, is one
+single-``kth`` partition per column
+(:func:`~repro.core.objective.column_median`, expected :math:`O(m d)`),
+and the variance reuses the mean instead of summing the block again.
+Both are bit-identical to ``np.median`` and ``var(ddof=1)``.
 
 Design
 ------
@@ -206,8 +211,8 @@ class ClusterStatsCache:
         A lighter entry point for consumers that never need the median or
         variance (e.g. the PROCLUS cost evaluation): a full cached
         statistics entry is reused when one exists, otherwise only the
-        mean is computed and memoized — the expensive sort-based median
-        is never triggered.
+        mean is computed and memoized — the median pass is never
+        triggered.
         """
         members = np.ascontiguousarray(members, dtype=np.int64)
         if members.size == 0:
@@ -246,7 +251,7 @@ class ClusterStatsCache:
 
         Cheaper than :attr:`global_statistics` for consumers that never
         need the global median (HARP's relevance index, threshold
-        fitting): no sort-based median pass is triggered.
+        fitting): no median pass is triggered.
         """
         if self._global is not None:
             return self._global.variance

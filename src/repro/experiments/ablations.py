@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.assignment import ClusterState, assign_objects, members_from_labels
 from repro.core.dimension_selection import select_dimensions
-from repro.core.objective import ObjectiveFunction
+from repro.core.objective import ObjectiveFunction, column_median
 from repro.core.representatives import compute_phi_scores
 from repro.core.sspc import SSPC
 from repro.core.thresholds import make_threshold
@@ -149,7 +149,7 @@ def _run_sspc_with_center(
             if state.members.size == 0:
                 continue
             block = data[state.members]
-            state.representative = np.median(block, axis=0) if use_median else block.mean(axis=0)
+            state.representative = column_median(block) if use_median else block.mean(axis=0)
             state.size_hint = max(state.members.size, 2)
             state.members = np.empty(0, dtype=int)
     return adjusted_rand_index(true_labels, best_labels), best_objective
@@ -254,7 +254,7 @@ def _run_random_init_sspc(
             best_labels = labels
         for state in states:
             if state.members.size:
-                state.representative = np.median(data[state.members], axis=0)
+                state.representative = column_median(data[state.members])
                 state.size_hint = max(state.members.size, 2)
             state.members = np.empty(0, dtype=int)
     return adjusted_rand_index(true_labels, best_labels), best_objective

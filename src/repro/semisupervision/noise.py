@@ -26,6 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.objective import column_median
 from repro.semisupervision.knowledge import Knowledge, LabeledDimensions, LabeledObjects
 from repro.utils.validation import check_array_2d, check_fraction
 
@@ -103,7 +104,7 @@ class KnowledgeValidator:
                     # Not enough evidence to overrule the supplied label.
                     kept_object_pairs.append((int(obj), label))
                     continue
-                median = np.median(peer_block, axis=0)
+                median = column_median(peer_block)
                 deviation = np.abs(data[obj] - median)
                 # Standardise by the peers' local spread (with a small floor so
                 # an accidentally tiny peer variance cannot reject everything)

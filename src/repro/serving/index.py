@@ -62,6 +62,7 @@ import numpy as np
 from repro import obs
 from repro.core.assignment_engine import AssignmentEngine
 from repro.core.model import OUTLIER_LABEL
+from repro.core.objective import column_median, column_variance
 from repro.core.stats_cache import merge_mean_variance
 from repro.core.thresholds import SelectionThreshold
 from repro.serving.artifact import ModelArtifact, load_artifact
@@ -482,17 +483,13 @@ class ProjectedClusterIndex:
                 if rows.shape[0] == 0:
                     continue
                 batch_mean = rows.mean(axis=0)
-                if rows.shape[0] > 1:
-                    batch_variance = rows.var(axis=0, ddof=1)
-                else:
-                    batch_variance = np.zeros(self.n_dimensions)
                 cluster.size, cluster.mean, cluster.variance = merge_mean_variance(
                     cluster.size,
                     cluster.mean,
                     cluster.variance,
                     rows.shape[0],
                     batch_mean,
-                    batch_variance,
+                    column_variance(rows, batch_mean),
                 )
                 if cluster.projections is not None:
                     cluster.projections = np.concatenate(
@@ -505,7 +502,7 @@ class ProjectedClusterIndex:
                         and cluster.projections.shape[0] > self.projection_window
                     ):
                         cluster.projections = cluster.projections[-self.projection_window:].copy()
-                    cluster.median_selected = np.median(cluster.projections, axis=0)
+                    cluster.median_selected = column_median(cluster.projections)
                     if self.center == "median":
                         cluster.center_selected = cluster.median_selected.copy()
                 if self.center == "mean":
@@ -579,16 +576,11 @@ class ProjectedClusterIndex:
             raise ValueError("dimensions reference columns outside the model")
         rows = self._check_points(rows)
         mean = rows.mean(axis=0)
-        if rows.shape[0] > 1:
-            variance = rows.var(axis=0, ddof=1)
-        else:
-            variance = np.zeros(self.n_dimensions)
+        variance = column_variance(rows, mean)
         projections = rows[:, dimensions].copy()
         if self.projection_window is not None and projections.shape[0] > self.projection_window:
             projections = projections[-self.projection_window:].copy()
-        median_selected = (
-            np.median(projections, axis=0) if dimensions.size else np.empty(0)
-        )
+        median_selected = column_median(projections)
         if self.center == "mean":
             center_selected = mean[dimensions].copy()
         else:
@@ -657,7 +649,7 @@ class ProjectedClusterIndex:
         cluster = self._clusters[position]
         if cluster.projections is not None and cluster.projections.shape[0] > keep_last:
             cluster.projections = cluster.projections[-keep_last:].copy()
-            cluster.median_selected = np.median(cluster.projections, axis=0)
+            cluster.median_selected = column_median(cluster.projections)
             if self.center == "median":
                 cluster.center_selected = cluster.median_selected.copy()
                 self._sync_plan(position)

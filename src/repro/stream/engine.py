@@ -53,7 +53,7 @@ import numpy as np
 from repro import obs
 from repro.core.dimension_selection import select_dimensions
 from repro.core.model import OUTLIER_LABEL
-from repro.core.objective import ObjectiveFunction
+from repro.core.objective import ObjectiveFunction, column_median, column_variance
 from repro.core.stats_cache import ClusterStatsCache, merge_mean_variance
 from repro.serving.artifact import ModelArtifact, threshold_from_description
 from repro.serving.index import ProjectedClusterIndex
@@ -403,17 +403,13 @@ class StreamingSSPC:
     def _update_global(self, points: np.ndarray) -> None:
         """Fold a batch into the running stream-wide statistics."""
         batch_mean = points.mean(axis=0)
-        if points.shape[0] > 1:
-            batch_variance = points.var(axis=0, ddof=1)
-        else:
-            batch_variance = np.zeros(points.shape[1])
         self._global_size, self._global_mean, self._global_variance = merge_mean_variance(
             self._global_size,
             self._global_mean,
             self._global_variance,
             points.shape[0],
             batch_mean,
-            batch_variance,
+            column_variance(points, batch_mean),
         )
 
     # ------------------------------------------------------------------ #
@@ -547,7 +543,7 @@ class StreamingSSPC:
         # whose center scores well against that cluster.  A genuinely
         # new cluster's center is unservable everywhere.  Reject (and
         # drop) servable candidates instead of spawning a duplicate.
-        center = np.median(rows, axis=0)
+        center = column_median(rows)
         gains = self.index.gains_single(center)
         if gains.size and np.max(gains) > 0.0:
             self.outliers.remove(seeds)

@@ -87,3 +87,24 @@ class TestSelectDimProperty:
         thresholds = objective.threshold.values(stats.size)
         expected = set(np.flatnonzero(stats.dispersion() < thresholds).tolist())
         assert selected == expected
+
+
+class TestSelectionMarginAgreesWithSelectDim:
+    @pytest.mark.parametrize(
+        "threshold", [VarianceRatioThreshold(m=0.5), ChiSquareThreshold(p=0.01)], ids=["m", "p"]
+    )
+    @pytest.mark.parametrize("size", [0, 1, 2, 50])
+    def test_margin_passes_exactly_the_selected_dimensions(self, threshold, size):
+        data = np.random.default_rng(13).normal(size=(50, 6))
+        objective = ObjectiveFunction(data, threshold)
+        members = np.arange(size)
+        dispersion, thresholds = selection_margin(objective, members)
+        np.testing.assert_array_equal(
+            np.flatnonzero(dispersion < thresholds), select_dimensions(objective, members)
+        )
+
+    @pytest.mark.parametrize("members", [[], [4]])
+    def test_below_two_members_no_dimension_passes(self, structured_objective, members):
+        dispersion, thresholds = selection_margin(structured_objective, members)
+        assert np.all(np.isposinf(dispersion))
+        assert thresholds.shape == dispersion.shape == (structured_objective.n_dimensions,)

@@ -165,7 +165,7 @@ class TestMultipleGroupingsRunner:
 class TestScalabilityRunner:
     def test_rows_and_linearity(self):
         rows = run_scalability(
-            object_counts=(100, 200, 400),
+            object_counts=(1000, 2000, 4000),
             dimension_counts=(20, 40, 80),
             base_objects=150,
             base_dimensions=20,
