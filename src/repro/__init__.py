@@ -8,8 +8,8 @@ Clustering" (Yip, Cheung, Ng; ICDE 2005):
   objective function, the two selection-threshold schemes, grid-based
   initialisation from labeled objects / labeled dimensions, and the
   iterative medoid/median optimisation.
-* :mod:`repro.baselines` — PROCLUS, HARP, CLARANS, DOC and plain
-  k-means / k-medoids, implemented from scratch for comparison.
+* :mod:`repro.baselines` — PROCLUS, HARP and CLARANS, the paper's
+  comparison algorithms, implemented from scratch.
 * :mod:`repro.data` — synthetic generators following the paper's data
   model, including the multiple-groupings construction.
 * :mod:`repro.semisupervision` — labeled objects / dimensions, knowledge
@@ -45,7 +45,7 @@ from repro.semisupervision.knowledge import Knowledge
 from repro.serving import ModelArtifact, ProjectedClusterIndex, load_artifact
 from repro.stream import StreamConfig, StreamingSSPC
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "SSPC",

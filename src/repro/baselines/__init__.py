@@ -8,30 +8,18 @@ Everything here is implemented from scratch on top of numpy:
   Yip et al. (TKDE 2004), re-created from the description in Section 2.1.
 * :class:`CLARANS` — the randomized k-medoids algorithm of Ng & Han
   (VLDB 1994), the paper's non-projected reference.
-* :class:`DOC` / :class:`FastDOC` — the Monte-Carlo projected clustering
-  algorithm of Procopiuc et al. (SIGMOD 2002), discussed in related work
-  and implemented for completeness / ablations.
-* :class:`KMeans` and :class:`KMedoids` — classic substrates shared by
-  the above and usable as sanity baselines.
 
 All estimators follow the same ``fit`` / ``labels_`` / ``result_``
 interface as :class:`repro.SSPC`, so the experiment harness treats them
 interchangeably.
 """
 
-from repro.baselines.kmeans import KMeans
-from repro.baselines.kmedoids import KMedoids
 from repro.baselines.clarans import CLARANS
 from repro.baselines.proclus import PROCLUS
 from repro.baselines.harp import HARP
-from repro.baselines.doc import DOC, FastDOC
 
 __all__ = [
-    "KMeans",
-    "KMedoids",
     "CLARANS",
     "PROCLUS",
     "HARP",
-    "DOC",
-    "FastDOC",
 ]

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.model import ClusteringResult, ProjectedCluster
-from repro.core.stats_cache import ClusterStatsCache
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_array_2d, check_cluster_count, check_positive_int
 
@@ -99,12 +98,6 @@ class HARP:
     n_neighbors:
         Number of nearest neighbours evaluated as merge partners per
         cluster and level.
-    stats_cache:
-        Optional shared :class:`~repro.core.stats_cache.ClusterStatsCache`
-        workspace.  When experiments run several algorithms on the same
-        dataset, passing one workspace lets HARP reuse the global
-        column-statistics pass (and leaves its per-cluster statistics
-        available to other consumers) instead of recomputing it.
     random_state:
         Seed or generator (used only for tie-breaking the merge order).
 
@@ -123,7 +116,6 @@ class HARP:
         min_relevance: float = 0.5,
         min_selected_fraction: float = 0.01,
         n_neighbors: int = 10,
-        stats_cache: Optional["ClusterStatsCache"] = None,
         random_state: RandomState = None,
     ) -> None:
         self.n_clusters = check_positive_int(n_clusters, name="n_clusters", minimum=1)
@@ -138,7 +130,6 @@ class HARP:
             raise ValueError("min_selected_fraction must be in (0, 1]")
         self.min_selected_fraction = float(min_selected_fraction)
         self.n_neighbors = check_positive_int(n_neighbors, name="n_neighbors", minimum=1)
-        self.stats_cache = stats_cache
         self.random_state = random_state
 
         self.labels_: Optional[np.ndarray] = None
@@ -153,13 +144,7 @@ class HARP:
         rng = ensure_rng(self.random_state)
         n_objects, n_dimensions = data.shape
 
-        # Reuse (or establish) the shared statistics workspace for the
-        # global column variances — identical values to a direct pass.
-        if self.stats_cache is None or self.stats_cache.data is not data:
-            self.stats_cache = ClusterStatsCache(data)
-        global_variance = np.maximum(
-            self.stats_cache.global_variance, np.finfo(float).tiny
-        )
+        global_variance = np.maximum(data.var(axis=0, ddof=1), np.finfo(float).tiny)
         clusters: Dict[int, _HarpCluster] = {
             index: _HarpCluster([index], data) for index in range(n_objects)
         }

@@ -59,13 +59,6 @@ class PROCLUS:
         Multiplier on the sphere-of-influence radius used in the
         refinement phase to flag outliers; ``None`` disables outlier
         detection (every object stays assigned).
-    stats_cache:
-        Optional shared :class:`~repro.core.stats_cache.ClusterStatsCache`
-        workspace.  The iterative phase evaluates the cost of recurring
-        member sets; the workspace memoizes their per-cluster means (via
-        the lightweight :meth:`~repro.core.stats_cache.ClusterStatsCache.mean`
-        path) so repeated evaluations and co-running algorithms share
-        one statistics engine.
     random_state:
         Seed or generator.
 
@@ -85,7 +78,6 @@ class PROCLUS:
         medoid_pool_factor: int = 3,
         max_iterations: int = 20,
         outlier_fraction_radius: Optional[float] = 1.0,
-        stats_cache: Optional["ClusterStatsCache"] = None,
         random_state: RandomState = None,
     ) -> None:
         self.n_clusters = check_positive_int(n_clusters, name="n_clusters", minimum=1)
@@ -100,7 +92,6 @@ class PROCLUS:
         if outlier_fraction_radius is not None and outlier_fraction_radius <= 0:
             raise ValueError("outlier_fraction_radius must be positive or None")
         self.outlier_fraction_radius = outlier_fraction_radius
-        self.stats_cache = stats_cache
         self.random_state = random_state
 
         self.labels_: Optional[np.ndarray] = None
@@ -118,8 +109,9 @@ class PROCLUS:
         check_cluster_count(self.n_clusters, data.shape[0])
         rng = ensure_rng(self.random_state)
         n_objects, n_dimensions = data.shape
-        if self.stats_cache is None or self.stats_cache.data is not data:
-            self.stats_cache = ClusterStatsCache(data)
+        # The iterative phase evaluates the cost of recurring member sets;
+        # a private workspace memoizes their per-cluster means.
+        stats_cache = ClusterStatsCache(data)
 
         total_dimensions = int(round(self.avg_dimensions * self.n_clusters))
         total_dimensions = max(total_dimensions, 2 * self.n_clusters)
@@ -140,7 +132,7 @@ class PROCLUS:
         for _ in range(self.max_iterations):
             dimensions = self._find_dimensions(data, current, total_dimensions)
             labels = self._assign(data, current, dimensions)
-            cost = self._evaluate(data, current, dimensions, labels)
+            cost = self._evaluate(data, stats_cache, current, dimensions, labels)
             if cost < best_cost:
                 best_cost = cost
                 best_medoids = current.copy()
@@ -158,7 +150,9 @@ class PROCLUS:
         refined_dimensions = self._refine_dimensions(data, best_labels, best_medoids, total_dimensions)
         refined_labels = self._assign(data, best_medoids, refined_dimensions)
         refined_labels = self._mark_outliers(data, best_medoids, refined_dimensions, refined_labels)
-        final_cost = self._evaluate(data, best_medoids, refined_dimensions, refined_labels)
+        final_cost = self._evaluate(
+            data, stats_cache, best_medoids, refined_dimensions, refined_labels
+        )
 
         self.labels_ = refined_labels
         self.medoid_indices_ = best_medoids
@@ -297,6 +291,7 @@ class PROCLUS:
     def _evaluate(
         self,
         data: np.ndarray,
+        stats_cache: ClusterStatsCache,
         medoids: np.ndarray,
         dimensions: List[np.ndarray],
         labels: np.ndarray,
@@ -309,10 +304,10 @@ class PROCLUS:
             dims = dimensions[index]
             if members.size == 0 or dims.size == 0:
                 continue
-            # Per-cluster means come from the shared statistics workspace;
-            # slicing the full-dimension mean is bit-identical to the mean
-            # of the sliced block, so the cost value is unchanged.
-            centroid = self.stats_cache.mean(members)[dims]
+            # Per-cluster means come from the statistics workspace; slicing
+            # the full-dimension mean is bit-identical to the mean of the
+            # sliced block, so the cost value is unchanged.
+            centroid = stats_cache.mean(members)[dims]
             total += np.abs(data[np.ix_(members, dims)] - centroid).mean(axis=1).sum()
             count += members.size
         return total / count if count else float("inf")

@@ -59,9 +59,6 @@ used in :func:`grid_success_probability_labeled_dimensions`, and the
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
 from scipy import stats
 
 from repro.utils.validation import check_fraction, check_positive_int, check_probability
@@ -233,43 +230,3 @@ def grid_success_probability_labeled_dimensions(
         expected_exclusive, expected_shared, grid_dimensions
     )
     return float(1.0 - (1.0 - single) ** n_grids)
-
-
-def knowledge_requirement_curve_objects(
-    input_sizes: Sequence[int],
-    relevant_fractions: Sequence[float],
-    **kwargs,
-) -> np.ndarray:
-    """Matrix of Figure-1 probabilities over input sizes x relevant fractions.
-
-    Rows follow ``relevant_fractions``, columns follow ``input_sizes``.
-    Keyword arguments are forwarded to
-    :func:`grid_success_probability_labeled_objects`.
-    """
-    matrix = np.zeros((len(relevant_fractions), len(input_sizes)))
-    for row, fraction in enumerate(relevant_fractions):
-        for column, size in enumerate(input_sizes):
-            matrix[row, column] = grid_success_probability_labeled_objects(
-                int(size), relevant_fraction=float(fraction), **kwargs
-            )
-    return matrix
-
-
-def knowledge_requirement_curve_dimensions(
-    input_sizes: Sequence[int],
-    relevant_fractions: Sequence[float],
-    **kwargs,
-) -> np.ndarray:
-    """Matrix of Figure-2 probabilities over input sizes x relevant fractions.
-
-    Rows follow ``relevant_fractions``, columns follow ``input_sizes``.
-    Keyword arguments are forwarded to
-    :func:`grid_success_probability_labeled_dimensions`.
-    """
-    matrix = np.zeros((len(relevant_fractions), len(input_sizes)))
-    for row, fraction in enumerate(relevant_fractions):
-        for column, size in enumerate(input_sizes):
-            matrix[row, column] = grid_success_probability_labeled_dimensions(
-                int(size), relevant_fraction=float(fraction), **kwargs
-            )
-    return matrix

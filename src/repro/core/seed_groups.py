@@ -314,14 +314,14 @@ class SeedGroupBuilder:
         if seeds.size == 0:
             # Degenerate fall-back: use the labeled objects themselves (if
             # any) so the cluster still has a medoid to draw.
-            seeds = labeled_objects if labeled_objects.size else np.empty(0, dtype=int)
+            seeds = labeled_objects
 
+        # Forcing the labeled dimensions keeps them even when SelectDim
+        # selects nothing (fewer than two seeds, or no tight dimension).
         forced = labeled_dimensions if kind in ("both", "dimensions") else None
         dimensions = select_dimensions(
             self.objective, seeds, forced_dimensions=forced, threshold=self._seed_threshold
         )
-        if dimensions.size == 0 and labeled_dimensions.size:
-            dimensions = labeled_dimensions
         return SeedGroup(
             seeds=seeds,
             dimensions=dimensions,

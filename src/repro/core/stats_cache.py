@@ -36,11 +36,10 @@ evicted in insertion order once ``max_entries`` is exceeded (the SSPC
 loop only ever needs the current iteration's ``k`` member sets plus the
 best-so-far snapshot, so a small bound suffices).
 
-The cache is shared beyond SSPC: :class:`~repro.core.objective.ObjectiveFunction`
+The cache is shared across SSPC's layers: :class:`~repro.core.objective.ObjectiveFunction`
 creates one by default (so ``SelectDim``, ``phi`` and the seed-group
-builder all hit the same store), and the baselines
-(:mod:`repro.baselines.harp`, :mod:`repro.baselines.proclus`) reuse the
-same engine for their own per-cluster statistics.
+builder all hit the same store), and :mod:`repro.baselines.proclus`
+builds a private one for its cost evaluation's per-cluster means.
 
 Setting ``max_entries=0`` disables storage entirely (every call computes
 fresh statistics); the ``hotpath`` bench scenario
@@ -250,8 +249,8 @@ class ClusterStatsCache:
         """Global per-column variance (``ddof=1``), computed once.
 
         Cheaper than :attr:`global_statistics` for consumers that never
-        need the global median (HARP's relevance index, threshold
-        fitting): no median pass is triggered.
+        need the global median (threshold fitting): no median pass is
+        triggered.
         """
         if self._global is not None:
             return self._global.variance

@@ -1,4 +1,4 @@
-"""Synthetic data generation, loading and preprocessing.
+"""Synthetic data generation and loading.
 
 The paper's evaluation is entirely synthetic: datasets follow the data
 model of Section 3 (uniform global populations, narrow Gaussian local
@@ -16,7 +16,6 @@ chosen per experiment.  This package provides:
   cluster birth/death, dimension drift).
 * Expression-like dataset builders and simple CSV persistence used by the
   examples.
-* Column standardisation / normalisation helpers.
 """
 
 from repro.data.generator import (
@@ -30,7 +29,6 @@ from repro.data.loaders import (
     make_expression_like_dataset,
     save_csv_dataset,
 )
-from repro.data.preprocessing import min_max_normalize, standardize
 from repro.data.streams import (
     ClusterBirth,
     ClusterDeath,
@@ -57,6 +55,4 @@ __all__ = [
     "load_csv_dataset",
     "save_csv_dataset",
     "make_expression_like_dataset",
-    "min_max_normalize",
-    "standardize",
 ]

@@ -11,7 +11,6 @@ cross-check results.
 from repro.evaluation.ari import adjusted_rand_index, hubert_arabie_ari, pair_counts
 from repro.evaluation.metrics import (
     clustering_report,
-    confusion_matrix,
     dimension_selection_scores,
     normalized_mutual_information,
     outlier_detection_scores,
@@ -23,7 +22,6 @@ __all__ = [
     "hubert_arabie_ari",
     "pair_counts",
     "clustering_report",
-    "confusion_matrix",
     "dimension_selection_scores",
     "normalized_mutual_information",
     "outlier_detection_scores",

@@ -31,7 +31,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_membership_labels
+from repro.utils.validation import check_label_pair
 
 
 def _expand_outliers_to_singletons(labels: np.ndarray) -> np.ndarray:
@@ -62,12 +62,7 @@ def pair_counts(
         counting; when ``False`` objects that are outliers in *either*
         partition are dropped from the comparison.
     """
-    true = check_membership_labels(true_labels, len(true_labels), name="true_labels")
-    pred = check_membership_labels(predicted_labels, len(predicted_labels), name="predicted_labels")
-    if true.shape[0] != pred.shape[0]:
-        raise ValueError(
-            "label vectors have different lengths: %d vs %d" % (true.shape[0], pred.shape[0])
-        )
+    true, pred = check_label_pair(true_labels, predicted_labels)
 
     if outliers_as_singletons:
         true = _expand_outliers_to_singletons(true)

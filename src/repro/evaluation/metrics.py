@@ -15,41 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.evaluation.ari import adjusted_rand_index
-from repro.utils.validation import check_membership_labels
-
-
-def confusion_matrix(
-    true_labels: Sequence[int],
-    predicted_labels: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contingency table between two label vectors.
-
-    Outliers (``-1``) get their own row / column placed last.
-
-    Returns
-    -------
-    (matrix, true_ids, predicted_ids)
-        ``matrix[i, j]`` counts objects with true label ``true_ids[i]``
-        and predicted label ``predicted_ids[j]``.
-    """
-    true = check_membership_labels(true_labels, len(true_labels), name="true_labels")
-    pred = check_membership_labels(predicted_labels, len(predicted_labels), name="predicted_labels")
-    if true.shape[0] != pred.shape[0]:
-        raise ValueError("label vectors must have equal length")
-
-    def ordered_ids(values: np.ndarray) -> np.ndarray:
-        ids = np.unique(values)
-        regular = ids[ids >= 0]
-        return np.concatenate([regular, ids[ids < 0]])
-
-    true_ids = ordered_ids(true)
-    pred_ids = ordered_ids(pred)
-    matrix = np.zeros((true_ids.size, pred_ids.size), dtype=int)
-    true_pos = {label: row for row, label in enumerate(true_ids)}
-    pred_pos = {label: col for col, label in enumerate(pred_ids)}
-    for t, p in zip(true, pred):
-        matrix[true_pos[int(t)], pred_pos[int(p)]] += 1
-    return matrix, true_ids, pred_ids
+from repro.utils.validation import check_label_pair
 
 
 def purity(true_labels: Sequence[int], predicted_labels: Sequence[int]) -> float:
@@ -58,8 +24,7 @@ def purity(true_labels: Sequence[int], predicted_labels: Sequence[int]) -> float
     Outliers in the prediction count as their own (singleton) clusters,
     so discarding objects cannot inflate purity.
     """
-    true = check_membership_labels(true_labels, len(true_labels), name="true_labels")
-    pred = check_membership_labels(predicted_labels, len(predicted_labels), name="predicted_labels")
+    true, pred = check_label_pair(true_labels, predicted_labels)
     n = true.shape[0]
     if n == 0:
         return 1.0
@@ -85,10 +50,7 @@ def normalized_mutual_information(
     Outliers are treated as singleton clusters, consistent with the ARI
     convention used across the library.
     """
-    true = check_membership_labels(true_labels, len(true_labels), name="true_labels")
-    pred = check_membership_labels(predicted_labels, len(predicted_labels), name="predicted_labels")
-    if true.shape[0] != pred.shape[0]:
-        raise ValueError("label vectors must have equal length")
+    true, pred = check_label_pair(true_labels, predicted_labels)
     n = true.shape[0]
     if n == 0:
         return 1.0
@@ -236,10 +198,7 @@ def outlier_detection_scores(
     predicted_labels: Sequence[int],
 ) -> OutlierDetectionScores:
     """Quality of the outlier list (label ``-1``) against ground truth."""
-    true = check_membership_labels(true_labels, len(true_labels), name="true_labels")
-    pred = check_membership_labels(predicted_labels, len(predicted_labels), name="predicted_labels")
-    if true.shape[0] != pred.shape[0]:
-        raise ValueError("label vectors must have equal length")
+    true, pred = check_label_pair(true_labels, predicted_labels)
     true_outliers = true == -1
     pred_outliers = pred == -1
     tp = int(np.count_nonzero(true_outliers & pred_outliers))

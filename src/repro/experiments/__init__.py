@@ -1,8 +1,9 @@
 """Experiment runners that regenerate the paper's tables and figures.
 
 Every module corresponds to one experiment of Section 5 (or Section 4.5
-for the analytical figures); see DESIGN.md for the experiment index.  The
-runners accept scale parameters so the benchmark harness can execute
+for the analytical figures); the README's "Reproducing the paper"
+section shows how ``repro-bench`` runs them as scenarios.  The runners
+accept scale parameters so the benchmark harness can execute
 reduced-size versions quickly, while the defaults follow the paper's
 configuration.
 """

@@ -1,4 +1,5 @@
-"""Ablation experiments A1-A3 (design choices called out in DESIGN.md).
+"""Ablation experiments A1-A3 (run as the ``ablations`` scenario; see the
+README's "Reproducing the paper" section).
 
 The paper motivates three design decisions that these ablations isolate:
 

@@ -308,6 +308,23 @@ def _read_state(directory: Path) -> Dict[str, object]:
     return state
 
 
+def _read_arrays(arrays_path: Path, state: Dict[str, object]) -> Dict[str, np.ndarray]:
+    """Every buffer of ``stream_arrays.npz``, verified against ``state``'s checksums."""
+    if not arrays_path.is_file():
+        raise FileNotFoundError("checkpoint arrays file %s is missing" % arrays_path)
+    try:
+        with np.load(arrays_path) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+        raise IntegrityError(
+            "checkpoint arrays %s are unreadable (%s): the file is corrupt "
+            "or truncated" % (arrays_path, exc),
+            path=arrays_path,
+        ) from exc
+    verify_array_checksums(arrays, state.get("array_checksums") or {}, path=arrays_path)
+    return arrays
+
+
 def checkpoint_metadata(path: PathLike) -> Dict[str, object]:
     """Just the free-form metadata of a checkpoint (one small JSON read).
 
@@ -324,8 +341,11 @@ def describe_checkpoint(path: PathLike) -> Dict[str, object]:
     generation = resolve_checkpoint_dir(directory)
     state = _read_state(generation)
     artifact = load_artifact(generation / MODEL_DIR)
-    with np.load(generation / ARRAYS_NAME) as bundle:
-        outliers_buffered = int(bundle["outlier_buffer"].shape[0])
+    arrays_path = generation / ARRAYS_NAME
+    arrays = _read_arrays(arrays_path, state)
+    outlier_buffer = require_key(
+        arrays, "outlier_buffer", path=arrays_path, kind="checkpoint arrays"
+    )
     return {
         "format": CHECKPOINT_FORMAT,
         "schema_version": int(state["schema_version"]),
@@ -337,7 +357,7 @@ def describe_checkpoint(path: PathLike) -> Dict[str, object]:
         "n_retired": int(state["n_retired"]),
         "n_drift_refreshes": int(state["n_drift_refreshes"]),
         "adapted": bool(state["adapted"]),
-        "outliers_buffered": outliers_buffered,
+        "outliers_buffered": int(outlier_buffer.shape[0]),
         "events": list(state["events"]),
         "config": dict(state["config"]),
         "metadata": dict(state.get("metadata", {})),
@@ -396,18 +416,7 @@ def _load_generation(directory: Path, *, config=None):
     engine = StreamingSSPC(artifact, config=engine_config, center=str(_field("center")))
 
     arrays_path = directory / ARRAYS_NAME
-    if not arrays_path.is_file():
-        raise FileNotFoundError("checkpoint arrays file %s is missing" % arrays_path)
-    try:
-        with np.load(arrays_path) as bundle:
-            arrays = {key: bundle[key] for key in bundle.files}
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
-        raise IntegrityError(
-            "checkpoint arrays %s are unreadable (%s): the file is corrupt "
-            "or truncated" % (arrays_path, exc),
-            path=arrays_path,
-        ) from exc
-    verify_array_checksums(arrays, state.get("array_checksums") or {}, path=arrays_path)
+    arrays = _read_arrays(arrays_path, state)
 
     def _array(key):
         return require_key(arrays, key, path=arrays_path, kind="checkpoint arrays")

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG handling, validation helpers, timing.
+"""Shared utilities: RNG handling and validation helpers.
 
 These helpers are intentionally small and dependency-free so that every
 other subpackage (core algorithm, baselines, data generators, experiment
@@ -13,7 +13,6 @@ from repro.utils.validation import (
     check_positive_int,
     check_probability,
 )
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "ensure_rng",
@@ -23,5 +22,4 @@ __all__ = [
     "check_fraction",
     "check_positive_int",
     "check_probability",
-    "Stopwatch",
 ]

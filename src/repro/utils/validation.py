@@ -8,7 +8,7 @@ that failures do not surface deep inside the iterative optimisation.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -116,6 +116,21 @@ def check_membership_labels(labels, n_objects: int, *, name: str = "labels") -> 
     return array.astype(int)
 
 
+def check_label_pair(true_labels, predicted_labels) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate two label vectors that describe the same objects.
+
+    Both must pass :func:`check_membership_labels` and have equal length;
+    every metric comparing a clustering with a ground truth starts here.
+    """
+    true = check_membership_labels(true_labels, len(true_labels), name="true_labels")
+    pred = check_membership_labels(predicted_labels, len(predicted_labels), name="predicted_labels")
+    if true.shape[0] != pred.shape[0]:
+        raise ValueError(
+            "label vectors have different lengths: %d vs %d" % (true.shape[0], pred.shape[0])
+        )
+    return true, pred
+
+
 def check_index_sequence(
     indices: Iterable[int],
     upper: int,
@@ -146,18 +161,4 @@ def check_index_sequence(
             and len(np.unique(array)) != len(array)
         ):
             raise ValueError("%s contains duplicate entries" % name)
-    return array
-
-
-def check_random_partition_sizes(sizes: Sequence[int], total: Optional[int] = None) -> np.ndarray:
-    """Validate per-cluster sizes (all positive; optionally summing to ``total``)."""
-    array = np.asarray(list(sizes), dtype=int)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError("sizes must be a non-empty flat sequence")
-    if np.any(array <= 0):
-        raise ValueError("all cluster sizes must be positive")
-    if total is not None and int(array.sum()) != int(total):
-        raise ValueError(
-            "cluster sizes sum to %d, expected %d" % (int(array.sum()), int(total))
-        )
     return array

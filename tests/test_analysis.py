@@ -6,11 +6,9 @@ import pytest
 from repro.core.analysis import (
     grid_success_probability_labeled_dimensions,
     grid_success_probability_labeled_objects,
-    knowledge_requirement_curve_dimensions,
-    knowledge_requirement_curve_objects,
     relevant_dimension_retention_probability,
 )
-from repro.experiments.knowledge_analysis import run_figure1
+from repro.experiments.knowledge_analysis import run_figure1, run_figure2
 
 
 class TestRetentionProbability:
@@ -117,14 +115,21 @@ class TestLabeledDimensionsProbability:
 
 
 class TestCurveHelpers:
+    """The Figure 1 and 2 runners: rows follow the fractions, columns the sizes."""
+
     def test_objects_curve_shape(self):
-        matrix = knowledge_requirement_curve_objects([0, 5, 10], [0.01, 0.05])
+        matrix = run_figure1([0, 5, 10], [0.01, 0.05]).probabilities
         assert matrix.shape == (2, 3)
         assert np.all((matrix >= 0) & (matrix <= 1))
+        assert matrix[1, 2] == grid_success_probability_labeled_objects(10, relevant_fraction=0.05)
 
     def test_dimensions_curve_shape(self):
-        matrix = knowledge_requirement_curve_dimensions([3, 5], [0.01, 0.05, 0.10])
+        matrix = run_figure2([3, 5], [0.01, 0.05, 0.10]).probabilities
         assert matrix.shape == (3, 2)
+        assert np.all((matrix >= 0) & (matrix <= 1))
+        assert matrix[2, 0] == grid_success_probability_labeled_dimensions(
+            3, relevant_fraction=0.10
+        )
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

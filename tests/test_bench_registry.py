@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import repro.baselines
 from repro.bench import registry
 from repro.bench.config import SCALES
 from repro.bench.scenario import MetricSpec, TaskSpec
 
 BENCHMARKS_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 BENCH_PACKAGE_DIR = Path(registry.__file__).resolve().parent
+EXPERIMENTS_DIR = BENCH_PACKAGE_DIR.parent / "experiments"
 
 
 def _bench_modules():
@@ -31,6 +33,19 @@ def _imports_argparse(tree) -> bool:
             if node.module.split(".")[0] == "argparse":
                 return True
     return False
+
+
+def _names_used(tree) -> set:
+    """Every imported, referenced or attribute name in a parsed module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
 
 
 def _has_main_block(tree) -> bool:
@@ -81,6 +96,14 @@ class TestCompleteness:
             ):
                 without_tests.append(path.name)
         assert not without_tests, "benchmark modules without a test: %s" % without_tests
+
+    def test_every_baseline_runs_in_an_experiment(self):
+        """A baseline no figure or ablation runs is dead code: delete it."""
+        used = set()
+        for path in sorted(EXPERIMENTS_DIR.glob("*.py")):
+            used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
+        unused = sorted(set(repro.baselines.__all__) - used)
+        assert not unused, "baselines no experiment runs: %s" % unused
 
     def test_all_scenarios_registered(self):
         assert len(registry.ids()) >= 14

@@ -10,7 +10,6 @@ from repro.data import (
     make_expression_like_dataset,
     make_projected_clusters,
     save_csv_dataset,
-    standardize,
 )
 from repro.evaluation import adjusted_rand_index, clustering_report
 from repro.semisupervision import KnowledgeValidator, sample_knowledge
@@ -83,8 +82,7 @@ class TestPublicApi:
         path = tmp_path / "exported.csv"
         save_csv_dataset(path, dataset.data, dataset.labels)
         data, labels = load_csv_dataset(path)
-        standardized, _ = standardize(data)
-        model = SSPC(n_clusters=3, m=0.5, random_state=3).fit(standardized)
+        model = SSPC(n_clusters=3, m=0.5, random_state=3).fit(data)
         assert adjusted_rand_index(labels, model.labels_) > 0.7
 
     def test_noisy_knowledge_screening_protects_accuracy(self):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.evaluation.ari import adjusted_rand_index, hubert_arabie_ari
 from repro.evaluation.metrics import (
     clustering_report,
-    confusion_matrix,
     dimension_selection_scores,
     normalized_mutual_information,
     outlier_detection_scores,
@@ -13,21 +13,20 @@ from repro.evaluation.metrics import (
 )
 
 
-class TestConfusionMatrix:
-    def test_counts(self):
-        matrix, true_ids, pred_ids = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        assert matrix.sum() == 4
-        assert matrix[list(true_ids).index(0), list(pred_ids).index(0)] == 1
-        assert matrix[list(true_ids).index(1), list(pred_ids).index(1)] == 2
-
-    def test_outlier_row_last(self):
-        _, true_ids, pred_ids = confusion_matrix([0, -1], [0, 0])
-        assert true_ids[-1] == -1
-        assert -1 not in pred_ids
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([0, 1], [0])
+@pytest.mark.parametrize(
+    "metric",
+    [
+        adjusted_rand_index,
+        hubert_arabie_ari,
+        purity,
+        normalized_mutual_information,
+        outlier_detection_scores,
+    ],
+)
+@pytest.mark.parametrize("true, predicted", [([0, 0, 1, 1], [0, 0]), ([0, 0], [0, 0, 1, 1])])
+def test_label_vectors_of_different_lengths_rejected(metric, true, predicted):
+    with pytest.raises(ValueError, match="different lengths"):
+        metric(true, predicted)
 
 
 class TestPurityAndNmi:

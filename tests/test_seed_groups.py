@@ -109,6 +109,47 @@ class TestPublicGroups:
         assert len(public) >= small_dataset.n_clusters - 1
 
 
+def _claim_all_builder(object_pairs=(), dimension_pairs=()):
+    """Two clusters over 40 objects whose dimensions 0-2 are constant.
+
+    A grid over dimensions 0-2 is one cell.  Cluster 0 has both kinds of
+    knowledge (object 0, dimensions 0-2), so its private group is built
+    first and claims every object.
+    """
+    data = np.column_stack([np.ones((40, 3)), np.random.default_rng(0).random((40, 3))])
+    objective = ObjectiveFunction(data, VarianceRatioThreshold(m=0.5))
+    knowledge = Knowledge.from_pairs(
+        object_pairs=[(0, 0), *object_pairs],
+        dimension_pairs=[(0, 0), (1, 0), (2, 0), *dimension_pairs],
+    )
+    return SeedGroupBuilder(objective, 2, knowledge)
+
+
+class TestSeedGroupEdgeCases:
+    def test_no_public_group_once_every_object_is_claimed(self):
+        assert _claim_all_builder().build(0)[1] == []
+
+    def test_public_peak_holding_only_the_anchor_is_the_group(self):
+        cube = np.array([[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)])
+        objective = ObjectiveFunction(cube, VarianceRatioThreshold(m=0.5))
+        _, public = SeedGroupBuilder(objective, 1).build(0)
+        assert [group.n_seeds for group in public] == [1, 1, 1]
+
+    def test_public_search_finding_nothing_leaves_the_anchor(self, dataset_objective, monkeypatch):
+        builder = SeedGroupBuilder(dataset_objective, 2)
+        monkeypatch.setattr(builder, "_search_grids", lambda *args: (np.empty(0, dtype=int), 0))
+        assert [group.n_seeds for group in builder.build(0)[1]] == [1] * 6
+
+    def test_private_group_without_seeds_falls_back_to_labeled_objects(self):
+        private, _ = _claim_all_builder(object_pairs=[(5, 1), (7, 1)]).build(0)
+        np.testing.assert_array_equal(private[1].seeds, [5, 7])
+
+    def test_private_group_without_seeds_keeps_labeled_dimensions(self):
+        private, _ = _claim_all_builder(dimension_pairs=[(4, 1)]).build(0)
+        assert private[1].n_seeds == 0
+        np.testing.assert_array_equal(private[1].dimensions, [4])
+
+
 class TestBuilderConfiguration:
     def test_initialisation_order_prefers_more_knowledge(self, small_dataset, dataset_objective):
         members0 = np.flatnonzero(small_dataset.labels == 0)[:2]

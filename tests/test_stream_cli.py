@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.stream.checkpoint import describe_checkpoint
+from repro.reliability import IntegrityError
+from repro.stream.checkpoint import ARRAYS_NAME, describe_checkpoint, resolve_checkpoint_dir
 from repro.stream.cli import main
 
 RUN_ARGS = [
@@ -113,4 +114,20 @@ class TestInspect:
 
     def test_inspect_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         assert main(["inspect", "--checkpoint", str(tmp_path / "nope")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip"])
+    def test_inspect_damaged_array_bundle_fails_cleanly(self, checkpoint, capsys, damage):
+        bundle = resolve_checkpoint_dir(checkpoint) / ARRAYS_NAME
+        if damage == "truncate":
+            bundle.write_bytes(bundle.read_bytes()[: bundle.stat().st_size // 2])
+        else:
+            # A valid archive whose data no longer matches the recorded checksum.
+            with np.load(bundle) as stored:
+                arrays = {key: stored[key] for key in stored.files}
+            arrays["global_mean"].view(np.uint64)[0] ^= 1
+            np.savez_compressed(bundle, **arrays)
+        with pytest.raises(IntegrityError):
+            describe_checkpoint(checkpoint)
+        assert main(["inspect", "--checkpoint", str(checkpoint)]) == 1
         assert "error:" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from repro.utils.validation import (
     check_membership_labels,
     check_positive_int,
     check_probability,
-    check_random_partition_sizes,
 )
 
 
@@ -127,15 +126,6 @@ class TestLabelAndIndexChecks:
         assert check_index_sequence([], 5).size == 0
         with pytest.raises(ValueError):
             check_index_sequence([], 5, allow_empty=False)
-
-    def test_partition_sizes_positive(self):
-        with pytest.raises(ValueError):
-            check_random_partition_sizes([3, 0, 2])
-
-    def test_partition_sizes_total(self):
-        with pytest.raises(ValueError):
-            check_random_partition_sizes([3, 3], total=7)
-        np.testing.assert_array_equal(check_random_partition_sizes([3, 4], total=7), [3, 4])
 
 
 def _reference_check_index_sequence(indices, upper, *, name="indices", allow_empty=True, unique=True):
