@@ -1,6 +1,6 @@
 """Crash-safe durability primitives shared by every persistence layer.
 
-Three pieces, layered:
+Four pieces, layered:
 
 * :mod:`repro.reliability.integrity` — SHA-256 content checksums for
   arrays and JSON payloads, and the typed :class:`IntegrityError`
@@ -8,13 +8,18 @@ Three pieces, layered:
 * :mod:`repro.reliability.atomic` — temp + fsync + rename writes for
   files and whole directories (manifest-last protocol), plus
   checksum-verified JSON reads.
+* :mod:`repro.reliability.bundle` — the one NPZ array-bundle writer and
+  reader: stored (uncompressed, mappable) members written atomically,
+  per-array checksums returned to the caller's manifest and verified on
+  every eager or memory-mapped load.
 * :mod:`repro.reliability.faults` — seeded, replayable fault injection
   (torn writes, blocked renames, ENOSPC, crashes, worker SIGKILL, task
   stalls) threaded through the write path and the process executor, so
   the durability contract is *demonstrated* under failure, not assumed.
 
-Consumed by :mod:`repro.serving.artifact` (model artifacts),
-:mod:`repro.stream.checkpoint` (checkpoint generations with rollback),
+Consumed by :mod:`repro.serving.artifact` (model artifacts, through the
+bundle module), :mod:`repro.stream.checkpoint` (checkpoint generations
+with rollback, through the bundle module),
 :mod:`repro.bench.store` (resumable run records with quarantine) and
 :mod:`repro.utils.executor` (fault-tolerant process execution).
 """
@@ -52,9 +57,16 @@ from repro.reliability.atomic import (
     remove_stale_temps,
     stamp_json_file,
 )
+from repro.reliability.bundle import (
+    CompressedMemberError,
+    mmap_npz,
+    read_bundle,
+    write_bundle,
+)
 
 __all__ = [
     "CHECKSUM_KEY",
+    "CompressedMemberError",
     "FaultPlan",
     "FaultSpec",
     "InjectedCrash",
@@ -72,7 +84,9 @@ __all__ = [
     "atomic_write_text",
     "checksum_arrays",
     "fsync_directory",
+    "mmap_npz",
     "payload_checksum",
+    "read_bundle",
     "read_json",
     "remove_stale_temps",
     "require_key",
@@ -81,4 +95,5 @@ __all__ = [
     "stamp_json_file",
     "verify_array_checksums",
     "verify_stamp",
+    "write_bundle",
 ]

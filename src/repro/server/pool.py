@@ -52,9 +52,9 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
+from repro.reliability import CompressedMemberError
 from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
-from repro.serving.npz_mmap import CompressedMemberError
 
 PathLike = Union[str, Path]
 

@@ -28,6 +28,7 @@ Typical lifecycle::
     index.partial_update(new_points, labels)     # absorb accepted traffic
 """
 
+from repro.reliability.bundle import CompressedMemberError, mmap_npz
 from repro.serving.artifact import (
     ARTIFACT_FORMAT,
     SCHEMA_VERSION,
@@ -37,7 +38,6 @@ from repro.serving.artifact import (
     threshold_from_description,
 )
 from repro.serving.index import ProjectedClusterIndex, ServingClusterStats
-from repro.serving.npz_mmap import CompressedMemberError, mmap_npz
 
 __all__ = [
     "ARTIFACT_FORMAT",

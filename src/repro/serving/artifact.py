@@ -41,26 +41,25 @@ form; :func:`load_artifact` verifies both and raises a typed
 :class:`~repro.reliability.integrity.IntegrityError` naming the damaged
 payload.  Schema-1 artifacts (no checksums) still load, unverified.
 
-Shared memory (schema 3): ``arrays.npz`` is written *uncompressed*
-(``numpy.savez``), which makes every embedded ``.npy`` payload a
-contiguous byte range of the archive — so ``load_artifact(path,
-mmap_mode="r")`` maps the arrays straight out of the page cache via
-:mod:`repro.serving.npz_mmap` instead of allocating private copies.  N
-serving workers that map the same artifact share one set of physical
-pages; ``mmap_mode="c"`` (copy-on-write) additionally lets a process
-scribble on its views without touching the file or its siblings.  The
-SHA-256 array checksums are verified over the mapped views on load, so
-the integrity contract is identical on both paths.  Compressed bundles
-from schema <= 2 still load eagerly; asking to map one raises
-:class:`~repro.serving.npz_mmap.CompressedMemberError`.
+Shared memory (schema 3): ``arrays.npz`` is written and read by the
+array-bundle module :mod:`repro.reliability.bundle` — the same writer
+and reader as a stream checkpoint's ``stream_arrays.npz``.  Its members
+are *stored* (uncompressed), which makes every embedded ``.npy`` payload
+a contiguous byte range of the archive — so ``load_artifact(path,
+mmap_mode="r")`` maps the arrays straight out of the page cache instead
+of allocating private copies.  N serving workers that map the same
+artifact share one set of physical pages; ``mmap_mode="c"``
+(copy-on-write) additionally lets a process scribble on its views
+without touching the file or its siblings.  The SHA-256 array checksums
+are verified over the mapped views on load, so the integrity contract
+is identical on both paths.  Compressed bundles from schema <= 2 still
+load eagerly; asking to map one raises
+:class:`~repro.reliability.bundle.CompressedMemberError`.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -72,15 +71,13 @@ from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import SelectionThreshold, make_threshold
 from repro.reliability import (
     IntegrityError,
-    atomic_write_bytes,
     atomic_write_dir,
     atomic_write_json,
-    checksum_arrays,
+    read_bundle,
     require_key,
-    verify_array_checksums,
     verify_stamp,
+    write_bundle,
 )
-from repro.serving.npz_mmap import CompressedMemberError, mmap_npz
 
 PathLike = Union[str, Path]
 
@@ -447,15 +444,9 @@ class ModelArtifact:
             "metadata": _jsonable(self.metadata),
             "includes_projections": bool(self.includes_projections),
             "arrays_file": ARRAYS_NAME,
-            "array_checksums": checksum_arrays(arrays),
         }
-
-        buffer = io.BytesIO()
-        # Uncompressed on purpose: stored zip members are contiguous byte
-        # ranges, which is what makes the mmap load path possible.
-        np.savez(buffer, **arrays)
         with atomic_write_dir(directory) as staging:
-            atomic_write_bytes(staging / ARRAYS_NAME, buffer.getvalue())
+            manifest["array_checksums"] = write_bundle(staging / ARRAYS_NAME, arrays)
             atomic_write_json(staging / MANIFEST_NAME, manifest)  # manifest commits last
         return directory
 
@@ -495,30 +486,14 @@ class ModelArtifact:
         verify_stamp(manifest, path=manifest_path)
 
         arrays_path = directory / manifest.get("arrays_file", ARRAYS_NAME)
-        if not arrays_path.is_file():
-            raise FileNotFoundError("artifact arrays file %s is missing" % arrays_path)
-        try:
-            if mmap_mode is not None:
-                arrays = mmap_npz(arrays_path, mode=mmap_mode)
-            else:
-                with np.load(arrays_path) as bundle:
-                    arrays = {key: bundle[key] for key in bundle.files}
-        except CompressedMemberError:
-            # A schema <= 2 (compressed) bundle cannot be mapped; the
-            # caller asked for mmap explicitly, so surface it instead of
-            # silently loading a private copy per process.
-            raise
-        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
-            raise IntegrityError(
-                "artifact arrays %s are unreadable (%s): the file is corrupt "
-                "or truncated" % (arrays_path, exc),
-                path=arrays_path,
-            ) from exc
-        # On the mmap path this walks the mapped views — pages are read
-        # (and dropped back to the cache), never duplicated — so both
-        # load paths enforce the identical integrity contract.
-        verify_array_checksums(
-            arrays, manifest.get("array_checksums") or {}, path=arrays_path
+        # A schema <= 2 (compressed) bundle cannot be mapped: its
+        # CompressedMemberError reaches the caller, who asked for mmap
+        # explicitly, instead of each process silently loading a copy.
+        arrays = read_bundle(
+            arrays_path,
+            manifest.get("array_checksums") or {},
+            kind="artifact arrays",
+            mmap_mode=mmap_mode,
         )
 
         def _field(key):
@@ -600,7 +575,7 @@ def load_artifact(path: PathLike, *, mmap_mode: Optional[str] = None) -> ModelAr
         between them.  ``"c"`` maps copy-on-write: reads are shared,
         writes stay private to the calling process.  Mapping requires an
         uncompressed (schema >= 3) bundle; older compressed artifacts
-        raise :class:`~repro.serving.npz_mmap.CompressedMemberError`
+        raise :class:`~repro.reliability.bundle.CompressedMemberError`
         (load them eagerly or re-save them once).  Array checksums are
         verified on every path.
     """

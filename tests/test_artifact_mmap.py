@@ -7,10 +7,9 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.reliability import IntegrityError
+from repro.reliability import CompressedMemberError, IntegrityError, mmap_npz
 from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
-from repro.serving.npz_mmap import CompressedMemberError, mmap_npz
 from repro.server.pool import build_serving_index
 
 

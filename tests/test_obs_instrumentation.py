@@ -208,3 +208,35 @@ class TestStreamAndServeInstrumentation:
             with obs.recording():
                 result_traced = traced.process_batch(rng_b.normal(size=(40, dataset.data.shape[1])))
             np.testing.assert_array_equal(result_plain.labels, result_traced.labels)
+
+    def test_stream_checkpoint_span_per_save(self, dataset, tmp_path):
+        from repro.stream.checkpoint import resolve_checkpoint_dir
+
+        model = fit_model(dataset.data)
+
+        def run(directory):
+            rng = np.random.default_rng(4)
+            engine = StreamingSSPC(model.to_artifact(), config=StreamConfig(seed=1))
+            labels = []
+            for index in range(6):
+                batch = rng.normal(size=(40, dataset.data.shape[1]))
+                labels.append(engine.process_batch(batch).labels)
+                if index % 2:
+                    engine.checkpoint(directory)
+            return labels
+
+        plain = run(tmp_path / "plain")
+        with obs.recording() as rec:
+            traced = run(tmp_path / "traced")
+        for ours, theirs in zip(traced, plain):
+            np.testing.assert_array_equal(ours, theirs)
+        spans = [s for s in rec.spans if s["name"] == "stream.checkpoint"]
+        assert [s["args"]["generation"] for s in spans] == [
+            "gen-%08d" % number for number in (1, 2, 3)
+        ]
+        assert all(s["cat"] == "stream" for s in spans)
+        newest = resolve_checkpoint_dir(tmp_path / "traced")
+        assert newest.name == spans[-1]["args"]["generation"]
+        assert spans[-1]["args"]["bytes"] == sum(
+            f.stat().st_size for f in newest.rglob("*") if f.is_file()
+        )

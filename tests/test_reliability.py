@@ -520,6 +520,24 @@ class TestDurabilityLint:
         violations = list(module.scan_file(bad))
         assert len(violations) == 2
 
+    def test_lint_catches_a_second_npz_writer(self, tmp_path):
+        import importlib.util
+        from pathlib import Path
+
+        tool = Path(__file__).resolve().parents[1] / "tools" / "check_durability.py"
+        spec = importlib.util.spec_from_file_location("check_durability_3", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "import numpy as np\n"
+            "def save(path, arrays):\n"
+            "    np.savez_compressed(path, **arrays)\n"
+        )
+        violations = list(module.scan_file(bad))
+        assert [line for line, _ in violations] == [3]
+        assert "savez_compressed" in violations[0][1]
+
 
 class TestChaosScenario:
     def test_single_seed_durability_arms_pass(self, tmp_path):

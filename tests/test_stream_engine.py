@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,10 @@ from repro.data.streams import (
     MeanShift,
 )
 from repro.evaluation import adjusted_rand_index
+from repro.reliability import mmap_npz
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream import StreamConfig, StreamingSSPC, load_checkpoint
-from repro.stream.checkpoint import resolve_checkpoint_dir
+from repro.stream.checkpoint import ARRAYS_NAME, resolve_checkpoint_dir
 
 STREAM_SHAPE = dict(
     n_dimensions=40,
@@ -283,6 +287,81 @@ class TestCheckpointRestore:
         artifact = load_artifact(resolve_checkpoint_dir(tmp_path / "ck") / "model")
         assert artifact.n_objects == 0  # no training payload for adapted state
         assert artifact.n_clusters == engine.n_clusters
+
+    def test_config_override_rebounds_windows_and_outlier_buffer(self, stream_model, tmp_path):
+        # No spawns, so every rejected row is either buffered or dropped.
+        config = StreamConfig(
+            seed=1, lifecycle_every=0, drift_check_every=0, outlier_buffer_size=64
+        )
+        engine = StreamingSSPC(stream_model.to_artifact(), config=config)
+        for batch in make_stream().batches(20, 150):
+            engine.process_batch(batch.data)
+        assert engine.outliers.n_dropped > 0
+        assert all(window.shape[0] == config.drift_window for window in engine._windows)
+        engine.checkpoint(tmp_path / "ck")
+
+        smaller = dataclasses.replace(config, drift_window=64, outlier_buffer_size=40)
+        restored = load_checkpoint(tmp_path / "ck", config=smaller)
+        for ours, theirs in zip(restored._windows, engine._windows):
+            np.testing.assert_array_equal(ours, theirs[-64:])
+        np.testing.assert_array_equal(restored.outliers.rows, engine.outliers.rows[-40:])
+        assert restored.outliers.n_seen == engine.outliers.n_seen
+        assert restored.outliers.n_dropped == engine.outliers.n_dropped + 64 - 40
+        assert restored.outliers.n_seen == restored.outliers.n_dropped + len(restored.outliers)
+
+
+class TestCheckpointFormat:
+    """``stream_arrays.npz`` is a stored bundle; deflated ones still restore."""
+
+    def test_stream_arrays_are_stored_and_mappable(self, stream_model, tmp_path):
+        engine = StreamingSSPC(stream_model.to_artifact(), config=adaptive_config())
+        for batch in make_stream(events=[ClusterBirth(batch=2)]).batches(12, 150):
+            engine.process_batch(batch.data)
+        engine.checkpoint(tmp_path / "ck")
+        bundle = resolve_checkpoint_dir(tmp_path / "ck") / ARRAYS_NAME
+        with zipfile.ZipFile(bundle) as archive:
+            methods = {info.compress_type for info in archive.infolist()}
+        assert methods == {zipfile.ZIP_STORED}
+        mapped = mmap_npz(bundle)
+        with np.load(bundle) as eager:
+            assert sorted(mapped) == sorted(eager.files)
+            for key in eager.files:
+                assert mapped[key].dtype == eager[key].dtype
+                assert mapped[key].shape == eager[key].shape
+                assert mapped[key].tobytes() == eager[key].tobytes()
+
+    def test_deflated_stream_arrays_restore_bit_identically(self, stream_model, tmp_path):
+        stream = make_stream(
+            events=[MeanShift(batch=4, cluster=0, magnitude=0.35), ClusterBirth(batch=6)]
+        )
+        config = adaptive_config()
+        reference = StreamingSSPC(stream_model.to_artifact(), config=config)
+        reference_labels = [
+            reference.process_batch(batch.data).labels for batch in stream.batches(20, 150)
+        ]
+        interrupted = StreamingSSPC(stream_model.to_artifact(), config=config)
+        for batch in stream.batches(12, 150):
+            interrupted.process_batch(batch.data)
+        interrupted.checkpoint(tmp_path / "ck")
+
+        # Rewrite the committed bundle deflated, as older versions wrote
+        # it; the arrays are the same, so the recorded checksums hold.
+        generation = resolve_checkpoint_dir(tmp_path / "ck")
+        with np.load(generation / ARRAYS_NAME) as stored:
+            arrays = {key: stored[key] for key in stored.files}
+        np.savez_compressed(generation / ARRAYS_NAME, **arrays)
+        with zipfile.ZipFile(generation / ARRAYS_NAME) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+        resumed = load_checkpoint(tmp_path / "ck")
+        assert resumed.restored_from == str(generation)
+        assert resumed.n_batches == 12
+        resumed_labels = [
+            resumed.process_batch(batch.data).labels
+            for batch in stream.batches(8, 150, start=12)
+        ]
+        for left, right in zip(reference_labels[12:], resumed_labels):
+            np.testing.assert_array_equal(left, right)
 
 
 class TestConfigValidation:

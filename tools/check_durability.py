@@ -9,11 +9,17 @@ reliability layer itself — must route writes through
 tear under a crash and silently corrupt the store, which is exactly the
 failure class the reliability layer exists to rule out.
 
+Array bundles have one writer and one reader,
+``repro.reliability.bundle``: a second ``np.savez`` or ``np.load``
+would be a second NPZ format (deflated, unverified or not mappable).
+
 The check is AST-based: it flags any ``open(...)`` call with a
 write/append/create mode and any ``.write_text(...)`` /
-``.write_bytes(...)`` attribute call inside the scanned modules.
-``repro/reliability/atomic.py`` itself is exempt — it is the one place
-allowed to touch file handles directly.
+``.write_bytes(...)`` attribute call inside the scanned modules, and
+any ``numpy`` ``savez`` / ``savez_compressed`` / ``load`` call outside
+the bundle module (``np.load``, ``numpy.load`` and ``from numpy import
+load`` spellings alike).  ``repro/reliability/atomic.py`` itself is
+exempt — it is the one place allowed to touch file handles directly.
 
 Run from the repository root (CI does)::
 
@@ -39,8 +45,12 @@ DURABILITY_PATHS = (
 #: The one module allowed to open file handles for writing.
 EXEMPT = ("src/repro/reliability/atomic.py",)
 
+#: The one module allowed to write and read NPZ bundles.
+BUNDLE_MODULE = "src/repro/reliability/bundle.py"
+
 WRITE_MODE_CHARS = set("wax+")
 FORBIDDEN_ATTRIBUTES = ("write_text", "write_bytes")
+NPZ_FUNCTIONS = ("savez", "savez_compressed", "load")
 
 
 def _open_mode(call: ast.Call) -> str:
@@ -58,9 +68,41 @@ def _open_mode(call: ast.Call) -> str:
     return ""  # dynamic mode: treat as suspect
 
 
+def _numpy_names(tree: ast.AST):
+    """Names bound to the numpy module, and NPZ functions imported bare."""
+    modules, functions = {"numpy"}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            functions.update(
+                (a.asname or a.name, a.name) for a in node.names if a.name in NPZ_FUNCTIONS
+            )
+    return modules, functions
+
+
+def _npz_function(func: ast.expr, modules, functions):
+    """The numpy NPZ function a call target names, or None."""
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in NPZ_FUNCTIONS
+        and isinstance(func.value, ast.Name)
+        and func.value.id in modules
+    ):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return functions.get(func.id)
+    return None
+
+
 def scan_file(path: Path):
-    """Yield ``(line, message)`` for every non-atomic write in ``path``."""
+    """Yield ``(line, message)`` for every non-atomic write in ``path``.
+
+    Outside :data:`BUNDLE_MODULE` every numpy NPZ write or read is one too.
+    """
     tree = ast.parse(path.read_text(), filename=str(path))
+    check_npz = Path(path).resolve() != REPO_ROOT / BUNDLE_MODULE
+    modules, functions = _numpy_names(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -71,6 +113,10 @@ def scan_file(path: Path):
                 yield node.lineno, "open(..., %r) — use repro.reliability.atomic" % mode
         elif isinstance(func, ast.Attribute) and func.attr in FORBIDDEN_ATTRIBUTES:
             yield node.lineno, ".%s(...) — use repro.reliability.atomic" % func.attr
+        elif check_npz:
+            name = _npz_function(func, modules, functions)
+            if name is not None:
+                yield node.lineno, "numpy.%s(...) — use repro.reliability.bundle" % name
 
 
 def collect_targets():
