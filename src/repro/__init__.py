@@ -12,8 +12,8 @@ Clustering" (Yip, Cheung, Ng; ICDE 2005):
   comparison algorithms, implemented from scratch.
 * :mod:`repro.data` — synthetic generators following the paper's data
   model, including the multiple-groupings construction.
-* :mod:`repro.semisupervision` — labeled objects / dimensions, knowledge
-  sampling protocols, constraints, and noisy-knowledge screening.
+* :mod:`repro.semisupervision` — labeled objects / dimensions and the
+  knowledge sampling protocols.
 * :mod:`repro.evaluation` — the Adjusted Rand Index used by the paper
   plus auxiliary metrics.
 * :mod:`repro.experiments` — runners that regenerate every table and
@@ -45,7 +45,7 @@ from repro.semisupervision.knowledge import Knowledge
 from repro.serving import ModelArtifact, ProjectedClusterIndex, load_artifact
 from repro.stream import StreamConfig, StreamingSSPC
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "SSPC",

@@ -7,10 +7,9 @@ schema-versioned result store and a baseline regression gate.  See
 ``repro-bench --help`` (or ``python -m repro.bench``).
 
 This package root stays import-light; scenario definitions load lazily
-on first registry lookup.  The executor protocol the runner shards with
-lives in :mod:`repro.utils.executor` (it is also what the experiment
-harness fans ``run_best_of`` repeats out with) and is re-exported here
-for convenience.
+on first registry lookup.  The executors the runner shards with
+(serial, or one process per task) live in :mod:`repro.utils.executor`
+and are re-exported here for convenience.
 """
 
 from repro.bench.config import DEFAULT_SCALE, SCALES, resolve_scale, task_budget_seconds
@@ -20,7 +19,6 @@ from repro.utils.executor import (
     ProcessExecutor,
     SerialExecutor,
     TaskFault,
-    ThreadExecutor,
     resolve_executor,
 )
 
@@ -35,7 +33,6 @@ __all__ = [
     "SerialExecutor",
     "TaskFault",
     "TaskSpec",
-    "ThreadExecutor",
     "resolve_executor",
     "resolve_scale",
     "task_budget_seconds",

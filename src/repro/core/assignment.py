@@ -12,8 +12,6 @@ representative ``r`` and selected dimensions ``V_i`` is
     gain_i(x) = sum_{v_j in V_i} (1 - (x_j - r_j)^2 / s_hat^2_ij)
 
 (see :meth:`repro.core.objective.ObjectiveFunction.assignment_gains_matrix`).
-An optional pairwise-constraint set (extension) restricts which clusters
-an object may join.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import numpy as np
 
 from repro.core.model import OUTLIER_LABEL
 from repro.core.objective import ObjectiveFunction
-from repro.semisupervision.constraints import PairwiseConstraints
 from repro.semisupervision.knowledge import Knowledge
 
 
@@ -91,9 +88,7 @@ def assign_objects(
     states: Sequence[ClusterState],
     *,
     knowledge: Optional[Knowledge] = None,
-    constraints: Optional[PairwiseConstraints] = None,
-    return_gains: bool = False,
-):
+) -> np.ndarray:
     """Assign every object to the best cluster or the outlier list.
 
     Parameters
@@ -106,90 +101,28 @@ def assign_objects(
         When supplied, labeled objects are pinned to their labeled class —
         the input knowledge is assumed correct (Section 3 assumption 4),
         so the assignment never contradicts it.
-    constraints:
-        Optional must-link / cannot-link constraints (extension); applied
-        after the gain computation by masking forbidden clusters.
-    return_gains:
-        When ``True`` also return the ``(n, k)`` gain matrix so callers
-        (``SSPC._force_assign``, diagnostics) can reuse it instead of
-        recomputing the same gains cluster by cluster.
 
     Returns
     -------
-    numpy.ndarray or (numpy.ndarray, numpy.ndarray)
-        Length-``n`` label vector (``-1`` marks outliers), plus the gain
-        matrix when ``return_gains`` is set.
+    numpy.ndarray
+        Length-``n`` label vector (``-1`` marks outliers).
     """
     n_objects = objective.n_objects
     n_clusters = len(states)
+    labels = np.full(n_objects, OUTLIER_LABEL, dtype=int)
     if n_clusters == 0:
-        labels = np.full(n_objects, OUTLIER_LABEL, dtype=int)
-        if return_gains:
-            return labels, np.full((n_objects, 0), -np.inf)
         return labels
 
     gains = compute_gains_matrix(objective, states)
-
-    labels = np.full(n_objects, OUTLIER_LABEL, dtype=int)
     best_cluster = np.argmax(gains, axis=1)
     best_gain = gains[np.arange(n_objects), best_cluster]
     positive = best_gain > 0.0
     labels[positive] = best_cluster[positive]
 
-    if constraints is not None and not constraints.is_empty():
-        labels = _apply_constraints(labels, gains, constraints)
-
     if knowledge is not None and not knowledge.objects.is_empty():
         for class_label in knowledge.objects.classes():
             if class_label < n_clusters:
                 labels[knowledge.objects.for_class(class_label)] = class_label
-
-    if return_gains:
-        return labels, gains
-    return labels
-
-
-def _apply_constraints(
-    labels: np.ndarray,
-    gains: np.ndarray,
-    constraints: PairwiseConstraints,
-) -> np.ndarray:
-    """Re-assign constrained objects so the constraints are honoured.
-
-    Objects are revisited in decreasing order of their best gain so that
-    strongly attracted objects anchor their must-link partners.  An
-    object whose allowed clusters all have non-positive gain is forced
-    into the best allowed cluster anyway when a must-link partner is
-    already assigned there (keeping the pair together outranks the
-    outlier rule), otherwise it stays an outlier.
-
-    The object→partners maps are built once up front, so the whole pass
-    costs ``O(objects + links)`` instead of rescanning every link list
-    for every constrained object.
-    """
-    labels = labels.copy()
-    n_clusters = gains.shape[1]
-    must_partners, cannot_partners = constraints.partner_maps()
-    constrained_objects = sorted(set(must_partners) | set(cannot_partners))
-    order = sorted(
-        constrained_objects,
-        key=lambda index: -float(np.max(gains[index])) if np.isfinite(np.max(gains[index])) else 0.0,
-    )
-    for object_index in order:
-        allowed = constraints.allowed_clusters(
-            object_index, labels, n_clusters, partner_maps=(must_partners, cannot_partners)
-        )
-        allowed_gains = gains[object_index, allowed]
-        best_position = int(np.argmax(allowed_gains))
-        best_cluster = int(allowed[best_position])
-        has_assigned_partner = any(
-            labels[partner] == best_cluster
-            for partner in must_partners.get(object_index, ())
-        )
-        if allowed_gains[best_position] > 0.0 or has_assigned_partner:
-            labels[object_index] = best_cluster
-        else:
-            labels[object_index] = OUTLIER_LABEL
     return labels
 
 

@@ -48,7 +48,6 @@ from repro.core.representatives import (
 from repro.core.seed_groups import SeedGroup, SeedGroupBuilder
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import make_threshold
-from repro.semisupervision.constraints import PairwiseConstraints
 from repro.semisupervision.knowledge import Knowledge
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_array_2d, check_cluster_count, check_positive_int
@@ -105,10 +104,6 @@ class SSPC:
         while estimating seed-group dimensions during initialisation.
     public_group_factor:
         Public seed groups created per knowledge-free cluster.
-    allow_outliers:
-        When ``False`` every object is forced into its best cluster even
-        if the score gain is negative (useful on outlier-free data and
-        for the ablation benches).
     stats_cache_max_entries:
         Bound on the per-fit :class:`ClusterStatsCache` (``None`` keeps
         the cache's own default).  The SSPC loop itself only needs the
@@ -147,7 +142,6 @@ class SSPC:
         bins_per_dimension: Optional[int] = None,
         seed_selection_p: float = 0.01,
         public_group_factor: int = 3,
-        allow_outliers: bool = True,
         stats_cache_max_entries: Optional[int] = None,
         random_state: RandomState = None,
     ) -> None:
@@ -170,7 +164,6 @@ class SSPC:
         self.public_group_factor = check_positive_int(
             public_group_factor, name="public_group_factor", minimum=1
         )
-        self.allow_outliers = bool(allow_outliers)
         if stats_cache_max_entries is not None and stats_cache_max_entries < 0:
             raise ValueError("stats_cache_max_entries must be non-negative or None")
         self.stats_cache_max_entries = stats_cache_max_entries
@@ -184,8 +177,7 @@ class SSPC:
         self.stats_cache_: Optional[ClusterStatsCache] = None
         self.stats_cache_counters_: Optional[Dict[str, float]] = None
         self.threshold_ = None
-        self._serving_artifact = None
-        self._serving_indexes: Dict[str, object] = {}
+        self._serving_index = None
 
     # Hook for the equivalence tests and benchmarks: override to supply a
     # differently configured workspace (e.g. a disabled cache).
@@ -194,13 +186,7 @@ class SSPC:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def fit(
-        self,
-        data,
-        knowledge: Optional[Knowledge] = None,
-        *,
-        constraints: Optional[PairwiseConstraints] = None,
-    ) -> "SSPC":
+    def fit(self, data, knowledge: Optional[Knowledge] = None) -> "SSPC":
         """Cluster ``data`` and store the result on the estimator.
 
         Parameters
@@ -209,15 +195,11 @@ class SSPC:
             The ``(n, d)`` dataset.
         knowledge:
             Optional labeled objects / labeled dimensions.
-        constraints:
-            Optional must-link / cannot-link constraints (extension).
         """
         data = check_array_2d(data, name="data", min_rows=2)
         check_cluster_count(self.n_clusters, data.shape[0])
         knowledge = knowledge if knowledge is not None else Knowledge.empty()
         knowledge.validate_against(data.shape[0], data.shape[1], self.n_clusters)
-        if constraints is not None:
-            constraints.check_consistency()
         rng = ensure_rng(self.random_state)
 
         threshold = make_threshold(**self._threshold_args)
@@ -239,8 +221,7 @@ class SSPC:
         self.stats_cache_ = workspace
         self.threshold_ = threshold
         # A refit invalidates any serving state built from the old model.
-        self._serving_artifact = None
-        self._serving_indexes = {}
+        self._serving_index = None
 
         with obs.span(
             "fit",
@@ -272,15 +253,7 @@ class SSPC:
                 iteration += 1
                 with obs.span("fit.iteration", category="fit", iteration=iteration) as it_span:
                     with obs.span("fit.assign", category="fit"):
-                        labels, gains = assign_objects(
-                            objective,
-                            states,
-                            knowledge=knowledge,
-                            constraints=constraints,
-                            return_gains=True,
-                        )
-                        if not self.allow_outliers:
-                            labels = self._force_assign(labels, gains)
+                        labels = assign_objects(objective, states, knowledge=knowledge)
                     members = members_from_labels(labels, self.n_clusters)
                     changed_clusters = sum(
                         not np.array_equal(state.members, cluster_members)
@@ -348,15 +321,9 @@ class SSPC:
             recorder.gauge("stats_cache.entries", float(counters.get("entries", 0)))
             recorder.gauge("stats_cache.hit_rate", float(counters.get("hit_rate", 0.0)))
 
-    def fit_predict(
-        self,
-        data,
-        knowledge: Optional[Knowledge] = None,
-        *,
-        constraints: Optional[PairwiseConstraints] = None,
-    ) -> np.ndarray:
+    def fit_predict(self, data, knowledge: Optional[Knowledge] = None) -> np.ndarray:
         """Convenience: :meth:`fit` then return the membership labels."""
-        return self.fit(data, knowledge, constraints=constraints).labels_
+        return self.fit(data, knowledge).labels_
 
     def to_artifact(self, *, include_projections: bool = True, metadata=None):
         """Capture the fitted model as a :class:`~repro.serving.artifact.ModelArtifact`.
@@ -389,15 +356,14 @@ class SSPC:
             include_projections=include_projections, metadata=metadata
         ).save(path)
 
-    def predict(self, data, *, top_m: Optional[int] = None, center: str = "median"):
+    def predict(self, data, *, top_m: Optional[int] = None):
         """Assign *new* (out-of-sample) points to the fitted clusters.
 
         Points are scored with the paper's assignment rule against the
-        fitted clusters (``-1`` marks points that fail the outlier gate;
-        with ``allow_outliers=False`` estimators, points are
-        force-assigned just as during fitting).  The artifact capture
-        happens once per fit and the serving index once per center mode,
-        so repeated calls only pay the batched scoring pass.
+        fitted clusters' medians (``-1`` marks points that fail the
+        outlier gate).  The artifact capture and the serving index are
+        built once per fit, so repeated calls only pay the batched
+        scoring pass.
 
         Parameters
         ----------
@@ -406,10 +372,6 @@ class SSPC:
         top_m:
             When given, return ``(labels, clusters, gains)`` with each
             point's ``top_m`` soft assignments instead of labels alone.
-        center:
-            Per-cluster scoring center (``"median"``, ``"representative"``
-            or ``"mean"``); see
-            :class:`~repro.serving.index.ProjectedClusterIndex`.
 
         Notes
         -----
@@ -422,15 +384,11 @@ class SSPC:
             raise RuntimeError("estimator is not fitted; call fit(data) first")
         from repro.serving.index import ProjectedClusterIndex
 
-        if self._serving_artifact is None:
-            self._serving_artifact = self.to_artifact()
-        index = self._serving_indexes.get(center)
-        if index is None:
-            index = ProjectedClusterIndex(self._serving_artifact, center=center)
-            self._serving_indexes[center] = index
+        if self._serving_index is None:
+            self._serving_index = ProjectedClusterIndex(self.to_artifact())
         if top_m is not None:
-            return index.top_assignments(data, top_m)
-        return index.predict(data)
+            return self._serving_index.top_assignments(data, top_m)
+        return self._serving_index.predict(data)
 
     def get_params(self) -> Dict[str, object]:
         """Constructor parameters (for reporting and cloning)."""
@@ -443,7 +401,6 @@ class SSPC:
             "bins_per_dimension": self.bins_per_dimension,
             "seed_selection_p": self.seed_selection_p,
             "public_group_factor": self.public_group_factor,
-            "allow_outliers": self.allow_outliers,
         }
         if self.stats_cache_max_entries is not None:
             params["stats_cache_max_entries"] = self.stats_cache_max_entries
@@ -533,22 +490,6 @@ class SSPC:
         medoid = group.draw_medoid(rng)
         dims = group.dimensions.copy() if group.dimensions.size else None
         return medoid, dims
-
-    # ------------------------------------------------------------------ #
-    # assignment helpers
-    # ------------------------------------------------------------------ #
-    def _force_assign(self, labels: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        """Assign outliers to their nearest cluster when outliers are disabled.
-
-        Reuses the gain matrix already computed by the assignment pass
-        instead of re-evaluating every cluster's gains from scratch.
-        """
-        labels = labels.copy()
-        outliers = np.flatnonzero(labels == -1)
-        if outliers.size == 0:
-            return labels
-        labels[outliers] = np.argmax(gains[outliers], axis=1)
-        return labels
 
     # ------------------------------------------------------------------ #
     # result packaging

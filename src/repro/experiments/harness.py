@@ -86,7 +86,6 @@ def run_best_of(
     knowledge: Optional[Knowledge] = None,
     random_state: RandomState = None,
     configuration: Optional[Dict[str, object]] = None,
-    executor=None,
 ) -> ExperimentResult:
     """Run an algorithm ``n_repeats`` times and keep the best-objective run.
 
@@ -107,12 +106,6 @@ def run_best_of(
         Seed controlling the independent per-run streams.
     configuration:
         Echoed into the returned :class:`ExperimentResult`.
-    executor:
-        An executor from :mod:`repro.utils.executor` used to fan the
-        independent repeats out (``SerialExecutor`` by default; a
-        ``ThreadExecutor`` overlaps the numpy-heavy fits).  The
-        reduction over the per-repeat outcomes is performed serially in
-        repeat order, so the result is identical for every executor.
 
     Returns
     -------
@@ -132,7 +125,7 @@ def run_best_of(
             estimator.fit(data)
         return estimator.result_, time.perf_counter() - started
 
-    outcomes = (executor or SerialExecutor()).map(run_one, rngs)
+    outcomes = SerialExecutor().map(run_one, rngs)
 
     best_objective = -math.inf
     best_ari = 0.0

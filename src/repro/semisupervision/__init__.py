@@ -1,4 +1,4 @@
-"""Semi-supervision inputs: labeled objects, labeled dimensions, constraints.
+"""Semi-supervision inputs: labeled objects and labeled dimensions.
 
 The paper defines two kinds of domain knowledge (Section 3):
 
@@ -10,15 +10,11 @@ The paper defines two kinds of domain knowledge (Section 3):
 Neither set needs to cover all classes, and the same dimension may be
 labeled for several classes.  :class:`Knowledge` bundles both sets; the
 ``sampling`` module draws knowledge from a ground-truth description
-following the protocol of Section 5.3 (coverage ratio x input size); the
-``constraints`` and ``noise`` modules implement the future-work
-extensions discussed in Sections 2.2 and 6.
+following the protocol of Section 5.3 (coverage ratio x input size).
 """
 
 from repro.semisupervision.knowledge import Knowledge, LabeledDimensions, LabeledObjects
 from repro.semisupervision.sampling import KnowledgeSampler, sample_knowledge
-from repro.semisupervision.constraints import PairwiseConstraints
-from repro.semisupervision.noise import KnowledgeValidator
 
 __all__ = [
     "Knowledge",
@@ -26,6 +22,4 @@ __all__ = [
     "LabeledDimensions",
     "KnowledgeSampler",
     "sample_knowledge",
-    "PairwiseConstraints",
-    "KnowledgeValidator",
 ]

@@ -106,10 +106,6 @@ class ServerConfig:
     max_batch: int = 64
     #: Micro-batcher: oldest pending request waits at most this long.
     max_wait_us: float = 2000.0
-    #: Adapt the batching wait to observed concurrency (see batcher docs).
-    adaptive_batching: bool = True
-    #: Assignment center the index is built with.
-    center: str = "median"
     #: ``"r"`` maps the artifact (shared pages); ``None`` loads eagerly.
     mmap_mode: Optional[str] = "r"
     #: Where ``partial_update`` generations land; ``None`` = private tempdir.
@@ -139,14 +135,12 @@ class PredictServer:
         self.backend = make_backend(
             self.artifact_path,
             n_workers=self.config.workers,
-            center=self.config.center,
             mmap_mode=self.config.mmap_mode,
         )
         self.batcher = MicroBatcher(
             self._flush_predict,
             max_batch=self.config.max_batch,
             max_wait_us=self.config.max_wait_us,
-            adaptive=self.config.adaptive_batching,
         )
         self.generation = 0
         self.telemetry = Telemetry(
@@ -178,6 +172,7 @@ class PredictServer:
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
         self._started_at: Optional[float] = None
         self._n_dimensions: Optional[int] = None
+        self._n_clusters: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -190,6 +185,8 @@ class PredictServer:
             self.batcher.max_concurrency = self.backend.parallelism
             description = self.backend.describe()
             self._n_dimensions = int(description.get("n_dimensions", 0)) or None
+            # Fixed for the daemon's life: folds never add or retire clusters.
+            self._n_clusters = int(description["n_clusters"])
             if self.config.state_dir is None:
                 self._tempdir = tempfile.TemporaryDirectory(prefix="repro-server-")
                 self._state_dir = Path(self._tempdir.name)
@@ -359,7 +356,12 @@ class PredictServer:
                 status = 503
                 self._count_error(503)
                 trace.error = str(exc)
-                obs.event("backend_error", route="%s %s" % route, error=str(exc))
+                obs.event(
+                    "backend_error",
+                    route="%s %s" % route,
+                    error=str(exc),
+                    worker_traceback=exc.worker_traceback,
+                )
                 return json_response(
                     {"error": str(exc)}, status=503, keep_alive=keep, request_id=request_id
                 )
@@ -412,6 +414,10 @@ class PredictServer:
             raise HTTPError(400, "'points' must be a list of equal-length rows")
         if points.size == 0:
             raise HTTPError(400, "empty point set")
+        # json parses NaN, Infinity and overflowing literals (1e400); one
+        # such row would fail the whole micro-batch it joins.
+        if not np.isfinite(points).all():
+            raise HTTPError(400, "points must be finite numbers")
         if self._n_dimensions is not None and points.shape[1] != self._n_dimensions:
             raise HTTPError(
                 400,
@@ -419,6 +425,16 @@ class PredictServer:
                 % (points.shape[1], self._n_dimensions),
             )
         return points, single
+
+    def _parse_labels(self, raw: object, n_rows: int) -> np.ndarray:
+        """Validate client-supplied fold labels: integers in ``[-1, k)``."""
+        if not isinstance(raw, list) or len(raw) != n_rows:
+            raise HTTPError(400, "'labels' must match 'points' row for row")
+        k = self._n_clusters
+        for label in raw:
+            if not isinstance(label, int) or isinstance(label, bool) or not -1 <= label < k:
+                raise HTTPError(400, "'labels' must be integers in [-1, %d), got %r" % (k, label))
+        return np.asarray(raw, dtype=int)
 
     async def _flush_predict(self, points: np.ndarray, meta: Dict[str, object]) -> np.ndarray:
         """Batcher flush: traced predict, flush recorded for telemetry.
@@ -468,7 +484,7 @@ class PredictServer:
         payload = request.json()
         points, single = self._parse_points(payload)
         top_m = payload.get("top_m", 3) if isinstance(payload, dict) else 3
-        if not isinstance(top_m, int) or top_m < 1:
+        if not isinstance(top_m, int) or isinstance(top_m, bool) or top_m < 1:
             raise HTTPError(400, "'top_m' must be a positive integer")
         labels, clusters, gains = await self.backend.predict_soft(points, top_m)
         body = {
@@ -491,9 +507,7 @@ class PredictServer:
         points, _ = self._parse_points(payload)
         labels = None
         if isinstance(payload, dict) and payload.get("labels") is not None:
-            labels = np.asarray(payload["labels"], dtype=int).ravel()
-            if labels.shape[0] != points.shape[0]:
-                raise HTTPError(400, "'labels' must match 'points' row for row")
+            labels = self._parse_labels(payload["labels"], points.shape[0])
         async with self._write_lock:
             next_generation = self.generation + 1
             generation_dir = self._state_dir / ("gen-%06d" % next_generation)

@@ -41,10 +41,6 @@ flushed as one **chained** batch.  Batch size therefore self-adapts to
 behaviour every production batcher converges on.  Only **full**
 (bounds batch size) and **drain** (shutdown) bypass the gate.
 
-``adaptive=False`` disables the quiesce check and always waits
-``max_wait_us`` — the classic fixed-wait batcher, kept for A/B
-comparison and tests.
-
 Instrumented with :mod:`repro.obs` (``server.batch_size`` /
 ``server.queue_wait_us`` histograms, ``server.flush.<reason>``
 counters) and mirrored into a local :class:`BatcherStats` so
@@ -54,7 +50,6 @@ counters) and mirrored into a local :class:`BatcherStats` so
 from __future__ import annotations
 
 import asyncio
-import inspect
 import itertools
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,24 +67,6 @@ FLUSH_REASONS = ("full", "quiesce", "timeout", "chained", "drain")
 #: with the Prometheus exposition, which requires stable boundaries.
 BATCH_SIZE_BOUNDS = log_bounds(1.0, 4096.0, per_decade=10)
 QUEUE_WAIT_BOUNDS_US = log_bounds(1.0, 6e7, per_decade=5)
-
-
-def _accepts_meta(flush_fn: Callable) -> bool:
-    """Does ``flush_fn`` take a second positional ``meta`` parameter?
-
-    Determined once at construction; unintrospectable callables are
-    treated as the classic single-argument shape.
-    """
-    try:
-        parameters = inspect.signature(flush_fn).parameters
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p
-        for p in parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(positional) >= 2
 
 
 class BatcherStats:
@@ -140,23 +117,18 @@ class MicroBatcher:
     Parameters
     ----------
     flush_fn:
-        ``async (points: (n, d) ndarray) -> sequence of n results``.
-        Called once per flush; result ``i`` resolves submission ``i``.
-        Multiple flushes may be in flight at once (the worker pool
-        provides the parallelism); ordering *within* a flush is
-        preserved, which is all bit-identity needs.  A flush function
-        accepting a second positional parameter instead receives
-        ``(points, meta)`` where ``meta`` carries ``batch_id``,
-        ``reason`` and ``size`` — the serving telemetry uses this to
-        link flushes back to the requests that rode them.
+        ``async (points: (n, d) ndarray, meta: dict) -> sequence of n
+        results``.  Called once per flush; result ``i`` resolves
+        submission ``i``.  ``meta`` carries ``batch_id``, ``reason`` and
+        ``size`` — the serving telemetry uses it to link flushes back to
+        the requests that rode them.  Multiple flushes may be in flight
+        at once (the worker pool provides the parallelism); ordering
+        *within* a flush is preserved, which is all bit-identity needs.
     max_batch:
         Flush immediately at this many pending requests.
     max_wait_us:
         Upper bound on how long the oldest pending request may wait
         before the deadline timer flushes regardless.
-    adaptive:
-        Enable the quiesce flush (see module docstring).  ``False``
-        always waits the full ``max_wait_us``.
     max_concurrency:
         How many flushes may be in flight at once before the busy gate
         holds new ones — one per kernel that can actually run in
@@ -165,11 +137,10 @@ class MicroBatcher:
 
     def __init__(
         self,
-        flush_fn: Callable[[np.ndarray], Awaitable[Sequence[object]]],
+        flush_fn: Callable[[np.ndarray, Dict[str, object]], Awaitable[Sequence[object]]],
         *,
         max_batch: int = 64,
         max_wait_us: float = 2000.0,
-        adaptive: bool = True,
         max_concurrency: int = 1,
     ) -> None:
         if max_batch < 1:
@@ -181,10 +152,8 @@ class MicroBatcher:
         self.flush_fn = flush_fn
         self.max_batch = int(max_batch)
         self.max_wait_us = float(max_wait_us)
-        self.adaptive = bool(adaptive)
         self.max_concurrency = int(max_concurrency)
         self.stats = BatcherStats()
-        self._wants_meta = _accepts_meta(flush_fn)
         self._batch_ids = itertools.count(1)
         self._pending: List[
             Tuple[np.ndarray, "asyncio.Future", float, Optional[Dict[str, object]]]
@@ -225,13 +194,12 @@ class MicroBatcher:
         if len(self._pending) >= self.max_batch:
             self._launch_flush("full")
         elif len(self._pending) == 1:
-            # First of a new batch: arm the hard deadline, and (adaptive)
-            # start the quiesce watch on the next loop pass.
+            # First of a new batch: arm the hard deadline, and start the
+            # quiesce watch on the next loop pass.
             self._timer = loop.call_later(
                 self.max_wait_us / 1e6, self._deadline_fired, self._epoch
             )
-            if self.adaptive:
-                loop.call_soon(self._quiesce_check, self._epoch, len(self._pending))
+            loop.call_soon(self._quiesce_check, self._epoch, len(self._pending))
         return await future
 
     async def drain(self) -> None:
@@ -297,8 +265,7 @@ class MicroBatcher:
                 self._deadline_fired,
                 self._epoch,
             )
-            if self.adaptive:
-                loop.call_soon(self._quiesce_check, self._epoch, len(self._pending))
+            loop.call_soon(self._quiesce_check, self._epoch, len(self._pending))
         now = obs.monotonic()
         waits_us = [(now - enqueued) * 1e6 for _, _, enqueued, _ in batch]
         size = len(batch)
@@ -327,12 +294,9 @@ class MicroBatcher:
             try:
                 with obs.span("server.flush", category="server") as flush_span:
                     points = np.stack([point for point, _, _, _ in batch])
-                    if self._wants_meta:
-                        results = await self.flush_fn(
-                            points, {"batch_id": batch_id, "reason": reason, "size": size}
-                        )
-                    else:
-                        results = await self.flush_fn(points)
+                    results = await self.flush_fn(
+                        points, {"batch_id": batch_id, "reason": reason, "size": size}
+                    )
                     flush_span.set(rows=size, reason=reason, batch_id=batch_id)
             except Exception as exc:  # propagate to every waiter
                 _fill_tickets(obs.monotonic() - now)

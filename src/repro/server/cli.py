@@ -46,17 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batcher max coalescing wait in microseconds (default %(default)s)",
     )
     parser.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="always wait --max-wait-us instead of adapting to observed concurrency",
-    )
-    parser.add_argument(
-        "--center",
-        default="median",
-        choices=("median", "mean"),
-        help="assignment center (default %(default)s)",
-    )
-    parser.add_argument(
         "--no-mmap",
         action="store_true",
         help="load the artifact eagerly instead of memory-mapping it",
@@ -114,8 +103,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=args.workers,
         max_batch=args.max_batch,
         max_wait_us=args.max_wait_us,
-        adaptive_batching=not args.no_adaptive,
-        center=args.center,
         mmap_mode=None if args.no_mmap else "r",
         state_dir=args.state_dir,
         slo_availability_target=args.slo_availability_target,

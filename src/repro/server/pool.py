@@ -33,7 +33,12 @@ predicts racing a rebroadcast simply finish on the generation their
 worker held when they arrived — the response's ``generation`` tag says
 which.
 
-A worker that dies (OOM, kill) poisons only the requests in flight on
+A worker op that raises answers its request with a
+:class:`BackendError` naming the worker, the op and the exception
+(``worker 1 failed 'predict': ValueError: ...``); the worker-side
+traceback, which names server file paths, is kept on the error for the
+daemon's ``backend_error`` event and never reaches the client.  A
+worker that dies (OOM, kill) poisons only the requests in flight on
 it; the handle is marked dead and routing skips it.  The pool never
 respawns silently — ``/healthz`` reports live worker counts and an
 operator (or orchestrator) restarts the daemon.
@@ -71,14 +76,21 @@ DEFAULT_CALL_TIMEOUT_S = 120.0
 
 
 class BackendError(RuntimeError):
-    """A compute backend failed to answer (worker error, crash or hang)."""
+    """A compute backend failed to answer (worker error, crash or hang).
+
+    The message names the worker, the op and the exception kind and
+    text, and is what a client sees.  ``worker_traceback`` keeps the
+    worker-side traceback, when there is one, for the daemon's own
+    ``backend_error`` event: it names server file paths.
+    """
+
+    def __init__(self, message: str, worker_traceback: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.worker_traceback = worker_traceback
 
 
 def build_serving_index(
-    artifact_path: PathLike,
-    *,
-    center: str = "median",
-    mmap_mode: Optional[str] = "r",
+    artifact_path: PathLike, *, mmap_mode: Optional[str] = "r"
 ) -> ProjectedClusterIndex:
     """Build the daemon's index over an artifact, preferring the mmap path.
 
@@ -87,13 +99,13 @@ def build_serving_index(
     the fallback is visible in traces) instead of failing the boot.
     """
     if mmap_mode is None:
-        return ProjectedClusterIndex(load_artifact(artifact_path), center=center)
+        return ProjectedClusterIndex(load_artifact(artifact_path))
     try:
         artifact = load_artifact(artifact_path, mmap_mode=mmap_mode)
     except CompressedMemberError:
         obs.event("mmap_fallback", path=str(artifact_path))
-        return ProjectedClusterIndex(load_artifact(artifact_path), center=center)
-    return ProjectedClusterIndex(artifact, center=center, copy_arrays=False)
+        return ProjectedClusterIndex(load_artifact(artifact_path))
+    return ProjectedClusterIndex(artifact, copy_arrays=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -132,12 +144,7 @@ def _traced_predict(
     return labels, recorder.export_state()
 
 
-def _worker_main(
-    conn,
-    artifact_path: str,
-    center: str,
-    mmap_mode: Optional[str],
-) -> None:
+def _worker_main(conn, artifact_path: str, mmap_mode: Optional[str]) -> None:
     """Run one pool worker: build the index, answer ops until ``stop``.
 
     Messages are ``(op, *args)`` tuples; replies are ``("ok", payload)``
@@ -145,7 +152,7 @@ def _worker_main(
     by construction — the parent holds a per-worker lock.
     """
     try:
-        index = build_serving_index(artifact_path, center=center, mmap_mode=mmap_mode)
+        index = build_serving_index(artifact_path, mmap_mode=mmap_mode)
         conn.send(("ok", {"n_clusters": index.n_clusters, "n_dimensions": index.n_dimensions}))
     except BaseException as exc:
         conn.send(("error", type(exc).__name__, str(exc), traceback.format_exc()))
@@ -167,7 +174,7 @@ def _worker_main(
             elif op == "partial_update":
                 payload = _apply_partial_update(index, message[1], message[2], message[3])
             elif op == "reload":
-                index = build_serving_index(message[1], center=center, mmap_mode=mmap_mode)
+                index = build_serving_index(message[1], mmap_mode=mmap_mode)
                 payload = {"n_clusters": index.n_clusters}
             elif op == "info":
                 payload = {
@@ -239,7 +246,10 @@ class _WorkerHandle:
         if reply[0] == "ok":
             return reply[1]
         _, kind, msg, tb = reply
-        raise BackendError("worker %d failed %r: %s: %s\n%s" % (self.position, message[0], kind, msg, tb))
+        raise BackendError(
+            "worker %d failed %r: %s: %s" % (self.position, message[0], kind, msg),
+            worker_traceback=tb,
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -258,11 +268,9 @@ class InProcessBackend:
         self,
         artifact_path: PathLike,
         *,
-        center: str = "median",
         mmap_mode: Optional[str] = "r",
     ) -> None:
         self.artifact_path = str(artifact_path)
-        self.center = center
         self.mmap_mode = mmap_mode
         self._index: Optional[ProjectedClusterIndex] = None
         self._compute = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
@@ -271,9 +279,7 @@ class InProcessBackend:
         loop = asyncio.get_running_loop()
         self._index = await loop.run_in_executor(
             self._compute,
-            lambda: build_serving_index(
-                self.artifact_path, center=self.center, mmap_mode=self.mmap_mode
-            ),
+            lambda: build_serving_index(self.artifact_path, mmap_mode=self.mmap_mode),
         )
 
     async def stop(self) -> None:
@@ -334,7 +340,6 @@ class WorkerPoolBackend:
         artifact_path: PathLike,
         *,
         n_workers: int,
-        center: str = "median",
         mmap_mode: Optional[str] = "r",
         call_timeout_s: float = DEFAULT_CALL_TIMEOUT_S,
     ) -> None:
@@ -342,7 +347,6 @@ class WorkerPoolBackend:
             raise ValueError("WorkerPoolBackend needs at least 1 worker")
         self.artifact_path = str(artifact_path)
         self.n_workers = int(n_workers)
-        self.center = center
         self.mmap_mode = mmap_mode
         self.call_timeout_s = float(call_timeout_s)
         self._handles: List[_WorkerHandle] = []
@@ -361,7 +365,7 @@ class WorkerPoolBackend:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, self.artifact_path, self.center, self.mmap_mode),
+                args=(child_conn, self.artifact_path, self.mmap_mode),
                 daemon=True,
                 name="repro-server-worker-%d" % position,
             )
@@ -466,17 +470,20 @@ class WorkerPoolBackend:
             results = await asyncio.gather(*tasks, return_exceptions=True)
             for result in results:
                 if isinstance(result, BaseException):
-                    obs.event("replica_reload_failed", error=str(result))
+                    obs.event(
+                        "replica_reload_failed",
+                        error=str(result),
+                        worker_traceback=getattr(result, "worker_traceback", None),
+                    )
 
 
 def make_backend(
     artifact_path: PathLike,
     *,
     n_workers: int,
-    center: str = "median",
     mmap_mode: Optional[str] = "r",
 ) -> Union[InProcessBackend, WorkerPoolBackend]:
     """The backend the configuration asks for (``n_workers=0`` → in-process)."""
     if n_workers == 0:
-        return InProcessBackend(artifact_path, center=center, mmap_mode=mmap_mode)
-    return WorkerPoolBackend(artifact_path, n_workers=n_workers, center=center, mmap_mode=mmap_mode)
+        return InProcessBackend(artifact_path, mmap_mode=mmap_mode)
+    return WorkerPoolBackend(artifact_path, n_workers=n_workers, mmap_mode=mmap_mode)

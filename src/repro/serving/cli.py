@@ -160,7 +160,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print("predict: --save-back requires --update", file=sys.stderr)
         return 2
     artifact = load_artifact(args.artifact)
-    index = ProjectedClusterIndex(artifact, center=args.center)
+    index = ProjectedClusterIndex(artifact)
     points, _ = _load_matrix(args.input)
 
     with obs.trace_session(args.trace, args.metrics_out, log=_log_stderr):
@@ -254,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="assignments CSV (default: stdout)")
     predict.add_argument("--top-m", type=int, default=None,
                          help="also emit the top-m soft assignments per point")
-    predict.add_argument("--center", choices=("median", "representative", "mean"),
-                         default="median", help="per-cluster center used for scoring")
     predict.add_argument("--update", action="store_true",
                          help="fold accepted points into the serving statistics")
     predict.add_argument("--save-back", action="store_true",

@@ -7,16 +7,17 @@ the learned projected clusters.
 
 The assignment rule is the same one SSPC's own assignment step uses
 (Listing 2, step 3): the score gain of placing ``x`` into cluster ``C_i``
-with center ``c`` and selected dimensions ``V_i`` is ::
+with median ``c`` and selected dimensions ``V_i`` is ::
 
     gain_i(x) = sum_{v_j in V_i} (1 - (x_j - c_j)^2 / s_hat^2_ij)
 
 where the thresholds ``s_hat^2_ij`` come from the artifact's stored
-scheme and global variances, evaluated at the cluster's current size.  A
-point joins the cluster with the largest positive gain; a point whose
-best gain is not positive lands on the outlier list (label ``-1``) —
-exactly the paper's outlier gate, now applied to traffic the model never
-saw during fitting.
+scheme and global variances, evaluated at the cluster's current size.
+The center is the cluster median on the selected dimensions, the robust
+center the objective (Eq. 3–4) is built on.  A point joins the cluster
+with the largest positive gain; a point whose best gain is not positive
+lands on the outlier list (label ``-1``) — exactly the paper's outlier
+gate, now applied to traffic the model never saw during fitting.
 
 The batch kernel reuses the PR-1 fused-assignment shape: clusters are
 grouped by selected-dimension count and each group is one broadcasted
@@ -48,8 +49,9 @@ the cached per-cluster statistics without refitting: sizes / means /
 variances merge exactly via
 :func:`~repro.core.stats_cache.merge_mean_variance`, and — when the
 artifact carries member projections — the per-cluster medians on the
-selected dimensions are maintained *exactly* by appending the new rows'
-projections (cheap, because projected clusters are low-dimensional).
+selected dimensions, and with them the scoring centers, are maintained
+*exactly* by appending the new rows' projections (cheap, because
+projected clusters are low-dimensional).
 """
 
 from __future__ import annotations
@@ -70,19 +72,17 @@ from repro.utils.validation import check_array_2d
 
 __all__ = ["ProjectedClusterIndex", "ServingClusterStats"]
 
-_CENTER_MODES = ("median", "representative", "mean")
-
-
 @dataclass
 class ServingClusterStats:
     """Read-only snapshot of one cluster's serving-side statistics.
 
     ``mean`` and ``variance`` are full ``d``-vectors, kept exact across
     :meth:`ProjectedClusterIndex.partial_update` by streaming merges.
-    ``median_selected`` is aligned with ``dimensions`` — the serving
-    layer maintains medians only on the selected dimensions (the only
-    ones that influence assignment), and only exactly when the artifact
-    carries member projections.
+    ``median_selected`` is aligned with ``dimensions`` and is the
+    cluster's scoring center — the serving layer maintains medians only
+    on the selected dimensions (the only ones that influence
+    assignment), and only exactly when the artifact carries member
+    projections.
     """
 
     size: int
@@ -101,7 +101,6 @@ class _ServingCluster:
         "mean",
         "variance",
         "median_selected",
-        "center_selected",
         "projections",
         "score",
     )
@@ -114,7 +113,6 @@ class _ServingCluster:
         mean: np.ndarray,
         variance: np.ndarray,
         median_selected: np.ndarray,
-        center_selected: np.ndarray,
         projections: Optional[np.ndarray],
         score: float,
     ) -> None:
@@ -123,7 +121,6 @@ class _ServingCluster:
         self.mean = mean
         self.variance = variance
         self.median_selected = median_selected
-        self.center_selected = center_selected
         self.projections = projections
         self.score = score
 
@@ -134,20 +131,10 @@ class ProjectedClusterIndex:
     Parameters
     ----------
     artifact:
-        The persisted model to serve.
-    center:
-        Which per-cluster center the gains are measured against:
-        ``"median"`` (default — the robust center the objective is built
-        on), ``"representative"`` (the exact vector the final training
-        assignment used) or ``"mean"``.
-    allow_outliers:
-        Whether points may land on the outlier list.  ``None`` (default)
-        follows the fitted model's own contract
-        (``artifact.parameters["allow_outliers"]``, ``True`` when
-        unrecorded): a model fitted with ``allow_outliers=False``
-        force-assigned every training object, so serving force-assigns
-        too (each point goes to its best servable cluster even when the
-        gain is not positive), matching ``SSPC._force_assign``.
+        The persisted model to serve.  An artifact whose ``parameters``
+        record ``allow_outliers: false`` (a retired fitting option that
+        force-assigned every object) is rejected with ``ValueError``:
+        serving it behind the outlier gate would not match its fit.
     projection_window:
         When set, every cluster's projection buffer is bounded to this
         many newest rows as points fold in (and when clusters are built
@@ -173,28 +160,23 @@ class ProjectedClusterIndex:
     Empty clusters (no training members) and clusters with an empty
     dimension set can never win an assignment — their gain column is
     pinned to ``-inf``, matching the training-time assignment step.
-    Even under force-assignment, a point is left an outlier when *no*
-    cluster is servable.
     """
 
     def __init__(
         self,
         artifact: ModelArtifact,
         *,
-        center: str = "median",
-        allow_outliers: Optional[bool] = None,
         projection_window: Optional[int] = None,
         copy_arrays: bool = True,
     ) -> None:
-        if center not in _CENTER_MODES:
-            raise ValueError("center must be one of %s" % (_CENTER_MODES,))
         if projection_window is not None and projection_window < 1:
             raise ValueError("projection_window must be positive or None")
+        if not artifact.parameters.get("allow_outliers", True):
+            raise ValueError(
+                "the artifact was fitted with allow_outliers=False, a retired option "
+                "that force-assigned every object; refit it to serve it"
+            )
         self.projection_window = projection_window
-        self.center = center
-        if allow_outliers is None:
-            allow_outliers = bool(artifact.parameters.get("allow_outliers", True))
-        self.allow_outliers = bool(allow_outliers)
         self.n_dimensions = int(artifact.n_dimensions)
         self.algorithm = artifact.algorithm
         self._parameters = dict(artifact.parameters)
@@ -213,13 +195,6 @@ class ProjectedClusterIndex:
         self._clusters: List[_ServingCluster] = []
         for cluster, serving_size in zip(artifact.clusters, serving_sizes):
             dims = cluster.dimensions.copy()
-            median_selected = cluster.median[dims].copy()
-            if center == "median":
-                center_selected = median_selected.copy()
-            elif center == "mean":
-                center_selected = cluster.mean[dims].copy()
-            else:
-                center_selected = cluster.representative[dims].copy()
             projections = None
             if cluster.member_projections is not None:
                 projections = np.asarray(cluster.member_projections, dtype=float)
@@ -231,8 +206,7 @@ class ProjectedClusterIndex:
                     size=int(serving_size),
                     mean=cluster.mean.copy(),
                     variance=cluster.variance.copy(),
-                    median_selected=median_selected,
-                    center_selected=center_selected,
+                    median_selected=cluster.median[dims].copy(),
                     projections=projections,
                     score=float(cluster.score),
                 )
@@ -255,9 +229,7 @@ class ProjectedClusterIndex:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_path(
-        cls, path, *, center: str = "median", mmap_mode: Optional[str] = None
-    ) -> "ProjectedClusterIndex":
+    def from_path(cls, path, *, mmap_mode: Optional[str] = None) -> "ProjectedClusterIndex":
         """Load an artifact directory and build an index over it.
 
         With ``mmap_mode`` the arrays are memory-mapped (see
@@ -265,11 +237,7 @@ class ProjectedClusterIndex:
         aliases the projection buffers instead of copying them — the
         zero-copy load path the serving daemon's workers use.
         """
-        return cls(
-            load_artifact(path, mmap_mode=mmap_mode),
-            center=center,
-            copy_arrays=mmap_mode is None,
-        )
+        return cls(load_artifact(path, mmap_mode=mmap_mode), copy_arrays=mmap_mode is None)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -330,7 +298,7 @@ class ProjectedClusterIndex:
         if not self._servable(cluster):
             empty = np.empty(0)
             return np.empty(0, dtype=int), empty, empty
-        return cluster.dimensions, cluster.center_selected, self._cluster_thresholds(cluster)
+        return cluster.dimensions, cluster.median_selected, self._cluster_thresholds(cluster)
 
     def _sync_plan(self, position: int) -> None:
         """Re-patch one cluster's engine-plan entry after a mutation."""
@@ -369,7 +337,7 @@ class ProjectedClusterIndex:
         for index, cluster in enumerate(self._clusters):
             if not self._servable(cluster):
                 continue
-            deltas = point[cluster.dimensions] - cluster.center_selected
+            deltas = point[cluster.dimensions] - cluster.median_selected
             gains[index] = (1.0 - (deltas ** 2) / self._cluster_thresholds(cluster)).sum()
         return gains
 
@@ -394,9 +362,7 @@ class ProjectedClusterIndex:
         """Hard label for a single point via the scalar reference path."""
         gains = self.gains_single(point)
         best = int(np.argmax(gains))
-        if gains[best] > 0.0 or (not self.allow_outliers and np.isfinite(gains[best])):
-            return best
-        return OUTLIER_LABEL
+        return best if gains[best] > 0.0 else OUTLIER_LABEL
 
     def top_assignments(
         self, points: np.ndarray, top_m: int
@@ -450,10 +416,9 @@ class ProjectedClusterIndex:
           old members and new points;
         * when the artifact carries member projections, the projection
           buffer is extended and the median over the selected dimensions
-          is recomputed from it — *exactly* the median of the union.  With
-          ``center="median"`` the assignment center follows it.  Without
-          projections the median (and a median center) stay frozen at
-          their training values, while sizes still advance the
+          — the scoring center — is recomputed from it, *exactly* the
+          median of the union.  Without projections the median stays
+          frozen at its training value, while sizes still advance the
           size-dependent thresholds.
 
         Returns the label vector that was applied.
@@ -503,10 +468,6 @@ class ProjectedClusterIndex:
                     ):
                         cluster.projections = cluster.projections[-self.projection_window:].copy()
                     cluster.median_selected = column_median(cluster.projections)
-                    if self.center == "median":
-                        cluster.center_selected = cluster.median_selected.copy()
-                if self.center == "mean":
-                    cluster.center_selected = cluster.mean[cluster.dimensions].copy()
                 # The fold moved this cluster's size (size-dependent
                 # thresholds) and possibly its center — patch its plan entry
                 # so the next batch scores against the new state.  Clusters
@@ -580,20 +541,12 @@ class ProjectedClusterIndex:
         projections = rows[:, dimensions].copy()
         if self.projection_window is not None and projections.shape[0] > self.projection_window:
             projections = projections[-self.projection_window:].copy()
-        median_selected = column_median(projections)
-        if self.center == "mean":
-            center_selected = mean[dimensions].copy()
-        else:
-            # Median doubles as the representative for clusters born at
-            # serving time — the robust center the objective is built on.
-            center_selected = median_selected.copy()
         return _ServingCluster(
             dimensions=dimensions,
             size=int(rows.shape[0]),
             mean=mean,
             variance=variance,
-            median_selected=median_selected,
-            center_selected=center_selected,
+            median_selected=column_median(projections),
             projections=projections,
             score=float(score),
         )
@@ -650,9 +603,7 @@ class ProjectedClusterIndex:
         if cluster.projections is not None and cluster.projections.shape[0] > keep_last:
             cluster.projections = cluster.projections[-keep_last:].copy()
             cluster.median_selected = column_median(cluster.projections)
-            if self.center == "median":
-                cluster.center_selected = cluster.median_selected.copy()
-                self._sync_plan(position)
+            self._sync_plan(position)
 
     def refresh_threshold(self, global_variance: np.ndarray) -> None:
         """Refit the served selection thresholds on new global variances.
@@ -734,21 +685,13 @@ class ProjectedClusterIndex:
             return labels
         best_cluster = np.argmax(gains, axis=1)
         best_gain = gains[np.arange(n), best_cluster]
-        if self.allow_outliers:
-            accepted = best_gain > 0.0
-        else:
-            # Force-assignment (the fitted model disallowed outliers):
-            # every point goes to its best servable cluster, mirroring
-            # SSPC._force_assign; only points with no servable cluster
-            # at all stay on the outlier list.
-            accepted = np.isfinite(best_gain)
+        accepted = best_gain > 0.0
         labels[accepted] = best_cluster[accepted]
         return labels
 
     def __repr__(self) -> str:
-        return "ProjectedClusterIndex(k=%d, d=%d, center=%r, absorbed=%d)" % (
+        return "ProjectedClusterIndex(k=%d, d=%d, absorbed=%d)" % (
             self.n_clusters,
             self.n_dimensions,
-            self.center,
             self.n_points_absorbed,
         )

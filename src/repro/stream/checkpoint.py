@@ -265,7 +265,9 @@ def _write_generation(engine, generation: Path, metadata: Optional[Dict[str, obj
         "schema_version": SCHEMA_VERSION,
         "generation": generation.name,
         "config": engine.config.to_dict(),
-        "center": engine.center,
+        # The only scoring center; still written so readers of the
+        # schema-2 layout that require the key keep restoring.
+        "center": "median",
         "cluster_ids": [int(cluster_id) for cluster_id in engine.cluster_ids],
         "next_cluster_id": int(engine._next_cluster_id),
         "accepted_since_sweep": [int(count) for count in engine._accepted_since_sweep],
@@ -420,9 +422,14 @@ def _load_generation(directory: Path, *, config=None):
     def _field(key):
         return require_key(state, key, path=state_path, kind="checkpoint state")
 
+    if _field("center") != "median":
+        raise ValueError(
+            "checkpoint state %s scores against center %r; only the median center "
+            "is supported" % (state_path, _field("center"))
+        )
     artifact = load_artifact(directory / MODEL_DIR)
     engine_config = config if config is not None else StreamConfig.from_dict(_field("config"))
-    engine = StreamingSSPC(artifact, config=engine_config, center=str(_field("center")))
+    engine = StreamingSSPC(artifact, config=engine_config)
 
     arrays_path = directory / ARRAYS_NAME
     arrays = _read_arrays(arrays_path, state)

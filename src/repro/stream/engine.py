@@ -229,8 +229,6 @@ class StreamingSSPC:
         a loaded checkpoint's model directory).
     config:
         Engine tuning; defaults to :class:`StreamConfig`'s defaults.
-    center:
-        Scoring center handed to the serving index.
 
     Notes
     -----
@@ -244,12 +242,10 @@ class StreamingSSPC:
         artifact: ModelArtifact,
         *,
         config: Optional[StreamConfig] = None,
-        center: str = "median",
     ) -> None:
         self.config = config if config is not None else StreamConfig()
-        self.center = str(center)
         self.index = ProjectedClusterIndex(
-            artifact, center=center, projection_window=self.config.projection_window
+            artifact, projection_window=self.config.projection_window
         )
         self._source_artifact = artifact
         # Points the source artifact had already absorbed before this

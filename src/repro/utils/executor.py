@@ -1,6 +1,6 @@
 """Execution backends shared by the experiment harness and the benchmark runner.
 
-Three interchangeable executors implement the same two-method protocol:
+Two interchangeable executors implement the same two-method protocol:
 
 ``map(fn, items)``
     Apply ``fn`` to every item and return the results *in input order*
@@ -34,7 +34,6 @@ import multiprocessing
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -49,7 +48,6 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "TaskFault",
-    "ThreadExecutor",
     "resolve_executor",
 ]
 
@@ -75,9 +73,9 @@ class ExecutorTaskError(RuntimeError):
     """Raised by ``map`` when a task still fails after every retry."""
 
 
-def _run_traced(fn: Callable[[T], R], index: int, item: T, backend: str) -> R:
+def _run_traced(fn: Callable[[T], R], index: int, item: T) -> R:
     """Run one in-process task under its executor span (no-op when obs is off)."""
-    with obs.span("executor.task", category="executor", index=index, backend=backend):
+    with obs.span("executor.task", category="executor", index=index, backend="serial"):
         return fn(item)
 
 
@@ -87,49 +85,11 @@ class SerialExecutor:
     workers = 1
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        return [_run_traced(fn, index, item, "serial") for index, item in enumerate(items)]
+        return [_run_traced(fn, index, item) for index, item in enumerate(items)]
 
     def imap_unordered(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[Tuple[int, R]]:
         for index, item in enumerate(items):
-            yield index, _run_traced(fn, index, item, "serial")
-
-
-class ThreadExecutor:
-    """Thread-pool execution for workloads dominated by GIL-releasing numpy."""
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError("workers must be at least 1, got %d" % workers)
-        self.workers = int(workers)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        items = list(items)
-        if not items:
-            return []
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-            futures = [
-                pool.submit(_run_traced, fn, index, item, "thread")
-                for index, item in enumerate(items)
-            ]
-            return [future.result() for future in futures]
-
-    def imap_unordered(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[Tuple[int, R]]:
-        items = list(items)
-        if not items:
-            return
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-            futures = {
-                pool.submit(_run_traced, fn, index, item, "thread"): index
-                for index, item in enumerate(items)
-            }
-            for future in _as_completed(futures):
-                yield futures[future], future.result()
-
-
-def _as_completed(futures):
-    from concurrent.futures import as_completed
-
-    return as_completed(futures)
+            yield index, _run_traced(fn, index, item)
 
 
 def _preferred_context() -> multiprocessing.context.BaseContext:

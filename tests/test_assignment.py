@@ -6,7 +6,6 @@ import pytest
 from repro.core.assignment import ClusterState, assign_objects, members_from_labels
 from repro.core.objective import ObjectiveFunction
 from repro.core.thresholds import VarianceRatioThreshold
-from repro.semisupervision.constraints import PairwiseConstraints
 from repro.semisupervision.knowledge import Knowledge
 
 
@@ -82,31 +81,6 @@ class TestAssignObjects:
         recombined = np.concatenate(members)
         assert len(set(recombined.tolist())) == recombined.size
         assert set(recombined.tolist()) == set(np.flatnonzero(labels >= 0).tolist())
-
-
-class TestConstrainedAssignment:
-    def test_cannot_link_separates_pair(self, two_cluster_setup):
-        objective, states = two_cluster_setup
-        unconstrained = assign_objects(objective, states)
-        # Pick two cluster-0 members and forbid them from sharing a cluster.
-        pair = tuple(np.flatnonzero(unconstrained == 0)[:2])
-        constraints = PairwiseConstraints.from_pairs(cannot_links=[pair])
-        labels = assign_objects(objective, states, constraints=constraints)
-        assert not (labels[pair[0]] == labels[pair[1]] and labels[pair[0]] != -1)
-
-    def test_must_link_keeps_pair_together(self, two_cluster_setup):
-        objective, states = two_cluster_setup
-        # Link a cluster-0 member with a background object.
-        constraints = PairwiseConstraints.from_pairs(must_links=[(0, 90)])
-        labels = assign_objects(objective, states, constraints=constraints)
-        assert labels[0] == labels[90]
-        assert labels[0] != -1
-
-    def test_empty_constraints_are_noop(self, two_cluster_setup):
-        objective, states = two_cluster_setup
-        base = assign_objects(objective, states)
-        with_empty = assign_objects(objective, states, constraints=PairwiseConstraints())
-        np.testing.assert_array_equal(base, with_empty)
 
 
 class TestClusterState:

@@ -335,9 +335,7 @@ class TestServingPlanMaintenance:
         index.partial_update(dataset.data[:80] + rng.normal(scale=0.01, size=(80, d)))
         index.add_cluster(np.asarray([0, 3, 7]), rng.normal(size=(10, d)))
         index.refresh_threshold(rng.uniform(0.5, 2.0, size=d))
-        rebuilt = ProjectedClusterIndex(
-            index.export_artifact(), allow_outliers=index.allow_outliers
-        )
+        rebuilt = ProjectedClusterIndex(index.export_artifact())
         assert np.array_equal(index.gains_matrix(queries), rebuilt.gains_matrix(queries))
         assert np.array_equal(index.predict(queries), rebuilt.predict(queries))
 

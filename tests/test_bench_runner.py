@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.bench import registry
-from repro.utils.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.utils.executor import ProcessExecutor, SerialExecutor
 from repro.bench.runner import profile_filename, run_scenarios, run_suite
 from repro.bench.scenario import MetricSpec, Scenario, TaskSpec
 from repro.bench.store import RunStore
@@ -302,7 +302,6 @@ class TestExecutors:
         items = list(range(7))
         fn = lambda x: x * x  # noqa: E731
         assert SerialExecutor().map(fn, items) == [x * x for x in items]
-        assert ThreadExecutor(3).map(fn, items) == [x * x for x in items]
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork")
     def test_process_map_preserves_order(self):
@@ -310,8 +309,6 @@ class TestExecutors:
         assert ProcessExecutor(3).map(_square, items) == [x * x for x in items]
 
     def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(0)
         with pytest.raises(ValueError):
             ProcessExecutor(0)
 

@@ -1,7 +1,7 @@
 """Equivalence suite: cached/fused hot paths versus the naive reference.
 
 The optimised SSPC hot loop (shared statistics workspace + incremental
-assignment engine + gain-matrix reuse) must be **bit-identical** to the
+assignment engine) must be **bit-identical** to the
 naive reference — the stateless
 :func:`~repro.core.objective.grouped_assignment_gains` kernel and a
 fresh statistics pass at every consumer — for the same
@@ -22,7 +22,6 @@ from repro.core.sspc import SSPC
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import ChiSquareThreshold, VarianceRatioThreshold
 from repro.data.generator import SyntheticDataGenerator
-from repro.semisupervision.constraints import PairwiseConstraints
 from repro.semisupervision.knowledge import (
     Knowledge,
     LabeledDimensions,
@@ -112,38 +111,16 @@ def test_fused_kernel_handles_all_empty_dimension_sets(dataset):
 
 
 def test_assign_objects_return_gains_consistency(dataset):
+    """The labels follow from the engine's gain matrix: best positive gain or outlier."""
     objective = ObjectiveFunction(dataset.data, VarianceRatioThreshold(m=0.5))
     states = _random_states(objective, np.random.default_rng(3), n_clusters=3)
-    labels_only = assign_objects(objective, states)
-    labels, gains = assign_objects(objective, states, return_gains=True)
-    assert np.array_equal(labels_only, labels)
+    labels = assign_objects(objective, states)
+    gains = compute_gains_matrix(objective, states)
     assert gains.shape == (objective.n_objects, 3)
-    # The labels follow from the returned matrix.
-    assigned = labels >= 0
-    assert np.array_equal(
-        labels[assigned], np.argmax(gains, axis=1)[assigned]
-    )
-
-
-def test_force_assign_reuse_matches_recompute(dataset):
-    """Gain-matrix reuse in ``_force_assign`` equals the per-cluster recompute."""
-    objective = ObjectiveFunction(dataset.data, VarianceRatioThreshold(m=0.3))
-    states = _random_states(objective, np.random.default_rng(9), n_clusters=4)
-    labels, gains = assign_objects(objective, states, return_gains=True)
-    outliers = np.flatnonzero(labels == -1)
-    if outliers.size == 0:
-        pytest.skip("no outliers produced by this configuration")
-
-    model = SSPC(n_clusters=4)
-    fast = model._force_assign(labels, gains)
-
-    # Seed implementation: recompute every cluster's gains from scratch.
-    reference = labels.copy()
-    redone = _reference_gains(objective, states)[outliers]
-    reference[outliers] = np.argmax(redone, axis=1)
-
-    assert np.array_equal(fast, reference)
-    assert np.all(fast >= 0)
+    best = np.argmax(gains, axis=1)
+    positive = gains[np.arange(objective.n_objects), best] > 0.0
+    assert np.array_equal(labels, np.where(positive, best, -1))
+    assert np.any(labels == -1) and np.any(labels >= 0)
 
 
 def _knowledge_for(dataset):
@@ -160,55 +137,27 @@ def _knowledge_for(dataset):
     )
 
 
-def _constraints_for(dataset):
-    labels = dataset.labels
-    rng = np.random.default_rng(2)
-    members = np.flatnonzero(labels >= 0)
-    must, cannot = [], []
-    for _ in range(12):
-        a, b = rng.choice(members, size=2, replace=False)
-        if labels[a] == labels[b]:
-            must.append((int(a), int(b)))
-        else:
-            cannot.append((int(a), int(b)))
-    return PairwiseConstraints.from_pairs(must, cannot)
-
-
-def _fit_pair(dataset, monkeypatch, *, knowledge=None, constraints=None, **params):
+def _fit_pair(dataset, monkeypatch, *, knowledge=None, **params):
     """Fit the optimised and the naive arm with identical seeds."""
-    fast = SSPC(n_clusters=3, random_state=7, **params).fit(
-        dataset.data, knowledge, constraints=constraints
-    )
+    fast = SSPC(n_clusters=3, random_state=7, **params).fit(dataset.data, knowledge)
 
     # Naive arm: no statistics cache and the stateless reference kernel.
     monkeypatch.setattr(assignment_module, "compute_gains_matrix", _reference_gains)
-    naive = NaiveSSPC(n_clusters=3, random_state=7, **params).fit(
-        dataset.data, knowledge, constraints=constraints
-    )
+    naive = NaiveSSPC(n_clusters=3, random_state=7, **params).fit(dataset.data, knowledge)
     monkeypatch.undo()
     return fast, naive
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["plain", "p_scheme", "no_outliers", "knowledge", "constraints"],
-)
+@pytest.mark.parametrize("case", ["plain", "p_scheme", "knowledge"])
 def test_full_fit_byte_identical_to_naive_reference(dataset, monkeypatch, case):
     params = {}
     knowledge = None
-    constraints = None
     if case == "p_scheme":
         params["p"] = 0.05
-    elif case == "no_outliers":
-        params["allow_outliers"] = False
     elif case == "knowledge":
         knowledge = _knowledge_for(dataset)
-    elif case == "constraints":
-        constraints = _constraints_for(dataset)
 
-    fast, naive = _fit_pair(
-        dataset, monkeypatch, knowledge=knowledge, constraints=constraints, **params
-    )
+    fast, naive = _fit_pair(dataset, monkeypatch, knowledge=knowledge, **params)
 
     assert np.array_equal(fast.labels_, naive.labels_)
     assert len(fast.selected_dimensions_) == len(naive.selected_dimensions_)
@@ -247,18 +196,6 @@ def test_threshold_values_memoized():
         refreshed = threshold.values(10)
         assert refreshed is not first
         assert not np.array_equal(refreshed, first)
-
-
-def test_allowed_clusters_with_partner_maps_identical(dataset):
-    constraints = _constraints_for(dataset)
-    maps = constraints.partner_maps()
-    rng = np.random.default_rng(4)
-    labels = rng.integers(-1, 3, size=dataset.data.shape[0])
-    involved = sorted({i for pair in constraints.must_links + constraints.cannot_links for i in pair})
-    for object_index in involved:
-        with_maps = constraints.allowed_clusters(object_index, labels, 3, partner_maps=maps)
-        without = constraints.allowed_clusters(object_index, labels, 3)
-        assert np.array_equal(with_maps, without)
 
 
 def test_grid_build_matches_per_row_reference(dataset):
@@ -324,14 +261,3 @@ def test_density_profile_matches_scalar_helper(dataset):
             dataset.data, dim, anchor[dim], bins=9, restrict_to=restrict
         )
         assert profile[dim] == scalar
-
-
-def test_partner_maps_cover_every_link():
-    constraints = PairwiseConstraints.from_pairs(
-        must_links=[(0, 1), (1, 2)], cannot_links=[(0, 3), (4, 5)]
-    )
-    must, cannot = constraints.partner_maps()
-    assert sorted(must[1]) == [0, 2]
-    assert must[0] == [1] and must[2] == [1]
-    assert cannot[0] == [3] and cannot[3] == [0]
-    assert cannot[4] == [5] and cannot[5] == [4]

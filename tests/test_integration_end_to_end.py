@@ -1,7 +1,5 @@
 """End-to-end integration tests exercising the full public API surface."""
 
-import numpy as np
-
 import repro
 from repro import SSPC, Knowledge
 from repro.baselines import CLARANS, PROCLUS
@@ -12,7 +10,7 @@ from repro.data import (
     save_csv_dataset,
 )
 from repro.evaluation import adjusted_rand_index, clustering_report
-from repro.semisupervision import KnowledgeValidator, sample_knowledge
+from repro.semisupervision import sample_knowledge
 
 
 class TestPublicApi:
@@ -84,21 +82,3 @@ class TestPublicApi:
         data, labels = load_csv_dataset(path)
         model = SSPC(n_clusters=3, m=0.5, random_state=3).fit(data)
         assert adjusted_rand_index(labels, model.labels_) > 0.7
-
-    def test_noisy_knowledge_screening_protects_accuracy(self):
-        # Tight local populations (1%-5% of the value range) give the
-        # screening step clear evidence against the wrong label.
-        dataset = make_projected_clusters(
-            n_objects=150, n_dimensions=60, n_clusters=3, avg_cluster_dimensionality=6,
-            local_std_fraction=(0.01, 0.05), random_state=4
-        )
-        # Correct knowledge for cluster 0, plus one wrong object label.
-        members = np.flatnonzero(dataset.labels == 0)[:5]
-        intruder = int(np.flatnonzero(dataset.labels == 1)[0])
-        noisy = Knowledge.from_pairs(
-            object_pairs=[(int(o), 0) for o in members] + [(intruder, 0)]
-        )
-        cleaned, report = KnowledgeValidator().validate(dataset.data, noisy)
-        assert report.n_rejections() >= 1
-        model = SSPC(n_clusters=3, m=0.5, random_state=4).fit(dataset.data, cleaned)
-        assert adjusted_rand_index(dataset.labels, model.labels_) > 0.7

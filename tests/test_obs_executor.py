@@ -17,12 +17,7 @@ import pytest
 
 from repro import obs
 from repro.reliability import FaultPlan, FaultSpec
-from repro.utils.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    TaskFault,
-    ThreadExecutor,
-)
+from repro.utils.executor import ProcessExecutor, SerialExecutor, TaskFault
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -96,13 +91,6 @@ class TestInProcessExecutors:
             list(SerialExecutor().imap_unordered(_traced_square, [5]))
         spans = {s["name"]: s for s in rec.spans}
         assert spans["work"]["parent"] == spans["executor.task"]["id"]
-
-    def test_thread_executor_emits_task_spans(self):
-        with obs.recording() as rec:
-            results = ThreadExecutor(2).map(_square, [1, 2, 3, 4])
-        assert results == [1, 4, 9, 16]
-        task_spans = [s for s in rec.spans if s["name"] == "executor.task"]
-        assert sorted(s["args"]["index"] for s in task_spans) == [0, 1, 2, 3]
 
     def test_disabled_obs_means_no_recording(self):
         assert SerialExecutor().map(_square, [2]) == [4]

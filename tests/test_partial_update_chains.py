@@ -121,7 +121,7 @@ class TestGatingBoundary:
     def test_zero_gain_is_rejected_epsilon_inside_is_accepted(self):
         artifact, _ = boundary_artifact()
         index = ProjectedClusterIndex(artifact)
-        center = index._clusters[0].center_selected[0]
+        center = index._clusters[0].median_selected[0]
         boundary = np.sqrt(2.0)
         on_boundary = np.asarray([[center + boundary, 50.0]])
         inside = np.asarray([[center + boundary - 1e-9, 50.0]])
@@ -139,7 +139,7 @@ class TestGatingBoundary:
         n_boundary_rejections = 0
         boundary = np.sqrt(2.0)
         for step in range(250):
-            center = index._clusters[0].center_selected[0]
+            center = index._clusters[0].median_selected[0]
             at_gate = center + boundary
             batch = np.asarray(
                 [

@@ -1,0 +1,155 @@
+"""Option inventory of the fit, serving, stream and daemon surfaces.
+
+Pins the parameter names, config fields and command-line flags of
+``SSPC``, ``assign_objects``, ``ProjectedClusterIndex``,
+``StreamingSSPC`` / ``StreamConfig``, the daemon (``ServerConfig``,
+``MicroBatcher`` and the backends), ``run_best_of`` and the
+``repro-server`` / ``repro-serve`` / ``repro-stream`` parsers.
+
+Each independently settable name doubles the configurations that tests
+and benchmarks must cover, so the list only grows by the Options rule:
+a new name needs a caller outside the tests (a scenario, figure,
+example, benchmark workload or command line) that sets a second value.
+A name that only tests set selects a path nothing measures; delete it
+rather than pin it.  A change that adds or removes a name updates
+``EXPECTED`` in the same commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import inspect
+
+from repro.core.assignment import assign_objects
+from repro.core.sspc import SSPC
+from repro.experiments.harness import run_best_of
+from repro.server import cli as server_cli
+from repro.server.app import ServerConfig
+from repro.server.batcher import MicroBatcher
+from repro.server.pool import (
+    InProcessBackend,
+    WorkerPoolBackend,
+    build_serving_index,
+    make_backend,
+)
+from repro.serving import cli as serving_cli
+from repro.serving.index import ProjectedClusterIndex
+from repro.stream import cli as stream_cli
+from repro.stream.engine import StreamConfig, StreamingSSPC
+
+EXPECTED = {
+    "SSPC.__init__": (
+        "n_clusters", "m", "p", "max_iterations", "patience", "grid_dimensions", "grids_per_group",
+        "bins_per_dimension", "seed_selection_p", "public_group_factor", "stats_cache_max_entries",
+        "random_state",
+    ),
+    "SSPC.fit": ("data", "knowledge"),
+    "SSPC.fit_predict": ("data", "knowledge"),
+    "SSPC.predict": ("data", "top_m"),
+    "assign_objects": ("objective", "states", "knowledge"),
+    "ProjectedClusterIndex.__init__": ("artifact", "projection_window", "copy_arrays"),
+    "ProjectedClusterIndex.from_path": ("path", "mmap_mode"),
+    "StreamingSSPC.__init__": ("artifact", "config"),
+    "StreamConfig": (
+        "outlier_buffer_size", "lifecycle_every", "spawn_min_points", "spawn_grids",
+        "max_clusters", "retire_patience", "drift_check_every", "drift_window", "drift_min_points",
+        "drift_zscore", "refresh_thresholds", "projection_window", "stats_cache_max_entries",
+        "seed",
+    ),
+    "ServerConfig": (
+        "host", "port", "workers", "max_batch", "max_wait_us", "mmap_mode", "state_dir",
+        "max_body_bytes", "idle_timeout_s", "slo_availability_target", "slo_latency_budget_ms",
+        "slo_latency_target", "tail_slow_requests", "tail_error_requests",
+    ),
+    "MicroBatcher.__init__": ("flush_fn", "max_batch", "max_wait_us", "max_concurrency"),
+    "build_serving_index": ("artifact_path", "mmap_mode"),
+    "InProcessBackend.__init__": ("artifact_path", "mmap_mode"),
+    "WorkerPoolBackend.__init__": ("artifact_path", "n_workers", "mmap_mode", "call_timeout_s"),
+    "make_backend": ("artifact_path", "n_workers", "mmap_mode"),
+    "run_best_of": (
+        "spec", "data", "true_labels", "n_repeats", "knowledge", "random_state", "configuration",
+    ),
+    "repro-server": (
+        "artifact", "--host", "--port", "--workers", "--max-batch", "--max-wait-us", "--no-mmap",
+        "--state-dir", "--slo-availability-target", "--slo-latency-budget-ms",
+        "--slo-latency-target",
+    ),
+    "repro-serve fit": (
+        "--input", "--synthetic", "--artifact", "--n-clusters", "--m", "--p", "--max-iterations",
+        "--random-state", "--trace", "--metrics-out",
+    ),
+    "repro-serve predict": (
+        "--artifact", "--input", "--output", "--top-m", "--update", "--save-back", "--trace",
+        "--metrics-out",
+    ),
+    "repro-serve inspect": ("--artifact", "--json"),
+    "repro-serve": (),
+    "repro-stream run": (
+        "--n-batches", "--batch-size", "--n-dimensions", "--n-clusters", "--cluster-dim",
+        "--outlier-fraction", "--drift", "--drift-batch", "--drift-cluster", "--drift-magnitude",
+        "--seed", "--warmup", "--fit-iterations", "--m", "--buffer-size", "--lifecycle-every",
+        "--spawn-min-points", "--max-clusters", "--drift-every", "--drift-zscore",
+        "--projection-window", "--checkpoint", "--report", "--trace", "--metrics-out", "--quiet",
+    ),
+    "repro-stream replay": ("--checkpoint", "--n-batches", "--batch-size", "--output", "--quiet"),
+    "repro-stream inspect": ("--checkpoint", "--json"),
+    "repro-stream": (),
+}
+
+
+def _parameters(function):
+    return tuple(
+        name for name in inspect.signature(function).parameters if name not in ("self", "cls")
+    )
+
+
+def _fields(config_class):
+    return tuple(field.name for field in dataclasses.fields(config_class))
+
+
+def _flags(parser, prog):
+    """``{prog [subcommand]: flags}``: long option strings, positionals by dest."""
+    inventory = {}
+    names = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for command, subparser in action.choices.items():
+                inventory.update(_flags(subparser, "%s %s" % (prog, command)))
+            continue
+        names.append(max(action.option_strings, key=len) if action.option_strings else action.dest)
+    inventory[prog] = tuple(names)
+    return inventory
+
+
+def _inventory():
+    inventory = {
+        "SSPC.__init__": _parameters(SSPC.__init__),
+        "SSPC.fit": _parameters(SSPC.fit),
+        "SSPC.fit_predict": _parameters(SSPC.fit_predict),
+        "SSPC.predict": _parameters(SSPC.predict),
+        "assign_objects": _parameters(assign_objects),
+        "ProjectedClusterIndex.__init__": _parameters(ProjectedClusterIndex.__init__),
+        "ProjectedClusterIndex.from_path": _parameters(ProjectedClusterIndex.from_path),
+        "StreamingSSPC.__init__": _parameters(StreamingSSPC.__init__),
+        "StreamConfig": _fields(StreamConfig),
+        "ServerConfig": _fields(ServerConfig),
+        "MicroBatcher.__init__": _parameters(MicroBatcher.__init__),
+        "build_serving_index": _parameters(build_serving_index),
+        "InProcessBackend.__init__": _parameters(InProcessBackend.__init__),
+        "WorkerPoolBackend.__init__": _parameters(WorkerPoolBackend.__init__),
+        "make_backend": _parameters(make_backend),
+        "run_best_of": _parameters(run_best_of),
+    }
+    inventory.update(_flags(server_cli.build_parser(), "repro-server"))
+    inventory.update(_flags(serving_cli.build_parser(), "repro-serve"))
+    inventory.update(_flags(stream_cli.build_parser(), "repro-stream"))
+    return inventory
+
+
+def test_option_inventory_is_pinned():
+    inventory = _inventory()
+    assert inventory == EXPECTED
+    assert sum(len(names) for names in inventory.values()) == 142

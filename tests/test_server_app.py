@@ -5,13 +5,21 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
 from repro.server.app import PredictServer, ServerConfig
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+#: In-process and pool daemons; the pool leg needs fork.
+WORKER_COUNTS = [0, pytest.param(2, marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork"))]
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +39,8 @@ async def running_server(artifact_path, **config_kwargs):
         await server.stop()
 
 
-async def request_on(reader, writer, method, path, payload=None):
-    """One HTTP round trip on an already-open connection."""
-    body = b"" if payload is None else json.dumps(payload).encode()
+async def exchange(reader, writer, method, path, body=b""):
+    """One HTTP round trip on an open connection: ``(status, headers, json)``."""
     head = "%s %s HTTP/1.1\r\nHost: test\r\n" % (method, path)
     if body:
         head += "Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body)
@@ -49,18 +56,50 @@ async def request_on(reader, writer, method, path, payload=None):
         name, _, value = line.decode().partition(":")
         headers[name.strip().lower()] = value.strip()
     raw = await reader.readexactly(int(headers["content-length"]))
-    return status, json.loads(raw)
+    return status, headers, json.loads(raw)
 
 
-async def request(host, port, method, path, payload=None):
-    """One HTTP round trip on a fresh connection."""
+async def request_on(reader, writer, method, path, payload=None):
+    """One HTTP round trip on an already-open connection."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    status, _, parsed = await exchange(reader, writer, method, path, body)
+    return status, parsed
+
+
+async def raw_request(host, port, method, path, body=b""):
+    """One round trip with a literal body on a fresh connection."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        return await request_on(reader, writer, method, path, payload)
+        return await exchange(reader, writer, method, path, body)
     finally:
         writer.close()
         with contextlib.suppress(ConnectionError):
             await writer.wait_closed()
+
+
+async def request(host, port, method, path, payload=None):
+    """One HTTP round trip on a fresh connection."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    status, _, parsed = await raw_request(host, port, method, path, body)
+    return status, parsed
+
+
+def body_with_literal(key, row, literal):
+    """A ``{key: row}`` JSON body whose first coordinate is ``literal``."""
+    values = [literal] + [json.dumps(float(value)) for value in row[1:]]
+    if key == "points":
+        return ('{"points": [[%s]]}' % ", ".join(values)).encode()
+    return ('{"point": [%s]}' % ", ".join(values)).encode()
+
+
+async def assert_no_server_errors(host, port):
+    """``/metrics`` counts no 5xx and ``/healthz`` stays 200 at generation 0."""
+    status, metrics = await request(host, port, "GET", "/metrics")
+    assert status == 200
+    assert not [code for code in metrics["errors"] if code.startswith("5")], metrics["errors"]
+    status, health = await request(host, port, "GET", "/healthz")
+    assert status == 200, health
+    assert health["generation"] == 0
 
 
 def test_healthz_reports_shape(artifact_on_disk):
@@ -324,3 +363,113 @@ def test_worker_pool_end_to_end(artifact_on_disk, query_points, tmp_path):
     assert update["generation"] == 1
     for batch in post:
         np.testing.assert_array_equal(np.array(batch), expected_post)
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_non_finite_point_is_a_400_and_spares_its_batch(
+    artifact_on_disk, query_points, workers
+):
+    reference = ProjectedClusterIndex(load_artifact(artifact_on_disk)).predict(
+        query_points
+    )
+    good = [json.dumps({"point": list(row)}).encode() for row in query_points[:3]]
+
+    async def drive():
+        async with running_server(artifact_on_disk, workers=workers) as (server, host, port):
+            for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+                bad = body_with_literal("point", query_points[3], literal)
+                # The bad point arrives among concurrent good ones, so it
+                # would share their micro-batch if it got that far.
+                results = await asyncio.gather(
+                    *(raw_request(host, port, "POST", "/predict", body) for body in good),
+                    raw_request(host, port, "POST", "/predict", bad),
+                )
+                for status, _, body in results[:3]:
+                    assert status == 200, (literal, body)
+                assert [body["label"] for _, _, body in results[:3]] == list(reference[:3])
+                status, headers, body = results[3]
+                assert status == 400, (literal, body)
+                assert headers.get("x-request-id")
+                assert "finite" in body["error"]
+                for path in ("/predict", "/predict_soft", "/partial_update"):
+                    batch = body_with_literal("points", query_points[3], literal)
+                    status, headers, body = await raw_request(host, port, "POST", path, batch)
+                    assert status == 400, (literal, path, body)
+                    assert headers.get("x-request-id")
+            await assert_no_server_errors(host, port)
+
+    asyncio.run(drive())
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_partial_update_labels_and_top_m_are_validated(
+    artifact_on_disk, query_points, workers, tmp_path
+):
+    points = query_points[:4].tolist()
+    reference = ProjectedClusterIndex(load_artifact(artifact_on_disk))
+    valid = [int(label) for label in reference.predict(query_points[:4])]
+    valid[0] = -1  # the outlier sentinel is a valid label
+
+    async def drive():
+        async with running_server(
+            artifact_on_disk, workers=workers, state_dir=str(tmp_path / "state")
+        ) as (server, host, port):
+            k = server.backend.describe()["n_clusters"]
+            for bad in ("a", 1.5, True, None, [0], k, 99, -2, -5):
+                labels = [bad] + valid[1:]
+                status, headers, body = await raw_request(
+                    host,
+                    port,
+                    "POST",
+                    "/partial_update",
+                    json.dumps({"points": points, "labels": labels}).encode(),
+                )
+                assert status == 400, (bad, body)
+                assert headers.get("x-request-id")
+                assert "labels" in body["error"]
+            for top_m in (True, False, 1.5, "2"):
+                status, body = await request(
+                    host,
+                    port,
+                    "POST",
+                    "/predict_soft",
+                    {"point": points[0], "top_m": top_m},
+                )
+                assert status == 400, (top_m, body)
+                assert "top_m" in body["error"]
+            await assert_no_server_errors(host, port)
+            return await request(
+                host, port, "POST", "/partial_update", {"points": points, "labels": valid}
+            )
+
+    status, body = asyncio.run(drive())
+    assert status == 200
+    assert body["applied_labels"] == valid
+    assert body["generation"] == 1
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+def test_worker_failure_body_carries_no_traceback(
+    artifact_on_disk, query_points, monkeypatch
+):
+    def boom(self, points, top_m):
+        raise RuntimeError("boom")
+
+    # Patched before the pool forks, so every worker inherits it.
+    monkeypatch.setattr(ProjectedClusterIndex, "top_assignments", boom)
+
+    async def drive():
+        async with running_server(artifact_on_disk, workers=2) as (server, host, port):
+            return await request(
+                host, port, "POST", "/predict_soft", {"point": list(query_points[0])}
+            )
+
+    with obs.recording() as recorder:
+        status, body = asyncio.run(drive())
+    assert status == 503
+    assert re.fullmatch(r"worker \d failed 'predict_soft': RuntimeError: boom", body["error"])
+    events = [event for event in recorder.events if event["kind"] == "backend_error"]
+    assert len(events) == 1
+    assert events[0]["details"]["error"] == body["error"]
+    worker_traceback = events[0]["details"]["worker_traceback"]
+    assert worker_traceback.startswith("Traceback") and "boom" in worker_traceback

@@ -13,10 +13,12 @@ class RecordingFlush:
 
     def __init__(self, gate: "asyncio.Event | None" = None):
         self.batches = []
+        self.metas = []
         self.gate = gate
 
-    async def __call__(self, points: np.ndarray):
+    async def __call__(self, points: np.ndarray, meta: dict):
         self.batches.append(np.array(points))
+        self.metas.append(dict(meta))
         if self.gate is not None:
             await self.gate.wait()
         # Echo each row's first coordinate as its "label".
@@ -110,22 +112,36 @@ def test_busy_gate_chains_stragglers_into_one_batch():
 
 
 def test_non_adaptive_waits_for_the_deadline():
+    # A queue that grows on every loop pass defeats the adaptive quiesce
+    # flush: the deadline is what flushes it.
     flush = RecordingFlush()
-    batcher = MicroBatcher(flush, max_batch=64, max_wait_us=20_000.0, adaptive=False)
+    batcher = MicroBatcher(flush, max_batch=1_000_000, max_wait_us=20_000.0)
 
     async def drive():
-        task = asyncio.ensure_future(batcher.submit(np.array([1.0])))
-        await asyncio.sleep(0.005)
-        assert not task.done(), "fixed-wait batcher must hold until the deadline"
-        return await asyncio.wait_for(task, timeout=5.0)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        # Two submissions land in the first pass, so each quiesce check
+        # runs after one more submission than the check before it saw.
+        tasks = [
+            asyncio.ensure_future(batcher.submit(np.array([float(i)]))) for i in range(2)
+        ]
+        while not flush.batches:
+            tasks.append(asyncio.ensure_future(batcher.submit(np.array([float(len(tasks))]))))
+            await asyncio.sleep(0)
+        first_flush_s = loop.time() - started
+        results = await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
+        return first_flush_s, results
 
-    assert asyncio.run(drive()) == 1.0
+    first_flush_s, results = asyncio.run(drive())
+    assert results == [float(i) for i in range(len(results))]
+    assert flush.metas[0]["reason"] == "timeout"
+    assert flush.metas[0]["size"] > 2
+    assert first_flush_s >= 0.02
     assert batcher.stats.flush_reasons["timeout"] == 1
-    assert batcher.stats.flush_reasons["quiesce"] == 0
 
 
 def test_flush_error_propagates_to_every_waiter():
-    async def failing(points):
+    async def failing(points, meta):
         raise RuntimeError("kernel exploded")
 
     batcher = MicroBatcher(failing, max_batch=64, max_wait_us=10_000.0)
@@ -143,7 +159,7 @@ def test_flush_error_propagates_to_every_waiter():
 
 
 def test_result_count_mismatch_is_an_error():
-    async def short(points):
+    async def short(points, meta):
         return [0.0]  # always one result, regardless of batch size
 
     batcher = MicroBatcher(short, max_batch=64, max_wait_us=10_000.0)
@@ -161,7 +177,7 @@ def test_result_count_mismatch_is_an_error():
 
 def test_drain_flushes_pending_and_closes():
     flush = RecordingFlush()
-    batcher = MicroBatcher(flush, max_batch=64, max_wait_us=30_000_000.0, adaptive=False)
+    batcher = MicroBatcher(flush, max_batch=64, max_wait_us=30_000_000.0)
 
     async def drive():
         task = asyncio.ensure_future(batcher.submit(np.array([5.0])))

@@ -26,18 +26,12 @@ class TestBuildParser:
         assert args.workers == 0
         assert args.max_batch == 64
         assert args.max_wait_us == 2000.0
-        assert args.no_adaptive is False
-        assert args.center == "median"
         assert args.no_mmap is False
         assert args.state_dir is None
 
     def test_artifact_is_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_center_is_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["model", "--center", "mode"])
 
 
 def _wait_ready(process, timeout_s=30.0):

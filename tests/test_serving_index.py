@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ class TestBatchSingleEquivalence:
         single = np.stack([index.gains_single(point) for point in query_points])
         assert np.array_equal(batch, single)
 
+    def test_all_center_modes_agree_between_paths(self, artifact, query_points):
+        # The median is the only center; batch and single paths agree on
+        # it before and after a fold moves it.
+        idx = ProjectedClusterIndex(artifact)
+        for _ in range(2):
+            batch = idx.gains_matrix(query_points)
+            single = np.stack([idx.gains_single(p) for p in query_points])
+            assert np.array_equal(batch, single)
+            idx.partial_update(query_points)
+
     def test_labels_bit_identical(self, index, query_points):
         batch = index.predict(query_points)
         single = np.asarray([index.predict_one(point) for point in query_points])
@@ -47,13 +59,6 @@ class TestBatchSingleEquivalence:
         first = index.predict(query_points)
         second = index.predict(query_points.copy())
         np.testing.assert_array_equal(first, second)
-
-    def test_all_center_modes_agree_between_paths(self, artifact, query_points):
-        for center in ("median", "representative", "mean"):
-            idx = ProjectedClusterIndex(artifact, center=center)
-            batch = idx.gains_matrix(query_points)
-            single = np.stack([idx.gains_single(p) for p in query_points])
-            assert np.array_equal(batch, single), center
 
 
 class TestOutlierGating:
@@ -129,14 +134,19 @@ class TestPartialUpdate:
         assert index.n_points_absorbed == 0
 
     def test_median_center_follows_update(self, artifact, query_points):
-        idx = ProjectedClusterIndex(artifact, center="median")
+        idx = ProjectedClusterIndex(artifact)
         labels = idx.partial_update(query_points)
+        updated = 0
         for i in range(idx.n_clusters):
             if np.count_nonzero(labels == i) == 0:
                 continue
+            updated += 1
+            # The scoring plan was patched with the refreshed median.
+            _, planned_center, _ = idx._engine.cluster_plan(i)
             np.testing.assert_array_equal(
-                idx._clusters[i].center_selected, idx.cluster_statistics(i).median_selected
+                planned_center, idx.cluster_statistics(i).median_selected
             )
+        assert updated > 0
 
     def test_without_projections_median_is_frozen(self, fitted_sspc, query_points):
         artifact = fitted_sspc.to_artifact(include_projections=False)
@@ -167,53 +177,6 @@ class TestPartialUpdate:
         labels = index.partial_update(query_points)
         assert index.n_updates == 1
         assert index.n_points_absorbed == int(np.count_nonzero(labels >= 0))
-
-
-class TestAllowOutliersContract:
-    @pytest.fixture()
-    def no_outlier_model(self, small_dataset):
-        from repro.core.sspc import SSPC
-
-        return SSPC(
-            n_clusters=3, m=0.5, allow_outliers=False, random_state=0, max_iterations=5
-        ).fit(small_dataset.data)
-
-    def test_force_assigning_model_never_serves_outliers(
-        self, no_outlier_model, small_dataset, rng
-    ):
-        far = small_dataset.data.max() + 1e3 + rng.uniform(
-            0, 1, size=(15, small_dataset.n_dimensions)
-        )
-        idx = ProjectedClusterIndex(no_outlier_model.to_artifact())
-        assert not idx.allow_outliers  # inherited from the fit parameters
-        labels = idx.predict(far)
-        assert np.all(labels >= 0)
-        np.testing.assert_array_equal(no_outlier_model.predict(far), labels)
-
-    def test_force_assign_batch_matches_single(self, no_outlier_model, small_dataset, rng):
-        far = small_dataset.data.max() + 1e3 + rng.uniform(
-            0, 1, size=(10, small_dataset.n_dimensions)
-        )
-        idx = ProjectedClusterIndex(no_outlier_model.to_artifact())
-        singles = np.asarray([idx.predict_one(point) for point in far])
-        np.testing.assert_array_equal(idx.predict(far), singles)
-
-    def test_force_assigned_points_are_absorbed(self, no_outlier_model, small_dataset, rng):
-        far = small_dataset.data.max() + 1e3 + rng.uniform(
-            0, 1, size=(10, small_dataset.n_dimensions)
-        )
-        idx = ProjectedClusterIndex(no_outlier_model.to_artifact())
-        idx.partial_update(far)
-        assert idx.n_points_absorbed == 10
-
-    def test_explicit_override_wins(self, artifact, small_dataset, rng):
-        far = small_dataset.data.max() + 1e3 + rng.uniform(
-            0, 1, size=(10, small_dataset.n_dimensions)
-        )
-        forced = ProjectedClusterIndex(artifact, allow_outliers=False)
-        assert np.all(forced.predict(far) >= 0)
-        gated = ProjectedClusterIndex(artifact, allow_outliers=True)
-        assert np.all(gated.predict(far) == OUTLIER_LABEL)
 
 
 class TestFoldInto:
@@ -319,8 +282,24 @@ class TestInputValidation:
             index.gains_single(np.zeros(index.n_dimensions + 1))
 
     def test_bad_center_mode_rejected(self, artifact):
-        with pytest.raises(ValueError, match="center"):
-            ProjectedClusterIndex(artifact, center="medoid")
+        # The median is the only center; the keyword itself is gone.
+        for center in ("median", "mean", "medoid"):
+            with pytest.raises(TypeError, match="center"):
+                ProjectedClusterIndex(artifact, center=center)
+
+    def test_retired_allow_outliers_false_artifact_rejected(self, artifact, query_points):
+        # A missing key (what fits write now) or ``true`` serves as before;
+        # ``false`` marks a model fitted with the retired force-assignment
+        # option, which must not be served behind an outlier gate.
+        assert "allow_outliers" not in artifact.parameters
+        expected = ProjectedClusterIndex(artifact).predict(query_points)
+        gated = replace(artifact, parameters={**artifact.parameters, "allow_outliers": True})
+        np.testing.assert_array_equal(
+            ProjectedClusterIndex(gated).predict(query_points), expected
+        )
+        forced = replace(artifact, parameters={**artifact.parameters, "allow_outliers": False})
+        with pytest.raises(ValueError, match="allow_outliers"):
+            ProjectedClusterIndex(forced)
 
 
 class TestEstimatorIntegration:

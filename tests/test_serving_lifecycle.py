@@ -100,7 +100,7 @@ class TestTrimProjections:
         dims = index.cluster_statistics(position).dimensions
         rows = make_new_cluster_rows(
             rng, index.n_dimensions, dims,
-            center=index._clusters[position].center_selected, spread=0.2, n_rows=50,
+            center=index._clusters[position].median_selected, spread=0.2, n_rows=50,
         )
         index.partial_update(rows, labels=np.full(rows.shape[0], position))
         index.trim_projections(position, keep_last=30)
@@ -120,7 +120,7 @@ class TestTrimProjections:
         dims = windowed.cluster_statistics(position).dimensions
         rows = make_new_cluster_rows(
             rng, windowed.n_dimensions, dims,
-            center=windowed._clusters[position].center_selected, spread=0.2, n_rows=35,
+            center=windowed._clusters[position].median_selected, spread=0.2, n_rows=35,
         )
         windowed.partial_update(rows, labels=np.full(rows.shape[0], position))
         cluster = windowed._clusters[position]

@@ -6,7 +6,6 @@ import pytest
 from repro.core.model import ClusteringResult
 from repro.core.sspc import SSPC
 from repro.evaluation import adjusted_rand_index, dimension_selection_scores
-from repro.semisupervision.constraints import PairwiseConstraints
 from repro.semisupervision.knowledge import Knowledge
 from repro.semisupervision.sampling import sample_knowledge
 
@@ -48,11 +47,6 @@ class TestUnsupervisedClustering:
         first = SSPC(n_clusters=3, m=0.5, random_state=7).fit_predict(tiny_dataset.data)
         second = SSPC(n_clusters=3, m=0.5, random_state=7).fit_predict(tiny_dataset.data)
         np.testing.assert_array_equal(first, second)
-
-    def test_allow_outliers_false_assigns_everything(self, tiny_dataset):
-        model = SSPC(n_clusters=3, m=0.5, allow_outliers=False, random_state=2)
-        labels = model.fit_predict(tiny_dataset.data)
-        assert np.all(labels >= 0)
 
     def test_outliers_detected_on_contaminated_data(self, outlier_dataset):
         model = SSPC(n_clusters=3, m=0.5, random_state=3).fit(outlier_dataset.data)
@@ -121,16 +115,6 @@ class TestSemiSupervisedClustering:
         bad = Knowledge.from_pairs(object_pairs=[(0, 7)])
         with pytest.raises(ValueError):
             SSPC(n_clusters=3, random_state=0).fit(tiny_dataset.data, bad)
-
-    def test_constraints_respected(self, small_dataset):
-        labels_unconstrained = SSPC(n_clusters=3, m=0.5, random_state=0).fit_predict(
-            small_dataset.data
-        )
-        same = np.flatnonzero(labels_unconstrained == 0)[:2]
-        constraints = PairwiseConstraints.from_pairs(cannot_links=[(int(same[0]), int(same[1]))])
-        model = SSPC(n_clusters=3, m=0.5, random_state=0)
-        labels = model.fit_predict(small_dataset.data, constraints=constraints)
-        assert constraints.violations(labels) == 0
 
 
 class TestParameters:

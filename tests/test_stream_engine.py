@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import zipfile
 
 import numpy as np
@@ -16,10 +17,10 @@ from repro.data.streams import (
     MeanShift,
 )
 from repro.evaluation import adjusted_rand_index
-from repro.reliability import mmap_npz
+from repro.reliability import IntegrityError, mmap_npz, stamp_checksum
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream import StreamConfig, StreamingSSPC, load_checkpoint
-from repro.stream.checkpoint import ARRAYS_NAME, resolve_checkpoint_dir
+from repro.stream.checkpoint import ARRAYS_NAME, STATE_NAME, resolve_checkpoint_dir
 
 STREAM_SHAPE = dict(
     n_dimensions=40,
@@ -362,6 +363,21 @@ class TestCheckpointFormat:
         ]
         for left, right in zip(reference_labels[12:], resumed_labels):
             np.testing.assert_array_equal(left, right)
+
+    def test_state_with_a_non_median_center_is_rejected(self, stream_model, tmp_path):
+        engine = StreamingSSPC(stream_model.to_artifact(), config=StreamConfig(seed=1))
+        for batch in make_stream().batches(2, 150):
+            engine.process_batch(batch.data)
+        engine.checkpoint(tmp_path / "ck")
+        state_path = resolve_checkpoint_dir(tmp_path / "ck") / STATE_NAME
+        state = json.loads(state_path.read_text())
+        # Still written: readers of the schema-2 layout require the key.
+        assert state["center"] == "median"
+        state["center"] = "mean"
+        state_path.write_text(json.dumps(stamp_checksum(state)))
+        with pytest.raises(ValueError, match="center") as excinfo:
+            load_checkpoint(tmp_path / "ck")
+        assert not isinstance(excinfo.value, IntegrityError)
 
 
 class TestConfigValidation:

@@ -6,21 +6,24 @@ End to end over an actual subprocess and actual sockets:
 1. fit a small model and save it as an artifact directory;
 2. boot ``python -m repro.server.cli`` on an ephemeral port and wait
    for the ``READY host=... port=...`` banner;
-3. hit ``/healthz``, then ``/predict`` for every query point, and
-   assert the daemon's labels are bit-identical to an in-process
+3. hit ``/healthz``; send a non-finite point and an out-of-range fold
+   label and require a 400 carrying an ``X-Request-Id`` for each, no 5xx
+   in ``/metrics`` and a healthy ``/healthz`` after them;
+4. ``/predict`` every query point and assert the daemon's labels are
+   bit-identical to an in-process
    :class:`~repro.serving.index.ProjectedClusterIndex` over the same
    artifact;
-4. check the request-id contract: an inbound ``X-Request-Id`` is
+5. check the request-id contract: an inbound ``X-Request-Id`` is
    echoed back, a request without one gets a generated id, and even a
    404 response carries one;
-5. scrape ``/metrics?format=prometheus`` and validate the exposition:
+6. scrape ``/metrics?format=prometheus`` and validate the exposition:
    every line parses, every histogram series has ascending ``le``
    bounds with monotone non-decreasing cumulative counts ending at a
    ``+Inf`` bucket equal to ``_count``, and the predict-route counts
    agree with the JSON ``/metrics`` telemetry snapshot;
-6. optionally save ``/debug/tail_trace`` (``--tail-trace-out``, the
+7. optionally save ``/debug/tail_trace`` (``--tail-trace-out``, the
    nightly workflow uploads it as an artifact);
-7. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
+8. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
    timeout.
 
 Run from the repository root (CI does)::
@@ -103,6 +106,32 @@ def post_json(url: str, payload: dict, headers: dict = None):
     )
     with urllib.request.urlopen(request, timeout=15) as response:
         return json.loads(response.read()), dict(response.headers)
+
+
+def expect_client_error(url: str, payload: dict) -> str:
+    """POST ``payload``; require a 400 with an ``X-Request-Id``; return the error."""
+    try:
+        post_json(url, payload)
+    except urllib.error.HTTPError as error:
+        assert error.code == 400, error.code
+        assert error.headers.get("X-Request-Id"), "400 carried no X-Request-Id"
+        return json.loads(error.read())["error"]
+    raise AssertionError("%s accepted %r" % (url, payload))
+
+
+def check_input_boundary(base: str, queries: np.ndarray) -> None:
+    """Bad client input is a 400 before it reaches the batcher or a worker."""
+    nan_point = [float("nan")] + [0.0] * (queries.shape[1] - 1)
+    finite_error = expect_client_error(base + "/predict", {"point": nan_point})
+    label_error = expect_client_error(
+        base + "/partial_update",
+        {"points": queries[:2].tolist(), "labels": [99, 0]},
+    )
+    errors = get_json(base + "/metrics")["errors"]
+    assert not [status for status in errors if status.startswith("5")], errors
+    health = get_json(base + "/healthz")
+    assert health["status"] == "ok" and health["generation"] == 0, health
+    print("input boundary ok: %r, %r; errors %s" % (finite_error, label_error, errors))
 
 
 def check_request_ids(base: str) -> None:
@@ -237,6 +266,8 @@ def main(argv=None) -> int:
             assert health["status"] == "ok", health
             assert health["generation"] == 0, health
             print("healthz ok: %s" % health)
+
+            check_input_boundary(base, queries)
 
             labels = [
                 post_json(base + "/predict", {"point": list(row)})[0]["label"]
