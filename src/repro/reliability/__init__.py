@@ -6,7 +6,9 @@ Four pieces, layered:
   arrays and JSON payloads, and the typed :class:`IntegrityError`
   raised whenever a durable payload fails verification.
 * :mod:`repro.reliability.atomic` — temp + fsync + rename writes for
-  files and whole directories (manifest-last protocol), plus
+  files and whole directories (manifest-last protocol; files under a
+  staging directory are written in place), recycling of retired
+  directories, a pointer flip that frees no inode, plus
   checksum-verified JSON reads.
 * :mod:`repro.reliability.bundle` — the one NPZ array-bundle writer and
   reader: stored (uncompressed, mappable) members written atomically,
@@ -19,7 +21,8 @@ Four pieces, layered:
 
 Consumed by :mod:`repro.serving.artifact` (model artifacts, through the
 bundle module), :mod:`repro.stream.checkpoint` (checkpoint generations
-with rollback, through the bundle module),
+with rollback, through the bundle module, recycling a spare
+generation), :mod:`repro.server.app` (the daemon's ``CURRENT`` flip),
 :mod:`repro.bench.store` (resumable run records with quarantine) and
 :mod:`repro.utils.executor` (fault-tolerant process execution).
 """
@@ -52,9 +55,11 @@ from repro.reliability.atomic import (
     atomic_write_dir,
     atomic_write_json,
     atomic_write_text,
+    flip_pointer,
     fsync_directory,
     read_json,
     remove_stale_temps,
+    retire_dir,
     stamp_json_file,
 )
 from repro.reliability.bundle import (
@@ -83,6 +88,7 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_text",
     "checksum_arrays",
+    "flip_pointer",
     "fsync_directory",
     "mmap_npz",
     "payload_checksum",
@@ -90,6 +96,7 @@ __all__ = [
     "read_json",
     "remove_stale_temps",
     "require_key",
+    "retire_dir",
     "sha256_hex",
     "stamp_checksum",
     "stamp_json_file",

@@ -11,14 +11,37 @@ gives all of them the same contract:
   ``*.tmp-*`` file, which :func:`remove_stale_temps` clears.
 * :func:`atomic_write_dir` — multi-file payloads (an artifact, a
   checkpoint generation) are staged in a temp sibling directory and
-  renamed into place as a unit.  Writers put the manifest last inside
-  the staging block, so even the staging directory is never
-  manifest-complete-but-arrays-torn.
+  renamed into place as a unit.  The staging directory is the unit of
+  atomicity: while it is being populated, every file under it is
+  written *in place* (opened without truncating, written, truncated to
+  the new length and fsynced) and a nested :func:`atomic_write_dir`
+  writes straight into its target, because nothing under the staging
+  name is visible until the one commit rename.  Each staged directory
+  gets one fsync before that rename.  Writers put the manifest last
+  inside the staging block, so even the staging directory is never
+  manifest-complete-but-arrays-torn.  The staging directory may start
+  from a recycled one (``recycle=``, filled by :func:`retire_dir`), so
+  a writer that keeps a fixed number of generations overwrites the
+  blocks of a retired one instead of freeing them and allocating new
+  ones.
+* :func:`flip_pointer` — replaces a small pointer file (a checkpoint's
+  ``CURRENT``) atomically without freeing the replaced inode: the new
+  content is written in place into a spare, the spare is renamed over
+  the pointer while a second hard link keeps the old inode alive, and
+  that inode becomes the next flip's spare.
 * :func:`atomic_write_json` stamps the payload with a self-checksum
   (:data:`~repro.reliability.integrity.CHECKSUM_KEY`); :func:`read_json`
   verifies and strips it, raising
   :class:`~repro.reliability.integrity.IntegrityError` on parse failure
   or mismatch.
+
+Freeing an inode or a block is the expensive part of a write on a
+filesystem that discards freed blocks online (ext4 mounted with
+``discard``): unlinking a fsynced file there costs tens to hundreds of
+milliseconds against ~1 ms for overwriting it in place.  The recycling
+above is why a steady-state checkpoint frees nothing.  Every call that
+frees a file or directory lives in this module
+(``tools/check_durability.py`` enforces it for the durability paths).
 
 The three fault hooks of :mod:`repro.reliability.faults` are threaded
 through every step, which is how the corruption tests kill the write
@@ -32,8 +55,9 @@ import json
 import os
 import shutil
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Union
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Union
 
 from repro.reliability import faults
 from repro.reliability.faults import InjectedCrash
@@ -51,15 +75,27 @@ TEMP_MARKER = ".tmp-"
 
 _TEMP_COUNTER = itertools.count()
 
+#: Name suffixes :func:`flip_pointer` keeps next to a pointer file: the
+#: spare inode the next flip writes, and the second link to the replaced
+#: inode while a flip is in flight.
+SPARE_SUFFIX = ".spare"
+KEEP_SUFFIX = ".keep"
+
+#: Absolute paths of the directories :func:`atomic_write_dir` is staging
+#: in this thread or task; files under them are written in place.
+_STAGED: ContextVar[FrozenSet[Path]] = ContextVar("repro_staged_dirs", default=frozenset())
+
 __all__ = [
     "TEMP_MARKER",
     "atomic_write_bytes",
     "atomic_write_dir",
     "atomic_write_json",
     "atomic_write_text",
+    "flip_pointer",
     "fsync_directory",
     "read_json",
     "remove_stale_temps",
+    "retire_dir",
     "stamp_json_file",
 ]
 
@@ -102,9 +138,43 @@ def remove_stale_temps(directory: PathLike) -> int:
     return removed
 
 
+def _is_staged(path: Path) -> bool:
+    """Whether ``path`` lies under a directory :func:`atomic_write_dir` is staging."""
+    staged = _STAGED.get()
+    return bool(staged) and not staged.isdisjoint(Path(os.path.abspath(path)).parents)
+
+
+def _write_in_place(path: Path, data: bytes, *, fsync: bool = True) -> bool:
+    """Overwrite ``path`` in place: no truncating open, so its blocks are reused.
+
+    Only atomic where nothing reads ``path`` until a later rename
+    publishes it (a staging directory, a pointer's spare).  Returns
+    ``False``, writing nothing, when another name shares the inode (a
+    hard-linked backup would change with it); replacing that name frees
+    nothing either.
+    """
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        if os.fstat(handle.fileno()).st_nlink > 1:
+            return False
+        faults.guarded_write(handle, data, path)
+        handle.truncate()
+        handle.flush()
+        if fsync:
+            faults.before_fsync(path)
+            os.fsync(handle.fileno())
+    return True
+
+
 def atomic_write_bytes(path: PathLike, data: bytes, *, fsync: bool = True) -> Path:
-    """Atomically replace ``path`` with ``data`` (temp + fsync + rename)."""
+    """Atomically replace ``path`` with ``data`` (temp + fsync + rename).
+
+    Under a directory :func:`atomic_write_dir` is staging, ``path`` is
+    written in place instead (unless another name shares its inode): the
+    staging directory's rename is the commit.
+    """
     path = Path(path)
+    if _is_staged(path) and _write_in_place(path, bytes(data), fsync=fsync):
+        return path
     tmp = _temp_sibling(path)
     try:
         with open(tmp, "wb") as handle:
@@ -188,21 +258,51 @@ def stamp_json_file(path: PathLike) -> Path:
 
 
 @contextmanager
-def atomic_write_dir(path: PathLike) -> Iterator[Path]:
+def _staging(directory: Path) -> Iterator[None]:
+    """Mark ``directory`` as staging while the block runs; fsync it after."""
+    token = _STAGED.set(_STAGED.get() | {Path(os.path.abspath(directory))})
+    try:
+        yield
+    finally:
+        _STAGED.reset(token)
+    fsync_directory(directory)
+
+
+@contextmanager
+def atomic_write_dir(path: PathLike, *, recycle: Optional[PathLike] = None) -> Iterator[Path]:
     """Stage a directory payload and rename it into place as a unit.
 
-    Yields a temp sibling directory for the caller to populate; on
-    clean exit the staging directory replaces ``path`` (an existing
-    target is swapped out and removed).  On error the staging directory
-    is deleted — except under an :class:`InjectedCrash`, which leaves
-    the debris a real kill would.
+    Yields a temp sibling directory for the caller to populate; files
+    written under it through this module are written in place, and the
+    directory gets one fsync before, on clean exit, it replaces ``path``
+    (an existing target is swapped out and removed).  ``recycle`` names
+    a directory left by :func:`retire_dir`: when it exists, it becomes
+    the staging directory, so same-named files overwrite its blocks.
+    Files of it that the caller does not rewrite stay as they were.
+
+    Inside a directory that is itself being staged, ``path`` is written
+    in place and commits with that directory.  On error the staging
+    directory is deleted — except under an :class:`InjectedCrash`,
+    which leaves the debris a real kill would.
     """
     path = Path(path)
+    if _is_staged(path):
+        path.mkdir(exist_ok=True)
+        with _staging(path):
+            yield path
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
     staging = _temp_sibling(path)
-    staging.mkdir()
+    if recycle is not None and Path(recycle).is_dir():
+        os.rename(recycle, staging)
+        # Durable before any file of it is overwritten: after a power
+        # loss no committed name may lead to a half-rewritten file.
+        fsync_directory(path.parent)
+    else:
+        staging.mkdir()
     try:
-        yield staging
+        with _staging(staging):
+            yield staging
     except InjectedCrash:
         raise
     except BaseException:
@@ -221,3 +321,71 @@ def atomic_write_dir(path: PathLike) -> Iterator[Path]:
     else:
         os.rename(staging, path)
     fsync_directory(path.parent)
+
+
+def retire_dir(path: PathLike, spare: PathLike) -> None:
+    """Retire the directory ``path``, keeping it as ``spare`` when there is none.
+
+    The next ``atomic_write_dir(..., recycle=spare)`` overwrites the
+    spare's files in place, so retiring frees nothing in steady state.
+    With a spare already there, ``path`` is deleted.
+    """
+    path, spare = Path(path), Path(spare)
+    if not os.path.lexists(spare):
+        try:
+            os.rename(path, spare)
+            return
+        except OSError:
+            pass
+    shutil.rmtree(path, ignore_errors=True)
+
+
+def _recover_keep(path: Path, spare: Path, keep: Path) -> None:
+    """Finish or undo the flip a kill interrupted, from its leftover ``keep`` link."""
+    if not os.path.lexists(keep):
+        return
+    if os.path.lexists(spare) or (os.path.lexists(path) and os.path.samefile(keep, path)):
+        os.unlink(keep)  # stopped before the commit: keep is a second name of ``path``
+    else:
+        os.rename(keep, spare)  # stopped after the commit: keep is the next spare
+
+
+def flip_pointer(path: PathLike, data: bytes) -> Path:
+    """Atomically replace the small file ``path`` with ``data``, freeing no inode.
+
+    1. ``data`` is written in place into ``<path>.spare`` and fsynced;
+    2. ``<path>.keep`` is hard-linked to the current ``path``;
+    3. the spare is renamed over ``path`` — the commit point; the old
+       inode survives through ``keep``;
+    4. ``keep`` is renamed to ``<path>.spare``, the next flip's spare;
+    5. the directory is fsynced.
+
+    A kill at any step leaves ``path`` holding the old or the new
+    content; the next flip recovers a leftover ``keep``.  Where hard
+    links fail, step 3 replaces ``path`` and frees the old inode, as
+    :func:`atomic_write_bytes` does.
+    """
+    path = Path(path)
+    spare = path.with_name(path.name + SPARE_SUFFIX)
+    keep = path.with_name(path.name + KEEP_SUFFIX)
+    _recover_keep(path, spare, keep)
+    if not _write_in_place(spare, bytes(data)):
+        os.unlink(spare)  # a second name of a shared inode: frees nothing
+        _write_in_place(spare, bytes(data))
+    linked = False
+    if os.path.lexists(path):
+        try:
+            os.link(path, keep)
+            linked = True
+        except OSError:
+            pass
+    faults.before_rename(path)
+    os.replace(spare, path)
+    if linked:
+        try:
+            faults.before_rename(spare)
+            os.rename(keep, spare)
+        except OSError:
+            pass  # committed already; the next flip recovers ``keep``
+    fsync_directory(path.parent)
+    return path

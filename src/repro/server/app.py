@@ -11,8 +11,9 @@ One asyncio event loop accepts connections, parses requests
     :meth:`~repro.serving.index.ProjectedClusterIndex.predict` — the
     batcher only *stacks* requests, and JSON round-trips floats exactly.
 ``POST /predict_soft``
-    Top-``m`` soft assignments (labels, cluster ids, gains); ``-inf``
-    gain padding is emitted as JSON ``-Infinity``.
+    Top-``m`` soft assignments (labels, cluster ids, gains) for
+    ``1 <= top_m <= k``; ``-inf`` gain padding is emitted as JSON
+    ``-Infinity``.
 ``POST /partial_update``
     The write path.  Serialised by an application-level lock, folded
     through the backend's single owner (worker 0), persisted as a new
@@ -57,7 +58,7 @@ from repro import obs
 from repro.obs.prom import CONTENT_TYPE, PromWriter, write_histogram, write_telemetry
 from repro.obs.slo import SLOConfig
 from repro.obs.telemetry import RequestTrace, Telemetry
-from repro.reliability import atomic_write_text
+from repro.reliability import flip_pointer
 from repro.server.batcher import FLUSH_REASONS, MicroBatcher
 from repro.server.http import (
     HTTPError,
@@ -402,18 +403,36 @@ class PredictServer:
             raise HTTPError(400, "provide exactly one of 'point' or 'points'")
         single = "point" in payload
         raw = payload["point"] if single else payload["points"]
+        # Discover the dtype instead of forcing float, which would parse
+        # "1.5" and true: strings discover a string dtype, all-boolean
+        # input a boolean one, and nulls, objects and integers past 64
+        # bits an object one.
         try:
-            points = np.asarray(raw, dtype=float)
+            points = np.asarray(raw)
         except (TypeError, ValueError) as exc:
             raise HTTPError(400, "points are not numeric: %s" % exc) from exc
+        if points.dtype.kind not in "iuf":
+            raise HTTPError(
+                400, "points must be JSON numbers, not strings, booleans, nulls or "
+                "integers past 64 bits",
+            )
         if single:
             if points.ndim != 1:
                 raise HTTPError(400, "'point' must be a flat list of numbers")
-            points = points[None, :]
         elif points.ndim != 2:
             raise HTTPError(400, "'points' must be a list of equal-length rows")
         if points.size == 0:
             raise HTTPError(400, "empty point set")
+        # A boolean among numbers discovers a numeric dtype as 0 or 1, so
+        # only the rows holding a 0 or a 1 are scanned for one.
+        suspects = (points == 0) | (points == 1)
+        if suspects.any():
+            rows = [raw] if single else [raw[i] for i in np.flatnonzero(suspects.any(axis=1))]
+            if any(bool in map(type, row) for row in rows):
+                raise HTTPError(400, "points must be JSON numbers, not booleans")
+        points = points.astype(float, copy=False)
+        if single:
+            points = points[None, :]
         # json parses NaN, Infinity and overflowing literals (1e400); one
         # such row would fail the whole micro-batch it joins.
         if not np.isfinite(points).all():
@@ -486,6 +505,10 @@ class PredictServer:
         top_m = payload.get("top_m", 3) if isinstance(payload, dict) else 3
         if not isinstance(top_m, int) or isinstance(top_m, bool) or top_m < 1:
             raise HTTPError(400, "'top_m' must be a positive integer")
+        if top_m > self._n_clusters:
+            raise HTTPError(
+                400, "'top_m' must be at most %d, the served cluster count" % self._n_clusters
+            )
         labels, clusters, gains = await self.backend.predict_soft(points, top_m)
         body = {
             "labels": [int(label) for label in labels],
@@ -516,8 +539,10 @@ class PredictServer:
                     points, labels, str(generation_dir)
                 )
                 # The generation is durable before anyone is told about it:
-                # owner saved above (atomic), pointer flip below (atomic).
-                atomic_write_text(self._state_dir / "CURRENT", generation_dir.name)
+                # owner saved above (atomic), pointer flip below (atomic,
+                # and it frees no inode, so it does not stall the loop on
+                # a filesystem that discards freed blocks).
+                flip_pointer(self._state_dir / "CURRENT", generation_dir.name.encode("ascii"))
                 await self.backend.reload_replicas(str(generation_dir))
                 self.generation = next_generation
                 update_span.set(rows=int(points.shape[0]), absorbed=absorbed)

@@ -35,7 +35,10 @@ Durability (schema 2): :meth:`ModelArtifact.save` is crash-safe — the
 whole directory is staged and renamed into place via
 :func:`~repro.reliability.atomic.atomic_write_dir` with the manifest
 written last, so a kill at any point leaves either the previous
-artifact or the new one, never a torn hybrid.  The manifest records a
+artifact or the new one, never a torn hybrid.  Saved inside a directory
+that is itself being staged (a stream checkpoint generation), the
+artifact is written in place and commits with that directory.  The
+manifest records a
 SHA-256 checksum per array plus a self-checksum over its own canonical
 form; :func:`load_artifact` verifies both and raises a typed
 :class:`~repro.reliability.integrity.IntegrityError` naming the damaged
@@ -406,7 +409,9 @@ class ModelArtifact:
         :func:`load_artifact` with ``mmap_mode``).  The directory is
         staged and renamed into place as a unit with the manifest last,
         so a kill mid-save leaves either the previous artifact or the
-        new one — never a torn mix.  Returns the directory path.
+        new one — never a torn mix; inside a directory that is itself
+        being staged it is written in place and commits with that
+        directory.  Returns the directory path.
         """
         directory = Path(path)
 

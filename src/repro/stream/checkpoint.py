@@ -4,11 +4,13 @@ A checkpoint directory holds *generations* plus a commit pointer::
 
     <checkpoint>/
         CURRENT                 # name of the committed generation (written last)
+        CURRENT.spare           # the previous CURRENT inode, rewritten by the next flip
         gen-00000007/
             model/              # ModelArtifact (manifest + arrays)
             stream_state.json   # engine state, self-checksummed, written last
             stream_arrays.npz   # float buffers, checksummed in the state
         gen-00000008/
+        spare/                  # a retired generation, rewritten by the next save
 
 Each generation is a complete, self-contained checkpoint:
 
@@ -37,16 +39,34 @@ Each generation is a complete, self-contained checkpoint:
 
 Durability protocol: a generation is staged in a temp directory and
 renamed into place as a unit; only then is ``CURRENT`` atomically
-rewritten to point at it — the single commit point.  A kill anywhere
+flipped to point at it — the single commit point.  A kill anywhere
 mid-save leaves ``CURRENT`` on the previous generation, so a restored
 engine resumes bit-identically from the last *committed* batch
 boundary.  :func:`load_checkpoint` verifies every checksum and
 automatically rolls back to the newest intact generation when the
 pointed-at one is damaged (raising a typed
 :class:`~repro.reliability.integrity.IntegrityError` only when *no*
-generation survives).  The last :data:`RETAIN_GENERATIONS` generations
-are retained; older ones are pruned at save time.  Legacy flat
-checkpoints (state files at the directory root, schema 1) still load.
+generation survives).  Legacy flat checkpoints (state files at the
+directory root, schema 1) still load.
+
+A steady-state save frees no inode, and no block unless a file comes
+out shorter than the copy it overwrites: freeing is what a save costs
+on a filesystem that discards freed blocks online.  The last
+:data:`RETAIN_GENERATIONS` generations are kept plus one spare
+directory, :data:`SPARE_NAME`: a save stages the new generation in the
+spare and overwrites its files in place
+(:func:`~repro.reliability.atomic.atomic_write_dir` with ``recycle=``),
+and pruning renames the oldest surplus generation to the spare
+(:func:`~repro.reliability.atomic.retire_dir`) instead of deleting it.
+``CURRENT`` is flipped by :func:`~repro.reliability.atomic.flip_pointer`,
+which keeps the replaced inode as ``CURRENT.spare``.  The layout and
+content of every generation are those of a checkpoint that deletes
+its retired generations, and either kind restores the other.
+
+Because a generation past retention is overwritten in place, files of
+a running stream's checkpoint must not be memory-mapped: restore reads
+every buffer eagerly, and so must any other reader that outlives the
+next few saves.
 
 Everything round-trips bit for bit, so a restored engine continues the
 stream exactly as if it had never stopped — the streaming analogue of
@@ -56,7 +76,6 @@ stream exactly as if it had never stopped — the streaming analogue of
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -66,12 +85,13 @@ from repro import obs
 from repro.reliability import (
     IntegrityError,
     TEMP_MARKER,
-    atomic_write_bytes,
     atomic_write_dir,
     atomic_write_json,
+    flip_pointer,
     read_bundle,
     remove_stale_temps,
     require_key,
+    retire_dir,
     verify_stamp,
     write_bundle,
 )
@@ -88,6 +108,9 @@ CURRENT_NAME = "CURRENT"
 GENERATION_PREFIX = "gen-"
 #: Committed generations kept on disk (current + rollback target).
 RETAIN_GENERATIONS = 2
+#: The retired generation the next save overwrites in place; matches no
+#: generation name, so no reader ever restores from it.
+SPARE_NAME = "spare"
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -95,6 +118,7 @@ __all__ = [
     "GENERATION_PREFIX",
     "RETAIN_GENERATIONS",
     "SCHEMA_VERSION",
+    "SPARE_NAME",
     "checkpoint_metadata",
     "describe_checkpoint",
     "load_checkpoint",
@@ -202,17 +226,14 @@ def resolve_checkpoint_dir(path: PathLike) -> Path:
     )
 
 
-def _prune_generations(directory: Path, *, keep: int) -> None:
-    for generation in _generation_dirs(directory)[:-keep]:
-        shutil.rmtree(generation, ignore_errors=True)
-
-
 def save_checkpoint(engine, path: PathLike, *, metadata: Optional[Dict[str, object]] = None) -> Path:
     """Write ``engine`` as a new committed generation under ``path``.
 
-    Crash-safe: the generation is staged and renamed into place, and the
-    ``CURRENT`` pointer is rewritten (atomically) only afterwards — a
-    kill at any step leaves the previous generation committed.
+    Crash-safe: the generation is staged (in the recycled spare, once
+    there is one) and renamed into place, and the ``CURRENT`` pointer is
+    flipped (atomically) only afterwards — a kill at any step leaves the
+    previous generation committed.  Generations past
+    :data:`RETAIN_GENERATIONS` are retired to the spare.
 
     Runs inside a ``stream.checkpoint`` span whose ``generation`` and
     ``bytes`` attributes name the committed generation and the bytes
@@ -224,10 +245,12 @@ def save_checkpoint(engine, path: PathLike, *, metadata: Optional[Dict[str, obje
         remove_stale_temps(directory)
         numbers = [_generation_number(entry.name) for entry in _generation_dirs(directory)]
         generation = directory / ("%s%08d" % (GENERATION_PREFIX, max(numbers, default=0) + 1))
-        _write_generation(engine, generation, metadata)
-        # The CURRENT rewrite is the checkpoint's single commit point.
-        atomic_write_bytes(directory / CURRENT_NAME, (generation.name + "\n").encode("ascii"))
-        _prune_generations(directory, keep=RETAIN_GENERATIONS)
+        spare = directory / SPARE_NAME
+        _write_generation(engine, generation, metadata, recycle=spare)
+        # The CURRENT flip is the checkpoint's single commit point.
+        flip_pointer(directory / CURRENT_NAME, (generation.name + "\n").encode("ascii"))
+        for retired in _generation_dirs(directory)[:-RETAIN_GENERATIONS]:
+            retire_dir(retired, spare)
         if obs.enabled():
             span.set(
                 generation=generation.name,
@@ -236,8 +259,13 @@ def save_checkpoint(engine, path: PathLike, *, metadata: Optional[Dict[str, obje
     return directory
 
 
-def _write_generation(engine, generation: Path, metadata: Optional[Dict[str, object]]) -> None:
-    """Stage and commit one generation directory (model, arrays, state last)."""
+def _write_generation(
+    engine, generation: Path, metadata: Optional[Dict[str, object]], *, recycle: Path
+) -> None:
+    """Stage and commit one generation directory (model, arrays, state last).
+
+    Staged in ``recycle`` when that spare exists, overwriting its files.
+    """
     if _can_fold_into_source(engine):
         artifact = engine.index.fold_into(engine._source_artifact)
     else:
@@ -286,7 +314,7 @@ def _write_generation(engine, generation: Path, metadata: Optional[Dict[str, obj
         "events": [event.to_dict() for event in engine.events],
         "metadata": dict(metadata or {}),
     }
-    with atomic_write_dir(generation) as staging:
+    with atomic_write_dir(generation, recycle=recycle) as staging:
         artifact.save(staging / MODEL_DIR)
         state["array_checksums"] = write_bundle(staging / ARRAYS_NAME, arrays)
         atomic_write_json(staging / STATE_NAME, state)  # state commits the generation

@@ -520,6 +520,35 @@ class TestDurabilityLint:
         violations = list(module.scan_file(bad))
         assert len(violations) == 2
 
+    def test_lint_catches_a_freeing_call(self, tmp_path):
+        import importlib.util
+        from pathlib import Path
+
+        tool = Path(__file__).resolve().parents[1] / "tools" / "check_durability.py"
+        spec = importlib.util.spec_from_file_location("check_durability_4", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "import os\n"
+            "import shutil as sh\n"
+            "from os import remove as drop\n"
+            "from pathlib import Path\n"
+            "def prune(path, names):\n"
+            "    sh.rmtree(path)\n"
+            "    os.unlink(path)\n"
+            "    os.remove(path)\n"
+            "    os.rmdir(path)\n"
+            "    Path(path).unlink()\n"
+            "    Path(path).rmdir()\n"
+            "    drop(path)\n"
+            "    names.remove(path)\n"
+            "    os.rename(path, path)\n"
+        )
+        violations = list(module.scan_file(bad))
+        assert [line for line, _ in violations] == [6, 7, 8, 9, 10, 11, 12]
+        assert "shutil.rmtree" in violations[0][1]
+
     def test_lint_catches_a_second_npz_writer(self, tmp_path):
         import importlib.util
         from pathlib import Path

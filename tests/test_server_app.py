@@ -473,3 +473,89 @@ def test_worker_failure_body_carries_no_traceback(
     assert events[0]["details"]["error"] == body["error"]
     worker_traceback = events[0]["details"]["worker_traceback"]
     assert worker_traceback.startswith("Traceback") and "boom" in worker_traceback
+
+
+def test_partial_update_flips_current_in_place_and_keeps_every_generation(
+    artifact_on_disk, query_points, tmp_path
+):
+    state_dir = tmp_path / "state"
+
+    async def drive():
+        async with running_server(
+            artifact_on_disk, state_dir=str(state_dir)
+        ) as (server, host, port):
+            for _ in range(3):
+                status, update = await request(
+                    host, port, "POST", "/partial_update", {"points": query_points.tolist()}
+                )
+                assert status == 200, update
+            return update
+
+    update = asyncio.run(drive())
+    assert update["generation"] == 3
+    # Byte-identical pointer content; the replaced inode is kept as the
+    # next flip's spare, and generations are never recycled: replicas
+    # memory-map them.
+    assert (state_dir / "CURRENT").read_bytes() == b"gen-000003"
+    assert sorted(p.name for p in state_dir.iterdir()) == [
+        "CURRENT", "CURRENT.spare", "gen-000001", "gen-000002", "gen-000003"
+    ]
+    for number in (1, 2, 3):
+        load_artifact(state_dir / ("gen-%06d" % number))
+
+
+def test_predict_soft_top_m_is_bounded_by_the_cluster_count(artifact_on_disk, query_points):
+    point = list(query_points[0])
+
+    async def drive():
+        async with running_server(artifact_on_disk) as (server, host, port):
+            k = server.backend.describe()["n_clusters"]
+            for top_m in (k + 1, 10**6):
+                status, body = await request(
+                    host, port, "POST", "/predict_soft", {"point": point, "top_m": top_m}
+                )
+                assert status == 400, (top_m, body)
+                assert "top_m" in body["error"] and "at most %d" % k in body["error"]
+            status, body = await request(
+                host, port, "POST", "/predict_soft", {"point": point, "top_m": k}
+            )
+            assert status == 200 and len(body["clusters"]) == k
+            await assert_no_server_errors(host, port)
+
+    asyncio.run(drive())
+
+
+def test_string_and_boolean_coordinates_are_400_on_every_route(artifact_on_disk, query_points):
+    row = [float(value) for value in query_points[0]]
+    other = [float(value) for value in query_points[1]]
+    bad_bodies = [
+        {"point": ["1.5"] + row[1:]},
+        {"point": [True] + row[1:]},
+        {"point": [row[0], True] + row[2:]},
+        {"point": [0.5, True] + row[2:]},
+        {"point": [True] * len(row)},
+        {"point": [1, False] + [int(v) for v in row[2:]]},
+        {"points": [row, ["2e0"] + other[1:]]},
+        {"points": [row, other[:5] + [False] + other[6:]]},
+        {"points": [row, [True] * len(row)]},
+        {"points": [[True] * len(row), [False] * len(row)]},
+    ]
+    # Numbers equal to 0 or 1 are coordinates, not booleans.
+    zeros_and_ones = [0, 1, 0.0, 1.0] + row[4:]
+
+    async def drive():
+        async with running_server(artifact_on_disk) as (server, host, port):
+            for path in ("/predict", "/predict_soft", "/partial_update"):
+                for body in bad_bodies:
+                    status, headers, parsed = await raw_request(
+                        host, port, "POST", path, json.dumps(body).encode()
+                    )
+                    assert status == 400, (path, body, parsed)
+                    assert headers.get("x-request-id")
+                    assert "JSON numbers" in parsed["error"], parsed
+            for payload in ({"point": zeros_and_ones}, {"points": [zeros_and_ones, row]}):
+                status, body = await request(host, port, "POST", "/predict", payload)
+                assert status == 200, body
+            await assert_no_server_errors(host, port)
+
+    asyncio.run(drive())

@@ -13,13 +13,22 @@ Array bundles have one writer and one reader,
 ``repro.reliability.bundle``: a second ``np.savez`` or ``np.load``
 would be a second NPZ format (deflated, unverified or not mappable).
 
+Freeing a file or directory is the expensive step of a write on a
+filesystem that discards freed blocks online, so retiring and
+recycling stay in ``repro.reliability.atomic`` too (``retire_dir``,
+``flip_pointer``, the staging cleanup).
+
 The check is AST-based: it flags any ``open(...)`` call with a
 write/append/create mode and any ``.write_text(...)`` /
-``.write_bytes(...)`` attribute call inside the scanned modules, and
-any ``numpy`` ``savez`` / ``savez_compressed`` / ``load`` call outside
+``.write_bytes(...)`` attribute call inside the scanned modules; any
+``shutil.rmtree`` / ``os.unlink`` / ``os.remove`` / ``os.rmdir`` call
+and any ``.unlink(...)`` / ``.rmdir(...)`` attribute call (``Path``'s),
+in module-attribute and ``from ... import`` spellings alike; and any
+``numpy`` ``savez`` / ``savez_compressed`` / ``load`` call outside
 the bundle module (``np.load``, ``numpy.load`` and ``from numpy import
 load`` spellings alike).  ``repro/reliability/atomic.py`` itself is
-exempt — it is the one place allowed to touch file handles directly.
+exempt — it is the one place allowed to touch file handles directly
+and to free what it retires.
 
 Run from the repository root (CI does)::
 
@@ -51,6 +60,10 @@ BUNDLE_MODULE = "src/repro/reliability/bundle.py"
 WRITE_MODE_CHARS = set("wax+")
 FORBIDDEN_ATTRIBUTES = ("write_text", "write_bytes")
 NPZ_FUNCTIONS = ("savez", "savez_compressed", "load")
+#: Calls that free a file or directory, by the module that provides them.
+FREEING_FUNCTIONS = {"os": ("unlink", "remove", "rmdir"), "shutil": ("rmtree",)}
+#: Freeing methods of any object (``Path.unlink`` / ``Path.rmdir``).
+FREEING_ATTRIBUTES = ("unlink", "rmdir")
 
 
 def _open_mode(call: ast.Call) -> str:
@@ -81,6 +94,38 @@ def _numpy_names(tree: ast.AST):
     return modules, functions
 
 
+def _freeing_names(tree: ast.AST):
+    """Names bound to ``os`` / ``shutil``, and their freeing functions imported bare."""
+    modules = {name: name for name in FREEING_FUNCTIONS}
+    functions = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(
+                (a.asname or a.name, a.name) for a in node.names if a.name in FREEING_FUNCTIONS
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module in FREEING_FUNCTIONS:
+            functions.update(
+                (a.asname or a.name, "%s.%s" % (node.module, a.name))
+                for a in node.names
+                if a.name in FREEING_FUNCTIONS[node.module]
+            )
+    return modules, functions
+
+
+def _freeing_call(func: ast.expr, modules, functions):
+    """The freeing call a call target names (``os.unlink``, ``.rmdir``), or None."""
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id in modules:
+            module = modules[func.value.id]
+            if func.attr in FREEING_FUNCTIONS[module]:
+                return "%s.%s" % (module, func.attr)
+        if func.attr in FREEING_ATTRIBUTES:
+            return ".%s" % func.attr
+    if isinstance(func, ast.Name):
+        return functions.get(func.id)
+    return None
+
+
 def _npz_function(func: ast.expr, modules, functions):
     """The numpy NPZ function a call target names, or None."""
     if (
@@ -98,21 +143,29 @@ def _npz_function(func: ast.expr, modules, functions):
 def scan_file(path: Path):
     """Yield ``(line, message)`` for every non-atomic write in ``path``.
 
-    Outside :data:`BUNDLE_MODULE` every numpy NPZ write or read is one too.
+    Every call that frees a file or directory is one too, and outside
+    :data:`BUNDLE_MODULE` every numpy NPZ write or read.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     check_npz = Path(path).resolve() != REPO_ROOT / BUNDLE_MODULE
     modules, functions = _numpy_names(tree)
+    freeing_modules, freeing_functions = _freeing_names(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
+        freeing = _freeing_call(func, freeing_modules, freeing_functions)
         if isinstance(func, ast.Name) and func.id == "open":
             mode = _open_mode(node)
             if not mode or WRITE_MODE_CHARS & set(mode):
                 yield node.lineno, "open(..., %r) — use repro.reliability.atomic" % mode
         elif isinstance(func, ast.Attribute) and func.attr in FORBIDDEN_ATTRIBUTES:
             yield node.lineno, ".%s(...) — use repro.reliability.atomic" % func.attr
+        elif freeing is not None:
+            yield node.lineno, (
+                "%s(...) frees a file or directory — retire or recycle it through "
+                "repro.reliability.atomic" % freeing
+            )
         elif check_npz:
             name = _npz_function(func, modules, functions)
             if name is not None:
