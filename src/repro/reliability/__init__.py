@@ -7,13 +7,15 @@ Four pieces, layered:
   raised whenever a durable payload fails verification.
 * :mod:`repro.reliability.atomic` — temp + fsync + rename writes for
   files and whole directories (manifest-last protocol; files under a
-  staging directory are written in place), recycling of retired
+  staging directory are written in place, and JSON files are padded so
+  a recycled one never gets shorter), recycling of retired
   directories, a pointer flip that frees no inode, plus
   checksum-verified JSON reads.
 * :mod:`repro.reliability.bundle` — the one NPZ array-bundle writer and
   reader: stored (uncompressed, mappable) members written atomically,
-  per-array checksums returned to the caller's manifest and verified on
-  every eager or memory-mapped load.
+  padded by a reserved zero-filled member so a recycled bundle never
+  gets shorter, per-array checksums returned to the caller's manifest
+  and verified on every eager or memory-mapped load.
 * :mod:`repro.reliability.faults` — seeded, replayable fault injection
   (torn writes, blocked renames, ENOSPC, crashes, worker SIGKILL, task
   stalls) threaded through the write path and the process executor, so
@@ -22,7 +24,8 @@ Four pieces, layered:
 Consumed by :mod:`repro.serving.artifact` (model artifacts, through the
 bundle module), :mod:`repro.stream.checkpoint` (checkpoint generations
 with rollback, through the bundle module, recycling a spare
-generation), :mod:`repro.server.app` (the daemon's ``CURRENT`` flip),
+generation so a steady-state save frees no block),
+:mod:`repro.server.app` (the daemon's ``CURRENT`` flip),
 :mod:`repro.bench.store` (resumable run records with quarantine) and
 :mod:`repro.utils.executor` (fault-tolerant process execution).
 """
@@ -57,12 +60,14 @@ from repro.reliability.atomic import (
     atomic_write_text,
     flip_pointer,
     fsync_directory,
+    overwrite_length,
     read_json,
     remove_stale_temps,
     retire_dir,
     stamp_json_file,
 )
 from repro.reliability.bundle import (
+    PADDING_KEY,
     CompressedMemberError,
     mmap_npz,
     read_bundle,
@@ -77,6 +82,7 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "IntegrityError",
+    "PADDING_KEY",
     "TASK_KINDS",
     "TEMP_MARKER",
     "WRITE_KINDS",
@@ -91,6 +97,7 @@ __all__ = [
     "flip_pointer",
     "fsync_directory",
     "mmap_npz",
+    "overwrite_length",
     "payload_checksum",
     "read_bundle",
     "read_json",

@@ -34,14 +34,23 @@ gives all of them the same contract:
   verifies and strips it, raising
   :class:`~repro.reliability.integrity.IntegrityError` on parse failure
   or mismatch.
+* :func:`overwrite_length` tells a format writer how long the file a
+  staged write will overwrite in place is.  A shorter payload would
+  free that file's tail, so the writers whose readers can skip filler
+  pad to it: :func:`atomic_write_json` with trailing spaces, and
+  :func:`~repro.reliability.bundle.write_bundle` with a zero-filled
+  member.  Opaque :func:`atomic_write_bytes` payloads are written as
+  given and truncated to their length.
 
 Freeing an inode or a block is the expensive part of a write on a
 filesystem that discards freed blocks online (ext4 mounted with
 ``discard``): unlinking a fsynced file there costs tens to hundreds of
-milliseconds against ~1 ms for overwriting it in place.  The recycling
-above is why a steady-state checkpoint frees nothing.  Every call that
-frees a file or directory lives in this module
-(``tools/check_durability.py`` enforces it for the durability paths).
+milliseconds against ~1 ms for overwriting it in place, and truncating
+one shorter costs about as much as unlinking it.  The recycling and
+padding above are why a steady-state checkpoint frees no inode and no
+block.  Every call that frees a file, a directory or a file's tail
+lives in this module (``tools/check_durability.py`` enforces it for
+the durability paths).
 
 The three fault hooks of :mod:`repro.reliability.faults` are threaded
 through every step, which is how the corruption tests kill the write
@@ -59,6 +68,7 @@ from contextvars import ContextVar
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Union
 
+from repro import obs
 from repro.reliability import faults
 from repro.reliability.faults import InjectedCrash
 from repro.reliability.integrity import (
@@ -93,6 +103,7 @@ __all__ = [
     "atomic_write_text",
     "flip_pointer",
     "fsync_directory",
+    "overwrite_length",
     "read_json",
     "remove_stale_temps",
     "retire_dir",
@@ -142,6 +153,26 @@ def _is_staged(path: Path) -> bool:
     """Whether ``path`` lies under a directory :func:`atomic_write_dir` is staging."""
     staged = _STAGED.get()
     return bool(staged) and not staged.isdisjoint(Path(os.path.abspath(path)).parents)
+
+
+def overwrite_length(path: PathLike) -> int:
+    """Length of the file a write to ``path`` overwrites in place, else 0.
+
+    Non-zero only for an existing file under a directory
+    :func:`atomic_write_dir` is staging that no other name shares.  A
+    fresh file, and a hard-linked one (replaced, not overwritten), free
+    nothing whatever the new length.  A format writer pads a shorter
+    payload to this length with bytes its readers ignore, so a recycled
+    file never frees its tail.
+    """
+    path = Path(path)
+    if not _is_staged(path):
+        return 0
+    try:
+        info = os.stat(path)
+    except OSError:
+        return 0
+    return info.st_size if info.st_nlink == 1 else 0
 
 
 def _write_in_place(path: Path, data: bytes, *, fsync: bool = True) -> bool:
@@ -210,10 +241,19 @@ def atomic_write_json(
     stamp: bool = True,
     fsync: bool = True,
 ) -> Path:
-    """Atomically write a JSON payload, self-checksummed by default."""
+    """Atomically write a JSON payload, self-checksummed by default.
+
+    A staged write that would leave a recycled file shorter is padded
+    with trailing spaces, which JSON parsers skip, to the length it
+    overwrites (:func:`overwrite_length`).
+    """
     body: Mapping[str, object] = stamp_checksum(payload) if stamp else payload
-    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    return atomic_write_text(path, text, fsync=fsync)
+    data = (json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    pad = overwrite_length(path) - len(data)
+    if pad > 0:
+        data += b" " * pad
+        obs.incr("reliability.pad_bytes", pad)
+    return atomic_write_bytes(path, data, fsync=fsync)
 
 
 def read_json(path: PathLike, *, verify: bool = True) -> Dict[str, object]:

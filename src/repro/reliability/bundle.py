@@ -22,6 +22,22 @@ mappable.  Bundles written deflated (``numpy.savez_compressed``, as
 schema <= 2 artifacts and older checkpoints were) still load eagerly;
 asking to map one raises :class:`CompressedMemberError`.
 
+Padding
+-------
+A bundle written in place over a longer file (a recycled checkpoint
+generation, see :func:`~repro.reliability.atomic.overwrite_length`)
+would free that file's tail, which costs about as much as an unlink on
+a filesystem that discards freed blocks online.  :func:`write_bundle`
+appends one stored, zero-filled ``.npy`` member named
+:data:`PADDING_KEY` instead, bringing the archive to exactly the old
+length; when the shortfall is smaller than the member's own headers
+(234 bytes), the member is empty and the file grows by less than that.
+So a recycled bundle never gets shorter, and never longer than its
+largest payload plus one padding member.  The padding holds no data,
+gets no checksum, and neither :func:`read_bundle` nor :func:`mmap_npz`
+returns it; ``numpy.load`` sees an ordinary ``uint8`` array of zeros,
+which is how readers that predate it restore a padded bundle.
+
 Memory mapping
 --------------
 ``numpy.load`` silently ignores ``mmap_mode`` for ``.npz`` files: the
@@ -62,7 +78,8 @@ from typing import Dict, Mapping, Optional, Union
 import numpy as np
 from numpy.lib import format as npy_format
 
-from repro.reliability.atomic import atomic_write_bytes
+from repro import obs
+from repro.reliability.atomic import atomic_write_bytes, overwrite_length
 from repro.reliability.integrity import (
     IntegrityError,
     checksum_arrays,
@@ -73,6 +90,7 @@ PathLike = Union[str, Path]
 
 __all__ = [
     "MMAP_MODES",
+    "PADDING_KEY",
     "CompressedMemberError",
     "mmap_npz",
     "read_bundle",
@@ -81,6 +99,13 @@ __all__ = [
 
 #: Supported :func:`mmap_npz` modes — read-only and copy-on-write.
 MMAP_MODES = ("r", "c")
+
+#: Reserved name of the zero-filled member :func:`write_bundle` appends
+#: so a bundle that overwrites a longer file keeps its length.
+PADDING_KEY = "__padding__"
+_PADDING_MEMBER = PADDING_KEY + ".npy"
+#: Zeros written per chunk, so padding never allocates its own length.
+_ZERO_CHUNK = 1 << 16
 
 #: Fixed size of a zip local file header (before name + extra field).
 _LOCAL_HEADER_SIZE = 30
@@ -109,16 +134,56 @@ class CompressedMemberError(ValueError):
         self.member = member
 
 
+def _append_padding(buffer: io.BytesIO, size: int) -> None:
+    """Append the padding member, ``size`` zeros, to the archive in ``buffer``.
+
+    Append mode writes the member where the central directory was and
+    rewrites only the directory, so the arrays are serialised once.
+    """
+    header = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        header, {"descr": "|u1", "fortran_order": False, "shape": (size,)}
+    )
+    info = zipfile.ZipInfo(_PADDING_MEMBER, date_time=(1980, 1, 1, 0, 0, 0))
+    info.file_size = header.tell() + size
+    zeros = memoryview(bytes(min(size, _ZERO_CHUNK)))
+    with zipfile.ZipFile(buffer, "a") as archive, archive.open(info, "w") as member:
+        member.write(header.getvalue())
+        for start in range(0, size, _ZERO_CHUNK):
+            member.write(zeros[: size - start])
+
+
+def _padding_overhead() -> int:
+    """Bytes an empty padding member adds to an archive (its headers)."""
+    buffer = io.BytesIO()
+    zipfile.ZipFile(buffer, "w").close()
+    empty = buffer.seek(0, io.SEEK_END)
+    _append_padding(buffer, 0)
+    return buffer.seek(0, io.SEEK_END) - empty
+
+
+_PADDING_OVERHEAD = _padding_overhead()
+
+
 def write_bundle(path: PathLike, arrays: Mapping[str, np.ndarray]) -> Dict[str, str]:
     """Atomically write ``arrays`` to ``path`` as a stored NPZ.
 
     Returns the per-array checksums, which the caller records in the
     manifest (or state) it writes *after* the bundle, so that payload
-    commits the pair.
+    commits the pair.  A bundle that would come out shorter than the
+    file it overwrites in place is padded to that file's length (see
+    the module docstring); :data:`PADDING_KEY` may not name an array.
     """
+    if PADDING_KEY in arrays:
+        raise ValueError("%r is reserved for the bundle's padding member" % PADDING_KEY)
     checksums = checksum_arrays(arrays)
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
+    shortfall = overwrite_length(path) - buffer.seek(0, io.SEEK_END)
+    if shortfall > 0:
+        zeros = max(shortfall - _PADDING_OVERHEAD, 0)
+        _append_padding(buffer, zeros)
+        obs.incr("reliability.pad_bytes", _PADDING_OVERHEAD + zeros)
     atomic_write_bytes(path, buffer.getvalue())
     return checksums
 
@@ -156,7 +221,7 @@ def read_bundle(
             # Our own handle: np.load leaks the one it opens when the
             # archive fails to parse.
             with open(path, "rb") as handle, np.load(handle) as bundle:
-                arrays = {key: bundle[key] for key in bundle.files}
+                arrays = {key: bundle[key] for key in bundle.files if key != PADDING_KEY}
         else:
             arrays = mmap_npz(path, mode=mmap_mode)
     except CompressedMemberError:
@@ -217,7 +282,8 @@ def mmap_npz(path: PathLike, *, mode: str = "r") -> Dict[str, np.ndarray]:
         process and never touch the file).
 
     Returns a dict keyed like ``numpy.load``'s ``NpzFile`` (member names
-    without the ``.npy`` suffix).  Zero-size arrays are returned as
+    without the ``.npy`` suffix), without the padding member, whose
+    bytes are never read.  Zero-size arrays are returned as
     ordinary empty arrays — there are no bytes to share.  No checksum is
     verified here; :func:`read_bundle` does that.
 
@@ -235,6 +301,8 @@ def mmap_npz(path: PathLike, *, mode: str = "r") -> Dict[str, np.ndarray]:
         with open(path, "rb") as handle:
             for info in members:
                 name = info.filename
+                if name == _PADDING_MEMBER:
+                    continue
                 key = name[:-4] if name.endswith(".npy") else name
                 if info.compress_type != zipfile.ZIP_STORED:
                     raise CompressedMemberError(path, name)

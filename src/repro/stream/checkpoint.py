@@ -49,9 +49,8 @@ pointed-at one is damaged (raising a typed
 generation survives).  Legacy flat checkpoints (state files at the
 directory root, schema 1) still load.
 
-A steady-state save frees no inode, and no block unless a file comes
-out shorter than the copy it overwrites: freeing is what a save costs
-on a filesystem that discards freed blocks online.  The last
+A steady-state save frees no inode and no block: freeing is what a
+save costs on a filesystem that discards freed blocks online.  The last
 :data:`RETAIN_GENERATIONS` generations are kept plus one spare
 directory, :data:`SPARE_NAME`: a save stages the new generation in the
 spare and overwrites its files in place
@@ -59,9 +58,15 @@ spare and overwrites its files in place
 and pruning renames the oldest surplus generation to the spare
 (:func:`~repro.reliability.atomic.retire_dir`) instead of deleting it.
 ``CURRENT`` is flipped by :func:`~repro.reliability.atomic.flip_pointer`,
-which keeps the replaced inode as ``CURRENT.spare``.  The layout and
-content of every generation are those of a checkpoint that deletes
-its retired generations, and either kind restores the other.
+which keeps the replaced inode as ``CURRENT.spare``.  A file that
+would come out shorter than the spare's copy is padded to its length
+instead of truncated: the bundles with a zero-filled member their
+readers skip, the JSON files with trailing spaces.  So no file gets
+shorter, and none grows past its largest payload plus one padding
+member (234 bytes, for a bundle).  The layout of every
+generation, and its content up to that padding, are those of a
+checkpoint that deletes its retired generations, and either kind
+restores the other.
 
 Because a generation past retention is overwritten in place, files of
 a running stream's checkpoint must not be memory-mapped: restore reads
@@ -235,10 +240,13 @@ def save_checkpoint(engine, path: PathLike, *, metadata: Optional[Dict[str, obje
     previous generation committed.  Generations past
     :data:`RETAIN_GENERATIONS` are retired to the spare.
 
-    Runs inside a ``stream.checkpoint`` span whose ``generation`` and
-    ``bytes`` attributes name the committed generation and the bytes
-    its files hold.
+    Runs inside a ``stream.checkpoint`` span whose ``generation``,
+    ``bytes`` and ``pad_bytes`` attributes name the committed
+    generation, the bytes its files hold and how many of them are
+    padding this save wrote.
     """
+    recorder = obs.get_recorder()
+    padded_before = recorder.counters.get("reliability.pad_bytes", 0.0) if recorder else 0.0
     with obs.span("stream.checkpoint", category="stream") as span:
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
@@ -251,10 +259,11 @@ def save_checkpoint(engine, path: PathLike, *, metadata: Optional[Dict[str, obje
         flip_pointer(directory / CURRENT_NAME, (generation.name + "\n").encode("ascii"))
         for retired in _generation_dirs(directory)[:-RETAIN_GENERATIONS]:
             retire_dir(retired, spare)
-        if obs.enabled():
+        if recorder is not None:
             span.set(
                 generation=generation.name,
                 bytes=sum(f.stat().st_size for f in generation.rglob("*") if f.is_file()),
+                pad_bytes=int(recorder.counters.get("reliability.pad_bytes", 0.0) - padded_before),
             )
     return directory
 

@@ -522,29 +522,33 @@ class StreamingSSPC:
         ):
             return None
         rng = np.random.default_rng([int(self.config.seed), 3, self._n_sweeps])
-        candidate = find_spawn_candidate(
-            self.outliers.rows,
-            self._spawn_threshold(),
-            rng,
-            min_points=self.config.spawn_min_points,
-            grids_per_attempt=self.config.spawn_grids,
-            stats_cache_max_entries=self.config.stats_cache_max_entries,
-        )
-        if candidate is None:
-            return None
-        seeds, dimensions, peak_density = candidate
-        rows = self.outliers.rows[seeds]
-        # Leakage guard: borderline members of an *existing* cluster are
-        # rejected one by one yet pile up into a dense buffer region
-        # whose center scores well against that cluster.  A genuinely
-        # new cluster's center is unservable everywhere.  Reject (and
-        # drop) servable candidates instead of spawning a duplicate.
-        center = column_median(rows)
-        gains = self.index.gains_single(center)
-        if gains.size and np.max(gains) > 0.0:
-            self.outliers.remove(seeds)
-            self.n_spawns_rejected += 1
-            return None
+        with obs.span("stream.spawn_search", category="stream", rows=len(self.outliers)) as span:
+            candidate = find_spawn_candidate(
+                self.outliers.rows,
+                self._spawn_threshold(),
+                rng,
+                min_points=self.config.spawn_min_points,
+                grids_per_attempt=self.config.spawn_grids,
+                stats_cache_max_entries=self.config.stats_cache_max_entries,
+            )
+            if candidate is None:
+                span.set(outcome="none")
+                return None
+            seeds, dimensions, peak_density = candidate
+            rows = self.outliers.rows[seeds]
+            # Leakage guard: borderline members of an *existing* cluster are
+            # rejected one by one yet pile up into a dense buffer region
+            # whose center scores well against that cluster.  A genuinely
+            # new cluster's center is unservable everywhere.  Reject (and
+            # drop) servable candidates instead of spawning a duplicate.
+            center = column_median(rows)
+            gains = self.index.gains_single(center)
+            if gains.size and np.max(gains) > 0.0:
+                self.outliers.remove(seeds)
+                self.n_spawns_rejected += 1
+                span.set(outcome="rejected")
+                return None
+            span.set(outcome="spawned")
         self.index.add_cluster(dimensions, rows)
         cluster_id = self._next_cluster_id
         self._next_cluster_id += 1

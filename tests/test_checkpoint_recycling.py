@@ -4,7 +4,8 @@ spare generation and the pointer flip that keeps its replaced inode.
 A checkpoint that deletes its retired generation pays for every freed
 inode and block on a filesystem that discards them online.  These tests
 pin the protocol that avoids it: the on-disk layout and content, zero
-freeing calls in steady state, crash safety at every write-path
+freeing calls in steady state, recycled files that never get shorter
+(and the memory their padding costs), crash safety at every write-path
 operation of a recycling save and of a pointer flip, and restore across
 checkpoints written with and without a spare.
 """
@@ -15,11 +16,16 @@ import builtins
 import mmap
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.bench.chaos import engine_fingerprint
+from repro.core.sspc import SSPC
+from repro.data.streams import DriftingStreamGenerator, make_drift_schedule
 from repro.reliability import (
     FaultPlan,
     FaultSpec,
@@ -342,6 +348,139 @@ class TestCheckpointLayout:
         with pytest.raises(IntegrityError) as excinfo:
             StreamingSSPC.restore(checkpoint)
         assert SPARE_NAME + ":" not in str(excinfo.value)
+
+
+def _buffered_engine(fitted_sspc, rows):
+    """An engine whose outlier buffer holds ``rows`` rows, which sets its state size."""
+    artifact = fitted_sspc.to_artifact()
+    engine = StreamingSSPC(artifact, config=StreamConfig(seed=7, outlier_buffer_size=8192))
+    engine.outliers.extend(np.random.default_rng(rows).normal(size=(rows, artifact.n_dimensions)))
+    return engine
+
+
+def _file_stats(checkpoint):
+    """``(st_size, st_blocks)`` of every file under ``checkpoint``, by inode."""
+    stats = [path.stat() for path in checkpoint.rglob("*") if path.is_file()]
+    return {stat.st_ino: (stat.st_size, stat.st_blocks) for stat in stats}
+
+
+def _generation_bytes(checkpoint):
+    files = resolve_checkpoint_dir(checkpoint).rglob("*")
+    return sum(path.stat().st_size for path in files if path.is_file())
+
+
+@pytest.fixture(scope="module")
+def drifting_stream():
+    """A model fitted on a stream's warmup, and that stream's drifting batches."""
+    stream = DriftingStreamGenerator(
+        n_dimensions=24,
+        n_clusters=3,
+        avg_cluster_dimensionality=5,
+        outlier_fraction=0.05,
+        events=make_drift_schedule("mixed", drift_batch=4),
+        random_state=11,
+    )
+    warmup = stream.warmup(360)
+    model = SSPC(3, random_state=11).fit(warmup.data)
+    return model.to_artifact(), [batch.data for batch in stream.batches(14, 60)]
+
+
+class TestRecycledFilesNeverShrink:
+    """From the first recycling save on, a checkpoint frees no block."""
+
+    def _save_and_check(self, engine, checkpoint, number, history):
+        engine.checkpoint(checkpoint)
+        # Every restore is the engine saved last, padding or not.
+        assert engine_fingerprint(StreamingSSPC.restore(checkpoint)) == engine_fingerprint(engine)
+        stats = _file_stats(checkpoint)
+        if number >= FIRST_RECYCLING_SAVE:
+            before = history[-1]
+            assert set(stats) == set(before), "save %d created or freed an inode" % number
+            shrunk = {
+                inode: (before[inode], now)
+                for inode, now in stats.items()
+                if now[0] < before[inode][0] or now[1] < before[inode][1]
+            }
+            assert not shrunk, "save %d shrank %s" % (number, shrunk)
+        history.append(stats)
+
+    def test_alternating_state_sizes_free_no_block(self, fitted_sspc, tmp_path):
+        engines = [_buffered_engine(fitted_sspc, 150), _buffered_engine(fitted_sspc, 2000)]
+        checkpoint, history = tmp_path / "ck", []
+        for number in range(1, FIRST_RECYCLING_SAVE + 10):
+            self._save_and_check(engines[number % 2], checkpoint, number, history)
+        # Once each of the generations and the spare has held the larger
+        # state, no file's length changes again.
+        settled = 2 * (RETAIN_GENERATIONS + 1)
+        assert all(stats == history[settled] for stats in history[settled:])
+        # No file exceeds its largest payload plus one padding member.
+        largest = {}
+        for rows in (150, 2000):
+            fresh = tmp_path / ("fresh-%d" % rows)
+            _buffered_engine(fitted_sspc, rows).checkpoint(fresh)
+            generation = resolve_checkpoint_dir(fresh)
+            for path in generation.rglob("*"):
+                if path.is_file():
+                    name = str(path.relative_to(generation))
+                    largest[name] = max(largest.get(name, 0), path.stat().st_size)
+        for generation in [resolve_checkpoint_dir(checkpoint), checkpoint / SPARE_NAME]:
+            for name, length in largest.items():
+                limit = length + (256 if name.endswith(".npz") else 0)
+                assert (generation / name).stat().st_size <= limit, name
+
+    def test_a_drifting_stream_frees_no_block(self, drifting_stream, tmp_path):
+        artifact, batches = drifting_stream
+        engine = StreamingSSPC(
+            artifact,
+            config=StreamConfig(
+                seed=3,
+                lifecycle_every=2,
+                drift_check_every=2,
+                spawn_min_points=16,
+                outlier_buffer_size=300,
+            ),
+        )
+        checkpoint, history = tmp_path / "ck", []
+        for number, batch in enumerate(batches, 1):
+            engine.process_batch(batch)
+            self._save_and_check(engine, checkpoint, number, history)
+        # Spawns and a retire reshape the exported model between saves.
+        assert engine.n_spawned > 0 and engine.n_retired > 0
+
+    def test_padding_holds_no_second_copy_of_the_bundle(self, fitted_sspc, tmp_path):
+        big, small = _buffered_engine(fitted_sspc, 8000), _buffered_engine(fitted_sspc, 100)
+        checkpoint = tmp_path / "ck"
+        for _ in range(FIRST_RECYCLING_SAVE - 1):
+            big.checkpoint(checkpoint)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            small.checkpoint(checkpoint)  # recycles the big spare: ~2.5 MB of padding
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        generation_bytes = _generation_bytes(checkpoint)
+        assert generation_bytes > 2_000_000
+        # The padded bundle is built once, in place: one copy plus the
+        # buffer's growth slack, never two.
+        assert peak < 1.5 * generation_bytes, (peak, generation_bytes)
+
+    def test_checkpoint_span_counts_the_padding(self, fitted_sspc, tmp_path):
+        engines = [_buffered_engine(fitted_sspc, 2000), _buffered_engine(fitted_sspc, 150)]
+        checkpoint = tmp_path / "ck"
+        with obs.recording() as recorder:
+            for number in range(1, FIRST_RECYCLING_SAVE + 2):
+                engines[number % 2].checkpoint(checkpoint)
+        spans = [s["args"] for s in recorder.spans if s["name"] == "stream.checkpoint"]
+        small = tmp_path / "fresh"
+        engines[1].checkpoint(small)
+        # Fresh generations are not padded; the 5th save writes the small
+        # state over the spare of the 2nd (large) one.
+        fresh_saves = FIRST_RECYCLING_SAVE - 1
+        assert [span["pad_bytes"] for span in spans[:fresh_saves]] == [0] * fresh_saves
+        assert spans[-1]["pad_bytes"] == _generation_bytes(checkpoint) - _generation_bytes(small)
+        assert spans[-1]["pad_bytes"] > 0
+        assert recorder.counters["reliability.pad_bytes"] == sum(s["pad_bytes"] for s in spans)
 
 
 class TestRecyclingCrashSafety:

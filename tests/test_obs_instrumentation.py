@@ -182,6 +182,47 @@ class TestStreamAndServeInstrumentation:
             assert mirrored["details"]["cluster_id"] == int(original.cluster_id)
             assert mirrored["details"]["batch_index"] == int(original.batch_index)
 
+    def test_spawn_search_span_per_search_with_its_outcome(self, dataset, monkeypatch):
+        import repro.stream.engine as engine_module
+
+        model = fit_model(dataset.data)
+        original, searches = engine_module.find_spawn_candidate, []
+
+        def counted(rows, *args, **kwargs):
+            searches.append(rows.shape[0])
+            return original(rows, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "find_spawn_candidate", counted)
+
+        def run():
+            engine = StreamingSSPC(
+                model.to_artifact(),
+                config=StreamConfig(seed=1, spawn_min_points=15, lifecycle_every=1),
+            )
+            rng = np.random.default_rng(9)
+            labels = []
+            for index in range(8):
+                # far-away dense blobs, then a scatter that finds no candidate
+                center = 40.0 if index < 3 else -40.0 if index < 6 else 0.0
+                scale = 0.05 if index < 6 else 30.0
+                batch = rng.normal(loc=center, scale=scale, size=(20, dataset.data.shape[1]))
+                labels.append(engine.process_batch(batch).labels)
+            return engine, labels
+
+        plain, plain_labels = run()
+        searches.clear()
+        with obs.recording() as rec:
+            traced, traced_labels = run()
+        for ours, theirs in zip(traced_labels, plain_labels):
+            np.testing.assert_array_equal(ours, theirs)
+        spans = [s for s in rec.spans if s["name"] == "stream.spawn_search"]
+        assert [s["args"]["rows"] for s in spans] == searches
+        assert all(s["cat"] == "stream" for s in spans)
+        outcomes = [s["args"]["outcome"] for s in spans]
+        assert set(outcomes) == {"none", "rejected", "spawned"}
+        assert outcomes.count("spawned") == traced.n_spawned
+        assert outcomes.count("rejected") == traced.n_spawns_rejected
+
     def test_serve_predict_and_partial_update_spans(self, dataset):
         model = fit_model(dataset.data)
         index = ProjectedClusterIndex(model.to_artifact())

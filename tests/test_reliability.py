@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import struct
+import zipfile
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 from repro.reliability import (
     CHECKSUM_KEY,
@@ -22,6 +26,7 @@ from repro.reliability import (
     InjectedCrash,
     InjectedFault,
     IntegrityError,
+    PADDING_KEY,
     TEMP_MARKER,
     active,
     array_checksum,
@@ -29,12 +34,16 @@ from repro.reliability import (
     atomic_write_dir,
     atomic_write_json,
     checksum_arrays,
+    overwrite_length,
+    read_bundle,
     read_json,
     remove_stale_temps,
     require_key,
+    retire_dir,
     stamp_checksum,
     verify_array_checksums,
     verify_stamp,
+    write_bundle,
 )
 from repro.utils.executor import ExecutorTaskError, ProcessExecutor, TaskFault
 
@@ -162,6 +171,138 @@ class TestAtomicWrites:
                 atomic_write_bytes(staging / "v.bin", b"two")
                 raise RuntimeError("boom")
         assert (target / "v.bin").read_bytes() == b"one"
+
+
+# ---------------------------------------------------------------------------
+# padding: a file rewritten in place under a recycled directory never shrinks
+# ---------------------------------------------------------------------------
+
+
+def _recycled_write(tmp_path, write, first, second, name="payload"):
+    """``second`` written in place over ``first`` under a recycled directory.
+
+    Returns the rewritten file and what ``write`` returned for it.
+    """
+    spare = tmp_path / "spare"
+    with atomic_write_dir(spare) as staging:
+        write(staging / name, first)
+    with atomic_write_dir(tmp_path / "live", recycle=spare) as staging:
+        result = write(staging / name, second)
+    return tmp_path / "live" / name, result
+
+
+def _fresh_length(tmp_path, write, payload):
+    path = tmp_path / "fresh"
+    write(path, payload)
+    length = path.stat().st_size
+    path.unlink()
+    return length
+
+
+def _padding_zeros(path):
+    """Offset and length of the zeros in the bundle's padding member."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(PADDING_KEY + ".npy")
+    with open(path, "rb") as handle:
+        handle.seek(info.header_offset + 26)
+        name_length, extra_length = struct.unpack("<HH", handle.read(4))
+        handle.seek(info.header_offset + 30 + name_length + extra_length)
+        npy_format.read_magic(handle)
+        npy_format.read_array_header_1_0(handle)
+        start = handle.tell()
+    return start, info.header_offset + 30 + name_length + extra_length + info.file_size - start
+
+
+class TestPadding:
+    LONG = {"a": np.arange(4000.0), "b": np.ones((3, 3))}
+    SHORT = {"a": np.arange(10.0), "b": np.ones((3, 3)), "c": np.array([], dtype=np.int64)}
+
+    def _assert_reads(self, path, checksums, expected):
+        for mode in (None, "r", "c"):
+            arrays = read_bundle(path, checksums, kind="test arrays", mmap_mode=mode)
+            assert sorted(arrays) == sorted(expected), mode
+            for name, array in expected.items():
+                assert arrays[name].dtype == array.dtype
+                np.testing.assert_array_equal(arrays[name], array)
+
+    def test_overwrite_length_counts_only_a_staged_single_link_file(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"x" * 10)
+        assert overwrite_length(tmp_path / "plain") == 0  # replaced, not overwritten
+        with atomic_write_dir(tmp_path / "spare") as staging:
+            atomic_write_bytes(staging / "single", b"y" * 20)
+            atomic_write_bytes(staging / "linked", b"z" * 30)
+        os.link(tmp_path / "spare" / "linked", tmp_path / "backup")
+        with atomic_write_dir(tmp_path / "live", recycle=tmp_path / "spare") as staging:
+            assert overwrite_length(staging / "single") == 20
+            assert overwrite_length(staging / "linked") == 0
+            assert overwrite_length(staging / "missing") == 0
+
+    def test_padded_bundle_keeps_its_length_and_reads_the_same(self, tmp_path):
+        path, checksums = _recycled_write(tmp_path, write_bundle, self.LONG, self.SHORT)
+        assert path.stat().st_size == _fresh_length(tmp_path, write_bundle, self.LONG)
+        with zipfile.ZipFile(path) as archive:
+            assert PADDING_KEY + ".npy" in archive.namelist()
+        self._assert_reads(path, checksums, self.SHORT)
+        assert PADDING_KEY not in checksums
+
+    def test_unpadded_bundle_reads_unchanged(self, tmp_path):
+        legacy = tmp_path / "legacy.npz"
+        np.savez(legacy, **self.SHORT)  # what a writer without padding leaves
+        self._assert_reads(legacy, checksum_arrays(self.SHORT), self.SHORT)
+        fresh = tmp_path / "fresh.npz"
+        checksums = write_bundle(fresh, self.SHORT)
+        assert fresh.stat().st_size == legacy.stat().st_size
+        with zipfile.ZipFile(fresh) as archive:
+            assert sorted(archive.namelist()) == ["a.npy", "b.npy", "c.npy"]
+        self._assert_reads(fresh, checksums, self.SHORT)
+
+    def test_reserved_name_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="reserved"):
+            write_bundle(tmp_path / "x.npz", {PADDING_KEY: np.zeros(3), "a": np.ones(2)})
+        assert not (tmp_path / "x.npz").exists()
+
+    def test_a_flipped_padding_byte_changes_nothing(self, tmp_path):
+        path, checksums = _recycled_write(tmp_path, write_bundle, self.LONG, self.SHORT)
+        start, length = _padding_zeros(path)
+        assert length > 0
+        data = bytearray(path.read_bytes())
+        for offset in (start, start + length // 2, start + length - 1):
+            data[offset] ^= 0x40
+        path.write_bytes(bytes(data))
+        self._assert_reads(path, checksums, self.SHORT)
+
+    def test_files_never_shrink_and_stop_growing(self, tmp_path):
+        """A shortfall under the member's headers grows the file once or twice, then holds."""
+        long, short = {"a": np.arange(100.0)}, {"a": np.arange(90.0)}
+        lengths = {
+            key: _fresh_length(tmp_path, write_bundle, arrays)
+            for key, arrays in (("long", long), ("short", short))
+        }
+        spare, sizes = tmp_path / "spare", []
+        with atomic_write_dir(spare) as staging:
+            write_bundle(staging / "b.npz", long)
+        for arrays in (short, short, long, short, long, short):
+            with atomic_write_dir(tmp_path / "live", recycle=spare) as staging:
+                checksums = write_bundle(staging / "b.npz", arrays)
+            self._assert_reads(tmp_path / "live" / "b.npz", checksums, arrays)
+            sizes.append((tmp_path / "live" / "b.npz").stat().st_size)
+            retire_dir(tmp_path / "live", spare)
+        overhead = sizes[0] - lengths["short"]  # the padding member's own bytes
+        assert 0 < overhead < 256
+        assert sizes == sorted(sizes)
+        assert sizes[-1] == sizes[-2] == max(lengths.values()) + overhead
+
+    def test_space_padded_stamped_json_passes_read_json(self, tmp_path):
+        first, second = {"x": "long" * 100, "y": [1, 2]}, {"x": 1}
+        path, _ = _recycled_write(tmp_path, atomic_write_json, first, second, "s.json")
+        data = path.read_bytes()
+        assert len(data) == _fresh_length(tmp_path, atomic_write_json, first)
+        fresh = tmp_path / "fresh.json"
+        atomic_write_json(fresh, second)
+        assert data.rstrip(b" ") == fresh.read_bytes()
+        assert data.endswith(b"\n" + b" " * (len(data) - fresh.stat().st_size))
+        assert read_json(path) == second
+        assert CHECKSUM_KEY in json.loads(data)
 
 
 class TestKillAtEveryWriteSyscall:
@@ -548,6 +689,29 @@ class TestDurabilityLint:
         violations = list(module.scan_file(bad))
         assert [line for line, _ in violations] == [6, 7, 8, 9, 10, 11, 12]
         assert "shutil.rmtree" in violations[0][1]
+
+    def test_lint_catches_a_truncate(self, tmp_path):
+        import importlib.util
+        from pathlib import Path
+
+        tool = Path(__file__).resolve().parents[1] / "tools" / "check_durability.py"
+        spec = importlib.util.spec_from_file_location("check_durability_5", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "import os as system\n"
+            "from os import ftruncate as cut\n"
+            "def shrink(path, handle, length):\n"
+            "    system.truncate(path, length)\n"
+            "    system.ftruncate(handle.fileno(), length)\n"
+            "    handle.truncate()\n"
+            "    cut(handle.fileno(), length)\n"
+            "    handle.seek(length)\n"
+        )
+        violations = list(module.scan_file(bad))
+        assert [line for line, _ in violations] == [4, 5, 6, 7]
+        assert "os.truncate" in violations[0][1] and "tail" in violations[0][1]
 
     def test_lint_catches_a_second_npz_writer(self, tmp_path):
         import importlib.util

@@ -14,21 +14,23 @@ Array bundles have one writer and one reader,
 would be a second NPZ format (deflated, unverified or not mappable).
 
 Freeing a file or directory is the expensive step of a write on a
-filesystem that discards freed blocks online, so retiring and
-recycling stay in ``repro.reliability.atomic`` too (``retire_dir``,
-``flip_pointer``, the staging cleanup).
+filesystem that discards freed blocks online, and truncating a file
+shorter frees its tail the same way, so retiring, recycling and
+truncating stay in ``repro.reliability.atomic`` too (``retire_dir``,
+``flip_pointer``, the staging cleanup, the in-place write).
 
 The check is AST-based: it flags any ``open(...)`` call with a
 write/append/create mode and any ``.write_text(...)`` /
 ``.write_bytes(...)`` attribute call inside the scanned modules; any
-``shutil.rmtree`` / ``os.unlink`` / ``os.remove`` / ``os.rmdir`` call
-and any ``.unlink(...)`` / ``.rmdir(...)`` attribute call (``Path``'s),
-in module-attribute and ``from ... import`` spellings alike; and any
-``numpy`` ``savez`` / ``savez_compressed`` / ``load`` call outside
-the bundle module (``np.load``, ``numpy.load`` and ``from numpy import
-load`` spellings alike).  ``repro/reliability/atomic.py`` itself is
-exempt — it is the one place allowed to touch file handles directly
-and to free what it retires.
+``shutil.rmtree`` / ``os.unlink`` / ``os.remove`` / ``os.rmdir`` /
+``os.truncate`` / ``os.ftruncate`` call and any ``.unlink(...)`` /
+``.rmdir(...)`` / ``.truncate(...)`` attribute call (``Path``'s, a file
+handle's), in module-attribute and ``from ... import`` spellings alike;
+and any ``numpy`` ``savez`` / ``savez_compressed`` / ``load`` call
+outside the bundle module (``np.load``, ``numpy.load`` and ``from numpy
+import load`` spellings alike).  ``repro/reliability/atomic.py`` itself is
+exempt — it is the one place allowed to touch file handles directly,
+to free what it retires and to truncate what it overwrites.
 
 Run from the repository root (CI does)::
 
@@ -60,10 +62,15 @@ BUNDLE_MODULE = "src/repro/reliability/bundle.py"
 WRITE_MODE_CHARS = set("wax+")
 FORBIDDEN_ATTRIBUTES = ("write_text", "write_bytes")
 NPZ_FUNCTIONS = ("savez", "savez_compressed", "load")
-#: Calls that free a file or directory, by the module that provides them.
-FREEING_FUNCTIONS = {"os": ("unlink", "remove", "rmdir"), "shutil": ("rmtree",)}
-#: Freeing methods of any object (``Path.unlink`` / ``Path.rmdir``).
-FREEING_ATTRIBUTES = ("unlink", "rmdir")
+#: Calls that free a file, a directory or a file's tail, by the module
+#: that provides them.
+FREEING_FUNCTIONS = {
+    "os": ("unlink", "remove", "rmdir", "truncate", "ftruncate"),
+    "shutil": ("rmtree",),
+}
+#: Freeing methods of any object (``Path.unlink`` / ``Path.rmdir``, a
+#: file handle's ``truncate``).
+FREEING_ATTRIBUTES = ("unlink", "rmdir", "truncate")
 
 
 def _open_mode(call: ast.Call) -> str:
@@ -143,8 +150,9 @@ def _npz_function(func: ast.expr, modules, functions):
 def scan_file(path: Path):
     """Yield ``(line, message)`` for every non-atomic write in ``path``.
 
-    Every call that frees a file or directory is one too, and outside
-    :data:`BUNDLE_MODULE` every numpy NPZ write or read.
+    Every call that frees a file, a directory or a file's tail is one
+    too, and outside :data:`BUNDLE_MODULE` every numpy NPZ write or
+    read.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     check_npz = Path(path).resolve() != REPO_ROOT / BUNDLE_MODULE
@@ -163,8 +171,8 @@ def scan_file(path: Path):
             yield node.lineno, ".%s(...) — use repro.reliability.atomic" % func.attr
         elif freeing is not None:
             yield node.lineno, (
-                "%s(...) frees a file or directory — retire or recycle it through "
-                "repro.reliability.atomic" % freeing
+                "%s(...) frees a file, a directory or a file's tail — retire, recycle "
+                "or overwrite it through repro.reliability.atomic" % freeing
             )
         elif check_npz:
             name = _npz_function(func, modules, functions)
