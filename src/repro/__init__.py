@@ -28,6 +28,10 @@ Clustering" (Yip, Cheung, Ng; ICDE 2005):
   resumable checkpoints (``python -m repro.stream`` for the command
   line).
 
+Every name above resolves on first access: ``import repro`` itself
+imports nothing else, and ``repro.SSPC`` (or ``from repro import SSPC``)
+imports only what the estimator runs.
+
 Quickstart
 ----------
 >>> from repro import SSPC
@@ -39,24 +43,32 @@ Quickstart
 >>> labels = model.labels_
 """
 
-from repro.core.model import OUTLIER_LABEL, ClusteringResult, ProjectedCluster
-from repro.core.sspc import SSPC
-from repro.semisupervision.knowledge import Knowledge
-from repro.serving import ModelArtifact, ProjectedClusterIndex, load_artifact
-from repro.stream import StreamConfig, StreamingSSPC
+from repro import _lazy
 
 __version__ = "5.0.0"
 
-__all__ = [
-    "SSPC",
-    "Knowledge",
-    "ClusteringResult",
-    "ProjectedCluster",
-    "OUTLIER_LABEL",
-    "ModelArtifact",
-    "ProjectedClusterIndex",
-    "load_artifact",
-    "StreamConfig",
-    "StreamingSSPC",
-    "__version__",
-]
+#: Every public name, and each subpackage read as an attribute, with the
+#: module that defines it.
+#: Nothing is imported until a name is first read (see ``repro._lazy``),
+#: so ``import repro`` alone loads neither numpy nor scipy.
+_EXPORTS = {
+    "SSPC": "repro.core.sspc",
+    "Knowledge": "repro.semisupervision.knowledge",
+    "ClusteringResult": "repro.core.model",
+    "ProjectedCluster": "repro.core.model",
+    "OUTLIER_LABEL": "repro.core.model",
+    "ModelArtifact": "repro.serving.artifact",
+    "ProjectedClusterIndex": "repro.serving.index",
+    "load_artifact": "repro.serving.artifact",
+    "StreamConfig": "repro.stream.engine",
+    "StreamingSSPC": "repro.stream.engine",
+    **{
+        name: "repro." + name
+        for name in (
+            "core", "obs", "reliability", "semisupervision", "serving", "stream", "utils"
+        )
+    },
+}
+
+__all__ = _lazy.public_names(__name__, _EXPORTS) + ["__version__"]
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

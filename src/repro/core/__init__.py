@@ -26,51 +26,50 @@ the paper:
   tying everything together (Listing 2 of the paper).
 * :mod:`repro.core.analysis` — closed-form knowledge-requirement analysis
   behind Figures 1 and 2.
+
+Names and submodules resolve on first access, so each surface imports
+only what it runs: ``from repro.core import SSPC`` loads the fit and the
+serving modules a fitted model uses, while the daemon, which reads
+:mod:`repro.core.model` and :mod:`repro.core.thresholds` through
+:mod:`repro.serving`, loads no seed-group, grid or estimator code.
 """
 
-from repro.core.model import OUTLIER_LABEL, ClusteringResult, ProjectedCluster
-from repro.core.thresholds import (
-    ChiSquareThreshold,
-    SelectionThreshold,
-    VarianceRatioThreshold,
-    make_threshold,
-)
-from repro.core.objective import (
-    ClusterStatistics,
-    ObjectiveFunction,
-    grouped_assignment_gains,
-)
-from repro.core.stats_cache import ClusterStatsCache
-from repro.core.dimension_selection import select_dimensions
-from repro.core.grid import Grid, GridBinning, GridSearchResult
-from repro.core.seed_groups import SeedGroup, SeedGroupBuilder
-from repro.core.sspc import SSPC
-from repro.core.analysis import (
-    grid_success_probability_labeled_dimensions,
-    grid_success_probability_labeled_objects,
-    relevant_dimension_retention_probability,
-)
+from repro import _lazy
 
-__all__ = [
-    "OUTLIER_LABEL",
-    "ClusteringResult",
-    "ProjectedCluster",
-    "SelectionThreshold",
-    "VarianceRatioThreshold",
-    "ChiSquareThreshold",
-    "make_threshold",
-    "ObjectiveFunction",
-    "ClusterStatistics",
-    "grouped_assignment_gains",
-    "ClusterStatsCache",
-    "select_dimensions",
-    "Grid",
-    "GridBinning",
-    "GridSearchResult",
-    "SeedGroup",
-    "SeedGroupBuilder",
-    "SSPC",
-    "grid_success_probability_labeled_objects",
-    "grid_success_probability_labeled_dimensions",
-    "relevant_dimension_retention_probability",
-]
+#: Every public name, and each submodule read as an attribute, with the
+#: module that defines it.
+#: Nothing is imported until a name is first read (see ``repro._lazy``).
+_EXPORTS = {
+    "OUTLIER_LABEL": "repro.core.model",
+    "ClusteringResult": "repro.core.model",
+    "ProjectedCluster": "repro.core.model",
+    "SelectionThreshold": "repro.core.thresholds",
+    "VarianceRatioThreshold": "repro.core.thresholds",
+    "ChiSquareThreshold": "repro.core.thresholds",
+    "make_threshold": "repro.core.thresholds",
+    "ObjectiveFunction": "repro.core.objective",
+    "ClusterStatistics": "repro.core.objective",
+    "grouped_assignment_gains": "repro.core.objective",
+    "ClusterStatsCache": "repro.core.stats_cache",
+    "select_dimensions": "repro.core.dimension_selection",
+    "Grid": "repro.core.grid",
+    "GridBinning": "repro.core.grid",
+    "GridSearchResult": "repro.core.grid",
+    "SeedGroup": "repro.core.seed_groups",
+    "SeedGroupBuilder": "repro.core.seed_groups",
+    "SSPC": "repro.core.sspc",
+    "grid_success_probability_labeled_objects": "repro.core.analysis",
+    "grid_success_probability_labeled_dimensions": "repro.core.analysis",
+    "relevant_dimension_retention_probability": "repro.core.analysis",
+    **{
+        name: "repro.core." + name
+        for name in (
+            "analysis", "assignment", "assignment_engine", "dimension_selection", "grid",
+            "model", "objective", "representatives", "seed_groups", "sspc", "stats_cache",
+            "thresholds",
+        )
+    },
+}
+
+__all__ = _lazy.public_names(__name__, _EXPORTS)
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)

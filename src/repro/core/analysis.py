@@ -55,12 +55,18 @@ number of exclusive labeled dimensions as Binomial(|Iv_i|, 1-q_shared)
 and drawing without replacement gives the hypergeometric-style product
 used in :func:`grid_success_probability_labeled_dimensions`, and the
 ``g``-grid success probability follows as before.
+
+The chi-square quantile is :func:`repro.core.thresholds.chi_square_quantile`,
+the one the ``p`` scheme uses, and its cdf is ``scipy.special.chdtr``
+(scipy's own ``chi2._cdf``): both are bit-identical to ``scipy.stats.chi2``
+without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
 
-from scipy import stats
+from scipy.special import chdtr
 
+from repro.core.thresholds import chi_square_quantile
 from repro.utils.validation import check_fraction, check_positive_int, check_probability
 
 
@@ -92,8 +98,8 @@ def relevant_dimension_retention_probability(
     if n_labeled_objects < 2:
         return 0.0
     dof = n_labeled_objects - 1
-    critical = stats.chi2.ppf(p, dof)
-    return float(stats.chi2.cdf(critical / variance_ratio, dof))
+    critical = chi_square_quantile(p, dof)
+    return float(chdtr(dof, critical / variance_ratio))
 
 
 def _all_relevant_single_grid_probability(

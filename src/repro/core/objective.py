@@ -42,6 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.assignment_engine import AssignmentEngine
 from repro.core.thresholds import SelectionThreshold
 from repro.utils.validation import check_array_2d
 
@@ -434,8 +435,6 @@ class ObjectiveFunction:
             buffer is the engine's live cache: consume it before the
             next ``assignment_gains_matrix`` call (copy it to keep it).
         """
-        from repro.core.assignment_engine import AssignmentEngine
-
         k = len(dimension_sets)
         if not (len(representatives) == len(cluster_sizes) == k):
             raise ValueError("representatives, dimension_sets and cluster_sizes must align")

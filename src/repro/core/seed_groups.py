@@ -44,6 +44,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+# Every build runs the chi-square threshold (``seed_selection_p``): load
+# scipy.special with this module, not inside a fit or a stream spawn.
+import scipy.special  # noqa: F401
+
 from repro.core.dimension_selection import select_dimensions
 from repro.core.grid import Grid, GridBinning, one_dimensional_density_profile
 from repro.core.objective import ObjectiveFunction

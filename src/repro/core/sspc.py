@@ -49,6 +49,8 @@ from repro.core.seed_groups import SeedGroup, SeedGroupBuilder
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import make_threshold
 from repro.semisupervision.knowledge import Knowledge
+from repro.serving.artifact import ModelArtifact
+from repro.serving.index import ProjectedClusterIndex
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_array_2d, check_cluster_count, check_positive_int
 
@@ -333,8 +335,6 @@ class SSPC:
         """
         if self.result_ is None:
             raise RuntimeError("estimator is not fitted; call fit(data) first")
-        from repro.serving.artifact import ModelArtifact
-
         return ModelArtifact.from_result(
             self.result_,
             self.stats_cache_.data,
@@ -382,8 +382,6 @@ class SSPC:
         """
         if self.result_ is None:
             raise RuntimeError("estimator is not fitted; call fit(data) first")
-        from repro.serving.index import ProjectedClusterIndex
-
         if self._serving_index is None:
             self._serving_index = ProjectedClusterIndex(self.to_artifact())
         if top_m is not None:

@@ -26,6 +26,12 @@ The paper proposes two schemes:
 Both schemes expose the same interface so the rest of the algorithm is
 agnostic to the choice; only one user parameter is involved either way,
 and (as the Figure 4 experiment shows) its value is not critical.
+
+:func:`chi_square_quantile` is the one place the library computes
+``chi2_inv``.  It imports ``scipy.special`` on its first call, so a process
+that only serves the ``m`` scheme never loads scipy.  Modules whose every
+call runs it (:mod:`repro.core.seed_groups`, :mod:`repro.core.analysis`)
+import ``scipy.special`` themselves, so no fit pays the import.
 """
 
 from __future__ import annotations
@@ -34,9 +40,20 @@ import abc
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_array_2d, check_fraction, check_probability
+
+
+def chi_square_quantile(p: float, dof: float) -> float:
+    """``chi2_inv(p, dof)``: the ``p`` quantile of a chi-square with ``dof`` degrees of freedom.
+
+    ``2 * gammaincinv(dof / 2, p)`` is scipy's own ``chi2._ppf``, so the
+    result is bit-identical to ``scipy.stats.chi2.ppf(p, dof)`` for ``p``
+    in ``(0, 1)`` without importing ``scipy.stats``.
+    """
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(dof / 2, p))
 
 
 class SelectionThreshold(abc.ABC):
@@ -179,7 +196,7 @@ class ChiSquareThreshold(SelectionThreshold):
         """``chi2_inv(p, n_i - 1) / (n_i - 1)``, cached per cluster size."""
         dof = max(int(cluster_size) - 1, self.min_degrees_of_freedom)
         if dof not in self._factor_cache:
-            self._factor_cache[dof] = float(stats.chi2.ppf(self.p, dof) / dof)
+            self._factor_cache[dof] = chi_square_quantile(self.p, dof) / dof
         return self._factor_cache[dof]
 
     def _cache_key(self, cluster_size: int) -> int:

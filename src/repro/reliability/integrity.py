@@ -76,13 +76,15 @@ def array_checksum(array: np.ndarray) -> str:
 
     Hashing dtype and shape alongside the raw bytes means an array that
     round-trips with the same checksum is bit-identical *as an array*,
-    not merely as a byte blob reinterpreted under another dtype.
+    not merely as a byte blob reinterpreted under another dtype.  The
+    C-contiguous buffer is hashed in place: a contiguous (or mapped)
+    array is never copied.
     """
     array = np.asarray(array)
     digest = hashlib.sha256()
     digest.update(str(array.dtype.str).encode("ascii"))
     digest.update(repr(tuple(array.shape)).encode("ascii"))
-    digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 

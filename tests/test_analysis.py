@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core.analysis import (
     grid_success_probability_labeled_dimensions,
@@ -25,6 +26,17 @@ class TestRetentionProbability:
             for n in (2, 3, 5, 10, 20)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("variance_ratio", [0.05, 0.15, 0.5, 1.0])
+    def test_bit_identical_to_scipy_stats(self, p, variance_ratio):
+        """Figure 1's inputs (sizes 2-20, p 0.01, ratio 0.15) and around them."""
+        for size in list(range(2, 201)) + [500, 1000, 3000]:
+            dof = size - 1
+            expected = float(
+                stats.chi2.cdf(stats.chi2.ppf(p, dof) / variance_ratio, dof)
+            )
+            assert relevant_dimension_retention_probability(size, p, variance_ratio) == expected
 
     def test_smaller_variance_ratio_retains_more(self):
         tight = relevant_dimension_retention_probability(5, p=0.01, variance_ratio=0.05)

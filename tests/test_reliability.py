@@ -9,10 +9,12 @@ executor, and the chaos scenario's plumbing.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
 import struct
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -68,6 +70,44 @@ class TestIntegrity:
     def test_checksum_is_layout_independent(self):
         square = np.arange(9, dtype=np.float64).reshape(3, 3)
         assert array_checksum(square) == array_checksum(np.asfortranarray(square))
+
+    def test_checksum_hashes_the_buffer_without_copying_it(self, tmp_path):
+        """Same digest as hashing ``.tobytes()``, with no copy of the array."""
+
+        def copying_checksum(array):
+            array = np.asarray(array)
+            digest = hashlib.sha256()
+            digest.update(str(array.dtype.str).encode("ascii"))
+            digest.update(repr(tuple(array.shape)).encode("ascii"))
+            digest.update(np.ascontiguousarray(array).tobytes())
+            return digest.hexdigest()
+
+        base = np.random.default_rng(0).normal(size=(40, 30))
+        np.save(tmp_path / "mapped.npy", base)
+        cases = [
+            base,
+            (base * 100).astype(np.int64),
+            (base * 100).astype(np.int32),
+            base > 0,
+            (base * 10).astype(np.uint8),
+            np.array(3.5),
+            np.array(True),
+            np.empty((0, 3)),
+            base.T,
+            base[::3, 1::2],
+            np.load(tmp_path / "mapped.npy", mmap_mode="r"),
+        ]
+        for array in cases:
+            assert array_checksum(array) == copying_checksum(array)
+
+        large = np.ones(2_600_000 // 8)
+        tracemalloc.start()
+        try:
+            array_checksum(large)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_verify_names_the_damaged_array(self):
         arrays = {"good": np.ones(3), "bad": np.zeros(3)}

@@ -7,8 +7,18 @@ from scipy import stats
 from repro.core.thresholds import (
     ChiSquareThreshold,
     VarianceRatioThreshold,
+    chi_square_quantile,
     make_threshold,
 )
+
+#: ``seed_selection_p`` (0.01), the paper's 0.01-0.2 range and the extremes
+#: of the open interval, down to the smallest subnormal.
+ORACLE_P = (
+    5e-324, 1e-300, 1e-12, 1e-6, 1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2,
+    0.5, 0.9, 1 - 1e-12, float(np.nextafter(1.0, 0.0)),
+)
+#: Every degree of freedom up to 3000, then every 7th up to 60,000.
+ORACLE_DOF = np.concatenate([np.arange(1, 3001), np.arange(3001, 60001, 7)])
 
 
 @pytest.fixture()
@@ -48,6 +58,27 @@ class TestChiSquareThreshold:
         factor = stats.chi2.ppf(p, cluster_size - 1) / (cluster_size - 1)
         expected = factor * data.var(axis=0, ddof=1)
         np.testing.assert_allclose(threshold.values(cluster_size), expected)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_values_are_bit_identical_to_scipy_stats(self, data, p):
+        """The ``scipy.special`` quantile changes no bit of any threshold."""
+        variance = data.var(axis=0, ddof=1)
+        threshold = ChiSquareThreshold(p=p).fit(data)
+        sizes = ORACLE_DOF + 1
+        ours = np.stack([threshold.values(int(size)) for size in sizes])
+        factors = stats.chi2.ppf(p, sizes - 1) / (sizes - 1)
+        expected = factors[:, None] * variance[None, :]
+        assert np.array_equal(ours, expected)
+        # The scalar reference at a few sizes, as the threshold computes it.
+        for size in (2, 3, 26, 3001, 59998):
+            assert np.array_equal(
+                threshold.values(size), stats.chi2.ppf(p, size - 1) / (size - 1) * variance
+            )
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_quantile_is_bit_identical_to_scipy_stats(self, p):
+        ours = np.array([chi_square_quantile(p, int(dof)) for dof in ORACLE_DOF])
+        assert np.array_equal(ours, stats.chi2.ppf(p, ORACLE_DOF))
 
     def test_false_selection_rate_close_to_p_for_gaussian_globals(self, rng):
         # Monte-Carlo check of the defining property: an irrelevant dimension

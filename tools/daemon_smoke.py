@@ -23,8 +23,14 @@ End to end over an actual subprocess and actual sockets:
    agree with the JSON ``/metrics`` telemetry snapshot;
 7. optionally save ``/debug/tail_trace`` (``--tail-trace-out``, the
    nightly workflow uploads it as an artifact);
-8. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
-   timeout.
+8. on Linux, require that the daemon (an ``m``-scheme artifact, so no
+   chi-square code) maps no file of scipy's package directory;
+9. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
+   timeout;
+10. boot a second daemon on a ``p=0.05`` artifact of the same data:
+    its ``/predict`` labels, before and after one accepted
+    ``/partial_update``, must be bit-identical to an in-process index
+    that folds the same rows.
 
 Run from the repository root (CI does)::
 
@@ -34,6 +40,7 @@ Run from the repository root (CI does)::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import signal
@@ -59,7 +66,8 @@ BOOT_TIMEOUT_S = 60.0
 STOP_TIMEOUT_S = 30.0
 
 
-def build_artifact(directory: Path) -> Path:
+def build_artifact(directory: Path, name: str = "model", **threshold) -> Path:
+    """Fit the smoke model (``m=0.5`` unless ``threshold`` says) and save it."""
     dataset = make_projected_clusters(
         n_objects=240,
         n_dimensions=40,
@@ -67,8 +75,8 @@ def build_artifact(directory: Path) -> Path:
         avg_cluster_dimensionality=6,
         random_state=1234,
     )
-    model = SSPC(n_clusters=3, m=0.5, random_state=0).fit(dataset.data)
-    path = directory / "model"
+    model = SSPC(n_clusters=3, random_state=0, **(threshold or {"m": 0.5})).fit(dataset.data)
+    path = directory / name
     model.to_artifact().save(path)
     return path
 
@@ -221,6 +229,92 @@ def check_prometheus(base: str) -> None:
     )
 
 
+def start_daemon(artifact: Path, workers: int) -> tuple:
+    """Boot ``repro-server`` on ``artifact``; return the process and its base URL."""
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.server.cli",
+            str(artifact),
+            "--port",
+            "0",
+            "--workers",
+            str(workers),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))
+            ),
+        },
+    )
+    try:
+        host, port = wait_ready(process)
+    except BaseException:
+        process.kill()
+        process.wait(timeout=10)
+        raise
+    return process, "http://%s:%d" % (host, port)
+
+
+def stop_daemon(process: subprocess.Popen) -> None:
+    """SIGTERM the daemon; require ``STOPPED`` and exit code 0."""
+    process.send_signal(signal.SIGTERM)
+    stdout, stderr = process.communicate(timeout=STOP_TIMEOUT_S)
+    sys.stdout.write(stdout)
+    assert "STOPPED" in stdout, "daemon never printed STOPPED:\n%s" % stderr
+    assert process.returncode == 0, "daemon exited %d:\n%s" % (process.returncode, stderr)
+    print("shutdown ok (exit 0)")
+
+
+def check_no_scipy_mapped(pid: int) -> None:
+    """An ``m``-scheme daemon, and any worker it forked, maps no file of scipy."""
+    if not Path("/proc/%d/maps" % pid).exists():
+        print("scipy mapping check skipped: no /proc/<pid>/maps")
+        return
+    scipy_dir = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    prefix = str(scipy_dir.resolve()) + os.sep
+    pids = [pid]
+    for children in Path("/proc/%d/task" % pid).glob("*/children"):
+        pids += [int(child) for child in children.read_text().split()]
+    for process_id in pids:
+        with open("/proc/%d/maps" % process_id) as maps:
+            mapped = {line.split()[-1] for line in maps if prefix in line}
+        assert not mapped, "daemon process %d maps %d scipy files, e.g. %s" % (
+            process_id, len(mapped), sorted(mapped)[:3]
+        )
+    print("no scipy mapped in %d daemon process(es)" % len(pids))
+
+
+def check_p_scheme(workdir: Path, workers: int, queries: np.ndarray) -> None:
+    """A ``p``-scheme daemon predicts and folds exactly like an in-process index."""
+    artifact = build_artifact(workdir, "model-p", p=0.05)
+    index = ProjectedClusterIndex(load_artifact(artifact))
+    process, base = start_daemon(artifact, workers)
+    try:
+        before, _ = post_json(base + "/predict", {"points": queries.tolist()})
+        assert before["labels"] == index.predict(queries).tolist(), (
+            "p-scheme daemon labels differ from the in-process index"
+        )
+        update, _ = post_json(base + "/partial_update", {"points": queries[:8].tolist()})
+        assert update["generation"] == 1, update
+        assert update["applied_labels"] == index.partial_update(queries[:8]).tolist(), update
+        after, _ = post_json(base + "/predict", {"points": queries.tolist()})
+        assert after["labels"] == index.predict(queries).tolist(), (
+            "p-scheme daemon labels differ from the in-process index after the update"
+        )
+        print("p-scheme ok: %d labels bit-identical before and after one update" % len(queries))
+        stop_daemon(process)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=0)
@@ -232,36 +326,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    with tempfile.TemporaryDirectory(prefix="daemon-smoke-") as scratch:
-        artifact = build_artifact(Path(scratch))
+    with tempfile.TemporaryDirectory(prefix="daemon-smoke-") as workdir:
+        artifact = build_artifact(Path(workdir))
         queries = np.random.default_rng(5).normal(size=(args.n_queries, 40))
         expected = ProjectedClusterIndex(load_artifact(artifact)).predict(queries)
 
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.server.cli",
-                str(artifact),
-                "--port",
-                "0",
-                "--workers",
-                str(args.workers),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={
-                **os.environ,
-                "PYTHONPATH": os.pathsep.join(
-                    filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))
-                ),
-            },
-        )
+        process, base = start_daemon(artifact, args.workers)
         try:
-            host, port = wait_ready(process)
-            base = "http://%s:%d" % (host, port)
-
             health = get_json(base + "/healthz")
             assert health["status"] == "ok", health
             assert health["generation"] == 0, health
@@ -299,19 +370,14 @@ def main(argv=None) -> int:
                     % (out, len(trace.get("traceEvents", [])))
                 )
 
-            process.send_signal(signal.SIGTERM)
-            stdout, stderr = process.communicate(timeout=STOP_TIMEOUT_S)
-            sys.stdout.write(stdout)
-            assert "STOPPED" in stdout, "daemon never printed STOPPED:\n%s" % stderr
-            assert process.returncode == 0, (
-                "daemon exited %d:\n%s" % (process.returncode, stderr)
-            )
-            print("shutdown ok (exit 0)")
-            return 0
+            check_no_scipy_mapped(process.pid)
+            stop_daemon(process)
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+        check_p_scheme(Path(workdir), args.workers, queries)
+        return 0
 
 
 if __name__ == "__main__":
