@@ -42,7 +42,7 @@ import numpy as np
 from repro.bench.scenario import TaskSpec
 from repro.core.sspc import SSPC
 from repro.data.streams import DriftingStreamGenerator
-from repro.reliability import FaultPlan, FaultSpec, InjectedFault, active
+from repro.reliability import FaultPlan, FaultSpec, GenerationStore, InjectedFault, active
 from repro.serving.artifact import ARRAYS_NAME as MODEL_ARRAYS_NAME
 from repro.serving.artifact import MANIFEST_NAME as MODEL_MANIFEST_NAME
 from repro.stream.checkpoint import ARRAYS_NAME, CURRENT_NAME, MODEL_DIR, STATE_NAME
@@ -274,9 +274,9 @@ def _corrupt_once(
     rng = np.random.default_rng(int(seed))
     target_dir = scratch / ("corruption-%d" % int(seed))
     shutil.copytree(control_checkpoint, target_dir)
-    current = (target_dir / CURRENT_NAME).read_text().strip()
+    current = GenerationStore(target_dir).current()
     choice = str(CORRUPTION_TARGETS[int(rng.integers(len(CORRUPTION_TARGETS)))])
-    victim = target_dir / choice if choice == CURRENT_NAME else target_dir / current / choice
+    victim = target_dir / choice if choice == CURRENT_NAME else current / choice
     data = bytearray(victim.read_bytes())
     offset = int(rng.integers(len(data)))
     if rng.integers(2) and offset > 0:

@@ -1,6 +1,6 @@
 """Crash-safe durability primitives shared by every persistence layer.
 
-Four pieces, layered:
+Five pieces, layered:
 
 * :mod:`repro.reliability.integrity` — SHA-256 content checksums for
   arrays and JSON payloads, and the typed :class:`IntegrityError`
@@ -11,6 +11,10 @@ Four pieces, layered:
   a recycled one never gets shorter), recycling of retired
   directories, a pointer flip that frees no inode, plus
   checksum-verified JSON reads.
+* :mod:`repro.reliability.generations` — the one generation store:
+  ``gen-%08d`` naming, the staged commit and ``CURRENT`` flip, 2
+  committed generations plus a recycled spare, the stale-temp sweep and
+  the rollback loop, for every writer that keeps numbered generations.
 * :mod:`repro.reliability.bundle` — the one NPZ array-bundle writer and
   reader: stored (uncompressed, mappable) members written atomically,
   padded by a reserved zero-filled member so a recycled bundle never
@@ -23,11 +27,11 @@ Four pieces, layered:
 
 Consumed by :mod:`repro.serving.artifact` (model artifacts, through the
 bundle module), :mod:`repro.stream.checkpoint` (checkpoint generations
-with rollback, through the bundle module, recycling a spare
-generation so a steady-state save frees no block),
-:mod:`repro.server.app` (the daemon's ``CURRENT`` flip),
-:mod:`repro.bench.store` (resumable run records with quarantine) and
-:mod:`repro.utils.executor` (fault-tolerant process execution).
+with rollback, through the generation store and the bundle module),
+:mod:`repro.server.pool` (the daemon's ``state_dir`` generations,
+through the generation store), :mod:`repro.bench.store` (resumable run
+records with quarantine) and :mod:`repro.utils.executor`
+(fault-tolerant process execution).
 """
 
 from repro.reliability.integrity import (
@@ -66,6 +70,7 @@ from repro.reliability.atomic import (
     retire_dir,
     stamp_json_file,
 )
+from repro.reliability.generations import GenerationStore
 from repro.reliability.bundle import (
     PADDING_KEY,
     CompressedMemberError,
@@ -79,6 +84,7 @@ __all__ = [
     "CompressedMemberError",
     "FaultPlan",
     "FaultSpec",
+    "GenerationStore",
     "InjectedCrash",
     "InjectedFault",
     "IntegrityError",

@@ -24,11 +24,11 @@ gives all of them the same contract:
   a writer that keeps a fixed number of generations overwrites the
   blocks of a retired one instead of freeing them and allocating new
   ones.
-* :func:`flip_pointer` — replaces a small pointer file (a checkpoint's
-  ``CURRENT``) atomically without freeing the replaced inode: the new
-  content is written in place into a spare, the spare is renamed over
-  the pointer while a second hard link keeps the old inode alive, and
-  that inode becomes the next flip's spare.
+* :func:`flip_pointer` — replaces a small pointer file (a generation
+  store's ``CURRENT``) atomically without freeing the replaced inode:
+  the new content is written in place into a spare, the spare is
+  renamed over the pointer while a second hard link keeps the old inode
+  alive, and that inode becomes the next flip's spare.
 * :func:`atomic_write_json` stamps the payload with a self-checksum
   (:data:`~repro.reliability.integrity.CHECKSUM_KEY`); :func:`read_json`
   verifies and strips it, raising
@@ -363,15 +363,15 @@ def atomic_write_dir(path: PathLike, *, recycle: Optional[PathLike] = None) -> I
     fsync_directory(path.parent)
 
 
-def retire_dir(path: PathLike, spare: PathLike) -> None:
+def retire_dir(path: PathLike, spare: Optional[PathLike]) -> None:
     """Retire the directory ``path``, keeping it as ``spare`` when there is none.
 
     The next ``atomic_write_dir(..., recycle=spare)`` overwrites the
     spare's files in place, so retiring frees nothing in steady state.
-    With a spare already there, ``path`` is deleted.
+    With a spare already there, or ``spare=None``, ``path`` is deleted.
     """
-    path, spare = Path(path), Path(spare)
-    if not os.path.lexists(spare):
+    path = Path(path)
+    if spare is not None and not os.path.lexists(spare):
         try:
             os.rename(path, spare)
             return

@@ -16,10 +16,15 @@ One asyncio event loop accepts connections, parses requests
     ``-Infinity``.
 ``POST /partial_update``
     The write path.  Serialised by an application-level lock, folded
-    through the backend's single owner (worker 0), persisted as a new
-    artifact generation under ``state_dir`` (crash-safe save + atomic
-    ``CURRENT`` pointer), then rebroadcast to replicas.  The response
-    carries the new generation number.
+    through the backend's single owner (worker 0), which commits the
+    post-fold state to the ``state_dir`` generation store
+    (:class:`~repro.reliability.generations.GenerationStore`: 2
+    generations plus a recycled spare, ``CURRENT`` flipped last), then
+    rebroadcast to replicas.  The response carries the new generation
+    number: the count of updates since boot.  A boot artifact inside
+    ``state_dir`` is refused at start (:class:`ArtifactInStateDirError`):
+    the owner's index maps it, and the store overwrites its generations
+    in place.
 ``GET /healthz``
     Liveness + shape: generation, worker counts, cluster/dimension
     counts, uptime, and the SLO report — the status degrades to 503
@@ -46,6 +51,7 @@ client interleaving folds and predicts can tell which state answered.
 from __future__ import annotations
 
 import asyncio
+import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,7 +64,6 @@ from repro import obs
 from repro.obs.prom import CONTENT_TYPE, PromWriter, write_histogram, write_telemetry
 from repro.obs.slo import SLOConfig
 from repro.obs.telemetry import RequestTrace, Telemetry
-from repro.reliability import flip_pointer
 from repro.server.batcher import FLUSH_REASONS, MicroBatcher
 from repro.server.http import (
     HTTPError,
@@ -71,7 +76,7 @@ from repro.server.pool import BackendError, make_backend
 
 PathLike = Union[str, Path]
 
-__all__ = ["PredictServer", "ServerConfig"]
+__all__ = ["ArtifactInStateDirError", "PredictServer", "ServerConfig"]
 
 #: Bounded-cardinality telemetry labels per path; anything unknown
 #: aggregates as "other" so a path-scanning client cannot explode the
@@ -84,6 +89,10 @@ ROUTE_LABELS = {
     "/metrics": "metrics",
     "/debug/tail_trace": "tail_trace",
 }
+
+
+class ArtifactInStateDirError(ValueError):
+    """The boot artifact lies inside ``state_dir``, whose generations are recycled."""
 
 
 @dataclass
@@ -109,7 +118,7 @@ class ServerConfig:
     max_wait_us: float = 2000.0
     #: ``"r"`` maps the artifact (shared pages); ``None`` loads eagerly.
     mmap_mode: Optional[str] = "r"
-    #: Where ``partial_update`` generations land; ``None`` = private tempdir.
+    #: The generation store ``partial_update`` commits to; ``None`` = private tempdir.
     state_dir: Optional[str] = None
     #: Reject request bodies larger than this.
     max_body_bytes: int = 8 * 1024 * 1024
@@ -179,7 +188,20 @@ class PredictServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> Tuple[str, int]:
-        """Boot the backend and bind the listener; returns ``(host, port)``."""
+        """Boot the backend and bind the listener; returns ``(host, port)``.
+
+        Raises :class:`ArtifactInStateDirError`, before booting anything,
+        when the artifact lies inside ``state_dir``.
+        """
+        if self.config.state_dir is not None:
+            state_dir = os.path.realpath(self.config.state_dir)
+            artifact = os.path.realpath(self.artifact_path)
+            if os.path.commonpath([state_dir, artifact]) == state_dir:
+                raise ArtifactInStateDirError(
+                    "the artifact %s lies inside the state directory %s, whose "
+                    "generations are overwritten in place; serve a copy from "
+                    "elsewhere" % (self.artifact_path, self.config.state_dir)
+                )
         with obs.span("server.start", category="server"):
             await self.backend.start()
             # Workers exist only now, so the flush gate is set post-boot.
@@ -190,10 +212,10 @@ class PredictServer:
             self._n_clusters = int(description["n_clusters"])
             if self.config.state_dir is None:
                 self._tempdir = tempfile.TemporaryDirectory(prefix="repro-server-")
-                self._state_dir = Path(self._tempdir.name)
+                self._state_dir = self._tempdir.name
             else:
-                self._state_dir = Path(self.config.state_dir)
-                self._state_dir.mkdir(parents=True, exist_ok=True)
+                self._state_dir = self.config.state_dir
+                Path(self._state_dir).mkdir(parents=True, exist_ok=True)
             self._server = await asyncio.start_server(
                 self._handle_client, self.config.host, self.config.port
             )
@@ -532,19 +554,14 @@ class PredictServer:
         if isinstance(payload, dict) and payload.get("labels") is not None:
             labels = self._parse_labels(payload["labels"], points.shape[0])
         async with self._write_lock:
-            next_generation = self.generation + 1
-            generation_dir = self._state_dir / ("gen-%06d" % next_generation)
             with obs.span("server.partial_update", category="server") as update_span:
+                # The owner commits the generation (durable, CURRENT
+                # flipped) before replicas reload it or anyone is told.
                 applied, absorbed = await self.backend.partial_update(
-                    points, labels, str(generation_dir)
+                    points, labels, self._state_dir
                 )
-                # The generation is durable before anyone is told about it:
-                # owner saved above (atomic), pointer flip below (atomic,
-                # and it frees no inode, so it does not stall the loop on
-                # a filesystem that discards freed blocks).
-                flip_pointer(self._state_dir / "CURRENT", generation_dir.name.encode("ascii"))
-                await self.backend.reload_replicas(str(generation_dir))
-                self.generation = next_generation
+                await self.backend.reload_replicas(self._state_dir)
+                self.generation += 1
                 update_span.set(rows=int(points.shape[0]), absorbed=absorbed)
         return {
             "applied_labels": [int(label) for label in applied],

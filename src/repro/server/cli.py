@@ -17,7 +17,7 @@ import signal
 import sys
 from typing import Optional, Sequence
 
-from repro.server.app import PredictServer, ServerConfig
+from repro.server.app import ArtifactInStateDirError, PredictServer, ServerConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +111,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return asyncio.run(_run(config, args.artifact))
+    except ArtifactInStateDirError as error:
+        print("repro-server: %s" % error, file=sys.stderr)
+        return 2
     except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C fallback
         return 130
 

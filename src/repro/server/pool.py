@@ -21,17 +21,28 @@ Ownership (the write path)
 --------------------------
 ``partial_update`` mutates serving state, and replicas that fold
 independently would diverge.  The pool routes **every fold through
-worker 0 — the owner**.  The owner applies the fold, persists its
-post-fold state as a fresh artifact *generation* (crash-safe via the
-artifact's atomic save), and the parent then tells every replica to
-drop its index and rebuild from the new generation — again via mmap, so
-the rebroadcast costs page-cache references, not copies.  An index
-rebuilt from an exported artifact serves bit-identically to its source
-(the ``export_artifact`` contract), so after the rebroadcast every
-worker answers ``/predict`` with the exact same labels.  In-flight
-predicts racing a rebroadcast simply finish on the generation their
-worker held when they arrived — the response's ``generation`` tag says
-which.
+worker 0 — the owner**.  The owner applies the fold and commits its
+post-fold state to the ``state_dir`` generation store
+(:class:`~repro.reliability.generations.GenerationStore`) as
+``gen-%08d/model/``: staged, renamed into place, ``CURRENT`` flipped,
+surplus generations retired to the recycled spare — all inside the
+backend call, so in-process the commit's fsyncs run on the compute
+thread, not the event loop.  The parent then tells every replica to
+drop its index and rebuild from the generation ``CURRENT`` names —
+again via mmap, so the rebroadcast costs page-cache references, not
+copies.  An index rebuilt from an exported artifact serves
+bit-identically to its source (the ``export_artifact`` contract), so
+after the rebroadcast every worker answers ``/predict`` with the exact
+same labels.  In-flight predicts racing a rebroadcast simply finish on
+the generation their worker held when they arrived — the response's
+``generation`` tag says which.
+
+The store overwrites a generation in place three commits after writing
+it, and replicas map theirs, so no live replica may lag behind: a
+replica whose reload fails is taken out of rotation and stopped, like a
+dead worker.  The owner never reloads; its index aliases the boot
+artifact, which is why the daemon refuses a boot artifact inside its
+``state_dir``.
 
 A worker op that raises answers its request with a
 :class:`BackendError` naming the worker, the op and the exception
@@ -57,8 +68,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.reliability import CompressedMemberError
-from repro.serving.artifact import load_artifact
+from repro.reliability import CompressedMemberError, GenerationStore
+from repro.serving.artifact import MODEL_DIR, load_artifact
 from repro.serving.index import ProjectedClusterIndex
 
 PathLike = Union[str, Path]
@@ -115,14 +126,16 @@ def _apply_partial_update(
     index: ProjectedClusterIndex,
     points: np.ndarray,
     labels: Optional[np.ndarray],
-    save_to: Optional[str],
+    state_dir: Optional[str],
 ) -> Tuple[np.ndarray, int]:
-    """Fold points into ``index``; persist the post-fold generation if asked."""
+    """Fold points into ``index``; commit the post-fold state to the ``state_dir`` store."""
     before = index.n_points_absorbed
     applied = index.partial_update(points, labels)
     absorbed = index.n_points_absorbed - before
-    if save_to is not None:
-        index.export_artifact().save(save_to)
+    if state_dir is not None:
+        artifact = index.export_artifact()
+        with GenerationStore(state_dir).commit() as (_, staging):
+            artifact.save(staging / MODEL_DIR)
     return applied, int(absorbed)
 
 
@@ -174,7 +187,8 @@ def _worker_main(conn, artifact_path: str, mmap_mode: Optional[str]) -> None:
             elif op == "partial_update":
                 payload = _apply_partial_update(index, message[1], message[2], message[3])
             elif op == "reload":
-                index = build_serving_index(message[1], mmap_mode=mmap_mode)
+                generation = GenerationStore(message[1]).current()
+                index = build_serving_index(generation / MODEL_DIR, mmap_mode=mmap_mode)
                 payload = {"n_clusters": index.n_clusters}
             elif op == "info":
                 payload = {
@@ -324,11 +338,12 @@ class InProcessBackend:
         self,
         points: np.ndarray,
         labels: Optional[np.ndarray],
-        save_to: Optional[str],
+        state_dir: Optional[str],
     ) -> Tuple[np.ndarray, int]:
-        return await self._run(_apply_partial_update, self.index, points, labels, save_to)
+        """Fold on the compute thread; commit a generation to ``state_dir`` if given."""
+        return await self._run(_apply_partial_update, self.index, points, labels, state_dir)
 
-    async def reload_replicas(self, path: str) -> None:
+    async def reload_replicas(self, state_dir: str) -> None:
         """No replicas: the owner is the only index."""
 
 
@@ -449,32 +464,39 @@ class WorkerPoolBackend:
         self,
         points: np.ndarray,
         labels: Optional[np.ndarray],
-        save_to: Optional[str],
+        state_dir: Optional[str],
     ) -> Tuple[np.ndarray, int]:
-        """Fold through the single owner (worker 0)."""
+        """Fold through the single owner (worker 0), which commits to ``state_dir``."""
         if not self.owner.alive:
             raise BackendError("owner worker is dead; the write path is unavailable")
         applied, absorbed = await self._call(
-            self.owner, ("partial_update", points, labels, save_to)
+            self.owner, ("partial_update", points, labels, state_dir)
         )
         return applied, absorbed
 
-    async def reload_replicas(self, path: str) -> None:
-        """Point every replica (not the owner) at a new artifact generation."""
-        tasks = [
-            self._call(handle, ("reload", path))
-            for handle in self._handles[1:]
-            if handle.alive
-        ]
-        if tasks:
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-            for result in results:
-                if isinstance(result, BaseException):
-                    obs.event(
-                        "replica_reload_failed",
-                        error=str(result),
-                        worker_traceback=getattr(result, "worker_traceback", None),
-                    )
+    async def reload_replicas(self, state_dir: str) -> None:
+        """Point every replica (not the owner) at the generation ``state_dir`` committed last.
+
+        A replica whose reload fails would answer from the previous
+        generation under the new one's tag, and keep mapping a
+        generation the store is about to recycle: it is taken out of
+        rotation and stopped, as a dead worker would be.
+        """
+        replicas = [handle for handle in self._handles[1:] if handle.alive]
+        results = await asyncio.gather(
+            *(self._call(handle, ("reload", state_dir)) for handle in replicas),
+            return_exceptions=True,
+        )
+        for handle, result in zip(replicas, results):
+            if isinstance(result, BaseException):
+                handle.alive = False
+                handle.process.terminate()
+                obs.event(
+                    "replica_reload_failed",
+                    worker=handle.position,
+                    error=str(result),
+                    worker_traceback=getattr(result, "worker_traceback", None),
+                )
 
 
 def make_backend(

@@ -88,6 +88,9 @@ ARTIFACT_FORMAT = "repro-sspc-artifact"
 SCHEMA_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
+#: Where a store generation keeps its artifact: a stream checkpoint's
+#: and the daemon's ``state_dir`` generations share this layout.
+MODEL_DIR = "model"
 
 __all__ = [
     "ARTIFACT_FORMAT",

@@ -1,6 +1,7 @@
 """Checkpoint / restore for the streaming engine.
 
-A checkpoint directory holds *generations* plus a commit pointer::
+A checkpoint directory is a generation store
+(:class:`~repro.reliability.generations.GenerationStore`)::
 
     <checkpoint>/
         CURRENT                 # name of the committed generation (written last)
@@ -37,35 +38,29 @@ Each generation is a complete, self-contained checkpoint:
   :func:`~repro.reliability.bundle.mmap_npz`.  Bundles that older
   versions wrote deflated still load (eagerly).
 
-Durability protocol: a generation is staged in a temp directory and
-renamed into place as a unit; only then is ``CURRENT`` atomically
-flipped to point at it — the single commit point.  A kill anywhere
-mid-save leaves ``CURRENT`` on the previous generation, so a restored
-engine resumes bit-identically from the last *committed* batch
-boundary.  :func:`load_checkpoint` verifies every checksum and
-automatically rolls back to the newest intact generation when the
-pointed-at one is damaged (raising a typed
+Durability protocol: the store owns the generations — their naming,
+the staged commit and the ``CURRENT`` flip (the single commit point),
+:data:`RETAIN_GENERATIONS` generations plus the recycled
+:data:`SPARE_NAME`, and rollback.  A kill anywhere mid-save leaves
+``CURRENT`` on the previous generation, so a restored engine resumes
+bit-identically from the last *committed* batch boundary.
+:func:`load_checkpoint` verifies every checksum, and the store rolls
+back to the newest intact generation when the pointed-at one is
+damaged (raising a typed
 :class:`~repro.reliability.integrity.IntegrityError` only when *no*
 generation survives).  Legacy flat checkpoints (state files at the
-directory root, schema 1) still load.
+directory root, schema 1) still load: the root is the last candidate.
 
 A steady-state save frees no inode and no block: freeing is what a
-save costs on a filesystem that discards freed blocks online.  The last
-:data:`RETAIN_GENERATIONS` generations are kept plus one spare
-directory, :data:`SPARE_NAME`: a save stages the new generation in the
-spare and overwrites its files in place
-(:func:`~repro.reliability.atomic.atomic_write_dir` with ``recycle=``),
-and pruning renames the oldest surplus generation to the spare
-(:func:`~repro.reliability.atomic.retire_dir`) instead of deleting it.
-``CURRENT`` is flipped by :func:`~repro.reliability.atomic.flip_pointer`,
-which keeps the replaced inode as ``CURRENT.spare``.  A file that
-would come out shorter than the spare's copy is padded to its length
-instead of truncated: the bundles with a zero-filled member their
-readers skip, the JSON files with trailing spaces.  So no file gets
-shorter, and none grows past its largest payload plus one padding
-member (234 bytes, for a bundle).  The layout of every
-generation, and its content up to that padding, are those of a
-checkpoint that deletes its retired generations, and either kind
+save costs on a filesystem that discards freed blocks online.  The
+store stages each save in the spare, so its files are overwritten in
+place, and a file that would come out shorter than the spare's copy is
+padded to its length instead of truncated: the bundles with a
+zero-filled member their readers skip, the JSON files with trailing
+spaces.  So no file gets shorter, and none grows past its largest
+payload plus one padding member (234 bytes, for a bundle).  The layout
+of every generation, and its content up to that padding, are those of
+a checkpoint that deletes its retired generations, and either kind
 restores the other.
 
 Because a generation past retention is overwritten in place, files of
@@ -80,42 +75,38 @@ stream exactly as if it had never stopped — the streaming analogue of
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
 from repro import obs
 from repro.reliability import (
+    GenerationStore,
     IntegrityError,
-    TEMP_MARKER,
-    atomic_write_dir,
     atomic_write_json,
-    flip_pointer,
     read_bundle,
-    remove_stale_temps,
     require_key,
-    retire_dir,
     verify_stamp,
     write_bundle,
 )
-from repro.serving.artifact import load_artifact
+from repro.reliability.generations import (
+    CURRENT_NAME,
+    GENERATION_PREFIX,
+    RETAIN_GENERATIONS,
+    SPARE_NAME,
+)
+from repro.serving.artifact import MODEL_DIR, ModelArtifact, load_artifact
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 CHECKPOINT_FORMAT = "repro-sspc-stream-checkpoint"
 SCHEMA_VERSION = 2
-MODEL_DIR = "model"
 STATE_NAME = "stream_state.json"
 ARRAYS_NAME = "stream_arrays.npz"
-CURRENT_NAME = "CURRENT"
-GENERATION_PREFIX = "gen-"
-#: Committed generations kept on disk (current + rollback target).
-RETAIN_GENERATIONS = 2
-#: The retired generation the next save overwrites in place; matches no
-#: generation name, so no reader ever restores from it.
-SPARE_NAME = "spare"
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -146,50 +137,15 @@ def _can_fold_into_source(engine) -> bool:
     return True
 
 
-def _generation_dirs(directory: Path) -> List[Path]:
-    """Committed generation directories, oldest first."""
-    if not directory.is_dir():
-        return []
-    generations = [
-        entry
-        for entry in directory.iterdir()
-        if entry.is_dir()
-        and entry.name.startswith(GENERATION_PREFIX)
-        and TEMP_MARKER not in entry.name
-    ]
-    return sorted(generations, key=lambda entry: entry.name)
+def _resolve(path: PathLike, read: Callable[[Path], T]) -> Tuple[Path, T]:
+    """``(generation, read(generation))`` for checkpoint ``path``, with rollback.
 
-
-def _generation_number(name: str) -> int:
-    try:
-        return int(name[len(GENERATION_PREFIX):])
-    except ValueError:
-        return -1
-
-
-def _candidate_dirs(directory: Path) -> List[Path]:
-    """Generation directories to try, in rollback order.
-
-    The ``CURRENT``-pointed generation first (it is the committed one),
-    then the remaining generations newest-first, then the directory
-    root itself for legacy flat checkpoints.
+    The store's candidates, then the directory root itself for legacy
+    flat checkpoints.
     """
-    candidates: List[Path] = []
-    current_path = directory / CURRENT_NAME
-    if current_path.is_file():
-        try:
-            name = current_path.read_text().strip()
-        except OSError:
-            name = ""
-        pointed = directory / name
-        if name and TEMP_MARKER not in name and pointed.is_dir():
-            candidates.append(pointed)
-    for generation in reversed(_generation_dirs(directory)):
-        if generation not in candidates:
-            candidates.append(generation)
-    if (directory / STATE_NAME).is_file():
-        candidates.append(directory)
-    return candidates
+    directory = Path(path)
+    legacy = [directory] if (directory / STATE_NAME).is_file() else []
+    return GenerationStore(directory).load(read, fallback=legacy)
 
 
 def resolve_checkpoint_dir(path: PathLike) -> Path:
@@ -200,45 +156,17 @@ def resolve_checkpoint_dir(path: PathLike) -> Path:
     Raises :class:`FileNotFoundError` when ``path`` holds no checkpoint
     at all, :class:`IntegrityError` when every generation is damaged.
     """
-    directory = Path(path)
-    candidates = _candidate_dirs(directory)
-    if not candidates:
-        raise FileNotFoundError(
-            "%s is not a stream checkpoint (missing %s)" % (directory, STATE_NAME)
-        )
-    problems: List[str] = []
-    for candidate in candidates:
-        try:
-            _read_state(candidate)
-            if problems:
-                # A damaged newer generation was skipped: this resolve
-                # is a rollback, worth surfacing in the event log.
-                recorder = obs.get_recorder()
-                if recorder is not None:
-                    recorder.incr("reliability.rollbacks")
-                    recorder.event(
-                        "rollback",
-                        checkpoint=str(directory),
-                        resolved=candidate.name,
-                        damaged=list(problems),
-                    )
-            return candidate
-        except (IntegrityError, FileNotFoundError, OSError) as exc:
-            problems.append("%s: %s" % (candidate.name, exc))
-    raise IntegrityError(
-        "no intact generation in checkpoint %s (%s)" % (directory, "; ".join(problems)),
-        path=directory,
-    )
+    return _resolve(path, _read_state)[0]
 
 
 def save_checkpoint(engine, path: PathLike, *, metadata: Optional[Dict[str, object]] = None) -> Path:
     """Write ``engine`` as a new committed generation under ``path``.
 
-    Crash-safe: the generation is staged (in the recycled spare, once
-    there is one) and renamed into place, and the ``CURRENT`` pointer is
-    flipped (atomically) only afterwards — a kill at any step leaves the
-    previous generation committed.  Generations past
-    :data:`RETAIN_GENERATIONS` are retired to the spare.
+    Crash-safe: the store stages the generation (in the recycled spare,
+    once there is one), renames it into place and flips the ``CURRENT``
+    pointer only afterwards — a kill at any step leaves the previous
+    generation committed.  Generations past :data:`RETAIN_GENERATIONS`
+    are retired to the spare.
 
     Runs inside a ``stream.checkpoint`` span whose ``generation``,
     ``bytes`` and ``pad_bytes`` attributes name the committed
@@ -248,33 +176,25 @@ def save_checkpoint(engine, path: PathLike, *, metadata: Optional[Dict[str, obje
     recorder = obs.get_recorder()
     padded_before = recorder.counters.get("reliability.pad_bytes", 0.0) if recorder else 0.0
     with obs.span("stream.checkpoint", category="stream") as span:
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        remove_stale_temps(directory)
-        numbers = [_generation_number(entry.name) for entry in _generation_dirs(directory)]
-        generation = directory / ("%s%08d" % (GENERATION_PREFIX, max(numbers, default=0) + 1))
-        spare = directory / SPARE_NAME
-        _write_generation(engine, generation, metadata, recycle=spare)
-        # The CURRENT flip is the checkpoint's single commit point.
-        flip_pointer(directory / CURRENT_NAME, (generation.name + "\n").encode("ascii"))
-        for retired in _generation_dirs(directory)[:-RETAIN_GENERATIONS]:
-            retire_dir(retired, spare)
+        artifact, arrays, state = _checkpoint_payload(engine, metadata)
+        with GenerationStore(path).commit() as (generation, staging):
+            state["generation"] = generation.name
+            artifact.save(staging / MODEL_DIR)
+            state["array_checksums"] = write_bundle(staging / ARRAYS_NAME, arrays)
+            atomic_write_json(staging / STATE_NAME, state)  # state commits the generation
         if recorder is not None:
             span.set(
                 generation=generation.name,
                 bytes=sum(f.stat().st_size for f in generation.rglob("*") if f.is_file()),
                 pad_bytes=int(recorder.counters.get("reliability.pad_bytes", 0.0) - padded_before),
             )
-    return directory
+    return Path(path)
 
 
-def _write_generation(
-    engine, generation: Path, metadata: Optional[Dict[str, object]], *, recycle: Path
-) -> None:
-    """Stage and commit one generation directory (model, arrays, state last).
-
-    Staged in ``recycle`` when that spare exists, overwriting its files.
-    """
+def _checkpoint_payload(
+    engine, metadata: Optional[Dict[str, object]]
+) -> Tuple[ModelArtifact, Dict[str, np.ndarray], Dict[str, object]]:
+    """The model, array buffers and state of one generation, before it is staged."""
     if _can_fold_into_source(engine):
         artifact = engine.index.fold_into(engine._source_artifact)
     else:
@@ -300,7 +220,6 @@ def _write_generation(
     state = {
         "format": CHECKPOINT_FORMAT,
         "schema_version": SCHEMA_VERSION,
-        "generation": generation.name,
         "config": engine.config.to_dict(),
         # The only scoring center; still written so readers of the
         # schema-2 layout that require the key keep restoring.
@@ -323,10 +242,7 @@ def _write_generation(
         "events": [event.to_dict() for event in engine.events],
         "metadata": dict(metadata or {}),
     }
-    with atomic_write_dir(generation, recycle=recycle) as staging:
-        artifact.save(staging / MODEL_DIR)
-        state["array_checksums"] = write_bundle(staging / ARRAYS_NAME, arrays)
-        atomic_write_json(staging / STATE_NAME, state)  # state commits the generation
+    return artifact, arrays, state
 
 
 def _read_state(directory: Path) -> Dict[str, object]:
@@ -377,14 +293,13 @@ def checkpoint_metadata(path: PathLike) -> Dict[str, object]:
     instead of :func:`describe_checkpoint`, which re-reads the whole
     model artifact and array bundle.
     """
-    return dict(_read_state(resolve_checkpoint_dir(path)).get("metadata", {}))
+    return dict(_resolve(path, _read_state)[1].get("metadata", {}))
 
 
 def describe_checkpoint(path: PathLike) -> Dict[str, object]:
     """Human-readable checkpoint summary (the ``inspect`` CLI payload)."""
     directory = Path(path)
-    generation = resolve_checkpoint_dir(directory)
-    state = _read_state(generation)
+    generation, state = _resolve(directory, _read_state)
     artifact = load_artifact(generation / MODEL_DIR)
     arrays_path = generation / ARRAYS_NAME
     arrays = _read_arrays(arrays_path, state)
@@ -428,25 +343,9 @@ def load_checkpoint(path: PathLike, *, config=None):
     ``outlier_buffer_size`` rows, adding the rows it evicts to
     ``outliers.n_dropped``.
     """
-    directory = Path(path)
-    candidates = _candidate_dirs(directory)
-    if not candidates:
-        raise FileNotFoundError(
-            "%s is not a stream checkpoint (missing %s)" % (directory, STATE_NAME)
-        )
-    problems: List[str] = []
-    for candidate in candidates:
-        try:
-            engine = _load_generation(candidate, config=config)
-        except (IntegrityError, FileNotFoundError, OSError) as exc:
-            problems.append("%s: %s" % (candidate.name, exc))
-            continue
-        engine.restored_from = str(candidate)
-        return engine
-    raise IntegrityError(
-        "no intact generation in checkpoint %s (%s)" % (directory, "; ".join(problems)),
-        path=directory,
-    )
+    generation, engine = _resolve(path, functools.partial(_load_generation, config=config))
+    engine.restored_from = str(generation)
+    return engine
 
 
 def _load_generation(directory: Path, *, config=None):

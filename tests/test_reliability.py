@@ -527,6 +527,37 @@ class TestCheckpointRecovery:
         restored = StreamingSSPC.restore(checkpoint)
         assert restored.n_batches == 1  # rolled back one generation
 
+    def test_restore_counts_and_logs_its_rollback(self, fitted_sspc, tmp_path):
+        from pathlib import Path
+
+        from repro import obs
+        from repro.stream.checkpoint import ARRAYS_NAME, CURRENT_NAME
+        from repro.stream.engine import StreamingSSPC
+
+        rng = np.random.default_rng(3)
+        engine = self._engine(fitted_sspc)
+        n_dim = engine.index.n_dimensions
+        batches = [rng.normal(size=(40, n_dim)) for _ in range(4)]
+        reference = self._engine(fitted_sspc)
+        expected = [reference.process_batch(batch).labels for batch in batches]
+        checkpoint = tmp_path / "ck"
+        for batch in batches[:2]:
+            engine.process_batch(batch)
+            engine.checkpoint(checkpoint)
+        damaged = (checkpoint / CURRENT_NAME).read_text().strip()
+        (checkpoint / damaged / ARRAYS_NAME).write_bytes(b"rotten")
+        with obs.recording() as recorder:
+            restored = StreamingSSPC.restore(checkpoint)
+        assert restored.n_batches == 1
+        assert recorder.counters["reliability.rollbacks"] == 1
+        events = [event for event in recorder.events if event["kind"] == "rollback"]
+        assert len(events) == 1
+        details = events[0]["details"]
+        assert details["resolved"] == Path(restored.restored_from).name != damaged
+        assert [problem.split(":")[0] for problem in details["damaged"]] == [damaged]
+        for batch, labels in zip(batches[1:], expected[1:]):
+            np.testing.assert_array_equal(restored.process_batch(batch).labels, labels)
+
     def test_generations_are_pruned(self, fitted_sspc, tmp_path):
         from repro.stream.checkpoint import GENERATION_PREFIX, RETAIN_GENERATIONS
 

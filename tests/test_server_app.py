@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
-from repro.server.app import PredictServer, ServerConfig
+from repro.server.app import ArtifactInStateDirError, PredictServer, ServerConfig
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -269,9 +269,9 @@ def test_partial_update_bumps_generation_and_persists(
     # Predictions after the fold come from the folded state.
     np.testing.assert_array_equal(np.array(predict["labels"]), expected_post)
     assert predict["generation"] == 1
-    # The generation is durable: dir on disk, CURRENT pointer flipped.
-    assert (state_dir / "CURRENT").read_text() == "gen-000001"
-    folded = ProjectedClusterIndex(load_artifact(state_dir / "gen-000001"))
+    # The generation is durable: committed to the store, CURRENT flipped.
+    assert (state_dir / "CURRENT").read_text() == "gen-00000001\n"
+    folded = ProjectedClusterIndex(load_artifact(state_dir / "gen-00000001" / "model"))
     np.testing.assert_array_equal(folded.predict(query_points), expected_post)
 
 
@@ -475,33 +475,109 @@ def test_worker_failure_body_carries_no_traceback(
     assert worker_traceback.startswith("Traceback") and "boom" in worker_traceback
 
 
-def test_partial_update_flips_current_in_place_and_keeps_every_generation(
-    artifact_on_disk, query_points, tmp_path
+def _tree_bytes(directory):
+    return sum(path.stat().st_size for path in directory.rglob("*") if path.is_file())
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_fifty_updates_keep_two_generations_and_a_spare(
+    artifact_on_disk, query_points, workers, tmp_path
 ):
     state_dir = tmp_path / "state"
+    batches = np.random.default_rng(8).normal(size=(50, 4, query_points.shape[1]))
+    directories = []
 
     async def drive():
         async with running_server(
-            artifact_on_disk, state_dir=str(state_dir)
+            artifact_on_disk, workers=workers, state_dir=str(state_dir)
         ) as (server, host, port):
-            for _ in range(3):
+            for number, batch in enumerate(batches, 1):
                 status, update = await request(
-                    host, port, "POST", "/partial_update", {"points": query_points.tolist()}
+                    host, port, "POST", "/partial_update", {"points": batch.tolist()}
                 )
                 assert status == 200, update
-            return update
+                assert update["generation"] == number
+                directories.append(sorted(p.name for p in state_dir.iterdir() if p.is_dir()))
+            status, body = await request(
+                host, port, "POST", "/predict", {"points": query_points.tolist()}
+            )
+            assert status == 200
+            return body["labels"]
 
-    update = asyncio.run(drive())
-    assert update["generation"] == 3
-    # Byte-identical pointer content; the replaced inode is kept as the
-    # next flip's spare, and generations are never recycled: replicas
-    # memory-map them.
-    assert (state_dir / "CURRENT").read_bytes() == b"gen-000003"
-    assert sorted(p.name for p in state_dir.iterdir()) == [
-        "CURRENT", "CURRENT.spare", "gen-000001", "gen-000002", "gen-000003"
+    labels = asyncio.run(drive())
+    reference = ProjectedClusterIndex(load_artifact(artifact_on_disk))
+    for batch in batches:
+        reference.partial_update(batch)
+    np.testing.assert_array_equal(np.array(labels), reference.predict(query_points))
+    assert max(len(names) for names in directories) == 3
+    assert directories[-1] == ["gen-00000049", "gen-00000050", "spare"]
+    assert sorted(p.name for p in state_dir.iterdir() if p.is_file()) == [
+        "CURRENT", "CURRENT.spare"
     ]
-    for number in (1, 2, 3):
-        load_artifact(state_dir / ("gen-%06d" % number))
+    assert (state_dir / "CURRENT").read_bytes() == b"gen-00000050\n"
+    newest = ProjectedClusterIndex(load_artifact(state_dir / "gen-00000050" / "model"))
+    np.testing.assert_array_equal(newest.predict(query_points), reference.predict(query_points))
+    load_artifact(state_dir / "gen-00000049" / "model")  # the rollback target stays intact
+    # Recycled files are padded to the length they overwrite, never
+    # beyond one zero-filled member per bundle (234 bytes of headers).
+    largest = max(_tree_bytes(state_dir / name) for name in directories[-1])
+    assert _tree_bytes(state_dir) <= 3 * (largest + 2 * 256) + 64
+
+
+def test_an_artifact_inside_the_state_dir_is_refused_at_start(fitted_sspc, tmp_path):
+    state_dir = tmp_path / "state"
+    inside = state_dir / "gen-00000001" / "model"
+    fitted_sspc.to_artifact().save(inside)
+    (tmp_path / "alias").symlink_to(inside)
+    for artifact in (inside, tmp_path / "alias"):
+        server = PredictServer(artifact, ServerConfig(state_dir=str(state_dir)))
+        with pytest.raises(ArtifactInStateDirError) as excinfo:
+            asyncio.run(server.start())
+        assert str(artifact) in str(excinfo.value) and str(state_dir) in str(excinfo.value)
+    # A sibling whose name merely extends the state directory's is outside it.
+    sibling = tmp_path / "state-v2" / "model"
+    fitted_sspc.to_artifact().save(sibling)
+
+    async def drive():
+        async with running_server(sibling, state_dir=str(state_dir)) as (server, host, port):
+            return await request(host, port, "GET", "/healthz")
+
+    status, _ = asyncio.run(drive())
+    assert status == 200
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+def test_every_worker_serves_the_folded_state_bit_for_bit(
+    artifact_on_disk, query_points, tmp_path
+):
+    batches = np.random.default_rng(9).normal(size=(10, 6, query_points.shape[1]))
+
+    async def drive():
+        async with running_server(
+            artifact_on_disk, workers=2, state_dir=str(tmp_path / "state")
+        ) as (server, host, port):
+            for batch in batches:
+                status, update = await request(
+                    host, port, "POST", "/partial_update", {"points": batch.tolist()}
+                )
+                assert status == 200, update
+            k = server.backend.describe()["n_clusters"]
+            assert server.backend.alive_workers == 2
+            # Each worker answers directly: the owner folded, the replica
+            # reloaded the 10th generation from a recycled directory.
+            return [
+                await server.backend._call(handle, ("predict_soft", query_points, k))
+                for handle in server.backend._handles
+            ]
+
+    answers = asyncio.run(drive())
+    reference = ProjectedClusterIndex(load_artifact(artifact_on_disk))
+    for batch in batches:
+        reference.partial_update(batch)
+    expected = reference.top_assignments(query_points, reference.n_clusters)
+    for answer in answers:
+        for got, want in zip(answer, expected):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_predict_soft_top_m_is_bounded_by_the_cluster_count(artifact_on_disk, query_points):

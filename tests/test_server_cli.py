@@ -92,3 +92,27 @@ def test_daemon_boots_serves_and_stops_on_sigterm(artifact_on_disk):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+
+
+def test_daemon_refuses_an_artifact_inside_its_state_dir(fitted_sspc, tmp_path):
+    state_dir = tmp_path / "state"
+    artifact = state_dir / "gen-00000001" / "model"
+    fitted_sspc.to_artifact().save(artifact)
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro.server.cli",
+            str(artifact),
+            "--port",
+            "0",
+            "--state-dir",
+            str(state_dir),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 2, completed.stderr
+    assert "READY" not in completed.stdout
+    assert str(artifact) in completed.stderr and str(state_dir) in completed.stderr

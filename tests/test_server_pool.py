@@ -7,7 +7,9 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.serving.artifact import load_artifact
+from repro import obs
+from repro.reliability import GenerationStore
+from repro.serving.artifact import MODEL_DIR, load_artifact
 from repro.serving.index import ProjectedClusterIndex
 from repro.server.pool import (
     BackendError,
@@ -95,14 +97,14 @@ class TestInProcessBackend:
     ):
         reference = ProjectedClusterIndex(load_artifact(artifact_dir))
         expected_applied = reference.partial_update(query_points)
-        gen_dir = tmp_path / "gen-000000"
+        state_dir = tmp_path / "state"
 
         async def drive():
             backend = InProcessBackend(artifact_dir)
             await backend.start()
             try:
                 return await backend.partial_update(
-                    query_points, None, str(gen_dir)
+                    query_points, None, str(state_dir)
                 )
             finally:
                 await backend.stop()
@@ -110,8 +112,9 @@ class TestInProcessBackend:
         applied, absorbed = asyncio.run(drive())
         np.testing.assert_array_equal(applied, expected_applied)
         assert absorbed >= 0
-        # The persisted generation serves exactly what the folded index does.
-        folded = ProjectedClusterIndex(load_artifact(gen_dir))
+        # The committed generation serves exactly what the folded index does.
+        generation = GenerationStore(state_dir).current()
+        folded = ProjectedClusterIndex(load_artifact(generation / MODEL_DIR))
         np.testing.assert_array_equal(
             folded.predict(query_points), reference.predict(query_points)
         )
@@ -135,7 +138,7 @@ class TestWorkerPoolBackend:
     def test_predict_and_write_path(
         self, artifact_dir, query_points, reference_labels, tmp_path
     ):
-        gen_dir = tmp_path / "gen-000000"
+        state_dir = tmp_path / "state"
         reference = ProjectedClusterIndex(load_artifact(artifact_dir))
         expected_applied = reference.partial_update(query_points)
 
@@ -148,11 +151,14 @@ class TestWorkerPoolBackend:
                 # Several predicts so round-robin touches both workers.
                 batches = [await backend.predict(query_points) for _ in range(4)]
                 soft = await backend.predict_soft(query_points, 3)
+                # The owner commits a generation to the state_dir store;
+                # replicas reload the one its CURRENT names.
                 applied, absorbed = await backend.partial_update(
-                    query_points, None, str(gen_dir)
+                    query_points, None, str(state_dir)
                 )
-                await backend.reload_replicas(str(gen_dir))
-                post_reload = await backend.predict(query_points)
+                await backend.reload_replicas(str(state_dir))
+                assert backend.alive_workers == 2
+                post_reload = [await backend.predict(query_points) for _ in range(4)]
                 return batches, soft, applied, absorbed, post_reload
             finally:
                 await backend.stop()
@@ -164,8 +170,42 @@ class TestWorkerPoolBackend:
         np.testing.assert_array_equal(applied, expected_applied)
         assert absorbed >= 0
         # After fold + rebroadcast every worker serves the folded model.
-        np.testing.assert_array_equal(post_reload, reference.predict(query_points))
-        assert (gen_dir / "MANIFEST.json").exists() or gen_dir.exists()
+        for labels in post_reload:
+            np.testing.assert_array_equal(labels, reference.predict(query_points))
+        assert GenerationStore(state_dir).current() == state_dir / "gen-00000001"
+        assert (state_dir / "gen-00000001" / MODEL_DIR / "manifest.json").is_file()
+
+    def test_a_replica_that_fails_to_reload_leaves_rotation(
+        self, artifact_dir, query_points, tmp_path
+    ):
+        reference = ProjectedClusterIndex(load_artifact(artifact_dir))
+        reference.partial_update(query_points)
+
+        async def drive():
+            backend = WorkerPoolBackend(artifact_dir, n_workers=2)
+            await backend.start()
+            try:
+                await backend.partial_update(query_points, None, str(tmp_path / "state"))
+                # The owner holds the new generation; the replica cannot
+                # find it and would go on serving the boot artifact.
+                await backend.reload_replicas(str(tmp_path / "missing"))
+                replica = backend._handles[1]
+                assert not replica.alive and backend.alive_workers == 1
+                replica.process.join(timeout=10.0)
+                assert not replica.process.is_alive()
+                return [await backend.predict_soft(query_points, 3) for _ in range(4)]
+            finally:
+                await backend.stop()
+
+        with obs.recording() as recorder:
+            answers = asyncio.run(drive())
+        expected = reference.top_assignments(query_points, 3)
+        for answer in answers:
+            for got, want in zip(answer, expected):
+                assert got.tobytes() == want.tobytes()
+        events = [event for event in recorder.events if event["kind"] == "replica_reload_failed"]
+        assert [event["details"]["worker"] for event in events] == [1]
+        assert "missing" in events[0]["details"]["error"]
 
     def test_dead_owner_is_detected_and_routed_around(
         self, artifact_dir, query_points, reference_labels

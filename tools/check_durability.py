@@ -2,9 +2,9 @@
 """Lint: durability-path modules must write through the atomic helpers.
 
 Every module that persists state the rest of the system depends on —
-model artifacts, stream checkpoints, benchmark run records, and the
-reliability layer itself — must route writes through
-``repro.reliability.atomic`` (temp + fsync + rename).  A bare
+model artifacts, stream checkpoints, the serving daemon's generations,
+benchmark run records, and the reliability layer itself — must route
+writes through ``repro.reliability.atomic`` (temp + fsync + rename).  A bare
 ``open(path, "w")`` or ``Path.write_text`` on one of these paths can
 tear under a crash and silently corrupt the store, which is exactly the
 failure class the reliability layer exists to rule out.
@@ -49,6 +49,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DURABILITY_PATHS = (
     "src/repro/serving/artifact.py",
     "src/repro/stream/checkpoint.py",
+    "src/repro/server/app.py",
+    "src/repro/server/pool.py",
     "src/repro/bench/store.py",
     "src/repro/reliability",
 )

@@ -27,10 +27,12 @@ End to end over an actual subprocess and actual sockets:
    chi-square code) maps no file of scipy's package directory;
 9. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
    timeout;
-10. boot a second daemon on a ``p=0.05`` artifact of the same data:
-    its ``/predict`` labels, before and after one accepted
-    ``/partial_update``, must be bit-identical to an in-process index
-    that folds the same rows.
+10. boot a second daemon on a ``p=0.05`` artifact of the same data,
+    with ``--state-dir`` in the work directory: its ``/predict`` labels,
+    before and after each of 5 accepted ``/partial_update`` requests (the
+    4th and 5th stage in a recycled spare), must be bit-identical to an
+    in-process index that folds the same rows, and the state directory
+    must end with at most 3 generation directories.
 
 Run from the repository root (CI does)::
 
@@ -229,8 +231,9 @@ def check_prometheus(base: str) -> None:
     )
 
 
-def start_daemon(artifact: Path, workers: int) -> tuple:
+def start_daemon(artifact: Path, workers: int, state_dir: Path = None) -> tuple:
     """Boot ``repro-server`` on ``artifact``; return the process and its base URL."""
+    state = ["--state-dir", str(state_dir)] if state_dir is not None else []
     process = subprocess.Popen(
         [
             sys.executable,
@@ -241,6 +244,7 @@ def start_daemon(artifact: Path, workers: int) -> tuple:
             "0",
             "--workers",
             str(workers),
+            *state,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -294,20 +298,29 @@ def check_p_scheme(workdir: Path, workers: int, queries: np.ndarray) -> None:
     """A ``p``-scheme daemon predicts and folds exactly like an in-process index."""
     artifact = build_artifact(workdir, "model-p", p=0.05)
     index = ProjectedClusterIndex(load_artifact(artifact))
-    process, base = start_daemon(artifact, workers)
+    state_dir = workdir / "state-p"
+    process, base = start_daemon(artifact, workers, state_dir)
     try:
         before, _ = post_json(base + "/predict", {"points": queries.tolist()})
         assert before["labels"] == index.predict(queries).tolist(), (
             "p-scheme daemon labels differ from the in-process index"
         )
-        update, _ = post_json(base + "/partial_update", {"points": queries[:8].tolist()})
-        assert update["generation"] == 1, update
-        assert update["applied_labels"] == index.partial_update(queries[:8]).tolist(), update
-        after, _ = post_json(base + "/predict", {"points": queries.tolist()})
-        assert after["labels"] == index.predict(queries).tolist(), (
-            "p-scheme daemon labels differ from the in-process index after the update"
+        for number in range(1, 6):
+            rows = queries[(number - 1) * 4 : number * 4 + 4]
+            update, _ = post_json(base + "/partial_update", {"points": rows.tolist()})
+            assert update["generation"] == number, update
+            assert update["applied_labels"] == index.partial_update(rows).tolist(), update
+            after, _ = post_json(base + "/predict", {"points": queries.tolist()})
+            assert after["labels"] == index.predict(queries).tolist(), (
+                "p-scheme daemon labels differ from the in-process index after update %d"
+                % number
+            )
+        generations = sorted(entry.name for entry in state_dir.iterdir() if entry.is_dir())
+        assert len(generations) <= 3, generations
+        print(
+            "p-scheme ok: %d labels bit-identical before and after each of 5 updates; "
+            "state dir holds %s" % (len(queries), ", ".join(generations))
         )
-        print("p-scheme ok: %d labels bit-identical before and after one update" % len(queries))
         stop_daemon(process)
     finally:
         if process.poll() is None:
