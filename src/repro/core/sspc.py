@@ -106,14 +106,6 @@ class SSPC:
         while estimating seed-group dimensions during initialisation.
     public_group_factor:
         Public seed groups created per knowledge-free cluster.
-    stats_cache_max_entries:
-        Bound on the per-fit :class:`ClusterStatsCache` (``None`` keeps
-        the cache's own default).  The SSPC loop itself only needs the
-        current iteration's ``k`` member sets plus the best-so-far
-        snapshot, but callers that run many clusters or inspect
-        ``stats_cache_`` afterwards (streaming re-selection, the
-        baselines sharing the workspace) can raise it; ``0`` disables
-        caching entirely.
     random_state:
         Seed or generator controlling medoid draws and grid sampling.
 
@@ -144,7 +136,6 @@ class SSPC:
         bins_per_dimension: Optional[int] = None,
         seed_selection_p: float = 0.01,
         public_group_factor: int = 3,
-        stats_cache_max_entries: Optional[int] = None,
         random_state: RandomState = None,
     ) -> None:
         self.n_clusters = check_positive_int(n_clusters, name="n_clusters", minimum=1)
@@ -166,9 +157,6 @@ class SSPC:
         self.public_group_factor = check_positive_int(
             public_group_factor, name="public_group_factor", minimum=1
         )
-        if stats_cache_max_entries is not None and stats_cache_max_entries < 0:
-            raise ValueError("stats_cache_max_entries must be non-negative or None")
-        self.stats_cache_max_entries = stats_cache_max_entries
         self.random_state = random_state
 
         self.result_: Optional[ClusteringResult] = None
@@ -208,12 +196,7 @@ class SSPC:
         # The per-iteration workspace: one statistics pass per distinct
         # member set, shared by SelectDim, the phi evaluation, the
         # representative replacement and the seed-group builder.
-        if self.stats_cache_max_entries is None:
-            workspace = self._stats_cache_factory(data)
-        else:
-            workspace = self._stats_cache_factory(
-                data, max_entries=self.stats_cache_max_entries
-            )
+        workspace = self._stats_cache_factory(data)
         # Hit/miss/eviction counters are reported per fit: a factory may
         # hand back a shared cache whose entries (and counters) survive
         # across estimators, so zero the counters — keeping the cached
@@ -400,8 +383,6 @@ class SSPC:
             "seed_selection_p": self.seed_selection_p,
             "public_group_factor": self.public_group_factor,
         }
-        if self.stats_cache_max_entries is not None:
-            params["stats_cache_max_entries"] = self.stats_cache_max_entries
         params.update({k: v for k, v in self._threshold_args.items() if v is not None})
         return params
 

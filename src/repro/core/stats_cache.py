@@ -148,9 +148,7 @@ class ClusterStatsCache:
         Entries dropped by the LRU bound.  A non-trivial eviction count
         with a low :attr:`hit_rate` means the working set outgrew
         ``max_entries`` (streaming membership churn does this) and the
-        bound should be raised by whoever constructed the cache —
-        ``SSPC(stats_cache_max_entries=...)`` plumbs it through for the
-        fit path.
+        bound should be raised by whoever constructed the cache.
     """
 
     def __init__(self, data: np.ndarray, *, max_entries: int = 128) -> None:

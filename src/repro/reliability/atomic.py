@@ -259,16 +259,16 @@ def atomic_write_json(
 def read_json(path: PathLike, *, verify: bool = True) -> Dict[str, object]:
     """Read a JSON payload, verifying and stripping its checksum stamp.
 
-    Raises :class:`IntegrityError` when the file does not parse or its
-    stamp mismatches (``verify=True``); a payload without a stamp is a
-    legacy write and is accepted unverified.  Missing files raise
+    Raises :class:`IntegrityError` when the file does not decode or parse
+    or its stamp mismatches (``verify=True``); a payload without a stamp
+    is a legacy write and is accepted unverified.  Missing files raise
     :class:`FileNotFoundError` as usual.
     """
     path = Path(path)
-    with open(path, "r") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         if verify:
             raise IntegrityError(

@@ -112,9 +112,9 @@ class GenerationStore:
         For a reader that must see exactly what the writer committed
         last (a serving replica following its owner); raises
         :class:`OSError` when ``CURRENT`` is missing or names no
-        generation.
+        generation, undecodable bytes included.
         """
-        name = (self.root / CURRENT_NAME).read_text().strip()
+        name = (self.root / CURRENT_NAME).read_bytes().decode("ascii", "replace").strip()
         pointed = self.root / name
         if _generation_number(name) is None or not pointed.is_dir():
             raise FileNotFoundError("%s names no generation in %s" % (CURRENT_NAME, self.root))

@@ -12,19 +12,20 @@ One asyncio event loop accepts connections, parses requests
     batcher only *stacks* requests, and JSON round-trips floats exactly.
 ``POST /predict_soft``
     Top-``m`` soft assignments (labels, cluster ids, gains) for
-    ``1 <= top_m <= k``; ``-inf`` gain padding is emitted as JSON
-    ``-Infinity``.
+    ``1 <= top_m <= k``, ``min(3, k)`` when the request names none;
+    ``-inf`` gain padding is emitted as JSON ``-Infinity``.
 ``POST /partial_update``
     The write path.  Serialised by an application-level lock, folded
     through the backend's single owner (worker 0), which commits the
     post-fold state to the ``state_dir`` generation store
     (:class:`~repro.reliability.generations.GenerationStore`: 2
     generations plus a recycled spare, ``CURRENT`` flipped last), then
-    rebroadcast to replicas.  The response carries the new generation
-    number: the count of updates since boot.  A boot artifact inside
-    ``state_dir`` is refused at start (:class:`ArtifactInStateDirError`):
-    the owner's index maps it, and the store overwrites its generations
-    in place.
+    rebroadcast to replicas.  A commit that fails undoes the owner's fold
+    and fails the update, so no replica reloads and ``generation`` stays
+    put.  The response carries the new generation number: the count of
+    updates since boot.  A boot artifact inside ``state_dir`` is refused
+    at start (:class:`ArtifactInStateDirError`): the owner's index maps
+    it, and the store overwrites its generations in place.
 ``GET /healthz``
     Liveness + shape: generation, worker counts, cluster/dimension
     counts, uptime, and the SLO report — the status degrades to 503
@@ -46,6 +47,11 @@ honored, otherwise one is generated, and every response — including
 4xx/5xx and pre-routing parse errors — echoes it back.  Every response
 also carries the artifact ``generation`` it was served from, so a
 client interleaving folds and predicts can tell which state answered.
+
+A request body past :data:`MAX_BODY_BYTES` is a 413, and a keep-alive
+connection idle for :data:`IDLE_TIMEOUT_S` is closed.  The tail capture
+keeps the telemetry's default 32 slowest requests per window and 64
+errored ones.
 """
 
 from __future__ import annotations
@@ -78,6 +84,11 @@ PathLike = Union[str, Path]
 
 __all__ = ["ArtifactInStateDirError", "PredictServer", "ServerConfig"]
 
+#: Request bodies larger than this are refused with a 413.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Keep-alive connections idle longer than this are closed.
+IDLE_TIMEOUT_S = 300.0
+
 #: Bounded-cardinality telemetry labels per path; anything unknown
 #: aggregates as "other" so a path-scanning client cannot explode the
 #: per-route histogram space.
@@ -105,7 +116,13 @@ class RawResponse:
 
 @dataclass
 class ServerConfig:
-    """Tunables for one :class:`PredictServer`."""
+    """Tunables for one :class:`PredictServer`.
+
+    Each field is set by the ``repro-server`` flag of the same name
+    (``max_batch`` by ``--max-batch``); a value no command line sets is
+    a module constant instead (:data:`MAX_BODY_BYTES`,
+    :data:`IDLE_TIMEOUT_S`).  The daemon always maps its artifact.
+    """
 
     host: str = "127.0.0.1"
     #: ``0`` binds an ephemeral port (reported by :meth:`PredictServer.start`).
@@ -116,24 +133,14 @@ class ServerConfig:
     max_batch: int = 64
     #: Micro-batcher: oldest pending request waits at most this long.
     max_wait_us: float = 2000.0
-    #: ``"r"`` maps the artifact (shared pages); ``None`` loads eagerly.
-    mmap_mode: Optional[str] = "r"
     #: The generation store ``partial_update`` commits to; ``None`` = private tempdir.
     state_dir: Optional[str] = None
-    #: Reject request bodies larger than this.
-    max_body_bytes: int = 8 * 1024 * 1024
-    #: Close keep-alive connections idle longer than this.
-    idle_timeout_s: float = 300.0
     #: SLO: fraction of requests that must not be server errors (5xx).
     slo_availability_target: float = 0.999
     #: SLO: per-request latency budget in milliseconds.
     slo_latency_budget_ms: float = 250.0
     #: SLO: fraction of requests that must land within the budget.
     slo_latency_target: float = 0.99
-    #: Tail capture: slowest-N requests retained per rolling window.
-    tail_slow_requests: int = 32
-    #: Tail capture: errored requests retained.
-    tail_error_requests: int = 64
 
 
 class PredictServer:
@@ -142,11 +149,7 @@ class PredictServer:
     def __init__(self, artifact_path: PathLike, config: Optional[ServerConfig] = None) -> None:
         self.artifact_path = str(artifact_path)
         self.config = config or ServerConfig()
-        self.backend = make_backend(
-            self.artifact_path,
-            n_workers=self.config.workers,
-            mmap_mode=self.config.mmap_mode,
-        )
+        self.backend = make_backend(self.artifact_path, n_workers=self.config.workers)
         self.batcher = MicroBatcher(
             self._flush_predict,
             max_batch=self.config.max_batch,
@@ -158,9 +161,7 @@ class PredictServer:
                 availability_target=self.config.slo_availability_target,
                 latency_budget_ms=self.config.slo_latency_budget_ms,
                 latency_target=self.config.slo_latency_target,
-            ),
-            tail_slow=self.config.tail_slow_requests,
-            tail_errors=self.config.tail_error_requests,
+            )
         )
         # Route table is hot (hit once per request) — build it once.
         self._routes = {
@@ -220,8 +221,7 @@ class PredictServer:
                 self._handle_client, self.config.host, self.config.port
             )
             self._started_at = obs.monotonic()
-            if self.config.idle_timeout_s > 0:
-                self._sweeper = asyncio.get_running_loop().create_task(self._sweep_idle())
+            self._sweeper = asyncio.get_running_loop().create_task(self._sweep_idle())
         sockets = self._server.sockets or ()
         host, port = sockets[0].getsockname()[:2]
         obs.event("server_started", host=host, port=port, workers=self.config.workers)
@@ -233,11 +233,11 @@ class PredictServer:
         await self._server.serve_forever()
 
     async def _sweep_idle(self) -> None:
-        """Close connections idle past ``idle_timeout_s`` (periodic sweep)."""
-        interval = max(1.0, self.config.idle_timeout_s / 4.0)
+        """Close connections idle past :data:`IDLE_TIMEOUT_S` (periodic sweep)."""
+        interval = max(1.0, IDLE_TIMEOUT_S / 4.0)
         while True:
             await asyncio.sleep(interval)
-            deadline = obs.monotonic() - self.config.idle_timeout_s
+            deadline = obs.monotonic() - IDLE_TIMEOUT_S
             for last_seen, writer in list(self._conn_last_active.values()):
                 if last_seen < deadline:
                     writer.close()  # the handler's blocked read returns EOF
@@ -280,9 +280,7 @@ class PredictServer:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, max_body_bytes=self.config.max_body_bytes
-                    )
+                    request = await read_request(reader, max_body_bytes=MAX_BODY_BYTES)
                 except HTTPError as exc:
                     # Pre-routing failure (malformed request, oversized
                     # body): still assign a request id (honoring any
@@ -524,7 +522,7 @@ class PredictServer:
     async def _handle_predict_soft(self, request: HTTPRequest, trace: RequestTrace):
         payload = request.json()
         points, single = self._parse_points(payload)
-        top_m = payload.get("top_m", 3) if isinstance(payload, dict) else 3
+        top_m = payload.get("top_m", min(3, self._n_clusters))
         if not isinstance(top_m, int) or isinstance(top_m, bool) or top_m < 1:
             raise HTTPError(400, "'top_m' must be a positive integer")
         if top_m > self._n_clusters:

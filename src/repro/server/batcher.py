@@ -32,7 +32,8 @@ A batch is flushed when the first of these fires:
 Self-clocking
 -------------
 Flushes are *busy-gated*: while ``max_concurrency`` flushes are in
-flight (one per backend worker; one for the in-process executor),
+flight (one per backend worker, which the daemon sets once its backend
+has booted; one for the in-process executor),
 quiesce and timeout triggers hold their batch instead of launching a
 flush that would only queue behind the busy kernel as a fragment.
 When a flush completes, everything that accumulated behind it is
@@ -129,10 +130,14 @@ class MicroBatcher:
     max_wait_us:
         Upper bound on how long the oldest pending request may wait
         before the deadline timer flushes regardless.
+
+    Attributes
+    ----------
     max_concurrency:
         How many flushes may be in flight at once before the busy gate
         holds new ones — one per kernel that can actually run in
-        parallel (``backend.parallelism``).
+        parallel.  ``1`` until the daemon sets it to
+        ``backend.parallelism`` after boot.
     """
 
     def __init__(
@@ -141,18 +146,15 @@ class MicroBatcher:
         *,
         max_batch: int = 64,
         max_wait_us: float = 2000.0,
-        max_concurrency: int = 1,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if max_wait_us < 0:
             raise ValueError("max_wait_us may not be negative")
-        if max_concurrency < 1:
-            raise ValueError("max_concurrency must be at least 1")
         self.flush_fn = flush_fn
         self.max_batch = int(max_batch)
         self.max_wait_us = float(max_wait_us)
-        self.max_concurrency = int(max_concurrency)
+        self.max_concurrency = 1
         self.stats = BatcherStats()
         self._batch_ids = itertools.count(1)
         self._pending: List[

@@ -6,13 +6,15 @@ Usage::
 
 Prints one ``READY host=... port=...`` line to stdout once the listener
 is bound (CI's daemon smoke test waits for it), then serves until
-SIGINT/SIGTERM.
+SIGINT/SIGTERM.  Each flag but the artifact sets the
+:class:`~repro.server.app.ServerConfig` field of the same name.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import signal
 import sys
 from typing import Optional, Sequence
@@ -44,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2000.0,
         help="micro-batcher max coalescing wait in microseconds (default %(default)s)",
-    )
-    parser.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="load the artifact eagerly instead of memory-mapping it",
     )
     parser.add_argument(
         "--state-dir",
@@ -98,16 +95,7 @@ async def _run(config: ServerConfig, artifact: str) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
-        mmap_mode=None if args.no_mmap else "r",
-        state_dir=args.state_dir,
-        slo_availability_target=args.slo_availability_target,
-        slo_latency_budget_ms=args.slo_latency_budget_ms,
-        slo_latency_target=args.slo_latency_target,
+        **{field.name: getattr(args, field.name) for field in dataclasses.fields(ServerConfig)}
     )
     try:
         return asyncio.run(_run(config, args.artifact))

@@ -10,12 +10,16 @@ application layer does not care where the kernel runs:
   keeps parsing requests while numpy works, and one thread means the
   index needs no locking.
 * :class:`WorkerPoolBackend` (``workers >= 1``) forks N worker
-  processes that each map the *same* artifact
-  (``load_artifact(..., mmap_mode="r")`` → one set of physical pages
-  machine-wide) and build a zero-copy index over it
-  (``copy_arrays=False``).  Requests round-robin across idle workers
-  over pipes; each worker handles one message at a time, so a worker's
-  index is never touched concurrently.
+  processes.  Requests round-robin across idle workers over pipes; each
+  worker handles one message at a time, so a worker's index is never
+  touched concurrently.  A pipe round trip that takes longer than
+  :data:`CALL_TIMEOUT_S` marks its worker hung.
+
+Every index the daemon builds maps its artifact
+(``load_artifact(..., mmap_mode="r")`` → one set of physical pages
+machine-wide) and aliases the mapped projection buffers.  Only an
+artifact written before the uncompressed-NPZ schema, which cannot be
+mapped, is loaded eagerly.
 
 Ownership (the write path)
 --------------------------
@@ -27,10 +31,12 @@ post-fold state to the ``state_dir`` generation store
 ``gen-%08d/model/``: staged, renamed into place, ``CURRENT`` flipped,
 surplus generations retired to the recycled spare — all inside the
 backend call, so in-process the commit's fsyncs run on the compute
-thread, not the event loop.  The parent then tells every replica to
-drop its index and rebuild from the generation ``CURRENT`` names —
-again via mmap, so the rebroadcast costs page-cache references, not
-copies.  An index rebuilt from an exported artifact serves
+thread, not the event loop.  A commit that fails undoes the fold, so
+the owner goes back to the state of the last commit (or of the boot
+artifact) and the update fails as a whole.  The parent then tells every
+replica to drop its index and rebuild from the generation ``CURRENT``
+names — again via mmap, so the rebroadcast costs page-cache references,
+not copies.  An index rebuilt from an exported artifact serves
 bit-identically to its source (the ``export_artifact`` contract), so
 after the rebroadcast every worker answers ``/predict`` with the exact
 same labels.  In-flight predicts racing a rebroadcast simply finish on
@@ -83,7 +89,7 @@ __all__ = [
 ]
 
 #: Seconds a pipe round trip may take before the worker is declared hung.
-DEFAULT_CALL_TIMEOUT_S = 120.0
+CALL_TIMEOUT_S = 120.0
 
 
 class BackendError(RuntimeError):
@@ -100,23 +106,19 @@ class BackendError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def build_serving_index(
-    artifact_path: PathLike, *, mmap_mode: Optional[str] = "r"
-) -> ProjectedClusterIndex:
-    """Build the daemon's index over an artifact, preferring the mmap path.
+def build_serving_index(artifact_path: PathLike) -> ProjectedClusterIndex:
+    """Build the daemon's index over the memory-mapped artifact.
 
     Artifacts written before the uncompressed-NPZ schema cannot be
     mapped; they fall back to the eager load (with an ``obs`` event so
     the fallback is visible in traces) instead of failing the boot.
     """
-    if mmap_mode is None:
-        return ProjectedClusterIndex(load_artifact(artifact_path))
     try:
-        artifact = load_artifact(artifact_path, mmap_mode=mmap_mode)
+        artifact = load_artifact(artifact_path, mmap_mode="r")
     except CompressedMemberError:
         obs.event("mmap_fallback", path=str(artifact_path))
-        return ProjectedClusterIndex(load_artifact(artifact_path))
-    return ProjectedClusterIndex(artifact, copy_arrays=False)
+        artifact = load_artifact(artifact_path)
+    return ProjectedClusterIndex(artifact)
 
 
 # ---------------------------------------------------------------------- #
@@ -128,15 +130,19 @@ def _apply_partial_update(
     labels: Optional[np.ndarray],
     state_dir: Optional[str],
 ) -> Tuple[np.ndarray, int]:
-    """Fold points into ``index``; commit the post-fold state to the ``state_dir`` store."""
+    """Fold points into ``index``; commit the post-fold state to the ``state_dir`` store.
+
+    A commit that raises undoes the fold first, so the index never
+    serves a state no generation holds.
+    """
     before = index.n_points_absorbed
-    applied = index.partial_update(points, labels)
-    absorbed = index.n_points_absorbed - before
-    if state_dir is not None:
-        artifact = index.export_artifact()
-        with GenerationStore(state_dir).commit() as (_, staging):
-            artifact.save(staging / MODEL_DIR)
-    return applied, int(absorbed)
+    with index.rollback_on_error():
+        applied = index.partial_update(points, labels)
+        if state_dir is not None:
+            artifact = index.export_artifact()
+            with GenerationStore(state_dir).commit() as (_, staging):
+                artifact.save(staging / MODEL_DIR)
+    return applied, int(index.n_points_absorbed - before)
 
 
 def _traced_predict(
@@ -157,7 +163,7 @@ def _traced_predict(
     return labels, recorder.export_state()
 
 
-def _worker_main(conn, artifact_path: str, mmap_mode: Optional[str]) -> None:
+def _worker_main(conn, artifact_path: str) -> None:
     """Run one pool worker: build the index, answer ops until ``stop``.
 
     Messages are ``(op, *args)`` tuples; replies are ``("ok", payload)``
@@ -165,7 +171,7 @@ def _worker_main(conn, artifact_path: str, mmap_mode: Optional[str]) -> None:
     by construction — the parent holds a per-worker lock.
     """
     try:
-        index = build_serving_index(artifact_path, mmap_mode=mmap_mode)
+        index = build_serving_index(artifact_path)
         conn.send(("ok", {"n_clusters": index.n_clusters, "n_dimensions": index.n_dimensions}))
     except BaseException as exc:
         conn.send(("error", type(exc).__name__, str(exc), traceback.format_exc()))
@@ -188,7 +194,7 @@ def _worker_main(conn, artifact_path: str, mmap_mode: Optional[str]) -> None:
                 payload = _apply_partial_update(index, message[1], message[2], message[3])
             elif op == "reload":
                 generation = GenerationStore(message[1]).current()
-                index = build_serving_index(generation / MODEL_DIR, mmap_mode=mmap_mode)
+                index = build_serving_index(generation / MODEL_DIR)
                 payload = {"n_clusters": index.n_clusters}
             elif op == "info":
                 payload = {
@@ -278,22 +284,15 @@ class InProcessBackend:
 
     n_workers = 0
 
-    def __init__(
-        self,
-        artifact_path: PathLike,
-        *,
-        mmap_mode: Optional[str] = "r",
-    ) -> None:
+    def __init__(self, artifact_path: PathLike) -> None:
         self.artifact_path = str(artifact_path)
-        self.mmap_mode = mmap_mode
         self._index: Optional[ProjectedClusterIndex] = None
         self._compute = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
         self._index = await loop.run_in_executor(
-            self._compute,
-            lambda: build_serving_index(self.artifact_path, mmap_mode=self.mmap_mode),
+            self._compute, build_serving_index, self.artifact_path
         )
 
     async def stop(self) -> None:
@@ -350,20 +349,11 @@ class InProcessBackend:
 class WorkerPoolBackend:
     """N worker processes sharing one mmap'd artifact; worker 0 owns writes."""
 
-    def __init__(
-        self,
-        artifact_path: PathLike,
-        *,
-        n_workers: int,
-        mmap_mode: Optional[str] = "r",
-        call_timeout_s: float = DEFAULT_CALL_TIMEOUT_S,
-    ) -> None:
+    def __init__(self, artifact_path: PathLike, *, n_workers: int) -> None:
         if n_workers < 1:
             raise ValueError("WorkerPoolBackend needs at least 1 worker")
         self.artifact_path = str(artifact_path)
         self.n_workers = int(n_workers)
-        self.mmap_mode = mmap_mode
-        self.call_timeout_s = float(call_timeout_s)
         self._handles: List[_WorkerHandle] = []
         self._rr = 0
         self._info: dict = {}
@@ -380,7 +370,7 @@ class WorkerPoolBackend:
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, self.artifact_path, self.mmap_mode),
+                args=(child_conn, self.artifact_path),
                 daemon=True,
                 name="repro-server-worker-%d" % position,
             )
@@ -388,9 +378,7 @@ class WorkerPoolBackend:
             child_conn.close()
             handle = _WorkerHandle(position, process, parent_conn)
             # The worker's first message is its boot report.
-            self._info = await loop.run_in_executor(
-                None, handle.roundtrip_boot, self.call_timeout_s
-            )
+            self._info = await loop.run_in_executor(None, handle.roundtrip_boot, CALL_TIMEOUT_S)
             self._handles.append(handle)
 
     async def stop(self) -> None:
@@ -446,9 +434,7 @@ class WorkerPoolBackend:
     async def _call(self, handle: _WorkerHandle, message) -> object:
         loop = asyncio.get_running_loop()
         async with handle.alock:
-            return await loop.run_in_executor(
-                None, handle.roundtrip, message, self.call_timeout_s
-            )
+            return await loop.run_in_executor(None, handle.roundtrip, message, CALL_TIMEOUT_S)
 
     async def predict(self, points: np.ndarray) -> np.ndarray:
         return await self._call(self._pick(), ("predict", points))
@@ -500,12 +486,9 @@ class WorkerPoolBackend:
 
 
 def make_backend(
-    artifact_path: PathLike,
-    *,
-    n_workers: int,
-    mmap_mode: Optional[str] = "r",
+    artifact_path: PathLike, *, n_workers: int
 ) -> Union[InProcessBackend, WorkerPoolBackend]:
     """The backend the configuration asks for (``n_workers=0`` → in-process)."""
     if n_workers == 0:
-        return InProcessBackend(artifact_path, mmap_mode=mmap_mode)
-    return WorkerPoolBackend(artifact_path, n_workers=n_workers, mmap_mode=mmap_mode)
+        return InProcessBackend(artifact_path)
+    return WorkerPoolBackend(artifact_path, n_workers=n_workers)

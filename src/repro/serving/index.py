@@ -56,8 +56,10 @@ projected clusters are low-dimensional).
 
 from __future__ import annotations
 
+import copy
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -141,19 +143,17 @@ class ProjectedClusterIndex:
         from rows), so the maintained median becomes a sliding-window
         median — the bounded-memory mode the streaming engine runs in.
         ``None`` (default) keeps the exact full-history behaviour.
-    copy_arrays:
-        ``True`` (default) snapshots every artifact array into private
-        allocations — the index owns its state outright.  ``False``
-        *aliases* the artifact's member-projection buffers instead of
-        copying them, which is what makes an index over a memory-mapped
-        artifact (``load_artifact(..., mmap_mode="r")``) nearly free:
-        the projections are the artifact's dominant payload and stay
-        shared pages.  Safe because the index never writes into a
-        projection buffer in place — every mutation
-        (:meth:`partial_update`, :meth:`trim_projections`, ...)
-        *replaces* the buffer with a freshly built array, at which point
-        the cluster silently stops referencing the mapped pages.  The
-        small per-cluster statistic vectors are always copied.
+
+    The index *aliases* the artifact's member-projection buffers, the
+    artifact's dominant payload, which is what makes an index over a
+    memory-mapped artifact (``load_artifact(..., mmap_mode="r")``)
+    nearly free.  Safe because the index never writes into a projection
+    buffer in place — every mutation (:meth:`partial_update`,
+    :meth:`trim_projections`, ...) *replaces* the buffer with a freshly
+    built array, at which point the cluster stops referencing the
+    artifact's.  So do not mutate the artifact's arrays in place while
+    the index serves.  The small per-cluster statistic vectors are
+    always copied.
 
     Notes
     -----
@@ -167,7 +167,6 @@ class ProjectedClusterIndex:
         artifact: ModelArtifact,
         *,
         projection_window: Optional[int] = None,
-        copy_arrays: bool = True,
     ) -> None:
         if projection_window is not None and projection_window < 1:
             raise ValueError("projection_window must be positive or None")
@@ -198,8 +197,6 @@ class ProjectedClusterIndex:
             projections = None
             if cluster.member_projections is not None:
                 projections = np.asarray(cluster.member_projections, dtype=float)
-                if copy_arrays:
-                    projections = projections.copy()
             self._clusters.append(
                 _ServingCluster(
                     dimensions=dims,
@@ -218,6 +215,10 @@ class ProjectedClusterIndex:
         # by the mutation methods below instead of being rebuilt from
         # the cluster list on every predict batch.
         self._engine = AssignmentEngine()
+        self._plan_all()
+
+    def _plan_all(self) -> None:
+        """(Re)build the whole engine plan from the cluster list."""
         specs = [self._plan_spec(cluster) for cluster in self._clusters]
         self._engine.set_clusters(
             [spec[0] for spec in specs],
@@ -229,15 +230,9 @@ class ProjectedClusterIndex:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_path(cls, path, *, mmap_mode: Optional[str] = None) -> "ProjectedClusterIndex":
-        """Load an artifact directory and build an index over it.
-
-        With ``mmap_mode`` the arrays are memory-mapped (see
-        :func:`~repro.serving.artifact.load_artifact`) and the index
-        aliases the projection buffers instead of copying them — the
-        zero-copy load path the serving daemon's workers use.
-        """
-        return cls(load_artifact(path, mmap_mode=mmap_mode), copy_arrays=mmap_mode is None)
+    def from_path(cls, path) -> "ProjectedClusterIndex":
+        """Load an artifact directory and build an index over it."""
+        return cls(load_artifact(path))
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -604,6 +599,24 @@ class ProjectedClusterIndex:
             cluster.projections = cluster.projections[-keep_last:].copy()
             cluster.median_selected = column_median(cluster.projections)
             self._sync_plan(position)
+
+    @contextmanager
+    def rollback_on_error(self) -> Iterator[None]:
+        """Put the clusters and fold counters back as they were on entry if the block raises.
+
+        Mutations replace a cluster's arrays instead of writing into them,
+        so a shallow copy of each cluster keeps its entry state.  The
+        threshold scheme (:meth:`refresh_threshold`) is not restored.
+        """
+        clusters = [copy.copy(cluster) for cluster in self._clusters]
+        counters = self.n_updates, self.n_points_absorbed
+        try:
+            yield
+        except BaseException:
+            self._clusters = clusters
+            self.n_updates, self.n_points_absorbed = counters
+            self._plan_all()
+            raise
 
     def refresh_threshold(self, global_variance: np.ndarray) -> None:
         """Refit the served selection thresholds on new global variances.

@@ -337,11 +337,11 @@ def load_checkpoint(path: PathLike, *, config=None):
     from in ``engine.restored_from``.
 
     ``config`` overrides the checkpointed :class:`StreamConfig` (e.g. to
-    change adaptation knobs mid-stream); buffers sized by the old config
-    are re-bounded under the new one: each drift window keeps its newest
-    ``drift_window`` rows, and the outlier buffer its newest
-    ``outlier_buffer_size`` rows, adding the rows it evicts to
-    ``outliers.n_dropped``.
+    change adaptation knobs mid-stream); the outlier buffer is re-bounded
+    under the new one, keeping its newest ``outlier_buffer_size`` rows and
+    adding the rows it evicts to ``outliers.n_dropped``.  Each drift
+    window keeps its newest :data:`~repro.stream.engine.DRIFT_WINDOW`
+    rows.
     """
     generation, engine = _resolve(path, functools.partial(_load_generation, config=config))
     engine.restored_from = str(generation)
@@ -350,7 +350,7 @@ def load_checkpoint(path: PathLike, *, config=None):
 
 def _load_generation(directory: Path, *, config=None):
     """Restore one generation directory, verifying every checksum."""
-    from repro.stream.engine import StreamConfig, StreamEvent, StreamingSSPC
+    from repro.stream.engine import DRIFT_WINDOW, StreamConfig, StreamEvent, StreamingSSPC
 
     state = _read_state(directory)
     state_path = directory / STATE_NAME
@@ -384,7 +384,7 @@ def _load_generation(directory: Path, *, config=None):
     engine.cluster_ids = cluster_ids
     engine._next_cluster_id = int(_field("next_cluster_id"))
     engine._windows = [
-        _array("window_%d" % position)[-engine_config.drift_window:]
+        _array("window_%d" % position)[-DRIFT_WINDOW:]
         for position in range(engine.index.n_clusters)
     ]
     engine._references = [

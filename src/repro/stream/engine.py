@@ -58,14 +58,39 @@ from repro.core.stats_cache import ClusterStatsCache, merge_mean_variance
 from repro.serving.artifact import ModelArtifact, threshold_from_description
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream.drift import DriftDetector
-from repro.stream.lifecycle import OutlierBuffer, find_spawn_candidate
+from repro.stream.lifecycle import SPAWN_GRIDS, OutlierBuffer, find_spawn_candidate
 
 __all__ = ["BatchResult", "StreamConfig", "StreamEvent", "StreamingSSPC"]
+
+#: Consecutive lifecycle sweeps a cluster may go without accepting a
+#: single point before it is retired.
+RETIRE_PATIENCE = 3
+#: Per-cluster bound on the recent-rows drift window.
+DRIFT_WINDOW = 256
+#: Minimum window rows before a cluster can be flagged as drifted.
+DRIFT_MIN_POINTS = 48
+
+#: Fields older checkpoints store, each with the one value the engine
+#: now fixes.  The statistics caches it creates keep
+#: ``ClusterStatsCache``'s default bound (128), and a drift refresh
+#: always refits the selection thresholds.
+RETIRED_CONFIG_FIELDS = {
+    "spawn_grids": SPAWN_GRIDS,
+    "retire_patience": RETIRE_PATIENCE,
+    "drift_window": DRIFT_WINDOW,
+    "drift_min_points": DRIFT_MIN_POINTS,
+    "refresh_thresholds": True,
+    "stats_cache_max_entries": 128,
+}
 
 
 @dataclass
 class StreamConfig:
     """Tuning knobs of the streaming engine.
+
+    Each field is set by a ``repro-stream run`` flag; the engine's other
+    settings are constants (:data:`RETIRE_PATIENCE`, :data:`DRIFT_WINDOW`,
+    :data:`DRIFT_MIN_POINTS`, :data:`~repro.stream.lifecycle.SPAWN_GRIDS`).
 
     Attributes
     ----------
@@ -76,35 +101,19 @@ class StreamConfig:
         management entirely.
     spawn_min_points:
         Minimum dense-peak size that justifies spawning a cluster.
-    spawn_grids:
-        Grids tried per spawn attempt (the paper's ``g``, scaled down —
-        the buffer is small).
     max_clusters:
         Hard cap on live clusters (``None`` = unbounded).
-    retire_patience:
-        Consecutive lifecycle sweeps a cluster may go without accepting
-        a single point before it is retired.
     drift_check_every:
         Batches between drift assessments; ``0`` disables drift
         adaptation.
-    drift_window:
-        Per-cluster bound on the recent-rows window.
-    drift_min_points:
-        Minimum window rows before a cluster can be flagged as drifted.
     drift_zscore:
         Shift-statistic threshold (see :class:`~repro.stream.drift.DriftDetector`).
-    refresh_thresholds:
-        Whether a drift refresh also refits the selection thresholds on
-        the stream-era running global variances.
     projection_window:
         When set, the serving index bounds each cluster's projection
         buffer to this many newest rows as traffic folds in — bounded
         memory at the cost of window (rather than full-history)
         medians, paying a single median pass per fold.  ``None`` keeps
         the serving layer's exact unbounded behaviour.
-    stats_cache_max_entries:
-        ``max_entries`` of every :class:`ClusterStatsCache` the engine
-        creates (drift re-selection, spawning).
     seed:
         Seed of the engine's own randomness (grid sampling during
         spawns); combined with the sweep counter, so behaviour is
@@ -114,16 +123,10 @@ class StreamConfig:
     outlier_buffer_size: int = 1024
     lifecycle_every: int = 8
     spawn_min_points: int = 24
-    spawn_grids: int = 8
     max_clusters: Optional[int] = None
-    retire_patience: int = 3
     drift_check_every: int = 4
-    drift_window: int = 256
-    drift_min_points: int = 48
     drift_zscore: float = 8.0
-    refresh_thresholds: bool = True
     projection_window: Optional[int] = None
-    stats_cache_max_entries: int = 128
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -134,19 +137,6 @@ class StreamConfig:
                 raise ValueError("%s must be non-negative (0 disables)" % name)
         if self.spawn_min_points < 2:
             raise ValueError("spawn_min_points must be at least 2")
-        if self.retire_patience < 1:
-            raise ValueError("retire_patience must be at least 1")
-        if self.drift_window < 2:
-            raise ValueError("drift_window must be at least 2")
-        if self.drift_min_points < 2:
-            raise ValueError("drift_min_points must be at least 2")
-        if self.drift_min_points > self.drift_window:
-            # Windows are trimmed to drift_window rows, so a larger
-            # calibration minimum would silently disable detection.
-            raise ValueError(
-                "drift_min_points (%d) cannot exceed drift_window (%d)"
-                % (self.drift_min_points, self.drift_window)
-            )
         if self.projection_window is not None and self.projection_window < 1:
             raise ValueError("projection_window must be positive or None")
 
@@ -156,24 +146,32 @@ class StreamConfig:
             "outlier_buffer_size": int(self.outlier_buffer_size),
             "lifecycle_every": int(self.lifecycle_every),
             "spawn_min_points": int(self.spawn_min_points),
-            "spawn_grids": int(self.spawn_grids),
             "max_clusters": None if self.max_clusters is None else int(self.max_clusters),
-            "retire_patience": int(self.retire_patience),
             "drift_check_every": int(self.drift_check_every),
-            "drift_window": int(self.drift_window),
-            "drift_min_points": int(self.drift_min_points),
             "drift_zscore": float(self.drift_zscore),
-            "refresh_thresholds": bool(self.refresh_thresholds),
             "projection_window": (
                 None if self.projection_window is None else int(self.projection_window)
             ),
-            "stats_cache_max_entries": int(self.stats_cache_max_entries),
             "seed": int(self.seed),
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "StreamConfig":
-        return cls(**dict(payload))
+        """Inverse of :meth:`to_dict`; also reads an older checkpoint's config.
+
+        A retired field (:data:`RETIRED_CONFIG_FIELDS`) is accepted at the
+        value the engine now fixes and raises :class:`ValueError` naming
+        it at any other.
+        """
+        payload = dict(payload)
+        for name, fixed in RETIRED_CONFIG_FIELDS.items():
+            value = payload.pop(name, fixed)
+            if value != fixed:
+                raise ValueError(
+                    "the stored stream config sets %s=%r; the engine fixes it at %r"
+                    % (name, value, fixed)
+                )
+        return cls(**payload)
 
 
 @dataclass
@@ -270,9 +268,7 @@ class StreamingSSPC:
         self._global_size = 0
         self._global_mean = np.zeros(d)
         self._global_variance = np.zeros(d)
-        self._detector = DriftDetector(
-            zscore=self.config.drift_zscore, min_points=self.config.drift_min_points
-        )
+        self._detector = DriftDetector(zscore=self.config.drift_zscore, min_points=DRIFT_MIN_POINTS)
         self.n_batches = 0
         self.n_points = 0
         self.n_spawned = 0
@@ -354,7 +350,7 @@ class StreamingSSPC:
                     continue
                 self._accepted_since_sweep[position] += int(rows.shape[0])
                 window = np.concatenate([self._windows[position], rows], axis=0)
-                self._windows[position] = window[-self.config.drift_window:]
+                self._windows[position] = window[-DRIFT_WINDOW:]
             rejected = points[~assigned_mask]
             if rejected.shape[0]:
                 self.outliers.extend(rejected)
@@ -419,7 +415,7 @@ class StreamingSSPC:
                 # First full window of accepted stream traffic becomes
                 # the reference — calibrated on the same acceptance
                 # mechanism later windows flow through.
-                if window.shape[0] >= self.config.drift_min_points:
+                if window.shape[0] >= DRIFT_MIN_POINTS:
                     self._references[position] = (
                         window.mean(axis=0),
                         window.var(axis=0, ddof=1),
@@ -437,13 +433,11 @@ class StreamingSSPC:
     def _refresh_cluster(self, position: int, batch_index: int, verdict) -> StreamEvent:
         """Re-select dimensions and re-anchor one drifted cluster."""
         window = self._windows[position]
-        if self.config.refresh_thresholds and self._global_size >= 2:
+        if self._global_size >= 2:
             self.index.refresh_threshold(self._global_variance)
         # SelectDim over the recent window, through the shared statistics
         # engine (one cached pass serves the selection and the re-anchor).
-        workspace = ClusterStatsCache(
-            window, max_entries=self.config.stats_cache_max_entries
-        )
+        workspace = ClusterStatsCache(window)
         objective = ObjectiveFunction(window, self.index.threshold, stats_cache=workspace)
         members = np.arange(window.shape[0])
         dimensions = select_dimensions(objective, members)
@@ -483,7 +477,7 @@ class StreamingSSPC:
             self._accepted_since_sweep[position] = 0
         for position in reversed(range(self.index.n_clusters)):
             if (
-                self._starved_sweeps[position] >= self.config.retire_patience
+                self._starved_sweeps[position] >= RETIRE_PATIENCE
                 and self.index.n_clusters > 1
             ):
                 events.append(self._retire(position, batch_index))
@@ -510,7 +504,7 @@ class StreamingSSPC:
             kind="retire",
             batch_index=batch_index,
             cluster_id=int(cluster_id),
-            details={"size": size, "starved_sweeps": int(self.config.retire_patience)},
+            details={"size": size, "starved_sweeps": RETIRE_PATIENCE},
         )
 
     def _try_spawn(self, batch_index: int) -> Optional[StreamEvent]:
@@ -528,8 +522,6 @@ class StreamingSSPC:
                 self._spawn_threshold(),
                 rng,
                 min_points=self.config.spawn_min_points,
-                grids_per_attempt=self.config.spawn_grids,
-                stats_cache_max_entries=self.config.stats_cache_max_entries,
             )
             if candidate is None:
                 span.set(outcome="none")
@@ -553,7 +545,7 @@ class StreamingSSPC:
         cluster_id = self._next_cluster_id
         self._next_cluster_id += 1
         self.cluster_ids.append(cluster_id)
-        self._windows.append(rows[-self.config.drift_window:].copy())
+        self._windows.append(rows[-DRIFT_WINDOW:].copy())
         # The spawn rows were *gated-out* traffic; the cluster's drift
         # reference calibrates lazily from the accepted traffic it will
         # now start receiving.

@@ -24,6 +24,13 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["OutlierBuffer", "find_spawn_candidate"]
 
+#: Grids tried per seed-group attempt (the paper's ``g``, scaled down:
+#: the buffer is small).
+SPAWN_GRIDS = 8
+#: Independent seed-group constructions per spawn search; the densest
+#: qualifying peak wins.
+SPAWN_GROUP_ATTEMPTS = 2
+
 
 class OutlierBuffer:
     """Bounded FIFO of the most recently gated-out rows.
@@ -103,9 +110,6 @@ def find_spawn_candidate(
     rng: np.random.Generator,
     *,
     min_points: int,
-    grids_per_attempt: int = 8,
-    group_attempts: int = 2,
-    stats_cache_max_entries: int = 128,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
     """Propose a new cluster from the outlier buffer, or ``None``.
 
@@ -129,13 +133,6 @@ def find_spawn_candidate(
         deterministically from the stream position).
     min_points:
         Minimum peak size that justifies a new cluster.
-    grids_per_attempt:
-        Grids tried per seed-group attempt (the paper's ``g``).
-    group_attempts:
-        Independent seed-group constructions tried; the densest
-        qualifying peak wins.
-    stats_cache_max_entries:
-        Bound of the temporary statistics workspace.
 
     Returns
     -------
@@ -144,13 +141,10 @@ def find_spawn_candidate(
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < max(int(min_points), 2):
         return None
-    workspace = ClusterStatsCache(rows, max_entries=stats_cache_max_entries)
+    workspace = ClusterStatsCache(rows)
     objective = ObjectiveFunction(rows, threshold, stats_cache=workspace)
     builder = SeedGroupBuilder(
-        objective,
-        1,
-        grids_per_group=grids_per_attempt,
-        public_group_factor=max(int(group_attempts), 1),
+        objective, 1, grids_per_group=SPAWN_GRIDS, public_group_factor=SPAWN_GROUP_ATTEMPTS
     )
     _, public_groups = builder.build(rng)
     best = None

@@ -28,7 +28,7 @@ def test_mmap_arrays_and_predictions_match_eager(artifact_on_disk, query_points)
         np.testing.assert_array_equal(mapped_cluster.median, eager_cluster.median)
         np.testing.assert_array_equal(mapped_cluster.variance, eager_cluster.variance)
     np.testing.assert_array_equal(
-        ProjectedClusterIndex(mapped, copy_arrays=False).predict(query_points),
+        ProjectedClusterIndex(mapped).predict(query_points),
         ProjectedClusterIndex(eager).predict(query_points),
     )
 
@@ -62,7 +62,7 @@ def test_generation_swap_leaves_live_mmap_readers_intact(
 ):
     serving_dir = tmp_path / "model"
     shutil.copytree(artifact_on_disk, serving_dir)
-    index = build_serving_index(serving_dir, mmap_mode="r")
+    index = build_serving_index(serving_dir)
     before = index.predict(query_points)
 
     # Build a *different* artifact (post-fold state) and atomically
@@ -76,7 +76,7 @@ def test_generation_swap_leaves_live_mmap_readers_intact(
     # The live reader holds the old inode: bit-identical answers.
     np.testing.assert_array_equal(index.predict(query_points), before)
     # A fresh load sees the new generation.
-    fresh = build_serving_index(serving_dir, mmap_mode="r")
+    fresh = build_serving_index(serving_dir)
     np.testing.assert_array_equal(
         fresh.predict(query_points), folded_index.predict(query_points)
     )
@@ -99,7 +99,7 @@ def test_build_serving_index_falls_back_on_compressed_artifact(
     np.savez_compressed(copy / "arrays.npz", **arrays)
     # Same bytes per array (checksums pass), but no longer mappable:
     # the boot falls back to the eager load instead of failing.
-    index = build_serving_index(copy, mmap_mode="r")
+    index = build_serving_index(copy)
     reference = ProjectedClusterIndex(load_artifact(artifact_on_disk))
     np.testing.assert_array_equal(
         index.predict(query_points), reference.predict(query_points)

@@ -91,6 +91,22 @@ class TestNaming:
         with pytest.raises(FileNotFoundError):
             store.current()
 
+    def test_an_undecodable_current_counts_as_no_pointer(self, tmp_path):
+        store = GenerationStore(tmp_path / "state")
+        older, newest = _commit(store, b"old"), _commit(store, b"new")
+        (store.root / CURRENT_NAME).write_bytes(b"gen-0000\xff002\n")
+        with pytest.raises(FileNotFoundError):
+            store.current()
+        # load falls back to the newest intact generation, newest first.
+        seen = []
+
+        def read(generation):
+            seen.append(generation)
+            return (generation / "payload.bin").read_bytes()
+
+        assert store.load(read) == (newest, b"new")
+        assert seen == [newest] and older.is_dir()
+
 
 # ---------------------------------------------------------------------------
 # the daemon's commits

@@ -13,6 +13,12 @@ example, benchmark workload or command line) that sets a second value.
 A name that only tests set selects a path nothing measures; delete it
 rather than pin it.  A change that adds or removes a name updates
 ``EXPECTED`` in the same commit.
+
+Config objects mirror their command lines: a config field exists only
+if its command line can set it.  Every ``ServerConfig`` field is the
+``repro-server`` flag of the same name, and every ``StreamConfig``
+field is set by a ``repro-stream run`` flag; a value no command line
+sets is a module constant instead.
 """
 
 from __future__ import annotations
@@ -41,39 +47,34 @@ from repro.stream.engine import StreamConfig, StreamingSSPC
 EXPECTED = {
     "SSPC.__init__": (
         "n_clusters", "m", "p", "max_iterations", "patience", "grid_dimensions", "grids_per_group",
-        "bins_per_dimension", "seed_selection_p", "public_group_factor", "stats_cache_max_entries",
-        "random_state",
+        "bins_per_dimension", "seed_selection_p", "public_group_factor", "random_state",
     ),
     "SSPC.fit": ("data", "knowledge"),
     "SSPC.fit_predict": ("data", "knowledge"),
     "SSPC.predict": ("data", "top_m"),
     "assign_objects": ("objective", "states", "knowledge"),
-    "ProjectedClusterIndex.__init__": ("artifact", "projection_window", "copy_arrays"),
-    "ProjectedClusterIndex.from_path": ("path", "mmap_mode"),
+    "ProjectedClusterIndex.__init__": ("artifact", "projection_window"),
+    "ProjectedClusterIndex.from_path": ("path",),
     "StreamingSSPC.__init__": ("artifact", "config"),
     "StreamConfig": (
-        "outlier_buffer_size", "lifecycle_every", "spawn_min_points", "spawn_grids",
-        "max_clusters", "retire_patience", "drift_check_every", "drift_window", "drift_min_points",
-        "drift_zscore", "refresh_thresholds", "projection_window", "stats_cache_max_entries",
-        "seed",
+        "outlier_buffer_size", "lifecycle_every", "spawn_min_points", "max_clusters",
+        "drift_check_every", "drift_zscore", "projection_window", "seed",
     ),
     "ServerConfig": (
-        "host", "port", "workers", "max_batch", "max_wait_us", "mmap_mode", "state_dir",
-        "max_body_bytes", "idle_timeout_s", "slo_availability_target", "slo_latency_budget_ms",
-        "slo_latency_target", "tail_slow_requests", "tail_error_requests",
+        "host", "port", "workers", "max_batch", "max_wait_us", "state_dir",
+        "slo_availability_target", "slo_latency_budget_ms", "slo_latency_target",
     ),
-    "MicroBatcher.__init__": ("flush_fn", "max_batch", "max_wait_us", "max_concurrency"),
-    "build_serving_index": ("artifact_path", "mmap_mode"),
-    "InProcessBackend.__init__": ("artifact_path", "mmap_mode"),
-    "WorkerPoolBackend.__init__": ("artifact_path", "n_workers", "mmap_mode", "call_timeout_s"),
-    "make_backend": ("artifact_path", "n_workers", "mmap_mode"),
+    "MicroBatcher.__init__": ("flush_fn", "max_batch", "max_wait_us"),
+    "build_serving_index": ("artifact_path",),
+    "InProcessBackend.__init__": ("artifact_path",),
+    "WorkerPoolBackend.__init__": ("artifact_path", "n_workers"),
+    "make_backend": ("artifact_path", "n_workers"),
     "run_best_of": (
         "spec", "data", "true_labels", "n_repeats", "knowledge", "random_state", "configuration",
     ),
     "repro-server": (
-        "artifact", "--host", "--port", "--workers", "--max-batch", "--max-wait-us", "--no-mmap",
-        "--state-dir", "--slo-availability-target", "--slo-latency-budget-ms",
-        "--slo-latency-target",
+        "artifact", "--host", "--port", "--workers", "--max-batch", "--max-wait-us", "--state-dir",
+        "--slo-availability-target", "--slo-latency-budget-ms", "--slo-latency-target",
     ),
     "repro-serve fit": (
         "--input", "--synthetic", "--artifact", "--n-clusters", "--m", "--p", "--max-iterations",
@@ -152,4 +153,54 @@ def _inventory():
 def test_option_inventory_is_pinned():
     inventory = _inventory()
     assert inventory == EXPECTED
-    assert sum(len(names) for names in inventory.values()) == 142
+    assert sum(len(names) for names in inventory.values()) == 121
+
+
+def _moved_argv(parser, flags):
+    """``(argv, {dest: parsed value})`` moving each numeric or free-text flag off its default."""
+    argv, values = [], {}
+    for position, action in enumerate(parser._actions):
+        if not set(action.option_strings) & set(flags):
+            continue
+        if action.type in (int, float):
+            value = action.type((action.default or 0) + position + 1)
+        elif action.type is None and action.nargs is None and action.choices is None:
+            value = "moved-%d" % position
+        else:
+            continue
+        argv += [action.option_strings[-1], str(value)]
+        values[action.dest] = value
+    return argv, values
+
+
+def test_server_config_is_the_repro_server_command_line(monkeypatch):
+    """Every ``ServerConfig`` field is set from the flag of its name; every flag sets one."""
+    parser = server_cli.build_parser()
+    flags = [flag for flag in EXPECTED["repro-server"] if flag.startswith("--")]
+    argv, values = _moved_argv(parser, flags)
+    assert len(values) == len(flags), "a repro-server flag takes no value to move"
+    assert sorted(values) == sorted(_fields(ServerConfig))
+    configs = []
+
+    async def run(config, artifact):
+        configs.append(config)
+        return 0
+
+    monkeypatch.setattr(server_cli, "_run", run)
+    assert server_cli.main(["model"] + argv) == 0
+    assert dataclasses.asdict(configs[0]) == values
+
+
+def test_stream_config_is_set_by_repro_stream_run():
+    """Distinct non-default ``run`` flags move every ``StreamConfig`` field."""
+    parser = stream_cli.build_parser()
+    run = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices["run"]
+    argv, _ = _moved_argv(run, EXPECTED["repro-stream run"])
+    config = stream_cli._config_from_args(parser.parse_args(["run"] + argv))
+    default = StreamConfig()
+    unmoved = [
+        name for name in _fields(StreamConfig) if getattr(config, name) == getattr(default, name)
+    ]
+    assert unmoved == []

@@ -163,6 +163,15 @@ class TestAtomicWrites:
         with pytest.raises(IntegrityError):
             read_json(target)
 
+    def test_undecodable_json_raises_integrity_error(self, tmp_path):
+        target = tmp_path / "payload.json"
+        atomic_write_json(target, {"name": "value"})
+        raw = bytearray(target.read_bytes())
+        raw[raw.index(b"value")] = 0xFF
+        target.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="payload.json"):
+            read_json(target)
+
     def test_failed_write_leaves_no_temp_debris(self, tmp_path):
         target = tmp_path / "out.bin"
         plan = FaultPlan(specs=[FaultSpec(op="write", index=0, kind="enospc", after_bytes=2)])

@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
+from repro.server import app as app_module
 from repro.server.app import ArtifactInStateDirError, PredictServer, ServerConfig
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -599,6 +600,60 @@ def test_predict_soft_top_m_is_bounded_by_the_cluster_count(artifact_on_disk, qu
             await assert_no_server_errors(host, port)
 
     asyncio.run(drive())
+
+
+def test_predict_soft_defaults_top_m_to_at_most_the_cluster_count(
+    small_dataset, query_points, tmp_path
+):
+    from repro.core.sspc import SSPC
+
+    path = tmp_path / "two-clusters"
+    SSPC(n_clusters=2, m=0.5, random_state=0).fit(small_dataset.data).to_artifact().save(path)
+    labels, clusters, _ = ProjectedClusterIndex(load_artifact(path)).top_assignments(
+        query_points, 2
+    )
+    points = query_points.tolist()
+
+    async def drive():
+        async with running_server(path) as (server, host, port):
+            default = await request(host, port, "POST", "/predict_soft", {"points": points})
+            explicit = await request(
+                host, port, "POST", "/predict_soft", {"points": points, "top_m": 3}
+            )
+            return default, explicit
+
+    (status, body), (explicit_status, explicit_body) = asyncio.run(drive())
+    assert status == 200, body
+    assert body["labels"] == labels.tolist() and body["clusters"] == clusters.tolist()
+    assert explicit_status == 400 and "at most 2" in explicit_body["error"]
+
+
+def test_idle_keep_alive_connections_are_swept(artifact_on_disk, query_points, monkeypatch):
+    monkeypatch.setattr(app_module, "IDLE_TIMEOUT_S", 0.5)
+    point = {"point": list(query_points[0])}
+
+    async def drive():
+        async with running_server(artifact_on_disk) as (server, host, port):
+            idle = await asyncio.open_connection(host, port)
+            active = await asyncio.open_connection(host, port)
+            try:
+                # The sweep runs once a second; stay active past the first.
+                statuses = []
+                for _ in range(15):
+                    statuses.append((await request_on(*active, "POST", "/predict", point))[0])
+                    await asyncio.sleep(0.1)
+                idle_read = await asyncio.wait_for(idle[0].read(), timeout=5.0)
+                statuses.append((await request_on(*active, "POST", "/predict", point))[0])
+                return statuses, idle_read
+            finally:
+                for _, writer in (idle, active):
+                    writer.close()
+                    with contextlib.suppress(ConnectionError):
+                        await writer.wait_closed()
+
+    statuses, idle_read = asyncio.run(drive())
+    assert idle_read == b"", "the idle connection was not closed"
+    assert statuses == [200] * 16
 
 
 def test_string_and_boolean_coordinates_are_400_on_every_route(artifact_on_disk, query_points):

@@ -31,8 +31,6 @@ def test_rejects_bad_parameters():
         MicroBatcher(flush, max_batch=0)
     with pytest.raises(ValueError):
         MicroBatcher(flush, max_wait_us=-1.0)
-    with pytest.raises(ValueError):
-        MicroBatcher(flush, max_concurrency=0)
 
 
 def test_single_submit_flushes_on_quiesce_without_timer():

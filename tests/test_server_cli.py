@@ -26,12 +26,18 @@ class TestBuildParser:
         assert args.workers == 0
         assert args.max_batch == 64
         assert args.max_wait_us == 2000.0
-        assert args.no_mmap is False
         assert args.state_dir is None
 
     def test_artifact_is_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_no_mmap_is_gone(self, capsys):
+        # The daemon always maps its artifact; the flag is an argparse error.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["artifacts/model", "--no-mmap"])
+        assert excinfo.value.code == 2
+        assert "--no-mmap" in capsys.readouterr().err
 
 
 def _wait_ready(process, timeout_s=30.0):

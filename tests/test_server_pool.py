@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.reliability import GenerationStore
+from repro.reliability import FaultPlan, FaultSpec, GenerationStore, active
 from repro.serving.artifact import MODEL_DIR, load_artifact
 from repro.serving.index import ProjectedClusterIndex
 from repro.server.pool import (
@@ -21,17 +21,22 @@ from repro.server.pool import (
 
 
 @pytest.fixture(scope="module")
-def artifact_dir(tmp_path_factory):
-    from repro.core.sspc import SSPC
+def dataset():
     from repro.data.generator import make_projected_clusters
 
-    dataset = make_projected_clusters(
+    return make_projected_clusters(
         n_objects=240,
         n_dimensions=40,
         n_clusters=3,
         avg_cluster_dimensionality=6,
         random_state=1234,
     )
+
+
+@pytest.fixture(scope="module")
+def artifact_dir(dataset, tmp_path_factory):
+    from repro.core.sspc import SSPC
+
     model = SSPC(n_clusters=3, m=0.5, random_state=0).fit(dataset.data)
     path = tmp_path_factory.mktemp("pool") / "model"
     model.to_artifact().save(path)
@@ -51,8 +56,8 @@ def reference_labels(artifact_dir, query_points):
 
 class TestBuildServingIndex:
     def test_mmap_path_is_bit_identical_to_eager(self, artifact_dir, query_points):
-        eager = build_serving_index(artifact_dir, mmap_mode=None)
-        mapped = build_serving_index(artifact_dir, mmap_mode="r")
+        eager = ProjectedClusterIndex(load_artifact(artifact_dir))
+        mapped = build_serving_index(artifact_dir)
         np.testing.assert_array_equal(
             mapped.predict(query_points), eager.predict(query_points)
         )
@@ -118,6 +123,59 @@ class TestInProcessBackend:
         np.testing.assert_array_equal(
             folded.predict(query_points), reference.predict(query_points)
         )
+
+
+class TestFailedCommit:
+    """A commit that fails undoes the owner's fold: no state that no generation holds."""
+
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_owner_and_replicas_keep_the_last_committed_state(
+        self, n_workers, artifact_dir, dataset, query_points, tmp_path
+    ):
+        folds = [dataset.data[40 * i : 40 * (i + 1)] for i in range(5)]
+        reference = ProjectedClusterIndex(load_artifact(artifact_dir))
+        before = reference.top_assignments(query_points, 3)
+        state_dir = str(tmp_path / "state")
+        # The first write of the first commit fails with ENOSPC; pool
+        # workers inherit the plan when they fork.
+        plan = FaultPlan(specs=[FaultSpec(op="write", index=0, kind="enospc")])
+
+        async def answers(backend):
+            if n_workers == 0:
+                return [await backend.predict_soft(query_points, 3)]
+            handles = backend._handles
+            return [await backend._call(h, ("predict_soft", query_points, 3)) for h in handles]
+
+        async def drive():
+            backend = make_backend(artifact_dir, n_workers=n_workers)
+            try:
+                with active(plan):
+                    await backend.start()
+                    with pytest.raises((BackendError, OSError), match="ENOSPC"):
+                        await backend.partial_update(folds[0], None, state_dir)
+                after_failure = await answers(backend)
+                absorbed = []
+                for fold in folds[1:]:
+                    absorbed.append((await backend.partial_update(fold, None, state_dir))[1])
+                    await backend.reload_replicas(state_dir)
+                return after_failure, absorbed, await answers(backend)
+            finally:
+                await backend.stop()
+
+        after_failure, absorbed, after_updates = asyncio.run(drive())
+        assert len(after_failure) == max(n_workers, 1)
+        for answer in after_failure:
+            for got, want in zip(answer, before):
+                assert got.tobytes() == want.tobytes()
+        assert min(absorbed) > 0
+        for fold in folds[1:]:
+            reference.partial_update(fold)
+        expected = reference.top_assignments(query_points, 3)
+        assert expected[2].tobytes() != before[2].tobytes()
+        for answer in after_updates:
+            for got, want in zip(answer, expected):
+                assert got.tobytes() == want.tobytes()
+        assert len(GenerationStore(state_dir).generations()) == 2
 
 
 class TestMakeBackend:

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.server import app as app_module
 from repro.server.app import PredictServer, ServerConfig
 
 
@@ -185,11 +186,11 @@ class TestErrorPathAccounting:
         assert requests[("*", "bad_request")] == 1
         assert telemetry["requests_total"]["bad_request"]["4xx"] == 1
 
-    def test_oversized_body_413(self, artifact_on_disk):
+    def test_oversized_body_413(self, artifact_on_disk, monkeypatch):
+        monkeypatch.setattr(app_module, "MAX_BODY_BYTES", 256)
+
         async def drive():
-            async with running_server(
-                artifact_on_disk, max_body_bytes=256
-            ) as (server, host, port):
+            async with running_server(artifact_on_disk) as (server, host, port):
                 payload = {"point": [0.0] * 10_000}
                 result = await request(
                     host,

@@ -179,6 +179,66 @@ class TestPartialUpdate:
         assert index.n_points_absorbed == int(np.count_nonzero(labels >= 0))
 
 
+class TestArtifactAliasing:
+    """The index aliases its artifact's projection buffers and never writes into one."""
+
+    @staticmethod
+    def _arrays(artifact):
+        arrays = {"labels": artifact.labels, "global_variance": artifact.global_variance}
+        for position, cluster in enumerate(artifact.clusters):
+            for name in ("dimensions", "members", "representative", "mean", "median",
+                         "variance", "member_projections"):
+                arrays["%s_%d" % (name, position)] = getattr(cluster, name)
+        return arrays
+
+    def test_no_operation_writes_through_to_the_artifact(self, artifact, query_points):
+        before = {name: array.copy() for name, array in self._arrays(artifact).items()}
+        rows = query_points[:30]
+        operations = {
+            "partial_update": lambda index: index.partial_update(query_points),
+            "trim_projections": lambda index: index.trim_projections(1, 5),
+            "reanchor_cluster": lambda index: index.reanchor_cluster(2, np.array([0, 1]), rows),
+            "add_cluster": lambda index: index.add_cluster(np.array([2, 3]), rows),
+            "remove_cluster": lambda index: index.remove_cluster(0),
+            "refresh_threshold": lambda index: index.refresh_threshold(
+                artifact.global_variance * 2.0
+            ),
+        }
+        for name, operation in operations.items():
+            # Each operation meets projection buffers the index still aliases.
+            index = ProjectedClusterIndex(artifact, projection_window=64)
+            assert all(
+                np.shares_memory(state.projections, cluster.member_projections)
+                for state, cluster in zip(index._clusters, artifact.clusters)
+            )
+            operation(index)
+            index.partial_update(query_points)
+            after = self._arrays(artifact)
+            assert after.keys() == before.keys()
+            for key, array in before.items():
+                assert after[key].tobytes() == array.tobytes(), (name, key)
+
+    def test_a_mapped_artifact_is_shared_until_the_first_fold(
+        self, artifact_on_disk, small_dataset
+    ):
+        from repro.serving.artifact import load_artifact
+
+        mapped = load_artifact(artifact_on_disk, mmap_mode="r")
+        index = ProjectedClusterIndex(mapped)
+
+        def shared():
+            return [
+                np.shares_memory(state.projections, cluster.member_projections)
+                for state, cluster in zip(index._clusters, mapped.clusters)
+            ]
+
+        assert shared() == [True] * index.n_clusters
+        labels = index.partial_update(small_dataset.data[:60])
+        folded = set(labels[labels >= 0].tolist())
+        assert folded
+        assert shared() == [position not in folded for position in range(index.n_clusters)]
+
+
 class TestFoldInto:
     def test_fold_into_round_trips_through_disk(
         self, fitted_sspc, artifact, query_points, tmp_path

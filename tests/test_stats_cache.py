@@ -295,15 +295,18 @@ class TestEvictionAccounting:
 
 class TestSSPCPlumbing:
     def test_max_entries_plumbed_from_the_estimator(self, tiny_dataset):
+        """The estimator's ``_stats_cache_factory`` hook chooses the workspace bound."""
         from repro.core.sspc import SSPC
 
-        model = SSPC(
-            n_clusters=3, m=0.5, max_iterations=3, random_state=0,
-            stats_cache_max_entries=7,
-        ).fit(tiny_dataset.data)
+        class BoundedSSPC(SSPC):
+            _stats_cache_factory = staticmethod(
+                lambda data: ClusterStatsCache(data, max_entries=7)
+            )
+
+        model = BoundedSSPC(n_clusters=3, m=0.5, max_iterations=3, random_state=0)
+        model.fit(tiny_dataset.data)
         assert model.stats_cache_.max_entries == 7
         assert model.stats_cache_.hits > 0
-        assert model.get_params()["stats_cache_max_entries"] == 7
 
     def test_default_keeps_the_cache_default_and_parameters_clean(self, tiny_dataset):
         from repro.core.sspc import SSPC
@@ -312,9 +315,3 @@ class TestSSPCPlumbing:
         model.fit(tiny_dataset.data)
         assert model.stats_cache_.max_entries == 128
         assert "stats_cache_max_entries" not in model.get_params()
-
-    def test_negative_bound_rejected(self):
-        from repro.core.sspc import SSPC
-
-        with pytest.raises(ValueError):
-            SSPC(n_clusters=2, stats_cache_max_entries=-1)

@@ -21,6 +21,7 @@ from repro.reliability import IntegrityError, mmap_npz, stamp_checksum
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream import StreamConfig, StreamingSSPC, load_checkpoint
 from repro.stream.checkpoint import ARRAYS_NAME, STATE_NAME, resolve_checkpoint_dir
+from repro.stream.engine import DRIFT_WINDOW, RETIRED_CONFIG_FIELDS
 
 STREAM_SHAPE = dict(
     n_dimensions=40,
@@ -124,7 +125,7 @@ class TestLifecycle:
         stream = make_stream(events=[ClusterDeath(batch=2, cluster=2)])
         engine = StreamingSSPC(
             stream_model.to_artifact(),
-            config=adaptive_config(lifecycle_every=2, retire_patience=2),
+            config=adaptive_config(lifecycle_every=2),
         )
         for batch in stream.batches(14, 150):
             engine.process_batch(batch.data)
@@ -298,13 +299,13 @@ class TestCheckpointRestore:
         for batch in make_stream().batches(20, 150):
             engine.process_batch(batch.data)
         assert engine.outliers.n_dropped > 0
-        assert all(window.shape[0] == config.drift_window for window in engine._windows)
+        assert all(window.shape[0] == DRIFT_WINDOW for window in engine._windows)
         engine.checkpoint(tmp_path / "ck")
 
-        smaller = dataclasses.replace(config, drift_window=64, outlier_buffer_size=40)
+        smaller = dataclasses.replace(config, outlier_buffer_size=40)
         restored = load_checkpoint(tmp_path / "ck", config=smaller)
         for ours, theirs in zip(restored._windows, engine._windows):
-            np.testing.assert_array_equal(ours, theirs[-64:])
+            np.testing.assert_array_equal(ours, theirs)
         np.testing.assert_array_equal(restored.outliers.rows, engine.outliers.rows[-40:])
         assert restored.outliers.n_seen == engine.outliers.n_seen
         assert restored.outliers.n_dropped == engine.outliers.n_dropped + 64 - 40
@@ -380,18 +381,51 @@ class TestCheckpointFormat:
         assert not isinstance(excinfo.value, IntegrityError)
 
 
+class TestRetiredConfigFields:
+    """Checkpoints of versions that stored six more config fields still restore."""
+
+    def _checkpoint_with(self, stream_model, tmp_path, **fields):
+        stream = make_stream(events=[MeanShift(batch=6, cluster=0, magnitude=0.35)])
+        engine = StreamingSSPC(stream_model.to_artifact(), config=adaptive_config())
+        for batch in stream.batches(10, 150):
+            engine.process_batch(batch.data)
+        engine.checkpoint(tmp_path / "ck")
+        state_path = resolve_checkpoint_dir(tmp_path / "ck") / STATE_NAME
+        state = json.loads(state_path.read_text())
+        assert not RETIRED_CONFIG_FIELDS.keys() & state["config"].keys()
+        state["config"].update(fields)
+        state_path.write_text(json.dumps(stamp_checksum(state)))
+        return stream, engine
+
+    def test_fields_at_their_fixed_values_restore_and_continue(self, stream_model, tmp_path):
+        stream, engine = self._checkpoint_with(stream_model, tmp_path, **RETIRED_CONFIG_FIELDS)
+        assert sorted(RETIRED_CONFIG_FIELDS) == [
+            "drift_min_points", "drift_window", "refresh_thresholds", "retire_patience",
+            "spawn_grids", "stats_cache_max_entries",
+        ]
+        restored = load_checkpoint(tmp_path / "ck")
+        assert restored.config == engine.config
+        for batch in stream.batches(14, 150, start=10):
+            expected = engine.process_batch(batch.data).labels
+            np.testing.assert_array_equal(restored.process_batch(batch.data).labels, expected)
+        assert restored.n_drift_refreshes == engine.n_drift_refreshes > 0
+
+    def test_a_field_at_another_value_names_the_field(self, stream_model, tmp_path):
+        self._checkpoint_with(stream_model, tmp_path, retire_patience=5)
+        with pytest.raises(ValueError, match="retire_patience") as excinfo:
+            load_checkpoint(tmp_path / "ck")
+        assert not isinstance(excinfo.value, IntegrityError)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides",
         [
             {"outlier_buffer_size": 0},
             {"spawn_min_points": 1},
-            {"retire_patience": 0},
-            {"drift_window": 1},
-            {"drift_min_points": 1},
-            {"drift_window": 16, "drift_min_points": 32},
             {"projection_window": 0},
             {"lifecycle_every": -1},
+            {"drift_check_every": -1},
         ],
     )
     def test_bad_configs_rejected(self, overrides):
