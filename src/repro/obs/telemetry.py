@@ -18,8 +18,8 @@ the server and is **always on** (unlike the opt-in global recorder):
   rolling windows, burn rates).
 * **Tail capture** — the slowest-N requests per rolling window and
   every errored request keep their full traces; together with the
-  retained flush records (including worker-side recorder state shipped
-  over the pool pipe) they reconstruct linked
+  retained flush records (each with its kernel's duration and, from a
+  pool worker, that worker's pid) they reconstruct linked
   request → flush → worker-kernel Chrome traces on demand.
 
 All methods are event-loop-thread only; nothing here takes locks.
@@ -263,13 +263,15 @@ class Telemetry:
         size: int,
         start: float,
         duration_s: float,
-        worker_state: Optional[Dict[str, object]] = None,
+        kernel_s: Optional[float] = None,
+        pid: Optional[int] = None,
     ) -> None:
         """Retain one micro-batch flush for later trace assembly.
 
         ``start`` is an absolute clock reading (the flush's kernel call
-        time); ``worker_state`` is the worker-side recorder export that
-        rode back over the pool pipe, if the backend produced one.
+        time).  ``kernel_s`` is the kernel's own duration, as the backend
+        timed it, and ``pid`` the worker process that ran it (``None``:
+        this one); a flush without ``kernel_s`` gets no kernel span.
         """
         self._flushes[int(batch_id)] = {
             "batch_id": int(batch_id),
@@ -277,7 +279,8 @@ class Telemetry:
             "size": int(size),
             "start": self.to_timeline(start),
             "duration_s": max(0.0, float(duration_s)),
-            "worker_state": worker_state,
+            "kernel_s": kernel_s,
+            "pid": pid,
         }
         while len(self._flushes) > self._flush_capacity:
             self._flushes.popitem(last=False)
@@ -310,11 +313,11 @@ class Telemetry:
 
         Each request becomes a ``server.request`` span with its phase
         children; if its flush record is still retained, a
-        ``server.flush`` child is attached and the worker-side recorder
-        state is ingested under it (ids remapped, timestamps re-based),
-        every span stamped with the request id.  A flush serving
-        several captured requests is duplicated per request so each
-        trace tree is self-contained.
+        ``server.flush`` child is attached, and under it a
+        ``worker.predict`` span for the kernel, ending where the flush
+        ends (in the worker's pid, for a pool), every span stamped with
+        the request id.  A flush serving several captured requests is
+        duplicated per request so each trace tree is self-contained.
         """
         recorder = core.Recorder(clock=lambda: 0.0, trace_id="tail")
         for trace in self._tail.entries():
@@ -354,20 +357,16 @@ class Telemetry:
                     "size": flush["size"],
                 },
             )
-            worker_state = flush.get("worker_state")
-            if worker_state:
-                stamped = dict(worker_state)
-                stamped["spans"] = [
-                    {
-                        **span,
-                        "args": {
-                            **span.get("args", {}),
-                            "request_id": trace.request_id,
-                        },
-                    }
-                    for span in worker_state.get("spans", ())
-                ]
-                recorder.ingest(
-                    stamped, at=float(flush["start"]), parent_span_id=flush_span
+            kernel_s = flush["kernel_s"]
+            if kernel_s is not None:
+                flush_end = float(flush["start"]) + float(flush["duration_s"])
+                recorder.add_span(
+                    "worker.predict",
+                    "server",
+                    max(float(flush["start"]), flush_end - kernel_s),
+                    kernel_s,
+                    parent_id=flush_span,
+                    args={"request_id": trace.request_id, "rows": flush["size"]},
+                    pid=flush["pid"],
                 )
         return chrome_trace(recorder)

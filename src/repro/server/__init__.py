@@ -18,7 +18,8 @@ Layers, bottom up:
   (flush on max-batch or max-wait, with the wait adapting to observed
   concurrency so solo traffic pays no batching latency).
 * :mod:`repro.server.pool` — the compute backends: an in-process index
-  (``workers=0``) or N worker processes each mapping the same artifact
+  (``workers=0``: reads run on the event loop, writes on a compute
+  thread) or N worker processes each mapping the same artifact
   (``load_artifact(..., mmap_mode="r")``), with worker 0 as the single
   *owner* of the write path — ``partial_update`` folds there, a new
   artifact generation is persisted crash-safely, and replicas reload it.

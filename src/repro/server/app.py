@@ -16,12 +16,14 @@ One asyncio event loop accepts connections, parses requests
     ``-inf`` gain padding is emitted as JSON ``-Infinity``.
 ``POST /partial_update``
     The write path.  Serialised by an application-level lock, folded
-    through the backend's single owner (worker 0), which commits the
-    post-fold state to the ``state_dir`` generation store
+    through the backend's single owner (worker 0, or in-process the
+    compute thread, while reads wait), which commits the post-fold state
+    to the ``state_dir`` generation store
     (:class:`~repro.reliability.generations.GenerationStore`: 2
     generations plus a recycled spare, ``CURRENT`` flipped last), then
     rebroadcast to replicas.  A commit that fails undoes the owner's fold
-    and fails the update, so no replica reloads and ``generation`` stays
+    and fails the update with a 503 naming the backend, the op and the
+    errno (never a path), so no replica reloads and ``generation`` stays
     put.  The response carries the new generation number: the count of
     updates since boot.  A boot artifact inside ``state_dir`` is refused
     at start (:class:`ArtifactInStateDirError`): the owner's index maps
@@ -39,8 +41,10 @@ One asyncio event loop accepts connections, parses requests
 ``GET /debug/tail_trace``
     Chrome trace of the tail capture: the slowest and errored requests
     with their full span trees — each ``server.request`` span linked to
-    the ``server.flush`` that served it and the worker-side
-    ``worker.predict`` kernel span, all stamped with the request id.
+    the ``server.flush`` that served it and, under that, a
+    ``worker.predict`` span for the kernel (built from the duration the
+    backend timed, with the worker's pid in a pool), all stamped with the
+    request id.
 
 Every request carries an id: an inbound ``X-Request-Id`` header is
 honored, otherwise one is generated, and every response — including
@@ -376,7 +380,7 @@ class PredictServer:
             except BackendError as exc:
                 status = 503
                 self._count_error(503)
-                trace.error = str(exc)
+                trace.error = exc.public
                 obs.event(
                     "backend_error",
                     route="%s %s" % route,
@@ -384,7 +388,7 @@ class PredictServer:
                     worker_traceback=exc.worker_traceback,
                 )
                 return json_response(
-                    {"error": str(exc)}, status=503, keep_alive=keep, request_id=request_id
+                    {"error": exc.public}, status=503, keep_alive=keep, request_id=request_id
                 )
             except Exception as exc:  # noqa: BLE001 - the daemon must not die per-request
                 status = 500
@@ -476,22 +480,25 @@ class PredictServer:
         return np.asarray(raw, dtype=int)
 
     async def _flush_predict(self, points: np.ndarray, meta: Dict[str, object]) -> np.ndarray:
-        """Batcher flush: traced predict, flush recorded for telemetry.
+        """Batcher flush: timed predict, flush recorded for telemetry.
 
-        The backend's traced path runs the kernel under a private
-        worker-side recorder; its exported state is retained with the
-        flush so tail traces can splice the actual kernel span into
-        every request that rode this batch.
+        In-process the kernel runs right here on the event loop (after
+        any write in flight settles); a pool worker runs it in its own
+        process.  Either way the backend returns the kernel's seconds
+        (and the worker's pid), which the flush record keeps, so a tail
+        trace shows the kernel as a ``worker.predict`` span under every
+        request that rode this batch.  No recorder is built per flush.
         """
         start = obs.monotonic()
-        labels, worker_state = await self.backend.predict_traced(points)
+        labels, kernel_s, pid = await self.backend.predict_timed(points)
         self.telemetry.observe_flush(
-            int(meta["batch_id"]),
-            str(meta["reason"]),
-            int(points.shape[0]),
+            meta["batch_id"],
+            meta["reason"],
+            points.shape[0],
             start,
             obs.monotonic() - start,
-            worker_state,
+            kernel_s,
+            pid,
         )
         return labels
 

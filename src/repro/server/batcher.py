@@ -33,7 +33,9 @@ Self-clocking
 -------------
 Flushes are *busy-gated*: while ``max_concurrency`` flushes are in
 flight (one per backend worker, which the daemon sets once its backend
-has booted; one for the in-process executor),
+has booted; one for the in-process backend, whose flush runs the kernel
+on the event loop and is in flight across an await only while it waits
+for a write to settle),
 quiesce and timeout triggers hold their batch instead of launching a
 flush that would only queue behind the busy kernel as a fragment.
 When a flush completes, everything that accumulated behind it is

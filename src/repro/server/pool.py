@@ -1,14 +1,21 @@
 """Compute backends for the serving daemon: in-process or a worker-process pool.
 
 Both backends expose the same ``async`` surface (``predict`` /
-``predict_soft`` / ``partial_update`` / ``reload_replicas``) so the
-application layer does not care where the kernel runs:
+``predict_timed`` / ``predict_soft`` / ``partial_update`` /
+``reload_replicas``) so the application layer does not care where the
+kernel runs:
 
 * :class:`InProcessBackend` (``workers=0``) holds one
-  :class:`~repro.serving.index.ProjectedClusterIndex` and runs every
-  kernel call on a single dedicated compute thread — the event loop
-  keeps parsing requests while numpy works, and one thread means the
-  index needs no locking.
+  :class:`~repro.serving.index.ProjectedClusterIndex`.  Reads
+  (``predict``, ``predict_soft``, every micro-batch flush) run the
+  kernel on the event-loop thread: a 64-row predict takes ~75 µs, less
+  than decoding its JSON body, so a thread hop would cost more than it
+  frees.  ``partial_update`` runs its fold and its fsynced commit on one
+  dedicated compute thread, so the loop keeps parsing requests and
+  answering ``/healthz`` and ``/metrics`` meanwhile.  A read that
+  arrives while a write is in flight waits for it to commit or roll
+  back, then runs: the index's workspaces and the fold are not
+  reentrant, and reads are already serial on the loop.
 * :class:`WorkerPoolBackend` (``workers >= 1``) forks N worker
   processes.  Requests round-robin across idle workers over pipes; each
   worker handles one message at a time, so a worker's index is never
@@ -50,21 +57,25 @@ dead worker.  The owner never reloads; its index aliases the boot
 artifact, which is why the daemon refuses a boot artifact inside its
 ``state_dir``.
 
-A worker op that raises answers its request with a
-:class:`BackendError` naming the worker, the op and the exception
-(``worker 1 failed 'predict': ValueError: ...``); the worker-side
-traceback, which names server file paths, is kept on the error for the
-daemon's ``backend_error`` event and never reaches the client.  A
-worker that dies (OOM, kill) poisons only the requests in flight on
-it; the handle is marked dead and routing skips it.  The pool never
-respawns silently — ``/healthz`` reports live worker counts and an
+An op that raises answers its request with a :class:`BackendError`
+naming the backend, the op and the exception
+(``worker 1 failed 'predict': ValueError: ...``, or ``in-process backend
+failed ...``).  An ``OSError`` is named by its errno alone
+(``OSError: [Errno 28 ENOSPC] No space left on device``): its own text
+names server file paths.  The full text and the traceback are kept on
+the error for the daemon's ``backend_error`` event and never reach the
+client.  A worker that dies (OOM, kill) poisons only the requests in
+flight on it; the handle is marked dead and routing skips it.  The pool
+never respawns silently — ``/healthz`` reports live worker counts and an
 operator (or orchestrator) restarts the daemon.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 import multiprocessing
+import os
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -93,17 +104,48 @@ CALL_TIMEOUT_S = 120.0
 
 
 class BackendError(RuntimeError):
-    """A compute backend failed to answer (worker error, crash or hang).
+    """A compute backend failed to answer (op error, worker crash or hang).
 
-    The message names the worker, the op and the exception kind and
-    text, and is what a client sees.  ``worker_traceback`` keeps the
-    worker-side traceback, when there is one, for the daemon's own
-    ``backend_error`` event: it names server file paths.
+    The message names the backend, the op and the exception, with the
+    exception's full text; it and ``worker_traceback`` (the backend-side
+    traceback, when there is one) are for the daemon's own events, since
+    both may name server file paths.  ``public`` is what a client sees:
+    the same, with an ``OSError`` named by its errno alone.
     """
 
-    def __init__(self, message: str, worker_traceback: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        message: str,
+        worker_traceback: Optional[str] = None,
+        public: Optional[str] = None,
+    ) -> None:
         super().__init__(message)
         self.worker_traceback = worker_traceback
+        self.public = message if public is None else public
+
+
+def _failure(exc: BaseException) -> Tuple[str, str, str]:
+    """``(client text, full text, traceback)`` of the exception being handled.
+
+    The client text names an ``OSError`` by its errno alone, since its own
+    text names the file it failed on: ``OSError: [Errno 28 ENOSPC] No
+    space left on device``.
+    """
+    kind = type(exc).__name__
+    full = public = "%s: %s" % (kind, exc)
+    if isinstance(exc, OSError):
+        public = kind
+        if exc.errno is not None:
+            public += ": [Errno %d %s] %s" % (
+                exc.errno, errno.errorcode.get(exc.errno, "?"), os.strerror(exc.errno)
+            )
+    return public, full, traceback.format_exc()
+
+
+def _op_failed(backend: str, op: str, public: str, full: str, tb: str) -> BackendError:
+    """``<backend> failed '<op>': ...``: the full text for events, the client text for clients."""
+    prefix = "%s failed %r: " % (backend, op)
+    return BackendError(prefix + full, worker_traceback=tb, public=prefix + public)
 
 
 def build_serving_index(artifact_path: PathLike) -> ProjectedClusterIndex:
@@ -145,36 +187,26 @@ def _apply_partial_update(
     return applied, int(index.n_points_absorbed - before)
 
 
-def _traced_predict(
-    index: ProjectedClusterIndex, points: np.ndarray
-) -> Tuple[np.ndarray, dict]:
-    """Predict under a private recorder; return ``(labels, recorder state)``.
-
-    The recorder is local to this call (the global hooks are untouched,
-    so enabled/disabled bit-identity contracts hold) and its exported
-    state rides back over the pool pipe for the serving telemetry to
-    merge into the originating request's trace via ``Recorder.ingest``.
-    """
-    recorder = obs.Recorder()
-    with recorder.span(
-        "worker.predict", category="server", rows=int(points.shape[0])
-    ):
-        labels = index.predict(points)
-    return labels, recorder.export_state()
+def _timed_predict(index: ProjectedClusterIndex, points: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``(labels, kernel seconds)``: the serving telemetry's ``worker.predict`` span."""
+    start = obs.monotonic()
+    labels = index.predict(points)
+    return labels, obs.monotonic() - start
 
 
 def _worker_main(conn, artifact_path: str) -> None:
     """Run one pool worker: build the index, answer ops until ``stop``.
 
     Messages are ``(op, *args)`` tuples; replies are ``("ok", payload)``
-    or ``("error", type, message, traceback)``.  One message at a time,
-    by construction — the parent holds a per-worker lock.
+    or ``("error", client text, full text, traceback)`` (see
+    :func:`_failure`).  One message at a time, by construction — the
+    parent holds a per-worker lock.
     """
     try:
         index = build_serving_index(artifact_path)
         conn.send(("ok", {"n_clusters": index.n_clusters, "n_dimensions": index.n_dimensions}))
     except BaseException as exc:
-        conn.send(("error", type(exc).__name__, str(exc), traceback.format_exc()))
+        conn.send(("error", *_failure(exc)))
         return
     while True:
         try:
@@ -186,7 +218,7 @@ def _worker_main(conn, artifact_path: str) -> None:
             if op == "predict":
                 payload = index.predict(message[1])
             elif op == "predict_t":
-                payload = _traced_predict(index, message[1])
+                payload = (*_timed_predict(index, message[1]), os.getpid())
             elif op == "predict_soft":
                 labels, clusters, gains = index.top_assignments(message[1], message[2])
                 payload = (labels, clusters, gains)
@@ -209,7 +241,7 @@ def _worker_main(conn, artifact_path: str) -> None:
                 raise ValueError("unknown worker op %r" % (op,))
             conn.send(("ok", payload))
         except BaseException as exc:
-            conn.send(("error", type(exc).__name__, str(exc), traceback.format_exc()))
+            conn.send(("error", *_failure(exc)))
 
 
 class _WorkerHandle:
@@ -240,11 +272,9 @@ class _WorkerHandle:
                 ) from exc
         if reply[0] == "ok":
             return reply[1]
-        _, kind, msg, tb = reply
+        _, _, full, tb = reply
         self.alive = False
-        raise BackendError(
-            "worker %d failed to boot: %s: %s\n%s" % (self.position, kind, msg, tb)
-        )
+        raise BackendError("worker %d failed to boot: %s\n%s" % (self.position, full, tb))
 
     def roundtrip(self, message, timeout: float) -> object:
         """Blocking send + recv (runs on an executor thread)."""
@@ -265,11 +295,8 @@ class _WorkerHandle:
                 ) from exc
         if reply[0] == "ok":
             return reply[1]
-        _, kind, msg, tb = reply
-        raise BackendError(
-            "worker %d failed %r: %s: %s" % (self.position, message[0], kind, msg),
-            worker_traceback=tb,
-        )
+        _, public, full, tb = reply
+        raise _op_failed("worker %d" % self.position, message[0], public, full, tb)
 
 
 # ---------------------------------------------------------------------- #
@@ -278,8 +305,12 @@ class _WorkerHandle:
 class InProcessBackend:
     """``workers=0``: the index lives in the daemon process itself.
 
-    All kernel calls run on one dedicated thread, so the event loop
-    stays responsive during compute and the index sees no concurrency.
+    Reads run the kernel on the event-loop thread; ``partial_update``
+    folds and commits on one compute thread.  Reads wait while a write
+    is in flight, so no read overlaps a fold, and a read tagged
+    generation g saw state g or g−1 — the order one compute thread for
+    every call gave.  Reads take no lock among themselves: they are
+    serial on the loop already.
     """
 
     n_workers = 0
@@ -288,12 +319,11 @@ class InProcessBackend:
         self.artifact_path = str(artifact_path)
         self._index: Optional[ProjectedClusterIndex] = None
         self._compute = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
+        #: The write in flight on the compute thread, until it settles.
+        self._write: Optional[asyncio.Future] = None
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._index = await loop.run_in_executor(
-            self._compute, build_serving_index, self.artifact_path
-        )
+        self._index = build_serving_index(self.artifact_path)
 
     async def stop(self) -> None:
         self._compute.shutdown(wait=False)
@@ -310,7 +340,7 @@ class InProcessBackend:
 
     @property
     def parallelism(self) -> int:
-        """One compute thread — one flush can make progress at a time."""
+        """One event loop — one flush can make progress at a time."""
         return 1
 
     def describe(self) -> dict:
@@ -320,18 +350,30 @@ class InProcessBackend:
             "n_dimensions": self.index.n_dimensions,
         }
 
-    async def _run(self, fn, *args):
-        return await asyncio.get_running_loop().run_in_executor(self._compute, fn, *args)
+    async def _read(self, op: str, fn, *args):
+        """Run ``fn`` on the loop once no write is in flight."""
+        while self._write is not None:
+            # asyncio.wait neither raises the write's error nor cancels it.
+            await asyncio.wait((self._write,))
+        try:
+            return fn(*args)
+        except Exception as exc:
+            raise _op_failed("in-process backend", op, *_failure(exc)) from exc
+
+    def _write_settled(self, write: asyncio.Future) -> None:
+        if self._write is write:
+            self._write = None
 
     async def predict(self, points: np.ndarray) -> np.ndarray:
-        return await self._run(self.index.predict, points)
+        return await self._read("predict", self.index.predict, points)
 
-    async def predict_traced(self, points: np.ndarray) -> Tuple[np.ndarray, dict]:
-        """Like :meth:`predict`, plus the kernel-side recorder state."""
-        return await self._run(_traced_predict, self.index, points)
+    async def predict_timed(self, points: np.ndarray) -> Tuple[np.ndarray, float, None]:
+        """Like :meth:`predict`, plus the kernel's seconds (and no worker pid)."""
+        labels, kernel_s = await self._read("predict_t", _timed_predict, self.index, points)
+        return labels, kernel_s, None
 
     async def predict_soft(self, points: np.ndarray, top_m: int):
-        return await self._run(self.index.top_assignments, points, top_m)
+        return await self._read("predict_soft", self.index.top_assignments, points, top_m)
 
     async def partial_update(
         self,
@@ -340,7 +382,18 @@ class InProcessBackend:
         state_dir: Optional[str],
     ) -> Tuple[np.ndarray, int]:
         """Fold on the compute thread; commit a generation to ``state_dir`` if given."""
-        return await self._run(_apply_partial_update, self.index, points, labels, state_dir)
+        write = asyncio.get_running_loop().run_in_executor(
+            self._compute, _apply_partial_update, self.index, points, labels, state_dir
+        )
+        # Registered first, so the gate is clear before any waiting read wakes.
+        write.add_done_callback(self._write_settled)
+        self._write = write
+        try:
+            # Shielded: a cancelled caller must not settle the gate while
+            # the fold still runs.
+            return await asyncio.shield(write)
+        except Exception as exc:
+            raise _op_failed("in-process backend", "partial_update", *_failure(exc)) from exc
 
     async def reload_replicas(self, state_dir: str) -> None:
         """No replicas: the owner is the only index."""
@@ -439,8 +492,8 @@ class WorkerPoolBackend:
     async def predict(self, points: np.ndarray) -> np.ndarray:
         return await self._call(self._pick(), ("predict", points))
 
-    async def predict_traced(self, points: np.ndarray) -> Tuple[np.ndarray, dict]:
-        """Like :meth:`predict`, plus the worker-side recorder state."""
+    async def predict_timed(self, points: np.ndarray) -> Tuple[np.ndarray, float, int]:
+        """Like :meth:`predict`, plus the kernel's seconds and the worker's pid."""
         return await self._call(self._pick(), ("predict_t", points))
 
     async def predict_soft(self, points: np.ndarray, top_m: int):

@@ -179,7 +179,8 @@ def test_a_crash_at_every_op_of_a_commit_keeps_old_or_new(artifact_on_disk, tmp_
         plan = FaultPlan(specs=[FaultSpec(op=op, index=occurrence, kind=kind, after_bytes=7)])
         with active(plan):
             statuses = asyncio.run(_post_updates(artifact_on_disk, target, batches[3:4]))
-        assert plan.fired and statuses == [500], (position, kind, statuses)
+        # A failed commit is a backend failure: 503, as from a pool owner.
+        assert plan.fired and statuses == [503], (position, kind, statuses)
         committed = "gen-00000004" if position > commit else "gen-00000003"
         assert (target / CURRENT_NAME).read_bytes() == committed.encode() + b"\n"
         # The daemon restarts on the same state_dir; its next update commits.

@@ -147,22 +147,8 @@ class TestTailTrace:
             },
             submitted_at=trace.start,
         )
-        worker_state = {
-            "spans": [
-                {
-                    "id": 1,
-                    "parent": None,
-                    "name": "worker.predict",
-                    "cat": "server",
-                    "ts": 0.0,
-                    "dur": 0.001,
-                    "pid": 999,
-                    "tid": 1,
-                    "args": {"rows": 2},
-                }
-            ]
-        }
-        telemetry.observe_flush(3, "quiesce", 2, 0.0, 0.001, worker_state)
+        # The backend timed a 0.4ms kernel in worker process 999.
+        telemetry.observe_flush(3, "quiesce", 2, 0.0, 0.001, kernel_s=0.0004, pid=999)
         telemetry.finish_request(trace, 500, error="boom")  # errored => captured
 
         chrome = telemetry.tail_trace()
@@ -181,6 +167,31 @@ class TestTailTrace:
         # and a connected parent chain request -> flush -> worker
         assert flush["args"]["parent_id"] == request["args"]["span_id"]
         assert worker["args"]["parent_id"] == flush["args"]["span_id"]
+        # the kernel span is the timed kernel, in the worker's process,
+        # ending where its flush ends
+        assert worker["pid"] == 999 and worker["args"]["rows"] == 2
+        assert worker["dur"] == pytest.approx(400.0)
+        assert worker["ts"] + worker["dur"] == pytest.approx(flush["ts"] + flush["dur"])
+
+    def test_a_flush_without_kernel_timing_has_no_kernel_span(self):
+        telemetry = make_telemetry()
+        trace = telemetry.begin_request("POST", "predict", "req-untimed")
+        trace.link_batch(
+            {
+                "batch_id": 4,
+                "batch_size": 1,
+                "flush_reason": "quiesce",
+                "queue_wait_us": 10.0,
+                "kernel_s": 0.001,
+            },
+            submitted_at=trace.start,
+        )
+        telemetry.observe_flush(4, "quiesce", 1, 0.0, 0.001)
+        telemetry.finish_request(trace, 500, error="boom")
+        names = {
+            event["name"] for event in telemetry.tail_trace()["traceEvents"] if event.get("ph") == "X"
+        }
+        assert "server.flush" in names and "worker.predict" not in names
 
     def test_uncaptured_requests_produce_no_spans(self):
         telemetry = make_telemetry()

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import errno
 import json
 import multiprocessing
 import re
+import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.reliability import FaultPlan, FaultSpec, GenerationStore, active
 from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
 from repro.server import app as app_module
@@ -690,3 +693,186 @@ def test_string_and_boolean_coordinates_are_400_on_every_route(artifact_on_disk,
             await assert_no_server_errors(host, port)
 
     asyncio.run(drive())
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_a_failed_commit_is_a_503_that_names_no_path(
+    artifact_on_disk, query_points, workers, tmp_path
+):
+    state_dir = tmp_path / "state"
+    # The first write of the first commit fails; pool workers inherit the
+    # plan when they fork.
+    plan = FaultPlan(specs=[FaultSpec(op="write", index=0, kind="enospc")])
+
+    async def drive():
+        with active(plan):
+            async with running_server(
+                artifact_on_disk, workers=workers, state_dir=str(state_dir)
+            ) as (server, host, port):
+                update = await request(
+                    host, port, "POST", "/partial_update", {"points": query_points.tolist()}
+                )
+                status, health = await request(host, port, "GET", "/healthz")
+                assert status == 200 and health["generation"] == 0
+                return update
+
+    with obs.recording() as recorder:
+        status, body = asyncio.run(drive())
+    assert status == 503, body
+    backend = "worker 0" if workers else "in-process backend"
+    assert body["error"] == (
+        "%s failed 'partial_update': OSError: [Errno 28 ENOSPC] No space left on device"
+        % backend
+    )
+    # The full text and the traceback, which name the state directory,
+    # go only to the daemon's own event.
+    events = [event for event in recorder.events if event["kind"] == "backend_error"]
+    assert len(events) == 1
+    assert str(state_dir) in events[0]["details"]["error"]
+    assert str(state_dir) in events[0]["details"]["worker_traceback"]
+
+
+@contextlib.contextmanager
+def recording_threads(index, names):
+    """Record the thread of every call to the index methods ``names``."""
+    threads = {name: set() for name in names}
+    for name in names:
+        method = getattr(index, name)
+
+        def recorded(*args, _name=name, _method=method, **kwargs):
+            threads[_name].add(threading.get_ident())
+            return _method(*args, **kwargs)
+
+        setattr(index, name, recorded)
+    try:
+        yield threads
+    finally:
+        for name in names:
+            delattr(index, name)
+
+
+def test_in_process_reads_run_on_the_loop_and_writes_on_the_compute_thread(
+    artifact_on_disk, query_points, tmp_path, monkeypatch
+):
+    commit_threads = set()
+    original_commit = GenerationStore.commit
+
+    def commit(self):
+        commit_threads.add(threading.get_ident())
+        return original_commit(self)
+
+    monkeypatch.setattr(GenerationStore, "commit", commit)
+    rows = query_points.tolist()
+
+    reads = (
+        ("/predict", {"point": rows[0]}),
+        ("/predict", {"points": rows}),
+        ("/predict_soft", {"points": rows}),
+    )
+
+    async def drive():
+        async with running_server(
+            artifact_on_disk, state_dir=str(tmp_path / "state")
+        ) as (server, host, port):
+            phases = []
+            # Reads before and after a write; the fold itself predicts
+            # the rows it absorbs, so each phase is recorded on its own.
+            for requests in (reads, (("/partial_update", {"points": rows}),), reads):
+                names = ("predict", "top_assignments", "partial_update")
+                with recording_threads(server.backend.index, names) as threads:
+                    for path, payload in requests:
+                        status, body = await request(host, port, "POST", path, payload)
+                        assert status == 200, (path, body)
+                phases.append(threads)
+            return threading.get_ident(), phases
+
+    loop_thread, (before, write, after) = asyncio.run(drive())
+    for threads in (before, after):
+        assert threads["predict"] == threads["top_assignments"] == {loop_thread}
+    assert len(write["partial_update"]) == 1
+    assert commit_threads == write["partial_update"]
+    assert loop_thread not in commit_threads
+
+
+@pytest.mark.parametrize("commit_fails", [False, True], ids=["commit_lands", "commit_fails"])
+def test_reads_wait_for_the_write_in_flight(
+    artifact_on_disk, small_dataset, query_points, tmp_path, monkeypatch, commit_fails
+):
+    holding, release = threading.Event(), threading.Event()
+    original_commit = GenerationStore.commit
+
+    def held_commit(self):
+        holding.set()
+        assert release.wait(timeout=30)
+        if commit_fails:
+            raise OSError(errno.ENOSPC, "held commit failed")
+        return original_commit(self)
+
+    monkeypatch.setattr(GenerationStore, "commit", held_commit)
+    # Training rows: the fold absorbs them, so the served gains move.
+    fold = small_dataset.data[:40]
+    rows = query_points.tolist()
+
+    async def drive():
+        async with running_server(
+            artifact_on_disk, state_dir=str(tmp_path / "state")
+        ) as (server, host, port):
+            update = asyncio.ensure_future(
+                request(host, port, "POST", "/partial_update", {"points": fold.tolist()})
+            )
+            for _ in range(2000):
+                if holding.is_set():
+                    break
+                await asyncio.sleep(0.005)
+            assert holding.is_set(), "the update never reached its commit"
+            # The fold has run; its commit is held on the compute thread.
+            reads = [
+                asyncio.ensure_future(request(host, port, "POST", "/predict", {"point": row}))
+                for row in rows[:3]
+            ]
+            reads.append(
+                asyncio.ensure_future(request(host, port, "POST", "/predict", {"points": rows}))
+            )
+            reads.append(
+                asyncio.ensure_future(
+                    request(host, port, "POST", "/predict_soft", {"points": rows, "top_m": 3})
+                )
+            )
+            try:
+                # Every read reaches its handler while the commit is held...
+                arrived = {("POST", "/predict"): 4, ("POST", "/predict_soft"): 1}
+                for _ in range(2000):
+                    if all(server.request_counts.get(route) == n for route, n in arrived.items()):
+                        break
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.2)
+                # ...and none answers before it lands.
+                assert all(server.request_counts.get(route) == n for route, n in arrived.items())
+                assert not update.done() and not any(read.done() for read in reads)
+                # The loop itself is free: health answers while the write is held.
+                status, health = await request(host, port, "GET", "/healthz")
+                assert status == 200 and health["generation"] == 0
+            finally:
+                release.set()
+            return await update, await asyncio.gather(*reads)
+
+    (update_status, _), answers = asyncio.run(drive())
+    reference = ProjectedClusterIndex(load_artifact(artifact_on_disk))
+    before = reference.top_assignments(query_points, 3)
+    if commit_fails:
+        assert update_status >= 500
+        generation = 0
+    else:
+        assert update_status == 200
+        reference.partial_update(fold)
+        generation = 1
+    labels, clusters, gains = reference.top_assignments(query_points, 3)
+    assert commit_fails or gains.tobytes() != before[2].tobytes()
+    for status, body in answers:
+        assert status == 200, body
+        assert body["generation"] == generation
+    assert [body["label"] for _, body in answers[:3]] == labels[:3].tolist()
+    assert answers[3][1]["labels"] == labels.tolist()
+    soft = answers[4][1]
+    assert soft["labels"] == labels.tolist() and soft["clusters"] == clusters.tolist()
+    assert np.array(soft["gains"]).tobytes() == gains.tobytes()

@@ -11,12 +11,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.server import app as app_module
 from repro.server.app import PredictServer, ServerConfig
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -336,12 +340,13 @@ class TestFlushAttribution:
 
 
 class TestTailTraceEndToEnd:
-    def test_linked_request_flush_worker_spans(self, artifact_on_disk, query_points):
+    @staticmethod
+    def assert_linked_spans(artifact, query_points, workers):
         """Acceptance: server.request → server.flush → worker.predict
         share one request id and form a connected parent chain."""
 
         async def drive():
-            async with running_server(artifact_on_disk) as (server, host, port):
+            async with running_server(artifact, workers=workers) as (server, host, port):
                 status, _, _ = await request(
                     host,
                     port,
@@ -353,9 +358,9 @@ class TestTailTraceEndToEnd:
                 assert status == 200
                 status, _, trace = await request(host, port, "GET", "/debug/tail_trace")
                 assert status == 200
-                return trace
+                return trace, [handle.process.pid for handle in server.backend._handles] if workers else []
 
-        trace = asyncio.run(drive())
+        trace, worker_pids = asyncio.run(drive())
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         mine = [s for s in spans if s["args"].get("request_id") == "traced-1"]
         by_name = {span["name"]: span for span in mine}
@@ -367,6 +372,12 @@ class TestTailTraceEndToEnd:
         worker_span = by_name["worker.predict"]
         assert flush_span["args"]["parent_id"] == request_span["args"]["span_id"]
         assert worker_span["args"]["parent_id"] == flush_span["args"]["span_id"]
+        # the kernel ran in a pool worker, or in the daemon itself
+        if workers:
+            assert worker_span["pid"] in worker_pids
+        else:
+            assert worker_span["pid"] == request_span["pid"]
+        assert worker_span["dur"] <= flush_span["dur"]
         # the request span carries the batch attribution
         assert request_span["args"]["batch_id"] == flush_span["args"]["batch_id"]
         assert request_span["args"]["flush_reason"] in (
@@ -379,6 +390,34 @@ class TestTailTraceEndToEnd:
         # phase decomposition rode along
         assert "server.queue_wait" in {span["name"] for span in mine}
         assert "server.kernel" in {span["name"] for span in mine}
+
+    def test_linked_request_flush_worker_spans(self, artifact_on_disk, query_points):
+        self.assert_linked_spans(artifact_on_disk, query_points, workers=0)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+    def test_linked_request_flush_worker_spans_in_a_pool(self, artifact_on_disk, query_points):
+        self.assert_linked_spans(artifact_on_disk, query_points, workers=2)
+
+    def test_no_recorder_is_built_per_flush(self, artifact_on_disk, query_points, monkeypatch):
+        built = []
+        original_init = obs.Recorder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(obs.Recorder, "__init__", counting_init)
+
+        async def drive():
+            async with running_server(artifact_on_disk) as (server, host, port):
+                for i in range(50):
+                    row = query_points[i % len(query_points)]
+                    status, _, _ = await request(host, port, "POST", "/predict", {"point": list(row)})
+                    assert status == 200
+                return server.batcher.stats.n_flushes
+
+        assert asyncio.run(drive()) == 50
+        assert built == []
 
 
 class TestHealthzSLO:

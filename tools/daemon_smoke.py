@@ -21,8 +21,11 @@ End to end over an actual subprocess and actual sockets:
    bounds with monotone non-decreasing cumulative counts ending at a
    ``+Inf`` bucket equal to ``_count``, and the predict-route counts
    agree with the JSON ``/metrics`` telemetry snapshot;
-7. optionally save ``/debug/tail_trace`` (``--tail-trace-out``, the
-   nightly workflow uploads it as an artifact);
+7. fetch ``/debug/tail_trace`` and require at least one captured
+   ``server.request`` span with a ``server.flush`` child that has a
+   ``worker.predict`` child, all three stamped with that request's id;
+   optionally save it (``--tail-trace-out``, the nightly workflow
+   uploads it as an artifact);
 8. on Linux, require that the daemon (an ``m``-scheme artifact, so no
    chi-square code) maps no file of scipy's package directory;
 9. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
@@ -231,6 +234,31 @@ def check_prometheus(base: str) -> None:
     )
 
 
+def check_tail_trace(base: str, out: str = None) -> None:
+    """The tail trace links request → flush → kernel under one request id."""
+    trace = get_json(base + "/debug/tail_trace")
+    spans = [event for event in trace["traceEvents"] if event.get("ph") == "X"]
+    by_id = {span["args"]["span_id"]: span for span in spans}
+
+    def parent(span, name):
+        found = by_id.get(span["args"].get("parent_id"))
+        return found if found is not None and found["name"] == name else None
+
+    linked = 0
+    for kernel in (span for span in spans if span["name"] == "worker.predict"):
+        flush = parent(kernel, "server.flush")
+        request = flush and parent(flush, "server.request")
+        if request and len({span["args"].get("request_id") for span in (kernel, flush, request)}) == 1:
+            linked += 1
+    assert linked, "no captured request links server.flush and worker.predict spans"
+    print("tail trace ok: %d spans, %d request -> flush -> kernel chain(s)" % (len(spans), linked))
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(trace))
+        print("tail trace saved: %s" % path)
+
+
 def start_daemon(artifact: Path, workers: int, state_dir: Path = None) -> tuple:
     """Boot ``repro-server`` on ``artifact``; return the process and its base URL."""
     state = ["--state-dir", str(state_dir)] if state_dir is not None else []
@@ -373,15 +401,7 @@ def main(argv=None) -> int:
             check_request_ids(base)
             check_prometheus(base)
 
-            if args.tail_trace_out:
-                trace = get_json(base + "/debug/tail_trace")
-                out = Path(args.tail_trace_out)
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(json.dumps(trace))
-                print(
-                    "tail trace saved: %s (%d events)"
-                    % (out, len(trace.get("traceEvents", [])))
-                )
+            check_tail_trace(base, args.tail_trace_out)
 
             check_no_scipy_mapped(process.pid)
             stop_daemon(process)
