@@ -490,7 +490,7 @@ class PredictServer:
         request that rode this batch.  No recorder is built per flush.
         """
         start = obs.monotonic()
-        labels, kernel_s, pid = await self.backend.predict_timed(points)
+        labels, kernel_s, pid = await self.backend.predict(points)
         self.telemetry.observe_flush(
             meta["batch_id"],
             meta["reason"],
@@ -514,7 +514,7 @@ class PredictServer:
             trace.link_batch(ticket, self.telemetry.to_timeline(submitted))
             return {"label": int(label), "generation": self.generation}, 200
         kernel_start = obs.monotonic()
-        labels = await self.backend.predict(points)
+        labels, _, _ = await self.backend.predict(points)
         trace.add_phase(
             "server.kernel",
             self.telemetry.to_timeline(kernel_start),
@@ -566,6 +566,9 @@ class PredictServer:
                     points, labels, self._state_dir
                 )
                 await self.backend.reload_replicas(self._state_dir)
+                # In-process, reads pass the write gate from the loop step
+                # the backend returned in, and the in-process reload does
+                # not suspend, so the bump lands in that same step.
                 self.generation += 1
                 update_span.set(rows=int(points.shape[0]), absorbed=absorbed)
         return {

@@ -1,9 +1,10 @@
 """Compute backends for the serving daemon: in-process or a worker-process pool.
 
 Both backends expose the same ``async`` surface (``predict`` /
-``predict_timed`` / ``predict_soft`` / ``partial_update`` /
-``reload_replicas``) so the application layer does not care where the
-kernel runs:
+``predict_soft`` / ``partial_update`` / ``reload_replicas``) so the
+application layer does not care where the kernel runs.  ``predict``
+returns ``(labels, kernel seconds, worker pid or None)``: the serving
+telemetry's ``worker.predict`` span, with no recorder built per call.
 
 * :class:`InProcessBackend` (``workers=0``) holds one
   :class:`~repro.serving.index.ProjectedClusterIndex`.  Reads
@@ -15,7 +16,10 @@ kernel runs:
   answering ``/healthz`` and ``/metrics`` meanwhile.  A read that
   arrives while a write is in flight waits for it to commit or roll
   back, then runs: the index's workspaces and the fold are not
-  reentrant, and reads are already serial on the loop.
+  reentrant, and reads are already serial on the loop.  The gate opens
+  in the writer's own continuation, in the same loop step as the
+  caller's generation bump, so no read sees the new state under the
+  old tag.
 * :class:`WorkerPoolBackend` (``workers >= 1``) forks N worker
   processes.  Requests round-robin across idle workers over pipes; each
   worker handles one message at a time, so a worker's index is never
@@ -216,8 +220,6 @@ def _worker_main(conn, artifact_path: str) -> None:
         op = message[0]
         try:
             if op == "predict":
-                payload = index.predict(message[1])
-            elif op == "predict_t":
                 payload = (*_timed_predict(index, message[1]), os.getpid())
             elif op == "predict_soft":
                 labels, clusters, gains = index.top_assignments(message[1], message[2])
@@ -364,12 +366,9 @@ class InProcessBackend:
         if self._write is write:
             self._write = None
 
-    async def predict(self, points: np.ndarray) -> np.ndarray:
-        return await self._read("predict", self.index.predict, points)
-
-    async def predict_timed(self, points: np.ndarray) -> Tuple[np.ndarray, float, None]:
-        """Like :meth:`predict`, plus the kernel's seconds (and no worker pid)."""
-        labels, kernel_s = await self._read("predict_t", _timed_predict, self.index, points)
+    async def predict(self, points: np.ndarray) -> Tuple[np.ndarray, float, None]:
+        """``(labels, kernel seconds, None)``: no worker pid in-process."""
+        labels, kernel_s = await self._read("predict", _timed_predict, self.index, points)
         return labels, kernel_s, None
 
     async def predict_soft(self, points: np.ndarray, top_m: int):
@@ -381,19 +380,30 @@ class InProcessBackend:
         labels: Optional[np.ndarray],
         state_dir: Optional[str],
     ) -> Tuple[np.ndarray, int]:
-        """Fold on the compute thread; commit a generation to ``state_dir`` if given."""
+        """Fold on the compute thread; commit a generation to ``state_dir`` if given.
+
+        The gate opens here, in this coroutine's own continuation: the
+        caller's next synchronous step (``reload_replicas`` does not
+        suspend in-process, then the generation bump) runs before any read
+        passes it.  A done-callback would open it a loop step earlier, and
+        a read starting in that step would answer from the new state under
+        the old generation.
+        """
         write = asyncio.get_running_loop().run_in_executor(
             self._compute, _apply_partial_update, self.index, points, labels, state_dir
         )
-        # Registered first, so the gate is clear before any waiting read wakes.
-        write.add_done_callback(self._write_settled)
         self._write = write
         try:
-            # Shielded: a cancelled caller must not settle the gate while
+            # Shielded: a cancelled caller must not open the gate while
             # the fold still runs.
             return await asyncio.shield(write)
         except Exception as exc:
             raise _op_failed("in-process backend", "partial_update", *_failure(exc)) from exc
+        finally:
+            if write.done():
+                self._write_settled(write)
+            else:  # cancelled caller: the fold's own completion opens it
+                write.add_done_callback(self._write_settled)
 
     async def reload_replicas(self, state_dir: str) -> None:
         """No replicas: the owner is the only index."""
@@ -489,12 +499,9 @@ class WorkerPoolBackend:
         async with handle.alock:
             return await loop.run_in_executor(None, handle.roundtrip, message, CALL_TIMEOUT_S)
 
-    async def predict(self, points: np.ndarray) -> np.ndarray:
+    async def predict(self, points: np.ndarray) -> Tuple[np.ndarray, float, int]:
+        """``(labels, kernel seconds, pid)`` of the worker that ran it."""
         return await self._call(self._pick(), ("predict", points))
-
-    async def predict_timed(self, points: np.ndarray) -> Tuple[np.ndarray, float, int]:
-        """Like :meth:`predict`, plus the kernel's seconds and the worker's pid."""
-        return await self._call(self._pick(), ("predict_t", points))
 
     async def predict_soft(self, points: np.ndarray, top_m: int):
         return await self._call(self._pick(), ("predict_soft", points, top_m))

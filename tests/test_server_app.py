@@ -19,6 +19,7 @@ from repro.serving.artifact import load_artifact
 from repro.serving.index import ProjectedClusterIndex
 from repro.server import app as app_module
 from repro.server.app import ArtifactInStateDirError, PredictServer, ServerConfig
+from repro.server.http import HTTPRequest
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -876,3 +877,60 @@ def test_reads_wait_for_the_write_in_flight(
     soft = answers[4][1]
     assert soft["labels"] == labels.tolist() and soft["clusters"] == clusters.tolist()
     assert np.array(soft["gains"]).tobytes() == gains.tobytes()
+
+
+def test_a_read_starting_as_the_write_settles_answers_under_its_generation(
+    artifact_on_disk, small_dataset, query_points, tmp_path, monkeypatch
+):
+    # A read that starts in the loop step in which the fold's future
+    # completes runs ahead of the writer's continuation, which bumps the
+    # generation.  It must wait for that bump, not see the folded state
+    # under the old tag.
+    fold = small_dataset.data[:40]
+    rows = query_points.tolist()
+
+    async def drive():
+        async with running_server(
+            artifact_on_disk, state_dir=str(tmp_path / "state")
+        ) as (server, host, port):
+            loop = asyncio.get_running_loop()
+            run_in_executor = loop.run_in_executor
+            reads = []
+
+            def start_reads(_):
+                for path, handler, payload in (
+                    ("/predict", server._handle_predict, {"points": rows}),
+                    ("/predict_soft", server._handle_predict_soft, {"points": rows, "top_m": 3}),
+                ):
+                    request = HTTPRequest("POST", path, "", body=json.dumps(payload).encode())
+                    trace = server.telemetry.begin_request("POST", path, "settle-read")
+                    reads.append(asyncio.ensure_future(handler(request, trace)))
+
+            def run_with_reads(executor, fn, *args):
+                write = run_in_executor(executor, fn, *args)
+                if executor is server.backend._compute:
+                    # Registered before the backend awaits it, so the reads
+                    # start in the step the write completes in.
+                    write.add_done_callback(start_reads)
+                return write
+
+            monkeypatch.setattr(loop, "run_in_executor", run_with_reads)
+            status, body = await request(
+                host, port, "POST", "/partial_update", {"points": fold.tolist()}
+            )
+            monkeypatch.undo()
+            assert status == 200 and body["generation"] == 1, body
+            assert len(reads) == 2
+            return await asyncio.gather(*reads)
+
+    (labels_body, labels_status), (soft_body, soft_status) = asyncio.run(drive())
+    reference = ProjectedClusterIndex(load_artifact(artifact_on_disk))
+    before = reference.top_assignments(query_points, 3)
+    reference.partial_update(fold)
+    labels, clusters, gains = reference.top_assignments(query_points, 3)
+    assert gains.tobytes() != before[2].tobytes()
+    assert labels_status == soft_status == 200
+    assert labels_body["generation"] == soft_body["generation"] == 1
+    assert labels_body["labels"] == labels.tolist()
+    assert soft_body["labels"] == labels.tolist() and soft_body["clusters"] == clusters.tolist()
+    assert np.array(soft_body["gains"]).tobytes() == gains.tobytes()

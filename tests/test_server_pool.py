@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -83,7 +84,8 @@ class TestInProcessBackend:
                 assert backend.alive_workers == 1
                 assert backend.parallelism == 1
                 assert backend.describe()["workers"] == 0
-                labels = await backend.predict(query_points)
+                labels, kernel_s, pid = await backend.predict(query_points)
+                assert kernel_s >= 0.0 and pid is None
                 soft_labels, clusters, gains = await backend.predict_soft(
                     query_points, 2
                 )
@@ -123,6 +125,50 @@ class TestInProcessBackend:
         np.testing.assert_array_equal(
             folded.predict(query_points), reference.predict(query_points)
         )
+
+    def test_a_cancelled_writer_keeps_reads_out_until_its_fold_settles(
+        self, artifact_dir, query_points, tmp_path, monkeypatch
+    ):
+        holding, release = threading.Event(), threading.Event()
+        original_commit = GenerationStore.commit
+
+        def held_commit(self):
+            holding.set()
+            assert release.wait(timeout=30)
+            return original_commit(self)
+
+        monkeypatch.setattr(GenerationStore, "commit", held_commit)
+        reference = ProjectedClusterIndex(load_artifact(artifact_dir))
+        reference.partial_update(query_points)
+
+        async def drive():
+            backend = InProcessBackend(artifact_dir)
+            await backend.start()
+            try:
+                update = asyncio.ensure_future(
+                    backend.partial_update(query_points, None, str(tmp_path / "state"))
+                )
+                for _ in range(2000):
+                    if holding.is_set():
+                        break
+                    await asyncio.sleep(0.005)
+                assert holding.is_set(), "the update never reached its commit"
+                # The caller gives up while the commit is held; the fold
+                # runs on, so a read must still wait for it.
+                update.cancel()
+                read = asyncio.ensure_future(backend.predict(query_points))
+                try:
+                    await asyncio.sleep(0.1)
+                    assert update.cancelled() and not read.done()
+                finally:
+                    release.set()
+                labels, _, _ = await read
+                assert backend._write is None
+                return labels
+            finally:
+                await backend.stop()
+
+        np.testing.assert_array_equal(asyncio.run(drive()), reference.predict(query_points))
 
 
 class TestFailedCommit:
@@ -199,6 +245,7 @@ class TestWorkerPoolBackend:
         state_dir = tmp_path / "state"
         reference = ProjectedClusterIndex(load_artifact(artifact_dir))
         expected_applied = reference.partial_update(query_points)
+        worker_pids = set()
 
         async def drive():
             backend = WorkerPoolBackend(artifact_dir, n_workers=2)
@@ -206,6 +253,7 @@ class TestWorkerPoolBackend:
             try:
                 assert backend.alive_workers == 2
                 assert backend.parallelism == 2
+                worker_pids.update(handle.process.pid for handle in backend._handles)
                 # Several predicts so round-robin touches both workers.
                 batches = [await backend.predict(query_points) for _ in range(4)]
                 soft = await backend.predict_soft(query_points, 3)
@@ -222,13 +270,14 @@ class TestWorkerPoolBackend:
                 await backend.stop()
 
         batches, soft, applied, absorbed, post_reload = asyncio.run(drive())
-        for labels in batches:
+        for labels, kernel_s, pid in batches:
             np.testing.assert_array_equal(labels, reference_labels)
+            assert kernel_s >= 0.0 and pid in worker_pids
         np.testing.assert_array_equal(soft[0], reference_labels)
         np.testing.assert_array_equal(applied, expected_applied)
         assert absorbed >= 0
         # After fold + rebroadcast every worker serves the folded model.
-        for labels in post_reload:
+        for labels, _, _ in post_reload:
             np.testing.assert_array_equal(labels, reference.predict(query_points))
         assert GenerationStore(state_dir).current() == state_dir / "gen-00000001"
         assert (state_dir / "gen-00000001" / MODEL_DIR / "manifest.json").is_file()
@@ -282,7 +331,7 @@ class TestWorkerPoolBackend:
                 assert backend.alive_workers == 1
                 assert backend.parallelism == 1
                 # ...after which routing skips it and reads still work...
-                labels = await backend.predict(query_points)
+                labels, _, _ = await backend.predict(query_points)
                 # ...but the write path is gone with the owner.
                 with pytest.raises(BackendError):
                     await backend.partial_update(query_points, None, None)
