@@ -43,6 +43,7 @@ from repro.data.generator import SyntheticDataGenerator
 from repro.obs.prom import PromWriter, write_telemetry
 from repro.obs.slo import SLOConfig
 from repro.obs.telemetry import Telemetry
+from repro.server.batcher import Flush
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream import StreamConfig, StreamingSSPC
 from repro.utils.executor import SerialExecutor
@@ -122,7 +123,8 @@ def run_telemetry_workload(params: Mapping[str, object]) -> str:
     reproducible, so the aggregate snapshot and the Prometheus
     rendering fold into the workload fingerprint: the always-on
     telemetry must neither perturb nor be perturbed by a recorder
-    being installed.
+    being installed.  Every fifth request points at a flush record, as
+    the micro-batcher links the requests it serves.
     """
     ticks = itertools.count()
     telemetry = Telemetry(
@@ -135,18 +137,9 @@ def run_telemetry_workload(params: Mapping[str, object]) -> str:
         route = "predict" if i % 3 else "predict_soft"
         trace = telemetry.begin_request("POST", route, telemetry.next_request_id())
         if i % 5 == 0:
-            batch_id = i // 5 + 1
-            trace.link_batch(
-                {
-                    "batch_id": batch_id,
-                    "batch_size": 4,
-                    "flush_reason": "full",
-                    "queue_wait_us": 150.0,
-                    "kernel_s": 2e-4,
-                },
-                trace.start,
-            )
-            telemetry.observe_flush(batch_id, "full", 4, i * 1e-4, 2e-4)
+            flush = Flush(i // 5 + 1, "full", 4, i * 1e-4)
+            flush.duration_s = 2e-4
+            trace.flush, trace.queue_wait_us = flush, 150.0
         telemetry.finish_request(trace, statuses[i % len(statuses)])
 
     writer = PromWriter()

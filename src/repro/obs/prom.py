@@ -9,10 +9,10 @@ Stdlib-only rendering of the classic text format::
 :class:`PromWriter` is a tiny line builder enforcing the format's
 grouping rule (all samples of a family follow its ``# HELP``/``# TYPE``
 header).  :func:`write_telemetry` emits the telemetry-owned families —
-request totals, the per route × status-class latency histogram as a
-cumulative ``_bucket`` series, and the SLO burn-rate gauges; the
-serving daemon layers its own process/batcher families on top before
-rendering.  Bucket counts come straight from
+request totals (summed from the telemetry's one per-request tally),
+the per route × status-class latency histogram as a cumulative
+``_bucket`` series, and the SLO burn-rate gauges; the serving daemon
+layers its own process/batcher families on top before rendering.  Bucket counts come straight from
 :meth:`~repro.obs.histogram.LogHistogram.cumulative`, so the
 exposition's ``_bucket{le="+Inf"}`` always equals ``_count`` and both
 always equal the JSON snapshot's totals for the same scrape.
@@ -120,7 +120,7 @@ def write_telemetry(writer: PromWriter, telemetry: "object") -> None:
         "counter",
         "Finished requests by route and status class.",
     )
-    for (route, klass), count in sorted(telemetry.requests_total.items()):
+    for (route, klass), count in sorted(telemetry.requests_total().items()):
         writer.sample(
             "repro_requests_total",
             {"route": route, "status_class": klass},

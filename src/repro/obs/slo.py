@@ -16,9 +16,14 @@ exactly as fast as the objective allows; burn 14.4 over an hour-long
 budget period means the whole budget would be gone in ~1/14th of the
 period.  Following the standard multi-window alerting recipe, the
 tracker reports ``fast_burn`` when *both* the 1m and 5m windows burn
-above ``fast_burn_threshold`` (the short window proves it is happening
-right now, the longer one proves it is not a blip) — the serving
+above :data:`FAST_BURN_THRESHOLD` (the short window proves it is
+happening right now, the longer one proves it is not a blip) and each
+holds at least :data:`MIN_WINDOW_REQUESTS` requests — the serving
 daemon degrades ``/healthz`` on that signal.
+
+:class:`SLOConfig` mirrors the ``repro-server`` command line: each
+field is the ``--slo-*`` flag of its name; the alerting threshold and
+the warm-up floor are module constants.
 
 Recording is O(1); evaluating a window walks its seconds once.
 """
@@ -30,15 +35,22 @@ from typing import Callable, Dict, Optional
 
 from repro.obs import core
 
-__all__ = ["SLOConfig", "SLOTracker", "WINDOWS"]
+__all__ = ["FAST_BURN_THRESHOLD", "MIN_WINDOW_REQUESTS", "SLOConfig", "SLOTracker", "WINDOWS"]
 
 #: Rolling evaluation windows: (seconds, label).
 WINDOWS = ((60, "1m"), (300, "5m"), (3600, "1h"))
+#: Burn rate above which (on both 1m and 5m windows) the tracker reports
+#: ``fast_burn``.  14.4 is the classic "2% of a 30-day budget in one
+#: hour" pager threshold.
+FAST_BURN_THRESHOLD = 14.4
+#: Windows with fewer requests than this never trip ``fast_burn`` (a
+#: single failed request during warm-up is not an incident).
+MIN_WINDOW_REQUESTS = 10
 
 
 @dataclass(frozen=True)
 class SLOConfig:
-    """Declared objectives and the alerting threshold."""
+    """Declared objectives: each field is the ``repro-server --slo-*`` flag of its name."""
 
     #: Fraction of requests that must not be server errors (5xx).
     availability_target: float = 0.999
@@ -46,13 +58,6 @@ class SLOConfig:
     latency_budget_ms: float = 250.0
     #: Fraction of requests that must land within ``latency_budget_ms``.
     latency_target: float = 0.99
-    #: Burn rate above which (on both 1m and 5m windows) the tracker
-    #: reports ``fast_burn``.  14.4 is the classic "2% of a 30-day
-    #: budget in one hour" pager threshold.
-    fast_burn_threshold: float = 14.4
-    #: Windows with fewer requests than this never trip ``fast_burn``
-    #: (a single failed request during warm-up is not an incident).
-    min_window_requests: int = 10
 
     def __post_init__(self) -> None:
         for name in ("availability_target", "latency_target"):
@@ -61,8 +66,6 @@ class SLOConfig:
                 raise ValueError("%s must be in (0, 1), got %r" % (name, value))
         if self.latency_budget_ms <= 0:
             raise ValueError("latency_budget_ms must be positive")
-        if self.fast_burn_threshold <= 0:
-            raise ValueError("fast_burn_threshold must be positive")
 
 
 def burn_rate(bad: int, total: int, target: float) -> float:
@@ -140,14 +143,13 @@ class SLOTracker:
         }
 
     def fast_burn(self) -> bool:
-        """True when both short windows burn above the threshold."""
-        config = self.config
+        """True when both short windows burn above :data:`FAST_BURN_THRESHOLD`."""
         for seconds in (60, 300):
             window = self.window(seconds)
-            if window["requests"] < config.min_window_requests:
+            if window["requests"] < MIN_WINDOW_REQUESTS:
                 return False
             burn = max(window["availability_burn"], window["latency_burn"])
-            if burn <= config.fast_burn_threshold:
+            if burn <= FAST_BURN_THRESHOLD:
                 return False
         return True
 
@@ -160,7 +162,7 @@ class SLOTracker:
                 "availability_target": config.availability_target,
                 "latency_budget_ms": config.latency_budget_ms,
                 "latency_target": config.latency_target,
-                "fast_burn_threshold": config.fast_burn_threshold,
+                "fast_burn_threshold": FAST_BURN_THRESHOLD,
             },
             "windows": {
                 label: self.window(seconds) for seconds, label in WINDOWS

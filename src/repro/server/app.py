@@ -34,17 +34,21 @@ One asyncio event loop accepts connections, parses requests
     when the error budget is fast-burning (see :mod:`repro.obs.slo`).
 ``GET /metrics``
     Batcher statistics (batch-size / queue-wait percentiles, flush
-    reasons), per-route request counters, error counts, and the
-    telemetry snapshot (per route × status-class latency histograms,
-    SLO windows).  ``?format=prometheus`` renders the same state as
-    Prometheus text exposition instead.
+    reasons), request counts by method and path, error counts by status,
+    and the telemetry snapshot (per route × status-class totals and
+    latency histograms, SLO windows).  ``?format=prometheus`` renders the
+    same state as Prometheus text exposition instead.  Every request
+    count comes from the telemetry's one per-request tally; a method or
+    path the daemon does not serve counts as ``other``, so a client
+    scanning paths cannot grow the scrape.
 ``GET /debug/tail_trace``
     Chrome trace of the tail capture: the slowest and errored requests
     with their full span trees — each ``server.request`` span linked to
     the ``server.flush`` that served it and, under that, a
     ``worker.predict`` span for the kernel (built from the duration the
     backend timed, with the worker's pid in a pool), all stamped with the
-    request id.
+    request id.  Each captured request points at the batcher's record of
+    its flush, so the link survives however many flushes ran since.
 
 Every request carries an id: an inbound ``X-Request-Id`` header is
 honored, otherwise one is generated, and every response — including
@@ -54,8 +58,8 @@ client interleaving folds and predicts can tell which state answered.
 
 A request body past :data:`MAX_BODY_BYTES` is a 413, and a keep-alive
 connection idle for :data:`IDLE_TIMEOUT_S` is closed.  The tail capture
-keeps the telemetry's default 32 slowest requests per window and 64
-errored ones.
+keeps :data:`~repro.obs.telemetry.TAIL_SLOW` slowest requests per window
+and :data:`~repro.obs.telemetry.TAIL_ERRORS` errored ones.
 """
 
 from __future__ import annotations
@@ -93,9 +97,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Keep-alive connections idle longer than this are closed.
 IDLE_TIMEOUT_S = 300.0
 
-#: Bounded-cardinality telemetry labels per path; anything unknown
-#: aggregates as "other" so a path-scanning client cannot explode the
-#: per-route histogram space.
+#: Bounded-cardinality telemetry labels per path; any other path, and
+#: any method no route serves, counts as "other" so a scanning client
+#: cannot grow the per-request tally or the scrape.
 ROUTE_LABELS = {
     "/predict": "predict",
     "/predict_soft": "predict_soft",
@@ -104,6 +108,10 @@ ROUTE_LABELS = {
     "/metrics": "metrics",
     "/debug/tail_trace": "tail_trace",
 }
+#: The path each label stands for in ``/metrics`` ``requests`` and
+#: ``repro_http_requests_total``; "other" and "bad_request" stand for
+#: themselves.
+ROUTE_PATHS = {label: path for path, label in ROUTE_LABELS.items()}
 
 
 class ArtifactInStateDirError(ValueError):
@@ -155,7 +163,7 @@ class PredictServer:
         self.config = config or ServerConfig()
         self.backend = make_backend(self.artifact_path, n_workers=self.config.workers)
         self.batcher = MicroBatcher(
-            self._flush_predict,
+            self.backend.predict,
             max_batch=self.config.max_batch,
             max_wait_us=self.config.max_wait_us,
         )
@@ -177,8 +185,7 @@ class PredictServer:
             ("GET", "/debug/tail_trace"): self._handle_tail_trace,
         }
         self._known_paths = {path for _, path in self._routes}
-        self.request_counts: Dict[Tuple[str, str], int] = {}
-        self.error_counts: Dict[str, int] = {}
+        self._known_methods = {method for method, _ in self._routes}
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
         self._conn_last_active: Dict[object, Tuple[float, asyncio.StreamWriter]] = {}
@@ -292,9 +299,6 @@ class PredictServer:
                     # the request — unaccounted traffic is invisible
                     # traffic.
                     request_id = self._request_id(exc.headers)
-                    route = ("*", "bad_request")
-                    self.request_counts[route] = self.request_counts.get(route, 0) + 1
-                    self._count_error(exc.status)
                     trace = self.telemetry.begin_request("*", "bad_request", request_id)
                     self.telemetry.finish_request(trace, exc.status, error=exc.message)
                     writer.write(
@@ -337,12 +341,11 @@ class PredictServer:
         return self.telemetry.next_request_id()
 
     async def _dispatch(self, request: HTTPRequest) -> bytes:
-        route = (request.method, request.path)
-        self.request_counts[route] = self.request_counts.get(route, 0) + 1
         keep = request.keep_alive
         request_id = self._request_id(request.headers)
+        method = request.method if request.method in self._known_methods else "other"
         trace = self.telemetry.begin_request(
-            request.method, ROUTE_LABELS.get(request.path, "other"), request_id
+            method, ROUTE_LABELS.get(request.path, "other"), request_id
         )
         status = 500
         try:
@@ -369,7 +372,6 @@ class PredictServer:
                 return response
             except HTTPError as exc:
                 status = exc.status
-                self._count_error(status)
                 trace.error = exc.message
                 return json_response(
                     {"error": exc.message},
@@ -379,11 +381,10 @@ class PredictServer:
                 )
             except BackendError as exc:
                 status = 503
-                self._count_error(503)
                 trace.error = exc.public
                 obs.event(
                     "backend_error",
-                    route="%s %s" % route,
+                    route="%s %s" % (request.method, request.path),
                     error=str(exc),
                     worker_traceback=exc.worker_traceback,
                 )
@@ -392,9 +393,10 @@ class PredictServer:
                 )
             except Exception as exc:  # noqa: BLE001 - the daemon must not die per-request
                 status = 500
-                self._count_error(500)
                 trace.error = repr(exc)
-                obs.event("server_error", route="%s %s" % route, error=repr(exc))
+                obs.event(
+                    "server_error", route="%s %s" % (request.method, request.path), error=repr(exc)
+                )
                 return json_response(
                     {"error": "internal error: %r" % exc},
                     status=500,
@@ -411,10 +413,6 @@ class PredictServer:
                 raise HTTPError(405, "method %s not allowed on %s" % (request.method, request.path))
             raise HTTPError(404, "no route for %s" % request.path)
         return handler
-
-    def _count_error(self, status: int) -> None:
-        key = str(status)
-        self.error_counts[key] = self.error_counts.get(key, 0) + 1
 
     # ------------------------------------------------------------------ #
     # request parsing helpers
@@ -479,39 +477,13 @@ class PredictServer:
                 raise HTTPError(400, "'labels' must be integers in [-1, %d), got %r" % (k, label))
         return np.asarray(raw, dtype=int)
 
-    async def _flush_predict(self, points: np.ndarray, meta: Dict[str, object]) -> np.ndarray:
-        """Batcher flush: timed predict, flush recorded for telemetry.
-
-        In-process the kernel runs right here on the event loop (after
-        any write in flight settles); a pool worker runs it in its own
-        process.  Either way the backend returns the kernel's seconds
-        (and the worker's pid), which the flush record keeps, so a tail
-        trace shows the kernel as a ``worker.predict`` span under every
-        request that rode this batch.  No recorder is built per flush.
-        """
-        start = obs.monotonic()
-        labels, kernel_s, pid = await self.backend.predict(points)
-        self.telemetry.observe_flush(
-            meta["batch_id"],
-            meta["reason"],
-            points.shape[0],
-            start,
-            obs.monotonic() - start,
-            kernel_s,
-            pid,
-        )
-        return labels
-
     # ------------------------------------------------------------------ #
     # handlers — each returns (payload, status)
     # ------------------------------------------------------------------ #
     async def _handle_predict(self, request: HTTPRequest, trace: RequestTrace):
         points, single = self._parse_points(request.json())
         if single:
-            ticket: Dict[str, object] = {}
-            submitted = obs.monotonic()
-            label = await self.batcher.submit(points[0], ticket)
-            trace.link_batch(ticket, self.telemetry.to_timeline(submitted))
+            label = await self.batcher.submit(points[0], trace)
             return {"label": int(label), "generation": self.generation}, 200
         kernel_start = obs.monotonic()
         labels, _, _ = await self.backend.predict(points)
@@ -605,11 +577,11 @@ class PredictServer:
         if dict(parse_qsl(request.query)).get("format") == "prometheus":
             return RawResponse(self.render_prometheus().encode("utf-8"), CONTENT_TYPE), 200
         return {
-            "batcher": self.batcher.stats.snapshot(),
+            "batcher": self.batcher.snapshot(),
             "requests": {
-                "%s %s" % route: count for route, count in self.request_counts.items()
+                "%s %s" % key: count for key, count in self._requests_by_method_and_path().items()
             },
-            "errors": dict(self.error_counts),
+            "errors": {str(status): count for status, count in self._errors_by_status().items()},
             "generation": self.generation,
             "batcher_depth": self.batcher.depth,
             "batcher_max_wait_us": self.batcher.max_wait_us,
@@ -619,22 +591,24 @@ class PredictServer:
     async def _handle_tail_trace(self, request: HTTPRequest, trace: RequestTrace):
         return self.telemetry.tail_trace(), 200
 
+    def _requests_by_method_and_path(self) -> Dict[Tuple[str, str], int]:
+        return self.telemetry.count(
+            lambda method, route, status: (method, ROUTE_PATHS.get(route, route))
+        )
+
+    def _errors_by_status(self) -> Dict[int, int]:
+        return self.telemetry.count(lambda method, route, status: status, failed=True)
+
     def render_prometheus(self) -> str:
         """The whole server state as Prometheus text exposition."""
         writer = PromWriter()
         write_telemetry(writer, self.telemetry)
-        writer.family(
-            "repro_http_requests_total", "counter", "Requests by method and path."
-        )
-        for (method, path), count in sorted(self.request_counts.items()):
-            writer.sample(
-                "repro_http_requests_total", {"method": method, "path": path}, count
-            )
-        writer.family(
-            "repro_http_errors_total", "counter", "Error responses by status code."
-        )
-        for status_code, count in sorted(self.error_counts.items()):
-            writer.sample("repro_http_errors_total", {"status": status_code}, count)
+        writer.family("repro_http_requests_total", "counter", "Requests by method and path.")
+        for (method, path), count in sorted(self._requests_by_method_and_path().items()):
+            writer.sample("repro_http_requests_total", {"method": method, "path": path}, count)
+        writer.family("repro_http_errors_total", "counter", "Error responses by status code.")
+        for status, count in sorted(self._errors_by_status().items()):
+            writer.sample("repro_http_errors_total", {"status": str(status)}, count)
         stats = self.batcher.stats
         writer.family(
             "repro_batcher_flush_total", "counter", "Micro-batch flushes by reason."
@@ -650,7 +624,7 @@ class PredictServer:
             "counter",
             "Single-point submissions that entered the micro-batcher.",
         )
-        writer.sample("repro_batcher_submitted_total", None, stats.n_submitted)
+        writer.sample("repro_batcher_submitted_total", None, self.batcher.n_submitted)
         writer.family("repro_batch_size", "histogram", "Rows per micro-batch flush.")
         write_histogram(writer, "repro_batch_size", {}, stats.batch_size)
         writer.family(

@@ -44,10 +44,17 @@ flushed as one **chained** batch.  Batch size therefore self-adapts to
 behaviour every production batcher converges on.  Only **full**
 (bounds batch size) and **drain** (shutdown) bypass the gate.
 
-Instrumented with :mod:`repro.obs` (``server.batch_size`` /
-``server.queue_wait_us`` histograms, ``server.flush.<reason>``
-counters) and mirrored into a local :class:`BatcherStats` so
-``/metrics`` works without a recorder installed.
+One record per flush
+--------------------
+The batcher calls the backend's ``predict`` itself and is the only
+place a flush is recorded: each flush builds one :class:`Flush` of
+scalars (id, reason, rows, start, duration, the kernel's own seconds and
+the worker's pid), which feeds the always-on :class:`BatcherStats`
+behind ``/metrics``.  A submission that carries a request trace gets a
+reference to that record and its own queue wait before it resolves,
+whether the flush succeeds or fails; the tail trace builds the flush's
+spans from the record only when it renders the request.  Under an
+``obs`` recorder each flush is also a ``server.flush`` span.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import numpy as np
 from repro import obs
 from repro.obs.histogram import LogHistogram, log_bounds
 
-__all__ = ["BatcherStats", "MicroBatcher"]
+__all__ = ["BatcherStats", "Flush", "MicroBatcher"]
 
 #: Flush reasons, in the order they are reported.
 FLUSH_REASONS = ("full", "quiesce", "timeout", "chained", "drain")
@@ -72,34 +79,53 @@ BATCH_SIZE_BOUNDS = log_bounds(1.0, 4096.0, per_decade=10)
 QUEUE_WAIT_BOUNDS_US = log_bounds(1.0, 6e7, per_decade=5)
 
 
+class Flush:
+    """One micro-batch flush, recorded once, holding scalars only.
+
+    ``start`` is the absolute ``obs.monotonic()`` reading at which the
+    batch left the queue and ``duration_s`` the time from there until the
+    backend answered or failed.  ``kernel_s`` is the kernel's own
+    duration as the backend timed it and ``pid`` the worker process that
+    ran it (``None``: this process); both stay ``None`` when the flush
+    failed.
+    """
+
+    __slots__ = ("batch_id", "reason", "size", "start", "duration_s", "kernel_s", "pid")
+
+    def __init__(self, batch_id: int, reason: str, size: int, start: float) -> None:
+        self.batch_id = batch_id
+        self.reason = reason
+        self.size = size
+        self.start = start
+        self.duration_s = 0.0
+        self.kernel_s: Optional[float] = None
+        self.pid: Optional[int] = None
+
+
 class BatcherStats:
     """Running counters the ``/metrics`` endpoint reports.
 
     Batch sizes and queue waits aggregate into fixed-boundary
     :class:`~repro.obs.histogram.LogHistogram` s — O(#buckets) memory
-    under unbounded traffic (the previous implementation kept raw
-    sample rings and re-sorted them per snapshot).  ``snapshot()`` keys
-    are unchanged; counts/means/maxima stay exact, percentiles become
-    bucket-interpolated estimates.
+    under unbounded traffic.  Counts, means and maxima are exact;
+    percentiles are bucket-interpolated estimates.
     """
 
     def __init__(self) -> None:
-        self.n_submitted = 0
         self.n_flushes = 0
         self.flush_reasons: Dict[str, int] = {reason: 0 for reason in FLUSH_REASONS}
         self.batch_size = LogHistogram(BATCH_SIZE_BOUNDS)
         self.queue_wait_us = LogHistogram(QUEUE_WAIT_BOUNDS_US)
 
-    def record_flush(self, reason: str, size: int, waits_us: Sequence[float]) -> None:
+    def record_flush(self, flush: Flush, waits_us: Sequence[float]) -> None:
         self.n_flushes += 1
-        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-        self.batch_size.observe(float(size))
+        self.flush_reasons[flush.reason] = self.flush_reasons.get(flush.reason, 0) + 1
+        self.batch_size.observe(float(flush.size))
         for wait in waits_us:
-            self.queue_wait_us.observe(float(wait))
+            self.queue_wait_us.observe(wait)
 
     def snapshot(self) -> Dict[str, object]:
         summary: Dict[str, object] = {
-            "n_submitted": self.n_submitted,
             "n_flushes": self.n_flushes,
             "flush_reasons": dict(self.flush_reasons),
         }
@@ -120,13 +146,13 @@ class MicroBatcher:
     Parameters
     ----------
     flush_fn:
-        ``async (points: (n, d) ndarray, meta: dict) -> sequence of n
-        results``.  Called once per flush; result ``i`` resolves
-        submission ``i``.  ``meta`` carries ``batch_id``, ``reason`` and
-        ``size`` — the serving telemetry uses it to link flushes back to
-        the requests that rode them.  Multiple flushes may be in flight
-        at once (the worker pool provides the parallelism); ordering
-        *within* a flush is preserved, which is all bit-identity needs.
+        ``async (points: (n, d) ndarray) -> (n results, kernel seconds,
+        pid or None)`` — the backend's ``predict``.  Called once per
+        flush; result ``i`` resolves submission ``i``, and the kernel's
+        seconds and pid go into the flush's :class:`Flush` record.
+        Multiple flushes may be in flight at once (the worker pool
+        provides the parallelism); ordering *within* a flush is
+        preserved, which is all bit-identity needs.
     max_batch:
         Flush immediately at this many pending requests.
     max_wait_us:
@@ -144,7 +170,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        flush_fn: Callable[[np.ndarray, Dict[str, object]], Awaitable[Sequence[object]]],
+        flush_fn: Callable[[np.ndarray], Awaitable[Tuple[Sequence[object], float, Optional[int]]]],
         *,
         max_batch: int = 64,
         max_wait_us: float = 2000.0,
@@ -159,9 +185,7 @@ class MicroBatcher:
         self.max_concurrency = 1
         self.stats = BatcherStats()
         self._batch_ids = itertools.count(1)
-        self._pending: List[
-            Tuple[np.ndarray, "asyncio.Future", float, Optional[Dict[str, object]]]
-        ] = []
+        self._pending: List[Tuple[np.ndarray, "asyncio.Future", float, object]] = []
         self._flush_tasks: set = set()  # strong refs; asyncio keeps only weak ones
         self._timer: Optional[asyncio.TimerHandle] = None
         self._inflight = 0
@@ -178,23 +202,29 @@ class MicroBatcher:
         """Currently pending (not yet flushed) submissions."""
         return len(self._pending)
 
-    async def submit(
-        self, point: np.ndarray, ticket: Optional[Dict[str, object]] = None
-    ) -> object:
+    @property
+    def n_submitted(self) -> int:
+        """Submissions so far: each was flushed or is still pending."""
+        return int(self.stats.batch_size.sum) + len(self._pending)
+
+    def snapshot(self) -> Dict[str, object]:
+        """:meth:`BatcherStats.snapshot` plus :attr:`n_submitted`."""
+        return {"n_submitted": self.n_submitted, **self.stats.snapshot()}
+
+    async def submit(self, point: np.ndarray, trace: object = None) -> object:
         """Enqueue one point; resolves with its row of the flushed result.
 
-        If ``ticket`` (a mutable dict) is given, the flush that serves
-        this submission writes its attribution into it before the
-        result resolves: ``batch_id``, ``batch_size``, ``flush_reason``,
-        ``queue_wait_us``, ``kernel_s`` and ``flush_start_s`` (absolute
-        ``obs.monotonic`` coordinates).
+        If ``trace`` (a :class:`~repro.obs.telemetry.RequestTrace`) is
+        given, the flush that serves this submission sets its ``flush``
+        to the flush's :class:`Flush` record and its ``queue_wait_us`` to
+        this submission's wait when the batch leaves the queue, before
+        the result (or the flush's error) resolves.
         """
         if self._closed:
             raise RuntimeError("batcher is closed")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._pending.append((point, future, obs.monotonic(), ticket))
-        self.stats.n_submitted += 1
+        self._pending.append((point, future, obs.monotonic(), trace))
         if len(self._pending) >= self.max_batch:
             self._launch_flush("full")
         elif len(self._pending) == 1:
@@ -271,52 +301,32 @@ class MicroBatcher:
             )
             loop.call_soon(self._quiesce_check, self._epoch, len(self._pending))
         now = obs.monotonic()
+        flush = Flush(next(self._batch_ids), reason, len(batch), now)
         waits_us = [(now - enqueued) * 1e6 for _, _, enqueued, _ in batch]
-        size = len(batch)
-        batch_id = next(self._batch_ids)
-        self.stats.record_flush(reason, size, waits_us)
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.observe("server.batch_size", float(size))
-            for wait in waits_us:
-                recorder.observe("server.queue_wait_us", wait)
-            recorder.incr("server.flush.%s" % reason)
-
-        def _fill_tickets(kernel_s: float) -> None:
-            for (_, _, _, ticket), wait in zip(batch, waits_us):
-                if ticket is not None:
-                    ticket.update(
-                        batch_id=batch_id,
-                        batch_size=size,
-                        flush_reason=reason,
-                        queue_wait_us=wait,
-                        kernel_s=kernel_s,
-                        flush_start_s=now,
-                    )
-
+        self.stats.record_flush(flush, waits_us)
+        for (_, _, _, trace), wait in zip(batch, waits_us):
+            if trace is not None:
+                trace.flush = flush
+                trace.queue_wait_us = wait
         try:
             try:
                 with obs.span("server.flush", category="server") as flush_span:
                     points = np.stack([point for point, _, _, _ in batch])
-                    results = await self.flush_fn(
-                        points, {"batch_id": batch_id, "reason": reason, "size": size}
+                    results, flush.kernel_s, flush.pid = await self.flush_fn(points)
+                    flush_span.set(rows=flush.size, reason=reason, batch_id=flush.batch_id)
+                if len(results) != flush.size:
+                    raise RuntimeError(
+                        "flush_fn returned %d results for %d submissions"
+                        % (len(results), flush.size)
                     )
-                    flush_span.set(rows=size, reason=reason, batch_id=batch_id)
             except Exception as exc:  # propagate to every waiter
-                _fill_tickets(obs.monotonic() - now)
                 for _, future, _, _ in batch:
                     if not future.done():
                         future.set_exception(exc)
                 return
-            _fill_tickets(obs.monotonic() - now)
-            if len(results) != size:
-                error = RuntimeError(
-                    "flush_fn returned %d results for %d submissions" % (len(results), size)
-                )
-                for _, future, _, _ in batch:
-                    if not future.done():
-                        future.set_exception(error)
-                return
+            finally:
+                # Waiters resume on a later loop pass, with the record complete.
+                flush.duration_s = obs.monotonic() - now
             for (_, future, _, _), result in zip(batch, results):
                 if not future.done():
                     future.set_result(result)

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.slo import SLOConfig, SLOTracker, burn_rate
+from repro.obs.slo import (
+    FAST_BURN_THRESHOLD,
+    MIN_WINDOW_REQUESTS,
+    SLOConfig,
+    SLOTracker,
+    burn_rate,
+)
 
 
 class FakeClock:
@@ -83,7 +89,8 @@ class TestSLOTracker:
         assert window["latency_burn"] > 14.4
 
     def test_fast_burn_requires_min_requests(self):
-        tracker, _ = make_tracker(min_window_requests=10)
+        tracker, _ = make_tracker()
+        assert MIN_WINDOW_REQUESTS == 10
         for _ in range(5):
             tracker.record(ok=False, latency_s=0.01)
         assert not tracker.fast_burn(), "5 requests must not page anyone"
@@ -117,6 +124,7 @@ class TestSLOTracker:
         tracker.record(ok=True, latency_s=0.01)
         report = tracker.report()
         assert set(report) == {"objectives", "windows", "fast_burn", "status"}
+        assert report["objectives"]["fast_burn_threshold"] == FAST_BURN_THRESHOLD == 14.4
         assert set(report["windows"]) == {"1m", "5m", "1h"}
         for window in report["windows"].values():
             assert set(window) >= {

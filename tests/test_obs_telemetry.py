@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs.prom import (
@@ -15,16 +18,33 @@ from repro.obs.prom import (
     write_telemetry,
 )
 from repro.obs.histogram import LogHistogram, log_bounds
+from repro.obs import telemetry as telemetry_module
 from repro.obs.slo import SLOConfig
-from repro.obs.telemetry import RequestTrace, Telemetry, status_class
+from repro.obs.telemetry import (
+    TAIL_ERRORS,
+    TAIL_SLOW,
+    RequestTrace,
+    Telemetry,
+    status_class,
+)
+from repro.server.batcher import Flush, MicroBatcher
 
 
-def make_telemetry(**kwargs):
-    """A telemetry on a counter clock: every now() is 0.1ms later."""
+def make_telemetry(step_s=1e-4):
+    """A telemetry on a counter clock: every now() is ``step_s`` later."""
     ticks = itertools.count()
-    kwargs.setdefault("clock", lambda: next(ticks) * 1e-4)
-    kwargs.setdefault("trace_prefix", "test")
-    return Telemetry(SLOConfig(), **kwargs)
+    return Telemetry(SLOConfig(), clock=lambda: next(ticks) * step_s, trace_prefix="test")
+
+
+def make_flush(batch_id, size, start, duration_s, kernel_s=None, pid=None):
+    """A flush record as the micro-batcher leaves it once the backend answered."""
+    flush = Flush(batch_id, "quiesce", size, start)
+    flush.duration_s, flush.kernel_s, flush.pid = duration_s, kernel_s, pid
+    return flush
+
+
+def spans_by_name(chrome):
+    return {event["name"]: event for event in chrome["traceEvents"] if event.get("ph") == "X"}
 
 
 class TestStatusClass:
@@ -37,32 +57,29 @@ class TestStatusClass:
 
 
 class TestRequestTrace:
-    def test_link_batch_adopts_ticket_and_phases(self):
-        trace = RequestTrace("req-1", "POST", "predict", 1.0)
-        trace.link_batch(
-            {
-                "batch_id": 7,
-                "batch_size": 4,
-                "flush_reason": "full",
-                "queue_wait_us": 500.0,
-                "kernel_s": 0.002,
-            },
-            submitted_at=1.001,
-        )
-        assert trace.batch_id == 7
-        assert trace.flush_reason == "full"
-        names = [name for name, *_ in trace.phases]
-        assert names == ["server.queue_wait", "server.kernel"]
-        # kernel starts where the queue wait ends
-        _, wait_start, wait_duration, _ = trace.phases[0]
-        _, kernel_start, _, _ = trace.phases[1]
-        assert kernel_start == pytest.approx(wait_start + wait_duration)
+    def test_flush_link_renders_queue_wait_and_kernel_phases(self):
+        telemetry = make_telemetry()
+        trace = telemetry.begin_request("POST", "predict", "req-1")
+        trace.flush, trace.queue_wait_us = make_flush(7, 4, 0.0005, 0.002), 500.0
+        assert trace.phases == [], "phases are built when the tail renders, not per request"
+        telemetry.finish_request(trace, 500, error="boom")
+        spans = spans_by_name(telemetry.tail_trace())
+        wait, kernel = spans["server.queue_wait"], spans["server.kernel"]
+        assert wait["dur"] == pytest.approx(500.0)
+        # kernel starts where the queue wait ends, and spans the flush
+        assert kernel["ts"] == pytest.approx(wait["ts"] + wait["dur"])
+        assert kernel["dur"] == pytest.approx(2000.0)
+        assert kernel["args"]["batch_id"] == 7 and kernel["args"]["batch_size"] == 4
+        args = spans["server.request"]["args"]
+        assert (args["batch_id"], args["batch_size"], args["queue_wait_us"]) == (7, 4, 500.0)
 
-    def test_link_batch_ignores_unfilled_ticket(self):
-        trace = RequestTrace("req-1", "POST", "predict", 1.0)
-        trace.link_batch({}, submitted_at=1.0)
-        assert trace.batch_id is None
-        assert trace.phases == []
+    def test_an_unlinked_request_has_no_batch_phases(self):
+        telemetry = make_telemetry()
+        trace = telemetry.begin_request("POST", "predict", "req-1")
+        telemetry.finish_request(trace, 500, error="boom")
+        spans = spans_by_name(telemetry.tail_trace())
+        assert set(spans) == {"server.request"}
+        assert "batch_id" not in spans["server.request"]["args"]
 
     def test_span_args_carry_identity_and_batch(self):
         trace = RequestTrace("req-9", "GET", "healthz", 0.0)
@@ -84,7 +101,12 @@ class TestTelemetryAggregation:
         telemetry = make_telemetry()
         for status in (200, 200, 404, 500):
             trace = telemetry.begin_request("POST", "predict", "r")
-            telemetry.finish_request(trace, status)
+            telemetry.finish_request(trace, status, error="bad" if status >= 400 else None)
+        assert telemetry.tally == {
+            ("POST", "predict", 200, False): 2,
+            ("POST", "predict", 404, True): 1,
+            ("POST", "predict", 500, True): 1,
+        }
         snapshot = telemetry.snapshot()
         assert snapshot["requests_total"]["predict"] == {"2xx": 2, "4xx": 1, "5xx": 1}
         latency = snapshot["latency_seconds"]["predict"]["2xx"]
@@ -118,37 +140,83 @@ class TestTelemetryAggregation:
         counts = telemetry.snapshot()["tail"]
         assert counts["captured_errors"] == 1
 
-    def test_slow_capture_is_bounded(self):
-        telemetry = make_telemetry(tail_slow=4)
+    def test_failed_counts_only_requests_that_finished_with_an_error(self):
+        telemetry = make_telemetry()
+        for status, error in ((200, None), (404, "no route"), (503, None), (503, "worker died")):
+            trace = telemetry.begin_request("GET", "healthz", "r")
+            telemetry.finish_request(trace, status, error=error)
+        by_status = telemetry.count(lambda method, route, status: status)
+        assert by_status == {200: 1, 404: 1, 503: 2}
+        # a degraded /healthz 503 is an answer, not an error
+        assert telemetry.count(lambda method, route, status: status, failed=True) == {
+            404: 1,
+            503: 1,
+        }
+
+    def test_slow_capture_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "TAIL_SLOW", 4)
+        telemetry = make_telemetry()
         for i in range(100):
             trace = telemetry.begin_request("POST", "predict", "req-%d" % i)
             telemetry.finish_request(trace, 200)
         counts = telemetry.snapshot()["tail"]
         assert counts["captured_slow"] <= 2 * 4  # current + previous window
 
-    def test_flush_retention_is_bounded(self):
-        telemetry = make_telemetry(flush_capacity=8)
-        for i in range(50):
-            telemetry.observe_flush(i, "full", 4, i * 1e-4, 1e-3)
-        assert telemetry.snapshot()["tail"]["flushes_retained"] == 8
+    def test_capture_references_a_bounded_number_of_flush_records(self):
+        """Traces keep their flush records, so the capture bounds them.
+
+        600 single-point requests through a real batcher, over three
+        60 s tail windows, every seventh one failing: the captured
+        traces point at no more than ``2 * TAIL_SLOW + TAIL_ERRORS``
+        flush records, and nothing they reach holds a points array.
+        """
+        telemetry = make_telemetry(step_s=0.05)
+
+        async def predict(points):
+            return np.zeros(len(points), dtype=int), 1e-4, None
+
+        async def drive():
+            batcher = MicroBatcher(predict, max_batch=64, max_wait_us=2000.0)
+            for i in range(600):
+                trace = telemetry.begin_request("POST", "predict", "req-%d" % i)
+                await batcher.submit(np.full(8, float(i)), trace)
+                telemetry.finish_request(trace, 500 if i % 7 == 0 else 200)
+
+        asyncio.run(drive())
+        captured = telemetry._tail.entries()
+        flushes = {id(trace.flush): trace.flush for trace in captured}
+        assert len(captured) > TAIL_ERRORS and None not in flushes.values()
+        assert len(flushes) <= 2 * TAIL_SLOW + TAIL_ERRORS
+        assert not [trace for trace in captured if _reaches_an_array(trace)]
+        for flush in flushes.values():
+            assert all(
+                value is None or type(value) in (int, float, str)
+                for value in (getattr(flush, name) for name in Flush.__slots__)
+            )
+
+
+def _reaches_an_array(root):
+    """True if an ndarray hangs off ``root`` through traces, flushes or containers."""
+    stack, seen = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            return True
+        if isinstance(obj, (RequestTrace, Flush, list, tuple, dict)):
+            stack.extend(gc.get_referents(obj))
+    return False
 
 
 class TestTailTrace:
     def test_links_request_flush_and_worker_spans(self):
         telemetry = make_telemetry()
         trace = telemetry.begin_request("POST", "predict", "req-linked")
-        trace.link_batch(
-            {
-                "batch_id": 3,
-                "batch_size": 2,
-                "flush_reason": "quiesce",
-                "queue_wait_us": 100.0,
-                "kernel_s": 0.001,
-            },
-            submitted_at=trace.start,
-        )
         # The backend timed a 0.4ms kernel in worker process 999.
-        telemetry.observe_flush(3, "quiesce", 2, 0.0, 0.001, kernel_s=0.0004, pid=999)
+        trace.flush = make_flush(3, 2, 0.0, 0.001, kernel_s=0.0004, pid=999)
+        trace.queue_wait_us = 100.0
         telemetry.finish_request(trace, 500, error="boom")  # errored => captured
 
         chrome = telemetry.tail_trace()
@@ -176,17 +244,8 @@ class TestTailTrace:
     def test_a_flush_without_kernel_timing_has_no_kernel_span(self):
         telemetry = make_telemetry()
         trace = telemetry.begin_request("POST", "predict", "req-untimed")
-        trace.link_batch(
-            {
-                "batch_id": 4,
-                "batch_size": 1,
-                "flush_reason": "quiesce",
-                "queue_wait_us": 10.0,
-                "kernel_s": 0.001,
-            },
-            submitted_at=trace.start,
-        )
-        telemetry.observe_flush(4, "quiesce", 1, 0.0, 0.001)
+        # a flush whose backend call failed: no kernel seconds came back
+        trace.flush, trace.queue_wait_us = make_flush(4, 1, 0.0, 0.001), 10.0
         telemetry.finish_request(trace, 500, error="boom")
         names = {
             event["name"] for event in telemetry.tail_trace()["traceEvents"] if event.get("ph") == "X"

@@ -3,8 +3,9 @@
 Pins the parameter names, config fields and command-line flags of
 ``SSPC``, ``assign_objects``, ``ProjectedClusterIndex``,
 ``StreamingSSPC`` / ``StreamConfig``, the daemon (``ServerConfig``,
-``MicroBatcher`` and the backends), ``run_best_of`` and the
-``repro-server`` / ``repro-serve`` / ``repro-stream`` parsers.
+``MicroBatcher``, the backends, ``Telemetry`` and ``SLOConfig``),
+``run_best_of`` and the ``repro-server`` / ``repro-serve`` /
+``repro-stream`` parsers.
 
 Each independently settable name doubles the configurations that tests
 and benchmarks must cover, so the list only grows by the Options rule:
@@ -16,7 +17,8 @@ rather than pin it.  A change that adds or removes a name updates
 
 Config objects mirror their command lines: a config field exists only
 if its command line can set it.  Every ``ServerConfig`` field is the
-``repro-server`` flag of the same name, and every ``StreamConfig``
+``repro-server`` flag of the same name, every ``SLOConfig`` field is the
+``repro-server --slo-*`` flag of its name, and every ``StreamConfig``
 field is set by a ``repro-stream run`` flag; a value no command line
 sets is a module constant instead.
 """
@@ -30,8 +32,10 @@ import inspect
 from repro.core.assignment import assign_objects
 from repro.core.sspc import SSPC
 from repro.experiments.harness import run_best_of
+from repro.obs.slo import SLOConfig
+from repro.obs.telemetry import Telemetry
 from repro.server import cli as server_cli
-from repro.server.app import ServerConfig
+from repro.server.app import PredictServer, ServerConfig
 from repro.server.batcher import MicroBatcher
 from repro.server.pool import (
     InProcessBackend,
@@ -65,6 +69,8 @@ EXPECTED = {
         "slo_availability_target", "slo_latency_budget_ms", "slo_latency_target",
     ),
     "MicroBatcher.__init__": ("flush_fn", "max_batch", "max_wait_us"),
+    "Telemetry.__init__": ("slo", "clock", "trace_prefix"),
+    "SLOConfig": ("availability_target", "latency_budget_ms", "latency_target"),
     "build_serving_index": ("artifact_path",),
     "InProcessBackend.__init__": ("artifact_path",),
     "WorkerPoolBackend.__init__": ("artifact_path", "n_workers"),
@@ -138,6 +144,8 @@ def _inventory():
         "StreamConfig": _fields(StreamConfig),
         "ServerConfig": _fields(ServerConfig),
         "MicroBatcher.__init__": _parameters(MicroBatcher.__init__),
+        "Telemetry.__init__": _parameters(Telemetry.__init__),
+        "SLOConfig": _fields(SLOConfig),
         "build_serving_index": _parameters(build_serving_index),
         "InProcessBackend.__init__": _parameters(InProcessBackend.__init__),
         "WorkerPoolBackend.__init__": _parameters(WorkerPoolBackend.__init__),
@@ -153,7 +161,7 @@ def _inventory():
 def test_option_inventory_is_pinned():
     inventory = _inventory()
     assert inventory == EXPECTED
-    assert sum(len(names) for names in inventory.values()) == 121
+    assert sum(len(names) for names in inventory.values()) == 127
 
 
 def _moved_argv(parser, flags):
@@ -189,6 +197,32 @@ def test_server_config_is_the_repro_server_command_line(monkeypatch):
     monkeypatch.setattr(server_cli, "_run", run)
     assert server_cli.main(["model"] + argv) == 0
     assert dataclasses.asdict(configs[0]) == values
+
+
+def test_slo_config_is_the_repro_server_slo_command_line(monkeypatch):
+    """Every ``SLOConfig`` field is the ``--slo-*`` flag of its name, and the flag sets it."""
+    slo_flags = [flag for flag in EXPECTED["repro-server"] if flag.startswith("--slo-")]
+    assert sorted(slo_flags) == sorted(
+        "--slo-" + name.replace("_", "-") for name in _fields(SLOConfig)
+    )
+    parser = server_cli.build_parser()
+    argv, values = [], {}
+    for action in parser._actions:
+        if set(action.option_strings) & set(slo_flags):
+            # half the default: a valid target or budget, and a moved one
+            values[action.dest[len("slo_") :]] = action.default / 2
+            argv += [action.option_strings[-1], repr(action.default / 2)]
+    configs = []
+
+    async def run(config, artifact):
+        configs.append(config)
+        return 0
+
+    monkeypatch.setattr(server_cli, "_run", run)
+    assert server_cli.main(["model"] + argv) == 0
+    server = PredictServer("model", configs[0])
+    assert dataclasses.asdict(server.telemetry.slo.config) == values
+    assert values != dataclasses.asdict(SLOConfig())
 
 
 def test_stream_config_is_set_by_repro_stream_run():

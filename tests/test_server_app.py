@@ -818,6 +818,16 @@ def test_reads_wait_for_the_write_in_flight(
         async with running_server(
             artifact_on_disk, state_dir=str(tmp_path / "state")
         ) as (server, host, port):
+            # Count the reads that reach their handler.
+            reached = {}
+            for route in (("POST", "/predict"), ("POST", "/predict_soft")):
+                handler = server._routes[route]
+
+                async def counted(request, trace, handler=handler, route=route):
+                    reached[route] = reached.get(route, 0) + 1
+                    return await handler(request, trace)
+
+                server._routes[route] = counted
             update = asyncio.ensure_future(
                 request(host, port, "POST", "/partial_update", {"points": fold.tolist()})
             )
@@ -843,12 +853,12 @@ def test_reads_wait_for_the_write_in_flight(
                 # Every read reaches its handler while the commit is held...
                 arrived = {("POST", "/predict"): 4, ("POST", "/predict_soft"): 1}
                 for _ in range(2000):
-                    if all(server.request_counts.get(route) == n for route, n in arrived.items()):
+                    if reached == arrived:
                         break
                     await asyncio.sleep(0.005)
                 await asyncio.sleep(0.2)
                 # ...and none answers before it lands.
-                assert all(server.request_counts.get(route) == n for route, n in arrived.items())
+                assert reached == arrived
                 assert not update.done() and not any(read.done() for read in reads)
                 # The loop itself is free: health answers while the write is held.
                 status, health = await request(host, port, "GET", "/healthz")

@@ -40,37 +40,75 @@ async def running_server(artifact_path, **config_kwargs):
         await server.stop()
 
 
+async def read_response(reader, decode=json.loads):
+    """Read one full response: ``(status, headers, decoded body or None)``."""
+    status_line = await reader.readline()
+    status = int(status_line.split()[1])
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"", b"\n"):
+            break
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers.get("content-length", 0)))
+    return status, headers, decode(body) if body else None
+
+
 async def raw_exchange(host, port, raw: bytes):
     """Send pre-built bytes, read one full response off the socket."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
         writer.write(raw)
         await writer.drain()
-        status_line = await reader.readline()
-        status = int(status_line.split()[1])
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"", b"\n"):
-                break
-            name, _, value = line.decode().partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = await reader.readexactly(int(headers.get("content-length", 0)))
-        return status, headers, json.loads(body) if body else None
+        return await read_response(reader)
     finally:
         writer.close()
         with contextlib.suppress(ConnectionError):
             await writer.wait_closed()
 
 
-async def request(host, port, method, path, payload=None, extra_headers=()):
+def render_request(method, path, payload=None, extra_headers=()):
     body = b"" if payload is None else json.dumps(payload).encode()
     head = "%s %s HTTP/1.1\r\nHost: test\r\n" % (method, path)
     for name, value in extra_headers:
         head += "%s: %s\r\n" % (name, value)
     if body:
         head += "Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body)
-    return await raw_exchange(host, port, head.encode() + b"\r\n" + body)
+    return head.encode() + b"\r\n" + body
+
+
+async def request(host, port, method, path, payload=None, extra_headers=()):
+    return await raw_exchange(host, port, render_request(method, path, payload, extra_headers))
+
+
+class KeepAlive:
+    """One keep-alive connection, one request at a time."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+
+    async def send(self, method, path, payload=None, decode=json.loads):
+        self.writer.write(render_request(method, path, payload))
+        await self.writer.drain()
+        return await read_response(self.reader, decode)
+
+    async def metrics(self):
+        """``(/metrics JSON, Prometheus text)``, one scrape after the other."""
+        _, _, body = await self.send("GET", "/metrics")
+        _, _, text = await self.send("GET", "/metrics?format=prometheus", decode=bytes.decode)
+        return body, text
+
+
+@contextlib.asynccontextmanager
+async def keep_alive(host, port):
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        yield KeepAlive(reader, writer)
+    finally:
+        writer.close()
+        with contextlib.suppress(ConnectionError):
+            await writer.wait_closed()
 
 
 class TestRequestIds:
@@ -121,6 +159,12 @@ class TestRequestIds:
         assert headers["x-request-id"] == "x" * 128
 
 
+async def counts(host, port):
+    """``(requests, errors, telemetry)`` as ``/metrics`` reports them."""
+    _, _, metrics = await request(host, port, "GET", "/metrics")
+    return metrics["requests"], metrics["errors"], metrics["telemetry"]
+
+
 class TestErrorPathAccounting:
     """404 / 400 / 413 must count, echo an id, and feed telemetry."""
 
@@ -134,28 +178,28 @@ class TestErrorPathAccounting:
                     "/no/such/route",
                     extra_headers=[("X-Request-Id", "lost-1")],
                 )
-                return result, dict(server.request_counts), dict(server.error_counts), (
-                    server.telemetry.snapshot()
-                )
+                return result, await counts(host, port)
 
-        (status, headers, body), requests, errors, telemetry = asyncio.run(drive())
+        (status, headers, body), (requests, errors, telemetry) = asyncio.run(drive())
         assert status == 404
         assert headers["x-request-id"] == "lost-1"
         assert "error" in body
-        assert requests[("GET", "/no/such/route")] == 1
-        assert errors["404"] == 1
+        # an unknown path is counted, as "other", never by its raw text
+        assert requests == {"GET other": 1}
+        assert errors == {"404": 1}
         assert telemetry["requests_total"]["other"]["4xx"] == 1
 
     def test_wrong_method_405(self, artifact_on_disk):
         async def drive():
             async with running_server(artifact_on_disk) as (server, host, port):
                 result = await request(host, port, "GET", "/predict")
-                return result, dict(server.error_counts)
+                return result, await counts(host, port)
 
-        (status, headers, _), errors = asyncio.run(drive())
+        (status, headers, _), (requests, errors, _) = asyncio.run(drive())
         assert status == 405
         assert headers["x-request-id"]
-        assert errors["405"] == 1
+        assert requests == {"GET /predict": 1}
+        assert errors == {"405": 1}
 
     def test_json_parse_error_400(self, artifact_on_disk):
         async def drive():
@@ -167,27 +211,26 @@ class TestErrorPathAccounting:
                     b"not json!"
                 )
                 result = await raw_exchange(host, port, raw)
-                return result, dict(server.request_counts), dict(server.error_counts)
+                return result, await counts(host, port)
 
-        (status, headers, body), requests, errors = asyncio.run(drive())
+        (status, headers, body), (requests, errors, _) = asyncio.run(drive())
         assert status == 400
         assert headers["x-request-id"] == "broken-7"
-        assert requests[("POST", "/predict")] == 1
-        assert errors["400"] == 1
+        assert requests == {"POST /predict": 1}
+        assert errors == {"400": 1}
 
     def test_malformed_header_is_counted_as_bad_request(self, artifact_on_disk):
         async def drive():
             async with running_server(artifact_on_disk) as (server, host, port):
                 raw = b"POST /predict HTTP/1.1\r\nthis-is-not-a-header\r\n\r\n"
                 result = await raw_exchange(host, port, raw)
-                return result, dict(server.request_counts), (
-                    server.telemetry.snapshot()
-                )
+                return result, await counts(host, port)
 
-        (status, headers, _), requests, telemetry = asyncio.run(drive())
+        (status, headers, _), (requests, errors, telemetry) = asyncio.run(drive())
         assert status == 400
         assert headers["x-request-id"], "even a malformed request gets an id"
-        assert requests[("*", "bad_request")] == 1
+        assert requests == {"* bad_request": 1}
+        assert errors == {"400": 1}
         assert telemetry["requests_total"]["bad_request"]["4xx"] == 1
 
     def test_oversized_body_413(self, artifact_on_disk, monkeypatch):
@@ -204,13 +247,43 @@ class TestErrorPathAccounting:
                     payload,
                     extra_headers=[("X-Request-Id", "big-1")],
                 )
-                return result, dict(server.request_counts), dict(server.error_counts)
+                return result, await counts(host, port)
 
-        (status, headers, _), requests, errors = asyncio.run(drive())
+        (status, headers, _), (requests, errors, _) = asyncio.run(drive())
         assert status == 413
         assert headers["x-request-id"] == "big-1"
-        assert requests[("*", "bad_request")] == 1
-        assert errors["413"] == 1
+        assert requests == {"* bad_request": 1}
+        assert errors == {"413": 1}
+
+    def test_scanning_clients_cannot_grow_the_counters(self, artifact_on_disk):
+        """2,000 distinct unknown paths under 50 distinct methods.
+
+        Every request is counted, as ``other``: the ``/metrics`` request
+        and error keys and the ``repro_http_requests_total`` label sets
+        after the scan are those after its first request.
+        """
+
+        def label_sets(metrics, text):
+            samples = parse_prometheus(text)
+            http = {labels for name, labels in samples if name == "repro_http_requests_total"}
+            return set(metrics["requests"]), set(metrics["errors"]), http
+
+        async def drive():
+            async with running_server(artifact_on_disk) as (server, host, port):
+                async with keep_alive(host, port) as connection:
+                    for i in range(2000):
+                        status, _, _ = await connection.send("M%02d" % (i % 50), "/scan/%d" % i)
+                        assert status == 404
+                        if i == 0:
+                            await connection.metrics()  # so /metrics is counted in both
+                            first = await connection.metrics()
+                    return first, await connection.metrics()
+
+        (first_json, first_text), (last_json, last_text) = asyncio.run(drive())
+        assert label_sets(last_json, last_text) == label_sets(first_json, first_text)
+        assert last_json["requests"]["other other"] == 2000
+        assert last_json["errors"]["404"] == 2000
+        assert len(last_text) - len(first_text) < 200, "the scrape grew with the scan"
 
 
 def parse_prometheus(text: str):
@@ -398,6 +471,71 @@ class TestTailTraceEndToEnd:
     def test_linked_request_flush_worker_spans_in_a_pool(self, artifact_on_disk, query_points):
         self.assert_linked_spans(artifact_on_disk, query_points, workers=2)
 
+    @staticmethod
+    def assert_every_captured_predict_is_linked(artifact, query_points, workers):
+        """3,000 sequential single predicts, one flush each, in one tail window.
+
+        Each captured request points at its own flush record, so every
+        captured ``/predict`` still has its ``server.flush`` and
+        ``worker.predict`` children however many flushes ran since.
+        """
+
+        async def drive():
+            async with running_server(artifact, workers=workers) as (server, host, port):
+                async with keep_alive(host, port) as connection:
+                    for i in range(3000):
+                        row = query_points[i % len(query_points)]
+                        payload = {"point": list(row)}
+                        status, _, _ = await connection.send("POST", "/predict", payload)
+                        assert status == 200
+                    _, _, trace = await connection.send("GET", "/debug/tail_trace")
+                return trace, server.batcher.stats.n_flushes
+
+        trace, n_flushes = asyncio.run(drive())
+        assert n_flushes >= 3000 - 64
+        spans = [event for event in trace["traceEvents"] if event.get("ph") == "X"]
+        by_id = {span["args"]["span_id"]: span for span in spans}
+        children = {}
+        for span in spans:
+            parent = by_id.get(span["args"].get("parent_id"))
+            if parent is not None:
+                children.setdefault(parent["args"]["span_id"], []).append(span)
+        captured = [
+            span
+            for span in spans
+            if span["name"] == "server.request" and span["args"]["route"] == "predict"
+        ]
+        assert len(captured) >= 16, len(captured)
+        unlinked = []
+        for request_span in captured:
+            request_id = request_span["args"]["request_id"]
+            flushes = [
+                span
+                for span in children.get(request_span["args"]["span_id"], [])
+                if span["name"] == "server.flush" and span["args"]["request_id"] == request_id
+            ]
+            kernels = [
+                span
+                for flush in flushes
+                for span in children.get(flush["args"]["span_id"], [])
+                if span["name"] == "worker.predict" and span["args"]["request_id"] == request_id
+            ]
+            if len(flushes) != 1 or len(kernels) != 1:
+                unlinked.append(request_id)
+        assert unlinked == [], "%d of %d captured predicts lost their flush" % (
+            len(unlinked),
+            len(captured),
+        )
+
+    def test_every_captured_predict_keeps_its_flush(self, artifact_on_disk, query_points):
+        self.assert_every_captured_predict_is_linked(artifact_on_disk, query_points, workers=0)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+    def test_every_captured_predict_keeps_its_flush_in_a_pool(
+        self, artifact_on_disk, query_points
+    ):
+        self.assert_every_captured_predict_is_linked(artifact_on_disk, query_points, workers=2)
+
     def test_no_recorder_is_built_per_flush(self, artifact_on_disk, query_points, monkeypatch):
         built = []
         original_init = obs.Recorder.__init__
@@ -439,3 +577,4 @@ class TestHealthzSLO:
         assert body["reason"] == "slo_fast_burn"
         assert headers["x-request-id"]
         assert body["slo"]["fast_burn"] is True
+        assert body["slo"]["objectives"]["fast_burn_threshold"] == 14.4

@@ -16,21 +16,25 @@ End to end over an actual subprocess and actual sockets:
 5. check the request-id contract: an inbound ``X-Request-Id`` is
    echoed back, a request without one gets a generated id, and even a
    404 response carries one;
-6. scrape ``/metrics?format=prometheus`` and validate the exposition:
+6. scan 200 unknown paths under several methods and require that the
+   number of ``repro_http_requests_total`` samples does not grow (each
+   counts as ``other``);
+7. scrape ``/metrics?format=prometheus`` and validate the exposition:
    every line parses, every histogram series has ascending ``le``
    bounds with monotone non-decreasing cumulative counts ending at a
    ``+Inf`` bucket equal to ``_count``, and the predict-route counts
    agree with the JSON ``/metrics`` telemetry snapshot;
-7. fetch ``/debug/tail_trace`` and require at least one captured
-   ``server.request`` span with a ``server.flush`` child that has a
-   ``worker.predict`` child, all three stamped with that request's id;
-   optionally save it (``--tail-trace-out``, the nightly workflow
-   uploads it as an artifact);
-8. on Linux, require that the daemon (an ``m``-scheme artifact, so no
+8. send 600 single predicts, more flushes than the 512 an older daemon
+   kept, then fetch ``/debug/tail_trace`` and require every captured
+   one to have a ``server.flush`` child that has a ``worker.predict``
+   child, all three stamped with that request's id; optionally save it
+   (``--tail-trace-out``, the nightly workflow uploads it as an
+   artifact);
+9. on Linux, require that the daemon (an ``m``-scheme artifact, so no
    chi-square code) maps no file of scipy's package directory;
-9. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
-   timeout;
-10. boot a second daemon on a ``p=0.05`` artifact of the same data,
+10. SIGTERM the daemon and require a clean ``STOPPED`` exit within the
+    timeout;
+11. boot a second daemon on a ``p=0.05`` artifact of the same data,
     with ``--state-dir`` in the work directory: its ``/predict`` labels,
     before and after each of 5 accepted ``/partial_update`` requests (the
     4th and 5th stage in a recycled spare), must be bit-identical to an
@@ -69,6 +73,11 @@ from repro.serving.index import ProjectedClusterIndex  # noqa: E402
 
 BOOT_TIMEOUT_S = 60.0
 STOP_TIMEOUT_S = 30.0
+#: Single predicts sent before the tail trace is fetched: more flushes
+#: than the 512 an older daemon retained for its tail trace.
+TAIL_PREDICTS = 600
+#: Request ids of those predicts; the tail check looks for these.
+TAIL_ID_PREFIX = "smoke-single-"
 
 
 def build_artifact(directory: Path, name: str = "model", **threshold) -> Path:
@@ -165,6 +174,51 @@ def check_request_ids(base: str) -> None:
     print("request ids ok: inbound echoed, generated=%s, 404 tagged" % generated)
 
 
+def http_request_samples(base: str) -> int:
+    """The number of ``repro_http_requests_total`` samples in a scrape."""
+    samples = parse_prometheus(get_text(base + "/metrics?format=prometheus"))
+    return sum(1 for name, _ in samples if name == "repro_http_requests_total")
+
+
+def scan(base: str, number: int) -> None:
+    """Request the unknown path ``/scan/<number>`` under one of four methods."""
+    method = ("GET", "POST", "PROPFIND", "SCAN%d" % number)[number % 4]
+    try:
+        urllib.request.urlopen(
+            urllib.request.Request(base + "/scan/%d" % number, method=method), timeout=15
+        )
+    except urllib.error.HTTPError as error:
+        assert error.code == 404, (method, number, error.code)
+    else:
+        raise AssertionError("unknown path /scan/%d did not 404" % number)
+
+
+def check_bounded_counters(base: str) -> None:
+    """A client scanning paths counts as ``other``: the scrape does not grow."""
+    for number in range(4):
+        scan(base, number)  # each kind of method once
+    before = http_request_samples(base)
+    for number in range(4, 204):
+        scan(base, number)
+    after = http_request_samples(base)
+    assert after == before, "repro_http_requests_total grew from %d to %d samples" % (
+        before,
+        after,
+    )
+    print("bounded counters ok: 200 unknown paths, %d request samples before and after" % after)
+
+
+def send_single_predicts(base: str, queries: np.ndarray) -> None:
+    """Single predicts, one flush each, tagged for the tail-trace check."""
+    for number in range(TAIL_PREDICTS):
+        post_json(
+            base + "/predict",
+            {"point": list(queries[number % len(queries)])},
+            {"X-Request-Id": "%s%04d" % (TAIL_ID_PREFIX, number)},
+        )
+    print("sent %d single predicts" % TAIL_PREDICTS)
+
+
 def parse_prometheus(text: str):
     """``{(name, labels): value}`` for every sample line; raises on junk."""
     samples = {}
@@ -235,7 +289,7 @@ def check_prometheus(base: str) -> None:
 
 
 def check_tail_trace(base: str, out: str = None) -> None:
-    """The tail trace links request → flush → kernel under one request id."""
+    """Every captured single predict links request → flush → kernel under its id."""
     trace = get_json(base + "/debug/tail_trace")
     spans = [event for event in trace["traceEvents"] if event.get("ph") == "X"]
     by_id = {span["args"]["span_id"]: span for span in spans}
@@ -244,14 +298,30 @@ def check_tail_trace(base: str, out: str = None) -> None:
         found = by_id.get(span["args"].get("parent_id"))
         return found if found is not None and found["name"] == name else None
 
-    linked = 0
+    linked = set()
     for kernel in (span for span in spans if span["name"] == "worker.predict"):
         flush = parent(kernel, "server.flush")
         request = flush and parent(flush, "server.request")
-        if request and len({span["args"].get("request_id") for span in (kernel, flush, request)}) == 1:
-            linked += 1
-    assert linked, "no captured request links server.flush and worker.predict spans"
-    print("tail trace ok: %d spans, %d request -> flush -> kernel chain(s)" % (len(spans), linked))
+        ids = {span["args"].get("request_id") for span in (kernel, flush, request or kernel)}
+        if request and len(ids) == 1:
+            linked |= ids
+    captured = {
+        span["args"]["request_id"]
+        for span in spans
+        if span["name"] == "server.request"
+        and span["args"]["request_id"].startswith(TAIL_ID_PREFIX)
+    }
+    assert captured, "no single predict was captured in the tail"
+    unlinked = sorted(captured - linked)
+    assert not unlinked, "%d of %d captured single predicts lost their flush, e.g. %s" % (
+        len(unlinked),
+        len(captured),
+        unlinked[:3],
+    )
+    print(
+        "tail trace ok: %d spans; all %d captured single predicts link request -> flush -> kernel"
+        % (len(spans), len(captured))
+    )
     if out:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -399,8 +469,10 @@ def main(argv=None) -> int:
             print("batch predict ok")
 
             check_request_ids(base)
+            check_bounded_counters(base)
             check_prometheus(base)
 
+            send_single_predicts(base, queries)
             check_tail_trace(base, args.tail_trace_out)
 
             check_no_scipy_mapped(process.pid)
