@@ -45,7 +45,7 @@ Quickstart
 
 from repro import _lazy
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 #: Every public name, and each subpackage read as an attribute, with the
 #: module that defines it.

@@ -30,7 +30,7 @@ observations:
 3. **Blocked, preallocated evaluation** — columns are evaluated in
    bounded row blocks through reusable flat workspaces filled with
    ``out=`` ufuncs, so peak memory is capped at
-   ``block_rows * g * c`` elements instead of the full ``(n, g, c)``
+   ``BLOCK_ROWS * g * c`` elements instead of the full ``(n, g, c)``
    broadcast, and steady-state evaluation allocates nothing beyond the
    result itself.
 
@@ -56,14 +56,14 @@ import numpy as np
 
 from repro import obs
 
-__all__ = ["AssignmentEngine", "DEFAULT_BLOCK_ROWS", "MAX_WORKSPACE_ELEMENTS"]
+__all__ = ["AssignmentEngine", "BLOCK_ROWS", "MAX_WORKSPACE_ELEMENTS"]
 
-#: Default number of rows evaluated per block.  The effective block also
-#: honours :data:`MAX_WORKSPACE_ELEMENTS`, so wide plans shrink it.
-DEFAULT_BLOCK_ROWS = 2048
+#: Number of rows evaluated per block.  The effective block also honours
+#: :data:`MAX_WORKSPACE_ELEMENTS`, so wide plans shrink it.
+BLOCK_ROWS = 2048
 
 #: Cap on the gather workspace size (float64 elements, 16 MiB): the
-#: effective row block is ``min(block_rows, cap // (g * c))``.
+#: effective row block is ``min(BLOCK_ROWS, cap // (g * c))``.
 MAX_WORKSPACE_ELEMENTS = 1 << 21
 
 
@@ -117,28 +117,20 @@ class AssignmentEngine:
         ``points`` — callers own the
         canonical-representation contract (see
         :func:`repro.utils.validation.check_array_2d`).
-    block_rows:
-        Row-block bound of the evaluation loop (peak workspace memory is
-        ``min(block_rows, cap // (g c)) * g * c`` floats per plan group).
 
     Notes
     -----
+    Peak workspace memory is ``min(BLOCK_ROWS, cap // (g c)) * g * c``
+    floats per plan group.
+
     The matrix returned by :meth:`gains` is the engine's live cache —
     callers must treat it as read-only (the consumers in this repository
     wrap it in a non-writeable view).  :meth:`compute` returns a fresh
     array the caller owns.
     """
 
-    def __init__(
-        self,
-        points: Optional[np.ndarray] = None,
-        *,
-        block_rows: int = DEFAULT_BLOCK_ROWS,
-    ) -> None:
-        if block_rows < 1:
-            raise ValueError("block_rows must be at least 1")
+    def __init__(self, points: Optional[np.ndarray] = None) -> None:
         self._points = points
-        self.block_rows = int(block_rows)
         self._dims: List[np.ndarray] = []
         self._centers: List[np.ndarray] = []
         self._thresholds: List[np.ndarray] = []
@@ -431,7 +423,7 @@ class AssignmentEngine:
         # so blocks are at least 2 rows and the final block absorbs an
         # orphan row (n == 1 overall is fine: the reference gather is
         # contiguous there too).
-        block = max(2, min(self.block_rows, MAX_WORKSPACE_ELEMENTS // (g * c)))
+        block = max(2, min(BLOCK_ROWS, MAX_WORKSPACE_ELEMENTS // (g * c)))
         flat_dims = dims.reshape(-1)
         if self._workspace.size < (block + 1) * g * c:
             self._workspace = np.empty((block + 1) * g * c)
@@ -461,9 +453,8 @@ class AssignmentEngine:
             start = stop
 
     def __repr__(self) -> str:
-        return "AssignmentEngine(k=%d, fixed=%s, dirty=%d, block_rows=%d)" % (
+        return "AssignmentEngine(k=%d, fixed=%s, dirty=%d)" % (
             self.n_clusters,
             self._points is not None,
             len(self._dirty),
-            self.block_rows,
         )

@@ -21,7 +21,9 @@ Two peak-finding modes are needed:
 All grids of one seed-group search share a :class:`GridBinning` of the
 same objects, so the data is validated and each dimension binned once per
 search; a :class:`Grid` then only combines its ``c`` bin columns into one
-cell id per object and counts the cells.
+cell id per object and counts the cells.  Every possible cell has a slot,
+so a grid refuses more than :data:`DENSE_CELL_LIMIT` possible cells; the
+seed-group builder's grids (``c = 3``, at most 8 bins) have at most 512.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ import numpy as np
 
 from repro.utils.validation import check_array_2d, check_index_sequence, check_positive_int
 
-#: Largest ``bins ** c`` for which a grid counts cells in a dense array with
-#: one slot per possible cell (8 MiB of counts); above it only the occupied
-#: cells are numbered.  The defaults (c=3, at most 8 bins) give 512 cells.
+#: Largest ``bins ** c`` a grid accepts: it counts cells in a dense array
+#: with one slot per possible cell (8 MiB of counts at the limit).
 DENSE_CELL_LIMIT = 1 << 20
 
 
@@ -137,6 +138,11 @@ class Grid:
         The shared binning of the objects to place in the grid.
     dimensions:
         The building dimensions (the grid only spans these).
+
+    Raises
+    ------
+    ValueError
+        When ``bins ** c`` exceeds :data:`DENSE_CELL_LIMIT`.
     """
 
     def __init__(self, binning: GridBinning, dimensions: Sequence[int]) -> None:
@@ -145,39 +151,32 @@ class Grid:
             dimensions, binning.data.shape[1], name="dimensions", allow_empty=False
         )
         self.bins_per_dimension = binning.bins_per_dimension
+        n_possible = self.bins_per_dimension ** self.dimensions.size
+        if n_possible > DENSE_CELL_LIMIT:
+            raise ValueError(
+                "a grid of %d bins over %d dimensions has %d possible cells, above "
+                "DENSE_CELL_LIMIT = %d"
+                % (self.bins_per_dimension, self.dimensions.size, n_possible, DENSE_CELL_LIMIT)
+            )
         self.object_indices = binning.object_indices
         columns = [binning.column(dimension) for dimension in self.dimensions]
         self._bins = [bins for bins, _, _ in columns]
         self._lows = np.array([low for _, low, _ in columns])
         self._spans = np.array([span for _, _, span in columns])
 
-        n_possible = self.bins_per_dimension ** len(self._bins)
-        self._cell_index: Optional[Dict[Tuple[int, ...], int]] = None
-        if n_possible <= DENSE_CELL_LIMIT:
-            # Mixed-radix id of the bin tuple: every possible cell has a slot.
-            ids = self._bins[0].copy()
-            for bins in self._bins[1:]:
-                ids *= self.bins_per_dimension
-                ids += bins
-            self._counts = np.bincount(ids, minlength=n_possible)
-        else:
-            # Too many possible cells for a dense array: number only the
-            # occupied ones, which keeps memory O(m) for any ``bins ** c``.
-            occupied, ids = np.unique(
-                np.column_stack(self._bins), axis=0, return_inverse=True
-            )
-            ids = ids.ravel()
-            self._cell_index = {tuple(cell): i for i, cell in enumerate(occupied.tolist())}
-            self._counts = np.bincount(ids)
+        # Mixed-radix id of the bin tuple: every possible cell has a slot.
+        ids = self._bins[0].copy()
+        for bins in self._bins[1:]:
+            ids *= self.bins_per_dimension
+            ids += bins
+        self._counts = np.bincount(ids, minlength=n_possible)
         self._ids = ids
 
     # ------------------------------------------------------------------ #
     # cell queries
     # ------------------------------------------------------------------ #
     def _cell_id(self, cell: Tuple[int, ...]) -> int:
-        """Id of an occupied or possible cell; ``-1`` when no object can fall in it."""
-        if self._cell_index is not None:
-            return self._cell_index.get(tuple(cell), -1)
+        """Id of a possible cell; ``-1`` when no object can fall in it."""
         if len(cell) != len(self._bins):
             return -1
         cell_id = 0

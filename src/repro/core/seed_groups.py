@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-# Every build runs the chi-square threshold (``seed_selection_p``): load
+# Every build runs the chi-square threshold (``SEED_SELECTION_P``): load
 # scipy.special with this module, not inside a fit or a stream spawn.
 import scipy.special  # noqa: F401
 
@@ -54,8 +54,27 @@ from repro.core.objective import ObjectiveFunction
 from repro.core.thresholds import ChiSquareThreshold
 from repro.semisupervision.knowledge import Knowledge
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_positive_int
 
+#: Building dimensions per grid (the paper's ``c``).  With at most 8 bins
+#: per dimension (:meth:`SeedGroupBuilder._effective_bins`) a grid has at
+#: most 8 ** 3 = 512 cells, far inside :data:`repro.core.grid.DENSE_CELL_LIMIT`.
+GRID_DIMENSIONS = 3
+
+#: Grids built per seed group (the paper's ``g``).
+GRIDS_PER_GROUP = 20
+
+#: Public seed groups per knowledge-free cluster ("some large number of
+#: public seed groups" in the paper).
+PUBLIC_GROUP_FACTOR = 3
+
+#: Significance level of the chi-square criterion that estimates the
+#: relevant dimensions of a seed group (and the grid-building candidate
+#: set).  Seed groups are small object sets, so the size-adaptive
+#: chi-square criterion is used here whatever the main optimisation's
+#: threshold scheme: it is the criterion the paper's own
+#: knowledge-requirement analysis (Section 4.5) is phrased in.
+SEED_SELECTION_P = 0.01
 
 #: Largest number of broadcast elements (rows x seeds x dimensions) that one
 #: row block of the max-min distance fold materialises: 2 MiB per float64
@@ -177,27 +196,17 @@ class SeedGroupBuilder:
         The target number of clusters ``k``.
     knowledge:
         The semi-supervision inputs (possibly empty).
-    grid_dimensions:
-        Number of building dimensions per grid (the paper's ``c``,
-        default 3).
     grids_per_group:
-        Number of grids tried per seed group (the paper's ``g``,
-        default 20).
-    bins_per_dimension:
-        Histogram resolution of each grid dimension; ``None`` (default)
-        picks the resolution from the number of available objects so a
-        background cell is expected to hold a handful of objects.
+        Number of grids tried per seed group (the paper's ``g``).  A
+        stream spawn builds fewer (``SPAWN_GRIDS``).
     public_group_factor:
-        Number of public seed groups created per knowledge-free cluster
-        ("some large number of public seed groups" in the paper).
-    seed_selection_p:
-        Significance level of the chi-square criterion used to estimate
-        the relevant dimensions of a seed group (and the grid-building
-        candidate set).  Seed groups are small object sets, so the
-        size-adaptive chi-square criterion is used here regardless of the
-        main optimisation's threshold scheme — this is the criterion the
-        paper's own knowledge-requirement analysis (Section 4.5) is
-        phrased in.
+        Number of public seed groups created per knowledge-free cluster.
+        A stream spawn tries fewer (``SPAWN_GROUP_ATTEMPTS``).
+
+    Every grid has :data:`GRID_DIMENSIONS` building dimensions and the
+    bins per dimension are chosen from the number of available objects
+    (:meth:`_effective_bins`); seed-group dimensions are selected at the
+    chi-square level :data:`SEED_SELECTION_P`.
     """
 
     def __init__(
@@ -206,27 +215,17 @@ class SeedGroupBuilder:
         n_clusters: int,
         knowledge: Optional[Knowledge] = None,
         *,
-        grid_dimensions: int = 3,
-        grids_per_group: int = 20,
-        bins_per_dimension: Optional[int] = None,
-        public_group_factor: int = 3,
-        seed_selection_p: float = 0.01,
+        grids_per_group: int = GRIDS_PER_GROUP,
+        public_group_factor: int = PUBLIC_GROUP_FACTOR,
     ) -> None:
         self.objective = objective
         self.n_clusters = check_positive_int(n_clusters, name="n_clusters", minimum=1)
         self.knowledge = knowledge if knowledge is not None else Knowledge.empty()
-        self.grid_dimensions = check_positive_int(grid_dimensions, name="grid_dimensions", minimum=1)
         self.grids_per_group = check_positive_int(grids_per_group, name="grids_per_group", minimum=1)
-        if bins_per_dimension is not None:
-            bins_per_dimension = check_positive_int(
-                bins_per_dimension, name="bins_per_dimension", minimum=2
-            )
-        self.bins_per_dimension = bins_per_dimension
         self.public_group_factor = check_positive_int(
             public_group_factor, name="public_group_factor", minimum=1
         )
-        self.seed_selection_p = check_probability(seed_selection_p, name="seed_selection_p")
-        self._seed_threshold = ChiSquareThreshold(p=self.seed_selection_p)
+        self._seed_threshold = ChiSquareThreshold(p=SEED_SELECTION_P)
         self._seed_threshold.fit_from_variance(objective.threshold.global_variance)
 
     # ------------------------------------------------------------------ #
@@ -360,10 +359,10 @@ class SeedGroupBuilder:
             phi_scores = np.zeros(self.objective.n_dimensions)
 
         candidates = np.union1d(selected, labeled_dimensions).astype(int)
-        if candidates.size < self.grid_dimensions:
+        if candidates.size < GRID_DIMENSIONS:
             # Too few candidates to form a grid — pad with the dimensions
             # along which the labeled objects are tightest (best phi scores).
-            needed = self.grid_dimensions - candidates.size
+            needed = GRID_DIMENSIONS - candidates.size
             order = np.argsort(-phi_scores)
             extra = [int(j) for j in order if int(j) not in set(candidates.tolist())][:needed]
             candidates = np.union1d(candidates, np.asarray(extra, dtype=int)).astype(int)
@@ -466,20 +465,18 @@ class SeedGroupBuilder:
         mask[list(excluded_objects)] = False
         return np.flatnonzero(mask)
 
-    def _effective_bins(self, n_available: int) -> int:
+    @staticmethod
+    def _effective_bins(n_available: int) -> int:
         """Bins per grid dimension.
 
-        When ``bins_per_dimension`` is not fixed by the caller, the
-        resolution is chosen so that a cell of the ``c``-dimensional grid
+        The resolution is chosen so that a cell of the ``c``-dimensional grid
         is expected to hold a handful of background objects (about five):
         with ``b`` bins per dimension there are ``b**c`` cells, so
-        ``b ~= (n / 5) ** (1/c)``, clipped to a sane range.  A cluster
+        ``b ~= (n / 5) ** (1/c)``, clipped to ``[2, 8]``.  A cluster
         whose local spread is a few percent of the value range then falls
         almost entirely inside one cell and shows up as a strong peak.
         """
-        if self.bins_per_dimension is not None:
-            return self.bins_per_dimension
-        target = (max(n_available, 1) / 5.0) ** (1.0 / self.grid_dimensions)
+        target = (max(n_available, 1) / 5.0) ** (1.0 / GRID_DIMENSIONS)
         return int(np.clip(round(target), 2, 8))
 
     # ------------------------------------------------------------------ #
@@ -504,7 +501,7 @@ class SeedGroupBuilder:
         if available.size == 0:
             return np.empty(0, dtype=int), 0
 
-        n_building = min(self.grid_dimensions, candidate_dimensions.size)
+        n_building = min(GRID_DIMENSIONS, candidate_dimensions.size)
         binning = GridBinning(
             self.objective.data,
             bins_per_dimension=self._effective_bins(available.size),

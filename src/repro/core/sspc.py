@@ -20,7 +20,7 @@ k-medoid-style algorithm:
    group; every other cluster's representative is replaced by its median
    (:mod:`repro.core.representatives`); members are cleared.
 7. Steps 3-6 repeat until the best score has not improved for
-   ``patience`` consecutive iterations (or ``max_iterations`` is hit).
+   :data:`PATIENCE` consecutive iterations (or ``max_iterations`` is hit).
 
 The public API follows the familiar estimator pattern: construct with the
 parameters, call :meth:`SSPC.fit` with the data (and optional
@@ -45,7 +45,7 @@ from repro.core.representatives import (
     find_bad_cluster,
     replace_representatives,
 )
-from repro.core.seed_groups import SeedGroup, SeedGroupBuilder
+from repro.core.seed_groups import GRIDS_PER_GROUP, SeedGroup, SeedGroupBuilder
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import make_threshold
 from repro.semisupervision.knowledge import Knowledge
@@ -53,6 +53,10 @@ from repro.serving.artifact import ModelArtifact
 from repro.serving.index import ProjectedClusterIndex
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_array_2d, check_cluster_count, check_positive_int
+
+#: Consecutive iterations without an improvement of the best objective
+#: score after which the fit stops (before ``max_iterations`` if sooner).
+PATIENCE = 5
 
 
 @dataclass
@@ -89,23 +93,8 @@ class SSPC:
         probability that an irrelevant dimension is selected by chance.
         Mutually exclusive with ``m``.
     max_iterations:
-        Hard cap on the number of assignment iterations.
-    patience:
-        Stop after this many consecutive iterations without improvement
-        of the best objective score.
-    grid_dimensions:
-        Number of building dimensions per initialisation grid (paper:
-        ``c = 3``).
-    grids_per_group:
-        Number of grids tried per seed group (paper: ``g = 20``).
-    bins_per_dimension:
-        Histogram resolution per grid dimension; ``None`` (default)
-        chooses it from the dataset size.
-    seed_selection_p:
-        Significance level of the size-adaptive chi-square criterion used
-        while estimating seed-group dimensions during initialisation.
-    public_group_factor:
-        Public seed groups created per knowledge-free cluster.
+        Hard cap on the number of assignment iterations; the fit also
+        stops after :data:`PATIENCE` iterations without improvement.
     random_state:
         Seed or generator controlling medoid draws and grid sampling.
 
@@ -121,7 +110,18 @@ class SSPC:
         Best objective value ``phi`` reached.
     n_iterations_:
         Number of assignment iterations executed.
+
+    Notes
+    -----
+    The initialisation runs at the paper's values (Section 4.2): grids of
+    ``c = 3`` building dimensions, ``g = 20`` grids per seed group and a
+    0.01 chi-square level for seed-group dimensions
+    (:mod:`repro.core.seed_groups`).
     """
+
+    #: Grids built per seed group (the paper's ``g``); read by benchmark
+    #: traces that count grid builds.
+    grids_per_group = GRIDS_PER_GROUP
 
     def __init__(
         self,
@@ -130,12 +130,6 @@ class SSPC:
         m: Optional[float] = None,
         p: Optional[float] = None,
         max_iterations: int = 30,
-        patience: int = 5,
-        grid_dimensions: int = 3,
-        grids_per_group: int = 20,
-        bins_per_dimension: Optional[int] = None,
-        seed_selection_p: float = 0.01,
-        public_group_factor: int = 3,
         random_state: RandomState = None,
     ) -> None:
         self.n_clusters = check_positive_int(n_clusters, name="n_clusters", minimum=1)
@@ -145,18 +139,6 @@ class SSPC:
         # Validate eagerly so bad parameters fail at construction time.
         make_threshold(m=m, p=p)
         self.max_iterations = check_positive_int(max_iterations, name="max_iterations", minimum=1)
-        self.patience = check_positive_int(patience, name="patience", minimum=1)
-        self.grid_dimensions = check_positive_int(grid_dimensions, name="grid_dimensions", minimum=1)
-        self.grids_per_group = check_positive_int(grids_per_group, name="grids_per_group", minimum=1)
-        if bins_per_dimension is not None:
-            bins_per_dimension = check_positive_int(
-                bins_per_dimension, name="bins_per_dimension", minimum=2
-            )
-        self.bins_per_dimension = bins_per_dimension
-        self.seed_selection_p = float(seed_selection_p)
-        self.public_group_factor = check_positive_int(
-            public_group_factor, name="public_group_factor", minimum=1
-        )
         self.random_state = random_state
 
         self.result_: Optional[ClusteringResult] = None
@@ -217,14 +199,7 @@ class SSPC:
         ) as fit_span:
             with obs.span("fit.seed_groups", category="fit"):
                 private_groups, public_groups = SeedGroupBuilder(
-                    objective,
-                    self.n_clusters,
-                    knowledge,
-                    grid_dimensions=self.grid_dimensions,
-                    grids_per_group=self.grids_per_group,
-                    bins_per_dimension=self.bins_per_dimension,
-                    public_group_factor=self.public_group_factor,
-                    seed_selection_p=self.seed_selection_p,
+                    objective, self.n_clusters, knowledge
                 ).build(rng)
 
             states, group_of_cluster, public_pool = self._initial_states(
@@ -234,7 +209,7 @@ class SSPC:
             best: Optional[_IterationSnapshot] = None
             stale_iterations = 0
             iteration = 0
-            while iteration < self.max_iterations and stale_iterations < self.patience:
+            while iteration < self.max_iterations and stale_iterations < PATIENCE:
                 iteration += 1
                 with obs.span("fit.iteration", category="fit", iteration=iteration) as it_span:
                     with obs.span("fit.assign", category="fit"):
@@ -277,7 +252,7 @@ class SSPC:
                         phi_scores = list(best.phi_scores)
                     it_span.set(objective=float(overall), stale=stale_iterations)
 
-                    if stale_iterations >= self.patience or iteration >= self.max_iterations:
+                    if stale_iterations >= PATIENCE or iteration >= self.max_iterations:
                         break
 
                     with obs.span("fit.medoid_swap", category="fit"):
@@ -310,11 +285,12 @@ class SSPC:
         """Convenience: :meth:`fit` then return the membership labels."""
         return self.fit(data, knowledge).labels_
 
-    def to_artifact(self, *, include_projections: bool = True, metadata=None):
+    def to_artifact(self, *, metadata=None):
         """Capture the fitted model as a :class:`~repro.serving.artifact.ModelArtifact`.
 
         Reuses the fit's own statistics cache (so the capture performs no
-        new statistics passes) and its fitted selection threshold.
+        new statistics passes) and its fitted selection threshold.  The
+        artifact carries every cluster's member projections.
         """
         if self.result_ is None:
             raise RuntimeError("estimator is not fitted; call fit(data) first")
@@ -323,11 +299,10 @@ class SSPC:
             self.stats_cache_.data,
             threshold=self.threshold_,
             stats_cache=self.stats_cache_,
-            include_projections=include_projections,
             metadata=metadata,
         )
 
-    def save(self, path, *, include_projections: bool = True, metadata=None):
+    def save(self, path, *, metadata=None):
         """Persist the fitted model to an artifact directory at ``path``.
 
         The artifact can later be restored with
@@ -335,9 +310,7 @@ class SSPC:
         :class:`~repro.serving.index.ProjectedClusterIndex` — no training
         data required.  Returns the artifact directory path.
         """
-        return self.to_artifact(
-            include_projections=include_projections, metadata=metadata
-        ).save(path)
+        return self.to_artifact(metadata=metadata).save(path)
 
     def predict(self, data, *, top_m: Optional[int] = None):
         """Assign *new* (out-of-sample) points to the fitted clusters.
@@ -376,12 +349,6 @@ class SSPC:
         params: Dict[str, object] = {
             "n_clusters": self.n_clusters,
             "max_iterations": self.max_iterations,
-            "patience": self.patience,
-            "grid_dimensions": self.grid_dimensions,
-            "grids_per_group": self.grids_per_group,
-            "bins_per_dimension": self.bins_per_dimension,
-            "seed_selection_p": self.seed_selection_p,
-            "public_group_factor": self.public_group_factor,
         }
         params.update({k: v for k, v in self._threshold_args.items() if v is not None})
         return params

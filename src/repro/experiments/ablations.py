@@ -120,7 +120,7 @@ def _run_sspc_with_center(
     mean as the replacement representative.
     """
     rng = ensure_rng(random_state)
-    model = SSPC(n_clusters=n_clusters, m=m, max_iterations=1, patience=1, random_state=rng)
+    model = SSPC(n_clusters=n_clusters, m=m, max_iterations=1, random_state=rng)
     model.fit(data)
     objective = ObjectiveFunction(data, make_threshold(m=m))
     states = [

@@ -10,7 +10,11 @@ the serving hot path.
 
 Parsing reads the whole header block with one
 :meth:`~asyncio.StreamReader.readuntil` call and splits it in memory —
-one reader wakeup per request instead of one per header line.
+one reader wakeup per request instead of one per header line.  A header
+block longer than :data:`MAX_HEADER_BYTES` is a 413.  The reader's own
+buffer limit stays at asyncio's 64 KiB default, because it also sets
+where the reader pauses the socket while a large ``/predict`` body
+arrives.
 """
 
 from __future__ import annotations
@@ -103,6 +107,8 @@ async def read_request(
         raise HTTPError(400, "connection closed mid-request") from exc
     except asyncio.LimitOverrunError as exc:
         raise HTTPError(413, "request headers exceed %d bytes" % MAX_HEADER_BYTES) from exc
+    if len(head) > MAX_HEADER_BYTES:
+        raise HTTPError(413, "request headers exceed %d bytes" % MAX_HEADER_BYTES)
 
     try:
         request_line, _, header_block = head[:-4].partition(b"\r\n")

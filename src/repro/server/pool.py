@@ -71,7 +71,10 @@ the error for the daemon's ``backend_error`` event and never reach the
 client.  A worker that dies (OOM, kill) poisons only the requests in
 flight on it; the handle is marked dead and routing skips it.  The pool
 never respawns silently — ``/healthz`` reports live worker counts and an
-operator (or orchestrator) restarts the daemon.
+operator (or orchestrator) restarts the daemon.  A daemon that dies
+without stopping its pool (SIGKILL, OOM kill) takes its workers with it:
+each worker closes the daemon-side pipe ends its fork copied, so its
+pipe reads EOF once the daemon's own copies are gone.
 """
 
 from __future__ import annotations
@@ -198,14 +201,20 @@ def _timed_predict(index: ProjectedClusterIndex, points: np.ndarray) -> Tuple[np
     return labels, obs.monotonic() - start
 
 
-def _worker_main(conn, artifact_path: str) -> None:
-    """Run one pool worker: build the index, answer ops until ``stop``.
+def _worker_main(conn, artifact_path: str, daemon_ends) -> None:
+    """Run one pool worker: build the index, answer ops until ``stop`` or EOF.
+
+    ``daemon_ends`` are the daemon-side pipe ends the fork copied (this
+    worker's and every earlier worker's); closing them leaves the daemon
+    the only holder, so ``conn.recv()`` reads EOF when the daemon dies.
 
     Messages are ``(op, *args)`` tuples; replies are ``("ok", payload)``
     or ``("error", client text, full text, traceback)`` (see
     :func:`_failure`).  One message at a time, by construction — the
     parent holds a per-worker lock.
     """
+    for end in daemon_ends:
+        end.close()
     try:
         index = build_serving_index(artifact_path)
         conn.send(("ok", {"n_clusters": index.n_clusters, "n_dimensions": index.n_dimensions}))
@@ -431,9 +440,10 @@ class WorkerPoolBackend:
         loop = asyncio.get_running_loop()
         for position in range(self.n_workers):
             parent_conn, child_conn = context.Pipe(duplex=True)
+            daemon_ends = [handle.conn for handle in self._handles] + [parent_conn]
             process = context.Process(
                 target=_worker_main,
-                args=(child_conn, self.artifact_path),
+                args=(child_conn, self.artifact_path, daemon_ends),
                 daemon=True,
                 name="repro-server-worker-%d" % position,
             )

@@ -19,12 +19,14 @@ full float64 precision).  The split keeps the artifact self-describing
 binary arrays round-trip bit for bit, which is what makes loaded-model
 predictions identical to in-memory ones.
 
-Optionally the artifact also stores each cluster's *member projections* —
-the member rows restricted to the cluster's selected dimensions.  Because
+The artifact also stores each cluster's *member projections* — the
+member rows restricted to the cluster's selected dimensions.  Because
 the paper's clusters are extremely low-dimensional, this costs only
 ``size x |V_i|`` floats per cluster, and it is what lets
 :meth:`~repro.serving.index.ProjectedClusterIndex.partial_update`
-maintain *exact* medians as new points are folded in.
+maintain *exact* medians as new points are folded in.  An artifact
+written without them (an older library could) still loads and serves;
+its medians stay frozen at their trained values.
 
 Schema versioning: ``SCHEMA_VERSION`` is written into every manifest;
 :func:`load_artifact` refuses manifests from a newer schema (forward
@@ -146,8 +148,8 @@ class ClusterModel:
         The cluster's ``phi_i`` objective component.
     member_projections:
         ``(size, |V_i|)`` member rows restricted to the selected
-        dimensions, or ``None`` when the artifact was saved without
-        projections.  Enables exact median maintenance in
+        dimensions, or ``None`` in an artifact an older library wrote
+        without them.  Enables exact median maintenance in
         ``partial_update``.
     """
 
@@ -238,10 +240,13 @@ class ModelArtifact:
         *,
         threshold: Optional[SelectionThreshold] = None,
         stats_cache: Optional[ClusterStatsCache] = None,
-        include_projections: bool = True,
         metadata: Optional[Dict[str, object]] = None,
     ) -> "ModelArtifact":
         """Capture a fitted clustering (plus its data-derived statistics).
+
+        Each cluster keeps its member rows on its selected dimensions
+        (cheap for low-dimensional clusters), so serving can maintain
+        exact medians during ``partial_update``.
 
         Parameters
         ----------
@@ -259,10 +264,6 @@ class ModelArtifact:
         stats_cache:
             Optional shared statistics workspace; passing the producing
             run's cache makes the statistics capture free (all hits).
-        include_projections:
-            Store each cluster's member rows on its selected dimensions
-            (cheap for low-dimensional clusters) so serving can maintain
-            exact medians during ``partial_update``.
         metadata:
             Free-form JSON-serialisable metadata recorded in the
             manifest.
@@ -288,9 +289,6 @@ class ModelArtifact:
                 if cluster.representative is not None
                 else stats.median
             )
-            projections = None
-            if include_projections:
-                projections = data[np.ix_(cluster.members, cluster.dimensions)]
             clusters.append(
                 ClusterModel(
                     dimensions=cluster.dimensions.copy(),
@@ -300,7 +298,7 @@ class ModelArtifact:
                     median=stats.median.copy(),
                     variance=stats.variance.copy(),
                     score=float(cluster.score),
-                    member_projections=projections,
+                    member_projections=data[np.ix_(cluster.members, cluster.dimensions)],
                 )
             )
         return cls(

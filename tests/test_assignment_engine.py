@@ -11,6 +11,7 @@ after every step.
 import numpy as np
 import pytest
 
+import repro.core.assignment_engine as engine_module
 from repro.core.assignment_engine import AssignmentEngine
 from repro.core.objective import ObjectiveFunction, grouped_assignment_gains
 from repro.core.thresholds import VarianceRatioThreshold
@@ -37,22 +38,24 @@ def _random_specs(rng, k, d, max_count=20):
 
 class TestBlockedEvaluation:
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 64, 251, 4096])
-    def test_bit_identical_to_reference_across_block_sizes(self, points, block_rows):
+    def test_bit_identical_to_reference_across_block_sizes(self, monkeypatch, points, block_rows):
         """Row blocking must never change a bit, including counts >= 8
         (where numpy's pairwise-sum grouping is layout-sensitive)."""
+        monkeypatch.setattr(engine_module, "BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(3)
         dims, centers, thresholds = _random_specs(rng, 7, points.shape[1])
-        engine = AssignmentEngine(points, block_rows=block_rows)
+        engine = AssignmentEngine(points)
         engine.set_clusters(dims, centers, thresholds)
         reference = grouped_assignment_gains(points, dims, centers, thresholds)
         assert np.array_equal(engine.gains(), reference)
         assert np.array_equal(engine.compute(points), reference)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_tiny_batches(self, points, n):
+    def test_tiny_batches(self, monkeypatch, points, n):
+        monkeypatch.setattr(engine_module, "BLOCK_ROWS", 2)
         rng = np.random.default_rng(4)
         dims, centers, thresholds = _random_specs(rng, 5, points.shape[1])
-        engine = AssignmentEngine(block_rows=2)
+        engine = AssignmentEngine()
         engine.set_clusters(dims, centers, thresholds)
         batch = points[:n]
         reference = grouped_assignment_gains(batch, dims, centers, thresholds)
@@ -66,10 +69,11 @@ class TestBlockedEvaluation:
         assert gains.shape == (points.shape[0], 3)
         assert np.all(np.isneginf(gains))
 
-    def test_workspaces_are_reused_not_regrown(self, points):
+    def test_workspaces_are_reused_not_regrown(self, monkeypatch, points):
+        monkeypatch.setattr(engine_module, "BLOCK_ROWS", 128)
         rng = np.random.default_rng(5)
         dims, centers, thresholds = _random_specs(rng, 6, points.shape[1])
-        engine = AssignmentEngine(points, block_rows=128)
+        engine = AssignmentEngine(points)
         engine.set_clusters(dims, centers, thresholds)
         engine.gains()
         workspace = engine._workspace
@@ -81,14 +85,15 @@ class TestBlockedEvaluation:
 
 
 class TestDirtyTracking:
-    def test_randomized_mutation_sequence_stays_bit_identical(self, points):
+    def test_randomized_mutation_sequence_stays_bit_identical(self, monkeypatch, points):
         """Interleaved value patches, count moves, adds, removes and
         full invalidations: the cache equals a from-scratch reference
         call after every step."""
+        monkeypatch.setattr(engine_module, "BLOCK_ROWS", 97)
         rng = np.random.default_rng(9)
         d = points.shape[1]
         dims, centers, thresholds = _random_specs(rng, 6, d)
-        engine = AssignmentEngine(points, block_rows=97)
+        engine = AssignmentEngine(points)
         engine.set_clusters(dims, centers, thresholds)
         for step in range(60):
             action = rng.choice(["patch", "move", "add", "remove", "invalidate", "noop"])

@@ -163,6 +163,14 @@ class TestGridConstruction:
         grid = make_grid(data, [0, 1], 3)
         assert grid.n_cells >= 1
 
+    def test_grid_past_the_dense_limit_is_refused(self, clustered_data):
+        # 8 ** 7 possible cells, twice the limit; the binning stays usable.
+        binning = GridBinning(clustered_data, bins_per_dimension=8)
+        assert 8 ** 7 > DENSE_CELL_LIMIT
+        with pytest.raises(ValueError, match="DENSE_CELL_LIMIT = %d" % DENSE_CELL_LIMIT):
+            Grid(binning, range(7))
+        assert Grid(binning, [0, 1, 2]).n_cells >= 1
+
     def test_cells_outside_the_grid_are_empty(self, clustered_data):
         grid = make_grid(clustered_data, [0, 1], 4)
         for cell in [(4, 0), (-1, 0), (0,), (0, 0, 0)]:
@@ -287,12 +295,17 @@ def _oracle_data(rng, kind, n=300, d=8):
 
 
 class TestAgainstReferenceGrid:
-    @pytest.mark.parametrize("numbering", ["dense", "occupied"])
+    # ``at_limit`` runs the grid with DENSE_CELL_LIMIT lowered to its own
+    # bins ** c: the limit counts possible cells, so the grid still numbers
+    # every one of them, and one possible cell more is refused.  (Its ids
+    # keep the name of the occupied-cell numbering such grids once took.)
+    @pytest.mark.parametrize(
+        "at_limit", [pytest.param(False, id="dense"), pytest.param(True, id="occupied")]
+    )
     @pytest.mark.parametrize("seed,c,bins,kind,restrict", _oracle_cases())
-    def test_matches_reference(self, monkeypatch, numbering, seed, c, bins, kind, restrict):
-        if numbering == "occupied":
-            # Force the np.unique numbering used when bins ** c is too large.
-            monkeypatch.setattr(grid_module, "DENSE_CELL_LIMIT", 0)
+    def test_matches_reference(self, monkeypatch, at_limit, seed, c, bins, kind, restrict):
+        if at_limit:
+            monkeypatch.setattr(grid_module, "DENSE_CELL_LIMIT", bins ** c)
         rng = np.random.default_rng(seed)
         data = _oracle_data(rng, kind)
         n, d = data.shape
@@ -317,21 +330,10 @@ class TestAgainstReferenceGrid:
         starts.append(rng.uniform(-20.0, 20.0, size=d))  # clipped into the grid
         for start in starts:
             assert_same_result(grid.hill_climb(start), reference.hill_climb(start))
-
-    def test_many_building_dimensions_match_reference(self):
-        # 8 ** 30 cells cannot be counted densely; only occupied cells get ids.
-        rng = np.random.default_rng(30)
-        data = _oracle_data(rng, "integer", n=400, d=40)
-        dims = rng.choice(40, size=30, replace=False)
-        binning = GridBinning(data, bins_per_dimension=8, restrict_to=rng.permutation(400)[:250])
-        assert 8 ** 30 > DENSE_CELL_LIMIT
-        grid = Grid(binning, dims)
-        reference = ReferenceGrid(binning, dims)
-        assert grid.n_cells == reference.n_cells
-        for cell, members in reference._cells.items():
-            assert grid.cell_density(cell) == members.size
-            np.testing.assert_array_equal(grid.cell_members(cell), members)
-        assert_same_result(grid.absolute_peak(), reference.absolute_peak())
+        if at_limit:
+            monkeypatch.setattr(grid_module, "DENSE_CELL_LIMIT", bins ** c - 1)
+            with pytest.raises(ValueError, match="DENSE_CELL_LIMIT"):
+                Grid(binning, dims)
 
 
 @pytest.mark.parametrize("category", ["both", "objects", "dimensions", "none"])

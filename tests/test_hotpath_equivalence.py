@@ -232,21 +232,6 @@ def test_grid_build_matches_per_row_reference(dataset):
         assert peak.members.tolist() == reference[best]
 
 
-def test_grid_build_supports_many_building_dimensions(dataset):
-    """bins ** c beyond the int64 range: only occupied cells are numbered."""
-    from repro.core.grid import Grid, GridBinning
-
-    dims = np.arange(min(30, dataset.data.shape[1]))  # 8 ** 30 >> 2 ** 63
-    grid = Grid(GridBinning(dataset.data, bins_per_dimension=8), dims)
-    assert grid.n_cells >= 1
-    cells = {grid.cell_of(row) for row in dataset.data}
-    assert grid.n_cells == len(cells)
-    total = sum(grid.cell_density(cell) for cell in cells)
-    assert total == dataset.data.shape[0]
-    for index in range(dataset.data.shape[0]):
-        assert index in grid.cell_members(grid.cell_of(dataset.data[index]))
-
-
 def test_density_profile_matches_scalar_helper(dataset):
     from repro.core.grid import one_dimensional_density, one_dimensional_density_profile
 

@@ -52,6 +52,21 @@ class TestObjectiveInvariants:
             assert np.all(threshold.values(size) <= threshold.global_variance + 1e-12)
 
 
+def assert_valid_partition(model, n_dimensions):
+    """Labels lie in ``[-1, k)``, the clusters partition the non-outliers, dims are valid."""
+    k = model.n_clusters
+    labels = model.labels_
+    assert labels.min() >= -1 and labels.max() < k
+    result = model.result_
+    member_union = np.concatenate([c.members for c in result.clusters] or [np.empty(0, int)])
+    assert len(set(member_union.tolist())) == member_union.size
+    assert member_union.size == np.count_nonzero(labels >= 0)
+    np.testing.assert_array_equal(result.labels(), labels)
+    for dims in model.selected_dimensions_:
+        if dims.size:
+            assert dims.min() >= 0 and dims.max() < n_dimensions
+
+
 class TestResultInvariants:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2000), k=st.integers(2, 4))
@@ -63,20 +78,9 @@ class TestResultInvariants:
             avg_cluster_dimensionality=3,
             random_state=seed,
         )
-        model = SSPC(n_clusters=k, m=0.5, max_iterations=6, patience=2, random_state=seed)
+        model = SSPC(n_clusters=k, m=0.5, max_iterations=6, random_state=seed)
         model.fit(dataset.data)
-        labels = model.labels_
-        # Valid label range.
-        assert labels.min() >= -1 and labels.max() < k
-        # Clusters in the result object partition the non-outlier objects.
-        result = model.result_
-        member_union = np.concatenate([c.members for c in result.clusters]) if result.clusters else np.empty(0)
-        assert len(set(member_union.tolist())) == member_union.size
-        np.testing.assert_array_equal(result.labels(), labels)
-        # Selected dimensions are valid indices.
-        for dims in model.selected_dimensions_:
-            if dims.size:
-                assert dims.min() >= 0 and dims.max() < dataset.n_dimensions
+        assert_valid_partition(model, dataset.n_dimensions)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 5000), n=st.integers(4, 30))
@@ -88,6 +92,59 @@ class TestResultInvariants:
         stripped = result.without_objects(drop.tolist())
         for before, after in zip(result.clusters, stripped.clusters):
             assert after.size <= before.size
+
+
+def _degenerate_data(case, rng):
+    """``(data, k)`` of one degenerate fit input; n <= 300."""
+    data = rng.normal(size=(300, 20))
+    if case == "d=1":
+        return data[:, :1], 3
+    if case == "d=2":
+        return data[:, :2], 3
+    if case == "k=1":
+        return data, 1
+    if case == "constant column":
+        data[:, 4] = 2.5
+        return data, 3
+    if case == "all constant":
+        return np.full((300, 20), 2.5), 3
+    if case == "10 rows x 30":
+        return np.tile(data[:10], (30, 1)), 3
+    if case == "integer":
+        return rng.integers(0, 5, size=(300, 20)).astype(float), 3
+    if case == "n=k":
+        return data[:3], 3
+    if case == "n=k+1":
+        return data[:4], 3
+    assert case == "n=10"
+    return data[:10], 3
+
+
+class TestDegenerateFits:
+    """Inputs below the grids' ``c = 3``, without spread or with too few rows.
+
+    Each either fits to a valid partition or raises a ``ValueError``; none
+    may divide by zero or take a median of nothing on the way.
+    """
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "d=1", "d=2", "k=1", "constant column", "all constant", "10 rows x 30",
+            "integer", "n=k", "n=k+1", "n=10",
+        ],
+    )
+    @pytest.mark.parametrize("threshold", [{"m": 0.5}, {"p": 0.05}], ids=["m", "p"])
+    def test_fits_to_a_valid_partition_or_raises_value_error(self, case, threshold):
+        data, k = _degenerate_data(case, np.random.default_rng(11))
+        model = SSPC(n_clusters=k, random_state=3, **threshold)
+        try:
+            model.fit(data)
+        except ValueError:
+            return
+        assert model.labels_.shape == (data.shape[0],)
+        assert_valid_partition(model, data.shape[1])
 
 
 class TestAriInvariant:

@@ -1,7 +1,9 @@
 """Option inventory of the fit, serving, stream and daemon surfaces.
 
 Pins the parameter names, config fields and command-line flags of
-``SSPC``, ``assign_objects``, ``ProjectedClusterIndex``,
+``SSPC`` and its fit-side constructors (``SeedGroupBuilder``,
+``AssignmentEngine``, ``GridBinning``, ``ModelArtifact.from_result``),
+``assign_objects``, ``ProjectedClusterIndex``,
 ``StreamingSSPC`` / ``StreamConfig``, the daemon (``ServerConfig``,
 ``MicroBatcher``, the backends, ``Telemetry`` and ``SLOConfig``),
 ``run_best_of`` and the ``repro-server`` / ``repro-serve`` /
@@ -16,11 +18,12 @@ rather than pin it.  A change that adds or removes a name updates
 ``EXPECTED`` in the same commit.
 
 Config objects mirror their command lines: a config field exists only
-if its command line can set it.  Every ``ServerConfig`` field is the
-``repro-server`` flag of the same name, every ``SLOConfig`` field is the
-``repro-server --slo-*`` flag of its name, and every ``StreamConfig``
-field is set by a ``repro-stream run`` flag; a value no command line
-sets is a module constant instead.
+if its command line can set it.  Every ``SSPC`` parameter is the
+``repro-serve fit`` flag of the same name, every ``ServerConfig`` field
+is the ``repro-server`` flag of the same name, every ``SLOConfig`` field
+is the ``repro-server --slo-*`` flag of its name, and every
+``StreamConfig`` field is set by a ``repro-stream run`` flag; a value no
+command line sets is a module constant instead.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ import argparse
 import dataclasses
 import inspect
 
+import pytest
+
+import repro.core.sspc as sspc_module
 from repro.core.assignment import assign_objects
+from repro.core.assignment_engine import AssignmentEngine
+from repro.core.grid import GridBinning
+from repro.core.seed_groups import SeedGroupBuilder
 from repro.core.sspc import SSPC
 from repro.experiments.harness import run_best_of
 from repro.obs.slo import SLOConfig
@@ -44,18 +53,24 @@ from repro.server.pool import (
     make_backend,
 )
 from repro.serving import cli as serving_cli
+from repro.serving.artifact import ModelArtifact
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream import cli as stream_cli
 from repro.stream.engine import StreamConfig, StreamingSSPC
 
 EXPECTED = {
-    "SSPC.__init__": (
-        "n_clusters", "m", "p", "max_iterations", "patience", "grid_dimensions", "grids_per_group",
-        "bins_per_dimension", "seed_selection_p", "public_group_factor", "random_state",
-    ),
+    "SSPC.__init__": ("n_clusters", "m", "p", "max_iterations", "random_state"),
     "SSPC.fit": ("data", "knowledge"),
     "SSPC.fit_predict": ("data", "knowledge"),
     "SSPC.predict": ("data", "top_m"),
+    "SSPC.to_artifact": ("metadata",),
+    "SSPC.save": ("path", "metadata"),
+    "SeedGroupBuilder.__init__": (
+        "objective", "n_clusters", "knowledge", "grids_per_group", "public_group_factor",
+    ),
+    "AssignmentEngine.__init__": ("points",),
+    "GridBinning.__init__": ("data", "bins_per_dimension", "restrict_to"),
+    "ModelArtifact.from_result": ("result", "data", "threshold", "stats_cache", "metadata"),
     "assign_objects": ("objective", "states", "knowledge"),
     "ProjectedClusterIndex.__init__": ("artifact", "projection_window"),
     "ProjectedClusterIndex.from_path": ("path",),
@@ -131,12 +146,24 @@ def _flags(parser, prog):
     return inventory
 
 
+def _subcommand(parser, name):
+    return next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices[name]
+
+
 def _inventory():
     inventory = {
         "SSPC.__init__": _parameters(SSPC.__init__),
         "SSPC.fit": _parameters(SSPC.fit),
         "SSPC.fit_predict": _parameters(SSPC.fit_predict),
         "SSPC.predict": _parameters(SSPC.predict),
+        "SSPC.to_artifact": _parameters(SSPC.to_artifact),
+        "SSPC.save": _parameters(SSPC.save),
+        "SeedGroupBuilder.__init__": _parameters(SeedGroupBuilder.__init__),
+        "AssignmentEngine.__init__": _parameters(AssignmentEngine.__init__),
+        "GridBinning.__init__": _parameters(GridBinning.__init__),
+        "ModelArtifact.from_result": _parameters(ModelArtifact.from_result),
         "assign_objects": _parameters(assign_objects),
         "ProjectedClusterIndex.__init__": _parameters(ProjectedClusterIndex.__init__),
         "ProjectedClusterIndex.from_path": _parameters(ProjectedClusterIndex.from_path),
@@ -161,7 +188,7 @@ def _inventory():
 def test_option_inventory_is_pinned():
     inventory = _inventory()
     assert inventory == EXPECTED
-    assert sum(len(names) for names in inventory.values()) == 127
+    assert sum(len(names) for names in inventory.values()) == 138
 
 
 def _moved_argv(parser, flags):
@@ -228,9 +255,7 @@ def test_slo_config_is_the_repro_server_slo_command_line(monkeypatch):
 def test_stream_config_is_set_by_repro_stream_run():
     """Distinct non-default ``run`` flags move every ``StreamConfig`` field."""
     parser = stream_cli.build_parser()
-    run = next(
-        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
-    ).choices["run"]
+    run = _subcommand(parser, "run")
     argv, _ = _moved_argv(run, EXPECTED["repro-stream run"])
     config = stream_cli._config_from_args(parser.parse_args(["run"] + argv))
     default = StreamConfig()
@@ -238,3 +263,30 @@ def test_stream_config_is_set_by_repro_stream_run():
         name for name in _fields(StreamConfig) if getattr(config, name) == getattr(default, name)
     ]
     assert unmoved == []
+
+
+class _Fitted(Exception):
+    """Stops ``repro-serve fit`` once the estimator is built."""
+
+
+def test_sspc_parameters_are_the_repro_serve_fit_command_line(monkeypatch, tmp_path):
+    """Every ``SSPC`` parameter is the dest of a ``repro-serve fit`` flag, and the flag sets it."""
+    fit = _subcommand(serving_cli.build_parser(), "fit")
+    assert set(EXPECTED["SSPC.__init__"]) <= {action.dest for action in fit._actions}
+    built = []
+
+    class Recording(SSPC):
+        def fit(self, data, knowledge=None):
+            built.append(dict(self.get_params(), random_state=self.random_state))
+            raise _Fitted
+
+    monkeypatch.setattr(sspc_module, "SSPC", Recording)
+    common = [
+        "fit", "--synthetic", "40x6x2", "--artifact", str(tmp_path / "model"),
+        "--n-clusters", "3", "--max-iterations", "4", "--random-state", "9",
+    ]
+    for threshold in (["--m", "0.3"], ["--p", "0.05"]):
+        with pytest.raises(_Fitted):
+            serving_cli.main(common + threshold)
+    shared = {"n_clusters": 3, "max_iterations": 4, "random_state": 9}
+    assert built == [dict(shared, m=0.3), dict(shared, p=0.05)]

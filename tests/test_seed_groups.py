@@ -172,13 +172,6 @@ class TestBuilderConfiguration:
         assert builder._effective_bins(40) <= builder._effective_bins(5000)
         assert 2 <= builder._effective_bins(10) <= 8
 
-    def test_explicit_bins_respected(self, dataset_objective):
-        builder = SeedGroupBuilder(dataset_objective, 3, Knowledge.empty(), bins_per_dimension=4)
-        assert builder._effective_bins(10_000) == 4
-
-    def test_invalid_seed_selection_p(self, dataset_objective):
-        with pytest.raises(ValueError):
-            SeedGroupBuilder(dataset_objective, 3, seed_selection_p=0.0)
 
 
 def _full_broadcast_anchor(data, existing_groups, excluded_objects, rng):

@@ -44,9 +44,9 @@ async def running_server(artifact_path, **config_kwargs):
         await server.stop()
 
 
-async def exchange(reader, writer, method, path, body=b""):
+async def exchange(reader, writer, method, path, body=b"", extra_headers=""):
     """One HTTP round trip on an open connection: ``(status, headers, json)``."""
-    head = "%s %s HTTP/1.1\r\nHost: test\r\n" % (method, path)
+    head = "%s %s HTTP/1.1\r\nHost: test\r\n%s" % (method, path, extra_headers)
     if body:
         head += "Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body)
     writer.write(head.encode() + b"\r\n" + body)
@@ -71,11 +71,11 @@ async def request_on(reader, writer, method, path, payload=None):
     return status, parsed
 
 
-async def raw_request(host, port, method, path, body=b""):
+async def raw_request(host, port, method, path, body=b"", extra_headers=""):
     """One round trip with a literal body on a fresh connection."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        return await exchange(reader, writer, method, path, body)
+        return await exchange(reader, writer, method, path, body, extra_headers)
     finally:
         writer.close()
         with contextlib.suppress(ConnectionError):
@@ -630,6 +630,27 @@ def test_predict_soft_defaults_top_m_to_at_most_the_cluster_count(
     assert status == 200, body
     assert body["labels"] == labels.tolist() and body["clusters"] == clusters.tolist()
     assert explicit_status == 400 and "at most 2" in explicit_body["error"]
+
+
+def test_request_headers_past_16_kib_are_a_413(artifact_on_disk, query_points):
+    """``MAX_HEADER_BYTES`` bounds the request head, not the body of a 64-row predict."""
+    rows = np.resize(query_points, (64, query_points.shape[1]))
+
+    async def drive():
+        async with running_server(artifact_on_disk) as (_, host, port):
+            padded = []
+            for size in (8000, 20000):
+                pad = "X-Pad: %s\r\n" % ("x" * size)
+                padded.append(await raw_request(host, port, "GET", "/healthz", extra_headers=pad))
+            batch = await request(host, port, "POST", "/predict", {"points": rows.tolist()})
+            return padded, batch
+
+    (small, large), (status, body) = asyncio.run(drive())
+    assert small[0] == 200
+    assert large[0] == 413
+    assert large[2]["error"] == "request headers exceed 16384 bytes"
+    assert large[1]["x-request-id"]
+    assert status == 200 and len(body["labels"]) == 64
 
 
 def test_idle_keep_alive_connections_are_swept(artifact_on_disk, query_points, monkeypatch):

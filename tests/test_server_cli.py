@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import signal
 import subprocess
 import sys
 import time
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +124,47 @@ def test_daemon_refuses_an_artifact_inside_its_state_dir(fitted_sspc, tmp_path):
     assert completed.returncode == 2, completed.stderr
     assert "READY" not in completed.stdout
     assert str(artifact) in completed.stderr and str(state_dir) in completed.stderr
+
+
+def _children(pid):
+    """Pids of ``pid``'s child processes (Linux ``/proc``)."""
+    children = Path("/proc/%d/task/%d/children" % (pid, pid)).read_text()
+    return [int(child) for child in children.split()]
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; an unreaped zombie has exited."""
+    try:
+        stat = Path("/proc/%d/stat" % pid).read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux /proc")
+def test_pool_workers_exit_when_the_daemon_is_killed(artifact_on_disk):
+    """A SIGKILLed ``--workers 2`` daemon leaves no worker behind after 5 s."""
+    workers = []
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.server", str(artifact_on_disk)]
+        + ["--port", "0", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as process:
+        try:
+            _wait_ready(process)
+            workers = _children(process.pid)
+            assert len(workers) == 2, workers
+            process.kill()
+            process.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _running(pid)]
+            assert not survivors, "workers %s outlived their SIGKILLed daemon" % survivors
+        finally:
+            process.kill()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,10 +70,16 @@ class TestCapture:
         fitted_sspc.to_artifact()
         assert fitted_sspc.stats_cache_.n_stat_passes == passes_before
 
-    def test_projections_optional(self, fitted_sspc):
-        artifact = fitted_sspc.to_artifact(include_projections=False)
-        assert not artifact.includes_projections
-        assert all(c.member_projections is None for c in artifact.clusters)
+    def test_projections_optional(self, artifact, tmp_path):
+        """An artifact an older library wrote without projections still loads."""
+        bare = replace(
+            artifact,
+            clusters=[replace(c, member_projections=None) for c in artifact.clusters],
+        )
+        loaded = load_artifact(bare.save(tmp_path / "bare"))
+        assert not loaded.includes_projections
+        assert all(c.member_projections is None for c in loaded.clusters)
+        np.testing.assert_array_equal(loaded.labels, artifact.labels)
 
     def test_from_result_rebuilds_threshold_from_parameters(self, small_dataset):
         result = ClusteringResult.from_labels(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import OUTLIER_LABEL
-from repro.serving.artifact import ClusterModel, ModelArtifact
+from repro.serving.artifact import ClusterModel, ModelArtifact, load_artifact
 from repro.serving.index import ProjectedClusterIndex
 
 
@@ -148,9 +148,13 @@ class TestPartialUpdate:
             )
         assert updated > 0
 
-    def test_without_projections_median_is_frozen(self, fitted_sspc, query_points):
-        artifact = fitted_sspc.to_artifact(include_projections=False)
-        idx = ProjectedClusterIndex(artifact)
+    def test_without_projections_median_is_frozen(self, artifact, query_points, tmp_path):
+        # An artifact an older library wrote without member projections.
+        bare = replace(
+            artifact,
+            clusters=[replace(c, member_projections=None) for c in artifact.clusters],
+        )
+        idx = ProjectedClusterIndex(load_artifact(bare.save(tmp_path / "bare")))
         before = [idx.cluster_statistics(i).median_selected for i in range(idx.n_clusters)]
         sizes_before = idx.cluster_sizes()
         labels = idx.partial_update(query_points)

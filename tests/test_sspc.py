@@ -139,15 +139,13 @@ class TestParameters:
             SSPC(n_clusters=10, random_state=0).fit(data)
 
     def test_get_params_round_trip(self):
-        model = SSPC(n_clusters=4, p=0.05, max_iterations=10, patience=2)
+        model = SSPC(n_clusters=4, p=0.05, max_iterations=10)
         params = model.get_params()
-        assert params["n_clusters"] == 4
-        assert params["p"] == 0.05
-        assert params["max_iterations"] == 10
-        assert "m" not in params
+        assert params == {"n_clusters": 4, "p": 0.05, "max_iterations": 10}
+        assert SSPC(**params).get_params() == params
 
     def test_max_iterations_bounds_work(self, tiny_dataset):
-        model = SSPC(n_clusters=3, m=0.5, max_iterations=2, patience=1, random_state=0)
+        model = SSPC(n_clusters=3, m=0.5, max_iterations=2, random_state=0)
         model.fit(tiny_dataset.data)
         assert model.n_iterations_ <= 2
 

@@ -39,7 +39,13 @@ End to end over an actual subprocess and actual sockets:
     before and after each of 5 accepted ``/partial_update`` requests (the
     4th and 5th stage in a recycled spare), must be bit-identical to an
     in-process index that folds the same rows, and the state directory
-    must end with at most 3 generation directories.
+    must end with at most 3 generation directories;
+12. with ``--workers`` 1 or more, on Linux, SIGKILL a third daemon after
+    READY and require every pool worker to exit within 5 s.
+
+Whenever a check fails, the daemon is SIGKILLed and its workers are
+given the same 5 s, then killed, so a failed run leaves no process
+behind.
 
 Run from the repository root (CI does)::
 
@@ -73,6 +79,8 @@ from repro.serving.index import ProjectedClusterIndex  # noqa: E402
 
 BOOT_TIMEOUT_S = 60.0
 STOP_TIMEOUT_S = 30.0
+#: Seconds the pool workers of a SIGKILLed daemon have to exit.
+ORPHAN_TIMEOUT_S = 5.0
 #: Single predicts sent before the tail trace is fetched: more flushes
 #: than the 512 an older daemon retained for its tail trace.
 TAIL_PREDICTS = 600
@@ -357,10 +365,43 @@ def start_daemon(artifact: Path, workers: int, state_dir: Path = None) -> tuple:
     try:
         host, port = wait_ready(process)
     except BaseException:
-        process.kill()
-        process.wait(timeout=10)
+        kill_daemon(process)
         raise
     return process, "http://%s:%d" % (host, port)
+
+
+def daemon_workers(pid: int) -> list:
+    """Pids of the daemon's children, its pool workers (Linux ``/proc``; else none)."""
+    pids = []
+    for children in Path("/proc/%d/task" % pid).glob("*/children"):
+        pids += [int(child) for child in children.read_text().split()]
+    return pids
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; an unreaped zombie has exited."""
+    try:
+        stat = Path("/proc/%d/stat" % pid).read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def kill_daemon(process: subprocess.Popen) -> list:
+    """SIGKILL the daemon; return the workers still running ``ORPHAN_TIMEOUT_S`` later.
+
+    Those survivors are SIGKILLed too, so no caller leaves a process behind.
+    """
+    workers = daemon_workers(process.pid) if process.poll() is None else []
+    process.kill()
+    process.wait(timeout=10)
+    deadline = time.monotonic() + ORPHAN_TIMEOUT_S
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if running(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    return survivors
 
 
 def stop_daemon(process: subprocess.Popen) -> None:
@@ -380,9 +421,7 @@ def check_no_scipy_mapped(pid: int) -> None:
         return
     scipy_dir = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
     prefix = str(scipy_dir.resolve()) + os.sep
-    pids = [pid]
-    for children in Path("/proc/%d/task" % pid).glob("*/children"):
-        pids += [int(child) for child in children.read_text().split()]
+    pids = [pid] + daemon_workers(pid)
     for process_id in pids:
         with open("/proc/%d/maps" % process_id) as maps:
             mapped = {line.split()[-1] for line in maps if prefix in line}
@@ -422,8 +461,25 @@ def check_p_scheme(workdir: Path, workers: int, queries: np.ndarray) -> None:
         stop_daemon(process)
     finally:
         if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+            kill_daemon(process)
+
+
+def check_workers_die_with_the_daemon(artifact: Path, workers: int) -> None:
+    """A SIGKILLed daemon takes its pool workers with it."""
+    if not Path("/proc/self/task").is_dir():
+        print("orphan check skipped: no /proc/<pid>/task")
+        return
+    process, _ = start_daemon(artifact, workers)
+    try:
+        pids = daemon_workers(process.pid)
+    finally:
+        survivors = kill_daemon(process)
+    assert len(pids) == workers, "expected %d workers, found %s" % (workers, pids)
+    assert not survivors, "workers %s outlived their SIGKILLed daemon by %.0fs" % (
+        survivors,
+        ORPHAN_TIMEOUT_S,
+    )
+    print("orphan check ok: %d workers exited after the daemon's SIGKILL" % len(pids))
 
 
 def main(argv=None) -> int:
@@ -479,9 +535,10 @@ def main(argv=None) -> int:
             stop_daemon(process)
         finally:
             if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+                kill_daemon(process)
         check_p_scheme(Path(workdir), args.workers, queries)
+        if args.workers >= 1:
+            check_workers_die_with_the_daemon(artifact, args.workers)
         return 0
 
 
