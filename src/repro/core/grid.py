@@ -24,13 +24,15 @@ search; a :class:`Grid` then only combines its ``c`` bin columns into one
 cell id per object and counts the cells.  Every possible cell has a slot,
 so a grid refuses more than :data:`DENSE_CELL_LIMIT` possible cells; the
 seed-group builder's grids (``c = 3``, at most 8 bins) have at most 512.
+A hill-climb step is one lookup into the current cell's row of
+neighbour ids (:func:`_neighbour_ids`), cached per ``(bins, c)`` up to
+:data:`NEIGHBOUR_TABLE_LIMIT` entries.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -41,6 +43,13 @@ from repro.utils.validation import check_array_2d, check_index_sequence, check_p
 #: Largest ``bins ** c`` a grid accepts: it counts cells in a dense array
 #: with one slot per possible cell (8 MiB of counts at the limit).
 DENSE_CELL_LIMIT = 1 << 20
+
+#: Largest neighbour table (``bins ** c`` rows of ``3 ** c - 1`` cell ids)
+#: cached for a hill-climb.  The seed-group grids' largest is 8 ** 3 x 26 =
+#: 13,312 ids (104 KiB); a grid whose table would be larger computes the
+#: row of each cell it steps on instead (a table for ``32 ** 4`` cells
+#: would take 640 MiB).
+NEIGHBOUR_TABLE_LIMIT = 1 << 16
 
 
 @dataclass
@@ -75,6 +84,15 @@ class GridBinning:
     dimension the first time a grid asks for it (then serves the cached
     column to every later grid of the search).
 
+    Every bin index is the object's normalised coordinate
+    ``(x - low) / span`` (``low``/``span`` over the binned objects)
+    times the bin count, truncated and clipped to the last bin.  A
+    knowledge-free search first asks for :meth:`anchor_density`, which
+    normalises all ``d`` columns in one pass; every later column is then
+    that quotient times :attr:`bins_per_dimension`, bit-identical to
+    normalising the one column.  A search that never asks for it (the
+    private groups) normalises only the columns its grids use.
+
     Parameters
     ----------
     data:
@@ -107,30 +125,73 @@ class GridBinning:
                 restrict_to, self.data.shape[0], name="restrict_to", allow_empty=False
             )
         self._columns: Dict[int, Tuple[np.ndarray, float, float]] = {}
+        # ``(quotients, lows, spans)`` of all d columns, once normalised.
+        self._normalised: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def column(self, dimension: int) -> Tuple[np.ndarray, float, float]:
         """``(bin index per object, low, span)`` of one dimension, cached."""
         dimension = int(dimension)
         binned = self._columns.get(dimension)
         if binned is None:
-            values = self.data[self.object_indices, dimension]
-            low = values.min()
-            high = values.max()
-            span = high - low if high > low else 1.0
+            if self._normalised is None:
+                values = self.data[self.object_indices, dimension]
+                low = values.min()
+                high = values.max()
+                span = high - low if high > low else 1.0
+                quotient = (values - low) / span
+            else:
+                quotients, lows, spans = self._normalised
+                quotient, low, span = quotients[:, dimension], lows[dimension], spans[dimension]
             # Scale each coordinate into [0, bins) and clip the right edge so
             # the maximum falls in the last bin rather than a phantom extra bin.
-            scaled = (values - low) / span * self.bins_per_dimension
-            bins = np.minimum(scaled.astype(int), self.bins_per_dimension - 1)
+            bins = np.minimum(
+                (quotient * self.bins_per_dimension).astype(int), self.bins_per_dimension - 1
+            )
             binned = self._columns[dimension] = (bins, low, span)
         return binned
+
+    def anchor_density(self, anchor: Sequence[float], bins: int) -> np.ndarray:
+        """Per dimension, the fraction of the objects in the anchor's bin.
+
+        The no-knowledge initialisation case (Section 4.2.4) builds a
+        one-dimensional histogram of ``bins`` equal-width bins per
+        dimension; the share of the objects that fall in the bin holding
+        the max-min ``anchor`` measures how likely the dimension is to be
+        relevant to the cluster around it, comparably across dimensions.
+        Normalises all ``d`` columns (kept for the search's grids).
+        """
+        bins = check_positive_int(bins, name="bins", minimum=2)
+        anchor = np.asarray(anchor, dtype=float).ravel()
+        if anchor.shape[0] != self.data.shape[1]:
+            raise ValueError("anchor must provide one value per dimension")
+        if self._normalised is None:
+            quotients = self.data[self.object_indices]  # a copy: normalised in place
+            lows = quotients.min(axis=0)
+            highs = quotients.max(axis=0)
+            spans = np.where(highs > lows, highs - lows, 1.0)
+            quotients -= lows
+            quotients /= spans
+            self._normalised = (quotients, lows, spans)
+        quotients, lows, spans = self._normalised
+        # Every quotient lies in [0, 1], so every bin index in [0, bins]: the
+        # smallest unsigned type that holds ``bins`` keeps the (n, d)
+        # temporaries an eighth of int64's size.
+        index_type = np.min_scalar_type(bins)
+        bin_indices = (quotients * bins).astype(index_type)
+        np.minimum(bin_indices, bins - 1, out=bin_indices)
+        anchor_bins = np.clip(((anchor - lows) / spans * bins).astype(int), 0, bins - 1)
+        counts = np.count_nonzero(bin_indices == anchor_bins.astype(index_type), axis=0)
+        return counts / float(quotients.shape[0])
 
 
 class Grid:
     """Equal-width multi-dimensional histogram over selected dimensions.
 
     Every object of ``binning`` gets one integer cell id and the cell
-    densities are a single ``np.bincount`` of those ids.  Members are
-    materialised only for a cell a caller asks for, in row order.
+    densities are a single ``np.bincount`` of those ids, with one more
+    slot that stays zero: the id an out-of-range neighbour maps to in
+    :meth:`hill_climb`.  Members are materialised only for a cell a
+    caller asks for, in row order.
 
     Parameters
     ----------
@@ -169,7 +230,7 @@ class Grid:
         for bins in self._bins[1:]:
             ids *= self.bins_per_dimension
             ids += bins
-        self._counts = np.bincount(ids, minlength=n_possible)
+        self._counts = np.bincount(ids, minlength=n_possible + 1)
         self._ids = ids
 
     # ------------------------------------------------------------------ #
@@ -242,105 +303,61 @@ class Grid:
         the local density peak nearest the anchor, which the paper uses
         both to deal with multi-peak grids and to correct anchors biased
         towards one side of the cluster.
-        """
-        current = self.cell_of(start_point)
-        current_density = self.cell_density(current)
-        improved = True
-        while improved:
-            improved = False
-            for neighbour in self._neighbours(current):
-                density = self.cell_density(neighbour)
-                if density > current_density:
-                    current, current_density = neighbour, density
-                    improved = True
-        return self._result(current)
 
-    def _neighbours(self, cell: Tuple[int, ...]):
-        """All neighbouring cells of ``cell`` (Moore neighbourhood)."""
-        upper = self.bins_per_dimension
-        for offset in _moore_offsets(len(cell)):
-            neighbour = tuple(map(operator.add, cell, offset))
-            if min(neighbour) >= 0 and max(neighbour) < upper:
-                yield neighbour
+        Each step reads the current cell's row of neighbour ids (Moore
+        neighbourhood, in ``itertools.product((-1, 0, 1), repeat=c)``
+        order) and moves to the row's first densest cell when it is
+        strictly denser than the current one, which is the cell a scan of
+        the neighbours in that order, keeping every strictly denser one,
+        ends on.
+        """
+        bins, n_building = self.bins_per_dimension, self.dimensions.size
+        table = None
+        if bins ** n_building * (3 ** n_building - 1) <= NEIGHBOUR_TABLE_LIMIT:
+            table = _neighbour_table(bins, n_building)
+        counts = self._counts
+        current = self._cell_id(self.cell_of(start_point))
+        while True:
+            if table is None:
+                row = _neighbour_ids(bins, n_building, np.array([current]))[0]
+            else:
+                row = table[current]
+            densities = counts[row]
+            best = densities.argmax()
+            if densities[best] <= counts[current]:
+                break
+            current = row[best]
+        cell = np.unravel_index(current, (bins,) * n_building)
+        return self._result(tuple(int(b) for b in cell))
 
 
 @functools.lru_cache(maxsize=8)
-def _moore_offsets(n_dimensions: int) -> Tuple[Tuple[int, ...], ...]:
+def _moore_offsets(n_dimensions: int) -> np.ndarray:
     """Non-zero offsets in ``{-1, 0, 1} ** n_dimensions``, in product order."""
-    return tuple(
-        offset for offset in itertools.product((-1, 0, 1), repeat=n_dimensions) if any(offset)
-    )
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n_dimensions)), dtype=np.intp)
+    offsets = offsets[np.any(offsets != 0, axis=1)]
+    offsets.flags.writeable = False
+    return offsets
 
 
-def one_dimensional_density(
-    data,
-    dimension: int,
-    anchor_value: float,
-    *,
-    bins: int = 10,
-    restrict_to: Optional[Sequence[int]] = None,
-) -> float:
-    """Object density around ``anchor_value`` along one dimension.
+def _neighbour_ids(bins: int, n_dimensions: int, cells: np.ndarray) -> np.ndarray:
+    """Moore-neighbour ids of each cell id in ``cells``, one row per cell.
 
-    Used by the no-knowledge initialisation case (Section 4.2.4): a
-    one-dimensional histogram is built for every dimension and the
-    density of the bin containing the max-min object measures how likely
-    the dimension is to be relevant to the cluster centred around that
-    object.  The value returned is the fraction of (restricted) objects
-    falling in the anchor's bin, so it is comparable across dimensions.
+    A row lists the neighbours in :func:`_moore_offsets` order; a
+    neighbour outside the grid is ``bins ** n_dimensions``, the zero-count
+    slot of :class:`Grid`'s counts.
     """
-    data = check_array_2d(data, name="data")
-    if not 0 <= dimension < data.shape[1]:
-        raise ValueError("dimension %d outside [0, %d)" % (dimension, data.shape[1]))
-    bins = check_positive_int(bins, name="bins", minimum=2)
-    if restrict_to is None:
-        column = data[:, dimension]
-    else:
-        indices = check_index_sequence(restrict_to, data.shape[0], name="restrict_to", allow_empty=False)
-        column = data[indices, dimension]
-    low, high = float(column.min()), float(column.max())
-    span = high - low if high > low else 1.0
-    scaled = (column - low) / span * bins
-    bin_indices = np.minimum(scaled.astype(int), bins - 1)
-    anchor_scaled = (float(anchor_value) - low) / span * bins
-    anchor_bin = int(np.clip(anchor_scaled, 0, bins - 1))
-    count = int(np.count_nonzero(bin_indices == anchor_bin))
-    return count / float(column.shape[0])
+    shape = (bins,) * n_dimensions
+    coords = np.stack(np.unravel_index(cells, shape), axis=-1)
+    neighbours = coords[:, None, :] + _moore_offsets(n_dimensions)
+    inside = np.all((neighbours >= 0) & (neighbours < bins), axis=2)
+    ids = np.ravel_multi_index(np.moveaxis(neighbours, -1, 0), shape, mode="clip")
+    return np.where(inside, ids, bins ** n_dimensions)
 
 
-def one_dimensional_density_profile(
-    data,
-    anchor: Sequence[float],
-    *,
-    bins: int = 10,
-    restrict_to: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """:func:`one_dimensional_density` for every dimension in one pass.
-
-    The no-knowledge initialisation case needs the anchor-bin density of
-    *all* ``d`` dimensions; calling the scalar helper per dimension costs
-    ``d`` validations and ``d`` Python-level passes.  This vectorised
-    version bins every column at once and returns the length-``d``
-    density vector, with values identical to the scalar helper.
-    """
-    data = check_array_2d(data, name="data")
-    bins = check_positive_int(bins, name="bins", minimum=2)
-    anchor = np.asarray(anchor, dtype=float).ravel()
-    if anchor.shape[0] != data.shape[1]:
-        raise ValueError("anchor must provide one value per dimension")
-    if restrict_to is None:
-        block = data
-    else:
-        indices = check_index_sequence(
-            restrict_to, data.shape[0], name="restrict_to", allow_empty=False
-        )
-        block = data[indices]
-    lows = block.min(axis=0)
-    highs = block.max(axis=0)
-    spans = np.where(highs > lows, highs - lows, 1.0)
-    scaled = (block - lows) / spans * bins
-    bin_indices = np.minimum(scaled.astype(int), bins - 1)
-    anchor_scaled = (anchor - lows) / spans * bins
-    anchor_bins = np.clip(anchor_scaled.astype(int), 0, bins - 1)
-    counts = np.count_nonzero(bin_indices == anchor_bins, axis=0)
-    return counts / float(block.shape[0])
+@functools.lru_cache(maxsize=8)
+def _neighbour_table(bins: int, n_dimensions: int) -> np.ndarray:
+    """Every cell's neighbour row (read-only; shared by every grid of that shape)."""
+    table = _neighbour_ids(bins, n_dimensions, np.arange(bins ** n_dimensions))
+    table.flags.writeable = False
+    return table

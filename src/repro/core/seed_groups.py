@@ -49,7 +49,7 @@ import numpy as np
 import scipy.special  # noqa: F401
 
 from repro.core.dimension_selection import select_dimensions
-from repro.core.grid import Grid, GridBinning, one_dimensional_density_profile
+from repro.core.grid import Grid, GridBinning
 from repro.core.objective import ObjectiveFunction
 from repro.core.thresholds import ChiSquareThreshold
 from repro.semisupervision.knowledge import Knowledge
@@ -304,15 +304,15 @@ class SeedGroupBuilder:
                 labeled_dimensions if kind == "both" else np.empty(0, dtype=int),
             )
             anchor = self._labeled_object_anchor(labeled_objects)
-            seeds, peak_density = self._search_grids(
-                candidate_dims, candidate_weights, anchor, excluded_objects, rng
-            )
         else:  # kind == "dimensions"
             candidate_dims = labeled_dimensions
             candidate_weights = np.ones(candidate_dims.size)
-            seeds, peak_density = self._search_grids(
-                candidate_dims, candidate_weights, None, excluded_objects, rng
-            )
+            anchor = None
+        available = self._available_objects(excluded_objects)
+        binning = self._binning(available) if available.size else None
+        seeds, peak_density = self._search_grids(
+            candidate_dims, candidate_weights, anchor, binning, rng
+        )
 
         if seeds.size == 0:
             # Degenerate fall-back: use the labeled objects themselves (if
@@ -404,13 +404,12 @@ class SeedGroupBuilder:
         anchor_index = self._max_min_object(existing_groups, excluded_objects, rng, nearest)
         anchor = self.objective.data[anchor_index]
 
-        histogram_bins = max(2 * self._effective_bins(available.size), 8)
-        densities = one_dimensional_density_profile(
-            self.objective.data,
-            anchor,
-            bins=histogram_bins,
-            restrict_to=available,
-        )
+        # One binning of the available objects serves the anchor's density
+        # profile and every grid of the search: it normalises all d columns
+        # once, and each histogram scales that quotient by its own bin count.
+        binning = self._binning(available)
+        histogram_bins = max(2 * binning.bins_per_dimension, 8)
+        densities = binning.anchor_density(anchor, histogram_bins)
         candidates = np.arange(self.objective.n_dimensions)
         # Weight dimensions by their density *excess* over the uniform
         # baseline (1/bins): a dimension relevant to the cluster centred at
@@ -419,7 +418,7 @@ class SeedGroupBuilder:
         baseline = 1.0 / histogram_bins
         weights = np.maximum(densities - baseline, 0.0) + 0.1 * baseline
 
-        seeds, peak_density = self._search_grids(candidates, weights, anchor, excluded_objects, rng)
+        seeds, peak_density = self._search_grids(candidates, weights, anchor, binning, rng)
         if seeds.size == 0:
             seeds = np.asarray([anchor_index], dtype=int)
         dimensions = select_dimensions(self.objective, seeds, threshold=self._seed_threshold)
@@ -482,31 +481,34 @@ class SeedGroupBuilder:
     # ------------------------------------------------------------------ #
     # grid search shared by all cases
     # ------------------------------------------------------------------ #
+    def _binning(self, available: np.ndarray) -> GridBinning:
+        """The binning a seed-group search shares among its grids."""
+        return GridBinning(
+            self.objective.data,
+            bins_per_dimension=self._effective_bins(available.size),
+            restrict_to=available,
+        )
+
     def _search_grids(
         self,
         candidate_dimensions: np.ndarray,
         weights: np.ndarray,
         anchor: Optional[np.ndarray],
-        excluded_objects: set,
+        binning: Optional[GridBinning],
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, int]:
-        """Build ``grids_per_group`` grids and return the densest peak's members."""
+        """Build ``grids_per_group`` grids and return the densest peak's members.
+
+        ``binning`` bins the objects still available (``None`` when none
+        is); every grid of the search shares it.
+        """
         candidate_dimensions = np.asarray(candidate_dimensions, dtype=int)
-        if candidate_dimensions.size == 0:
+        if candidate_dimensions.size == 0 or binning is None:
             return np.empty(0, dtype=int), 0
         weights = np.asarray(weights, dtype=float)
         probabilities = weights / weights.sum() if weights.sum() > 0 else None
 
-        available = self._available_objects(excluded_objects)
-        if available.size == 0:
-            return np.empty(0, dtype=int), 0
-
         n_building = min(GRID_DIMENSIONS, candidate_dimensions.size)
-        binning = GridBinning(
-            self.objective.data,
-            bins_per_dimension=self._effective_bins(available.size),
-            restrict_to=available,
-        )
         best_members = np.empty(0, dtype=int)
         best_density = 0
         for _ in range(self.grids_per_group):

@@ -127,6 +127,39 @@ class _ServingCluster:
         self.score = score
 
 
+def group_rows(
+    points: np.ndarray, labels: np.ndarray, n_clusters: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``points`` ordered by label, and where each label's rows start.
+
+    One stable argsort splits a batch: the rows labeled ``c`` are
+    ``grouped[starts[c + 1] : starts[c + 2]]`` in their batch order, and
+    the outliers (``-1``) are ``grouped[: starts[1]]``.  ``labels`` must
+    lie in ``[-1, n_clusters)``.
+    """
+    order = np.argsort(labels, kind="stable")
+    starts = np.zeros(n_clusters + 2, dtype=np.intp)
+    np.cumsum(np.bincount(labels + 1, minlength=n_clusters + 1), out=starts[1:])
+    return points[order], starts
+
+
+def _appended_projections(
+    projections: np.ndarray,
+    rows: np.ndarray,
+    dimensions: np.ndarray,
+    window: Optional[int],
+) -> np.ndarray:
+    """A new buffer: ``projections`` then ``rows[:, dimensions]``, the newest ``window`` rows."""
+    n_old, n_new = projections.shape[0], rows.shape[0]
+    total = n_old + n_new if window is None else min(n_old + n_new, window)
+    from_new = min(n_new, total)
+    from_old = total - from_new
+    buffer = np.empty((total, dimensions.size))
+    buffer[:from_old] = projections[n_old - from_old :]
+    buffer[from_old:] = rows[n_new - from_new :, dimensions]
+    return buffer
+
+
 class ProjectedClusterIndex:
     """Batch assignment of unseen points to learned projected clusters.
 
@@ -312,7 +345,7 @@ class ProjectedClusterIndex:
         :func:`~repro.core.objective.grouped_assignment_gains` reference
         kernel and to stacking :meth:`gains_single` over the rows.
         """
-        points = self._check_points(points)
+        points = self.check_points(points)
         return self._engine.compute(points)
 
     def gains_single(self, point: np.ndarray) -> np.ndarray:
@@ -418,7 +451,7 @@ class ProjectedClusterIndex:
 
         Returns the label vector that was applied.
         """
-        points = self._check_points(points)
+        points = self.check_points(points)
         if labels is None:
             labels = self.predict(points)
         else:
@@ -438,8 +471,9 @@ class ProjectedClusterIndex:
 
         with obs.span("serve.partial_update", category="serve") as fold_span:
             absorbed = 0
+            grouped, starts = group_rows(points, labels, len(self._clusters))
             for index, cluster in enumerate(self._clusters):
-                rows = points[labels == index]
+                rows = grouped[starts[index + 1] : starts[index + 2]]
                 if rows.shape[0] == 0:
                     continue
                 batch_mean = rows.mean(axis=0)
@@ -452,16 +486,11 @@ class ProjectedClusterIndex:
                     column_variance(rows, batch_mean),
                 )
                 if cluster.projections is not None:
-                    cluster.projections = np.concatenate(
-                        [cluster.projections, rows[:, cluster.dimensions]], axis=0
+                    # A fresh buffer, bounded *before* the median so windowed
+                    # mode pays a single median pass per fold.
+                    cluster.projections = _appended_projections(
+                        cluster.projections, rows, cluster.dimensions, self.projection_window
                     )
-                    # Bound the buffer *before* the median so windowed mode
-                    # pays a single median pass per fold.
-                    if (
-                        self.projection_window is not None
-                        and cluster.projections.shape[0] > self.projection_window
-                    ):
-                        cluster.projections = cluster.projections[-self.projection_window:].copy()
                     cluster.median_selected = column_median(cluster.projections)
                 # The fold moved this cluster's size (size-dependent
                 # thresholds) and possibly its center — patch its plan entry
@@ -530,7 +559,7 @@ class ProjectedClusterIndex:
         dimensions = np.unique(np.asarray(dimensions, dtype=int))
         if dimensions.size and (dimensions.min() < 0 or dimensions.max() >= self.n_dimensions):
             raise ValueError("dimensions reference columns outside the model")
-        rows = self._check_points(rows)
+        rows = self.check_points(rows)
         mean = rows.mean(axis=0)
         variance = column_variance(rows, mean)
         projections = rows[:, dimensions].copy()
@@ -679,10 +708,12 @@ class ProjectedClusterIndex:
             metadata=merged_metadata,
         )
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _check_points(self, points: np.ndarray) -> np.ndarray:
+    def check_points(self, points: np.ndarray) -> np.ndarray:
+        """``points`` as the finite ``(n, d)`` float block every entry point takes.
+
+        A 1-d array is one point.  Raises :class:`ValueError` for an empty
+        batch, a non-finite value or a width other than the model's.
+        """
         points = check_array_2d(points, name="points", min_rows=1)
         if points.shape[1] != self.n_dimensions:
             raise ValueError(
@@ -691,6 +722,9 @@ class ProjectedClusterIndex:
             )
         return points
 
+    # ------------------------------------------------------------------ #
+    # internals
+    # ------------------------------------------------------------------ #
     def _labels_from_gains(self, gains: np.ndarray) -> np.ndarray:
         n = gains.shape[0]
         labels = np.full(n, OUTLIER_LABEL, dtype=int)

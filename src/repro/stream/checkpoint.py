@@ -211,7 +211,7 @@ def _checkpoint_payload(
         "global_variance": engine._global_variance,
     }
     for position in range(engine.index.n_clusters):
-        arrays["window_%d" % position] = engine._windows[position]
+        arrays["window_%d" % position] = engine._windows[position].rows
         reference = engine._references[position]
         if reference is not None:
             arrays["reference_mean_%d" % position] = reference[0]
@@ -350,7 +350,7 @@ def load_checkpoint(path: PathLike, *, config=None):
 
 def _load_generation(directory: Path, *, config=None):
     """Restore one generation directory, verifying every checksum."""
-    from repro.stream.engine import DRIFT_WINDOW, StreamConfig, StreamEvent, StreamingSSPC
+    from repro.stream.engine import StreamConfig, StreamEvent, StreamingSSPC
 
     state = _read_state(directory)
     state_path = directory / STATE_NAME
@@ -383,10 +383,8 @@ def _load_generation(directory: Path, *, config=None):
         )
     engine.cluster_ids = cluster_ids
     engine._next_cluster_id = int(_field("next_cluster_id"))
-    engine._windows = [
-        _array("window_%d" % position)[-DRIFT_WINDOW:]
-        for position in range(engine.index.n_clusters)
-    ]
+    for position, window in enumerate(engine._windows):
+        window.extend(_array("window_%d" % position))
     engine._references = [
         (
             (arrays["reference_mean_%d" % position], arrays["reference_variance_%d" % position])

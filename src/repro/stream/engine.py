@@ -56,9 +56,9 @@ from repro.core.model import OUTLIER_LABEL
 from repro.core.objective import ObjectiveFunction, column_median, column_variance
 from repro.core.stats_cache import ClusterStatsCache, merge_mean_variance
 from repro.serving.artifact import ModelArtifact, threshold_from_description
-from repro.serving.index import ProjectedClusterIndex
+from repro.serving.index import ProjectedClusterIndex, group_rows
 from repro.stream.drift import DriftDetector
-from repro.stream.lifecycle import SPAWN_GRIDS, OutlierBuffer, find_spawn_candidate
+from repro.stream.lifecycle import SPAWN_GRIDS, OutlierBuffer, RowWindow, find_spawn_candidate
 
 __all__ = ["BatchResult", "StreamConfig", "StreamEvent", "StreamingSSPC"]
 
@@ -233,6 +233,16 @@ class StreamingSSPC:
     Exact median maintenance — and therefore faithful drift-free
     behaviour — requires an artifact saved *with* member projections
     (the default).
+
+    Per batch, :meth:`process_batch` checks the points once, lets the
+    index fold them, then splits the batch once by label (a stable
+    argsort, :func:`~repro.serving.index.group_rows`): each cluster's
+    accepted rows go to its drift window and the rejected rows to the
+    outlier buffer.  Both are
+    :class:`~repro.stream.lifecycle.RowWindow` s, which append in place
+    instead of copying the whole window per batch, so a batch that
+    triggers no sweep costs O(batch x d) memory whatever the buffer
+    sizes.
     """
 
     def __init__(
@@ -255,7 +265,7 @@ class StreamingSSPC:
         d = self.index.n_dimensions
         self.cluster_ids: List[int] = list(range(k))
         self._next_cluster_id = k
-        self._windows: List[np.ndarray] = [np.empty((0, d)) for _ in range(k)]
+        self._windows: List[RowWindow] = [RowWindow(DRIFT_WINDOW, d) for _ in range(k)]
         # Drift references self-calibrate from the first full window of
         # *stream* traffic (None until then): training-member statistics
         # and serving-accepted statistics differ by a small systematic
@@ -315,7 +325,7 @@ class StreamingSSPC:
                     "cluster_id": int(cluster_id),
                     "size": int(stats.size),
                     "n_dimensions": int(stats.dimensions.size),
-                    "window_rows": int(self._windows[position].shape[0]),
+                    "window_rows": len(self._windows[position]),
                     "starved_sweeps": int(self._starved_sweeps[position]),
                 }
             )
@@ -328,32 +338,31 @@ class StreamingSSPC:
         """Assign, gate and fold one micro-batch; adapt when triggered.
 
         Returns the batch's stable-id label vector plus any adaptation
-        events the batch triggered.
+        events the batch triggered.  ``points`` is checked as the index
+        checks it (a 1-d array is one point) before anything changes, so
+        a rejected batch leaves the engine and its index as they were.
         """
+        points = self.index.check_points(points)
         with obs.span("stream.batch", category="stream", batch=self.n_batches) as batch_span:
             positions = self.index.partial_update(points)
-            points = np.asarray(points, dtype=float)
             batch_index = self.n_batches
             self.n_batches += 1
             self.n_points += int(points.shape[0])
 
             # Stable-id labels reflect the assignment that was just applied,
-            # before any adaptation below can re-number positions.
-            ids = np.asarray(self.cluster_ids, dtype=int)
-            labels = np.full(points.shape[0], OUTLIER_LABEL, dtype=int)
-            assigned_mask = positions != OUTLIER_LABEL
-            labels[assigned_mask] = ids[positions[assigned_mask]]
+            # before any adaptation below can re-number positions; the
+            # outlier label -1 picks the appended sentinel.
+            labels = np.append(np.asarray(self.cluster_ids, dtype=int), OUTLIER_LABEL)[positions]
 
-            for position in range(self.index.n_clusters):
-                rows = points[positions == position]
-                if rows.shape[0] == 0:
-                    continue
-                self._accepted_since_sweep[position] += int(rows.shape[0])
-                window = np.concatenate([self._windows[position], rows], axis=0)
-                self._windows[position] = window[-DRIFT_WINDOW:]
-            rejected = points[~assigned_mask]
-            if rejected.shape[0]:
-                self.outliers.extend(rejected)
+            grouped, starts = group_rows(points, positions, self.index.n_clusters)
+            for position, window in enumerate(self._windows):
+                rows = grouped[starts[position + 1] : starts[position + 2]]
+                if rows.shape[0]:
+                    self._accepted_since_sweep[position] += int(rows.shape[0])
+                    window.extend(rows)
+            n_outliers = int(starts[1])
+            if n_outliers:
+                self.outliers.extend(grouped[:n_outliers])
             self._update_global(points)
 
             events: List[StreamEvent] = []
@@ -363,8 +372,7 @@ class StreamingSSPC:
                 events.extend(self._lifecycle_sweep(batch_index))
             self.events.extend(events)
 
-            n_assigned = int(np.count_nonzero(assigned_mask))
-            n_outliers = int(points.shape[0] - n_assigned)
+            n_assigned = int(points.shape[0] - n_outliers)
             recorder = obs.get_recorder()
             if recorder is not None:
                 n_batch = int(points.shape[0])
@@ -410,7 +418,7 @@ class StreamingSSPC:
     def _drift_pass(self, batch_index: int) -> List[StreamEvent]:
         events: List[StreamEvent] = []
         for position in range(self.index.n_clusters):
-            window = self._windows[position]
+            window = self._windows[position].rows
             if self._references[position] is None:
                 # First full window of accepted stream traffic becomes
                 # the reference — calibrated on the same acceptance
@@ -432,7 +440,7 @@ class StreamingSSPC:
 
     def _refresh_cluster(self, position: int, batch_index: int, verdict) -> StreamEvent:
         """Re-select dimensions and re-anchor one drifted cluster."""
-        window = self._windows[position]
+        window = self._windows[position].rows
         if self._global_size >= 2:
             self.index.refresh_threshold(self._global_variance)
         # SelectDim over the recent window, through the shared statistics
@@ -545,7 +553,9 @@ class StreamingSSPC:
         cluster_id = self._next_cluster_id
         self._next_cluster_id += 1
         self.cluster_ids.append(cluster_id)
-        self._windows.append(rows[-DRIFT_WINDOW:].copy())
+        window = RowWindow(DRIFT_WINDOW, self.index.n_dimensions)
+        window.extend(rows)
+        self._windows.append(window)
         # The spawn rows were *gated-out* traffic; the cluster's drift
         # reference calibrates lazily from the accepted traffic it will
         # now start receiving.

@@ -1,6 +1,7 @@
 """Tests for the grid (multi-dimensional histogram) engine."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ import repro.core.grid as grid_module
 import repro.core.seed_groups as seed_groups_module
 from repro.core.grid import (
     DENSE_CELL_LIMIT,
+    NEIGHBOUR_TABLE_LIMIT,
     Grid,
     GridBinning,
     GridSearchResult,
-    one_dimensional_density,
 )
 from repro.core.objective import ObjectiveFunction
 from repro.core.seed_groups import SeedGroupBuilder
@@ -102,6 +103,29 @@ class ReferenceGrid:
             neighbour = tuple(c + delta for c, delta in zip(cell, offset))
             if all(0 <= c < self.bins_per_dimension for c in neighbour):
                 yield neighbour
+
+
+def one_dimensional_density(data, dimension, anchor_value, *, bins=10, restrict_to=None):
+    """Oracle: the share of the (restricted) objects in the anchor's bin of one dimension."""
+    column = data[:, dimension] if restrict_to is None else data[restrict_to, dimension]
+    low, high = float(column.min()), float(column.max())
+    span = high - low if high > low else 1.0
+    scaled = (column - low) / span * bins
+    bin_indices = np.minimum(scaled.astype(int), bins - 1)
+    anchor_scaled = (float(anchor_value) - low) / span * bins
+    anchor_bin = int(np.clip(anchor_scaled, 0, bins - 1))
+    return int(np.count_nonzero(bin_indices == anchor_bin)) / float(column.shape[0])
+
+
+def one_dimensional_density_profile(data, anchor, *, bins=10, restrict_to=None):
+    """Oracle: :func:`one_dimensional_density` of every dimension, binned in one pass."""
+    block = data if restrict_to is None else data[restrict_to]
+    lows = block.min(axis=0)
+    highs = block.max(axis=0)
+    spans = np.where(highs > lows, highs - lows, 1.0)
+    bin_indices = np.minimum(((block - lows) / spans * bins).astype(int), bins - 1)
+    anchor_bins = np.clip(((anchor - lows) / spans * bins).astype(int), 0, bins - 1)
+    return np.count_nonzero(bin_indices == anchor_bins, axis=0) / float(block.shape[0])
 
 
 def assert_same_result(result, expected):
@@ -242,7 +266,7 @@ class TestPeakSearches:
     def test_hill_climb_reaches_local_maximum(self, clustered_data):
         grid = make_grid(clustered_data, [0, 1], 5)
         result = grid.hill_climb(clustered_data[100])
-        for neighbour in grid._neighbours(result.cell):
+        for neighbour in ReferenceGrid._neighbours(grid, result.cell):
             assert grid.cell_density(neighbour) <= result.density
 
     def test_hill_climb_from_biased_anchor_recovers_peak(self, clustered_data):
@@ -294,6 +318,30 @@ def _oracle_data(rng, kind, n=300, d=8):
     return data
 
 
+def _cell_point(data, reference, cell):
+    """A full-width point inside ``cell`` of the reference grid."""
+    point = data[0].copy()
+    point[reference.dimensions] = reference._lows + (
+        (np.asarray(cell) + 0.5) / reference.bins_per_dimension * reference._spans
+    )
+    return point
+
+
+def _climb_starts(rng, data, reference):
+    """Hill-climb starts: 4 rows, a point clipped into the grid, every corner, 8 random cells.
+
+    With up to 8 ** 4 cells over 300 objects most random cells are empty.
+    """
+    n, d = data.shape
+    starts = [data[i] for i in rng.choice(n, size=4, replace=False)]
+    starts.append(rng.uniform(-20.0, 20.0, size=d))
+    bins, c = reference.bins_per_dimension, reference.dimensions.size
+    cells = list(itertools.product((0, bins - 1), repeat=c))
+    cells += [tuple(rng.integers(0, bins, size=c)) for _ in range(8)]
+    starts += [_cell_point(data, reference, cell) for cell in cells]
+    return starts
+
+
 class TestAgainstReferenceGrid:
     # ``at_limit`` runs the grid with DENSE_CELL_LIMIT lowered to its own
     # bins ** c: the limit counts possible cells, so the grid still numbers
@@ -326,14 +374,132 @@ class TestAgainstReferenceGrid:
             assert grid.cell_density(cell) == reference.cell_density(cell)
             np.testing.assert_array_equal(grid.cell_members(cell), reference.cell_members(cell))
         assert_same_result(grid.absolute_peak(), reference.absolute_peak())
-        starts = [data[i] for i in rng.choice(n, size=4, replace=False)]
-        starts.append(rng.uniform(-20.0, 20.0, size=d))  # clipped into the grid
-        for start in starts:
+        for start in _climb_starts(rng, data, reference):
             assert_same_result(grid.hill_climb(start), reference.hill_climb(start))
         if at_limit:
             monkeypatch.setattr(grid_module, "DENSE_CELL_LIMIT", bins ** c - 1)
             with pytest.raises(ValueError, match="DENSE_CELL_LIMIT"):
                 Grid(binning, dims)
+
+    @pytest.mark.parametrize("seed,c,bins,kind,restrict", _oracle_cases())
+    def test_climb_without_the_neighbour_table_matches_reference(
+        self, monkeypatch, seed, c, bins, kind, restrict
+    ):
+        # Every grid computes the row of each cell it steps on.
+        monkeypatch.setattr(grid_module, "NEIGHBOUR_TABLE_LIMIT", 0)
+        rng = np.random.default_rng(seed + 1)
+        data = _oracle_data(rng, kind)
+        dims = rng.choice(data.shape[1], size=c, replace=False)
+        restrict_to = None if restrict is None else np.sort(rng.choice(300, 150, replace=False))
+        binning = GridBinning(data, bins_per_dimension=bins, restrict_to=restrict_to)
+        grid, reference = Grid(binning, dims), ReferenceGrid(binning, dims)
+        for start in _climb_starts(rng, data, reference):
+            assert_same_result(grid.hill_climb(start), reference.hill_climb(start))
+
+
+def _cells_data(cells):
+    """One object at the centre of each listed cell of a grid over them.
+
+    Each dimension's lowest and highest bin must be listed, so with ``b``
+    bins the grid's range is ``[0.5, b - 0.5]`` and every centre falls in
+    its cell.
+    """
+    return np.asarray(cells, dtype=float) + 0.5
+
+
+class TestHillClimbCases:
+    """Hand-built grids whose climb is known, checked against the oracle too."""
+
+    def climb(self, data, bins, start_cell):
+        binning = GridBinning(data, bins_per_dimension=bins)
+        dims = np.arange(data.shape[1])
+        grid, reference = Grid(binning, dims), ReferenceGrid(binning, dims)
+        start = _cell_point(data, reference, start_cell)
+        result = grid.hill_climb(start)
+        assert_same_result(result, reference.hill_climb(start))
+        return result
+
+    def test_plateau_keeps_the_start_cell(self):
+        cells = list(itertools.product(range(3), repeat=2))
+        data = _cells_data(cells)
+        for start in cells:
+            result = self.climb(data, 3, start)
+            assert result.cell == start
+            assert result.density == 1
+
+    def test_tied_neighbours_go_to_the_first_in_product_order(self):
+        # (0, 2) is offset (-1, +1) from (1, 1), before (2, 0) at (+1, -1).
+        cells = [(1, 1)] + [(0, 2)] * 3 + [(2, 0)] * 3
+        result = self.climb(_cells_data(cells), 3, (1, 1))
+        assert result.cell == (0, 2)
+        np.testing.assert_array_equal(result.members, [1, 2, 3])
+
+    def test_empty_start_cell_without_dense_neighbours_stays(self):
+        cells = [(0, 0), (3, 3)]
+        result = self.climb(_cells_data(cells), 4, (0, 3))
+        assert result.cell == (0, 3)
+        assert result.density == 0
+        assert result.members.size == 0
+
+    def test_empty_start_cell_climbs_to_a_dense_neighbour(self):
+        cells = [(0, 0), (3, 3), (1, 2), (1, 2)]
+        result = self.climb(_cells_data(cells), 4, (0, 3))
+        assert result.cell == (1, 2)
+        assert result.density == 2
+
+    @pytest.mark.parametrize("corner", list(itertools.product((0, 2), repeat=3)))
+    def test_corners_never_step_outside_the_grid(self, corner):
+        # Only the corner and the centre hold objects; every corner's
+        # out-of-range neighbours read as empty, so each stays put.
+        cells = [corner, (1, 1, 1)] + [(0, 0, 0), (2, 2, 2)]
+        result = self.climb(_cells_data(cells), 3, corner)
+        assert result.cell == corner
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_climb_is_a_strict_ascent_to_a_local_peak(self, c):
+        rng = np.random.default_rng(40 + c)
+        data = rng.integers(0, 3, size=(200, c)).astype(float)
+        binning = GridBinning(data, bins_per_dimension=3)
+        grid = Grid(binning, np.arange(c))
+        for start in data[:20]:
+            result = grid.hill_climb(start)
+            assert result.density >= grid.cell_density(grid.cell_of(start))
+            for neighbour in ReferenceGrid._neighbours(grid, result.cell):
+                assert grid.cell_density(neighbour) <= result.density
+
+
+class TestNeighbourLookupMemory:
+    def test_the_cached_tables_stay_small(self):
+        for bins, c in [(8, 3), (4, 4), (2, 8)]:
+            fits = bins ** c * (3 ** c - 1) <= NEIGHBOUR_TABLE_LIMIT
+            table = grid_module._neighbour_table(bins, c) if fits else None
+            if table is not None:
+                assert table.shape == (bins ** c, 3 ** c - 1)
+                assert not table.flags.writeable
+        # The seed-group grids (c = 3, 2-8 bins) always read a table.
+        assert 8 ** 3 * 26 <= NEIGHBOUR_TABLE_LIMIT
+
+    def test_climb_near_the_dense_limit_builds_no_neighbour_table(self):
+        # 32 ** 4 = 2 ** 20 possible cells: a table would hold 2 ** 20 rows of
+        # 80 ids (640 MiB).  Bound: 1 MiB for the whole climb, far above
+        # what its rows of 80 ids and one member mask over 2000 objects need.
+        rng = np.random.default_rng(9)
+        data = rng.uniform(0.0, 1.0, size=(2000, 4))
+        data[:300] = rng.normal(0.5, 0.01, size=(300, 4))
+        binning = GridBinning(data, bins_per_dimension=32)
+        grid = Grid(binning, np.arange(4))
+        assert 32 ** 4 == DENSE_CELL_LIMIT
+        reference = ReferenceGrid(binning, np.arange(4))
+        start = data[0] + 0.02
+        tracemalloc.start()
+        try:
+            result = grid.hill_climb(start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert_same_result(result, reference.hill_climb(start))
+        assert result.density > 1
 
 
 @pytest.mark.parametrize("category", ["both", "objects", "dimensions", "none"])
@@ -369,25 +535,71 @@ def test_seed_groups_identical_with_reference_grid(small_dataset, monkeypatch, c
 
 
 class TestOneDimensionalDensity:
+    """``GridBinning.anchor_density``: the share of the objects in the anchor's bin."""
+
     def test_density_higher_on_relevant_dimension(self, clustered_data):
         anchor = clustered_data[10]  # a cluster member
-        relevant = one_dimensional_density(clustered_data, 0, anchor[0], bins=10)
-        irrelevant = one_dimensional_density(clustered_data, 7, anchor[7], bins=10)
-        assert relevant > irrelevant
+        densities = GridBinning(clustered_data).anchor_density(anchor, 10)
+        assert densities[0] > densities[7]
 
     def test_density_is_a_fraction(self, clustered_data):
-        value = one_dimensional_density(clustered_data, 3, 50.0, bins=10)
-        assert 0.0 <= value <= 1.0
+        densities = GridBinning(clustered_data).anchor_density(np.full(10, 50.0), 10)
+        assert np.all((densities >= 0.0) & (densities <= 1.0))
 
     def test_restrict_to(self, clustered_data):
         # Restricted to the cluster members, the value range shrinks to the
         # cluster's own spread, so the anchor bin holds clearly more than the
         # uniform baseline (1/bins) but not necessarily a large fraction.
-        value = one_dimensional_density(
-            clustered_data, 0, 25.0, bins=10, restrict_to=np.arange(50)
-        )
-        assert value > 1.0 / 10
+        binning = GridBinning(clustered_data, restrict_to=np.arange(50))
+        anchor = np.full(10, 25.0)
+        assert binning.anchor_density(anchor, 10)[0] > 1.0 / 10
 
-    def test_invalid_dimension(self, clustered_data):
+    def test_anchor_of_the_wrong_length(self, clustered_data):
         with pytest.raises(ValueError):
-            one_dimensional_density(clustered_data, 99, 0.0)
+            GridBinning(clustered_data).anchor_density(np.zeros(9), 10)
+
+    @pytest.mark.parametrize("restrict", [None, "sorted", "unsorted"])
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "decimal"])
+    @pytest.mark.parametrize("bins", [2, 3, 8, 9, 16])
+    def test_matches_the_one_dimensional_histograms_bit_for_bit(self, restrict, kind, bins):
+        rng = np.random.default_rng(bins)
+        data = _oracle_data(rng, kind)
+        data[:, 2] = 2.5  # a constant column: span 1, every object in bin 0
+        restrict_to = None
+        if restrict is not None:
+            restrict_to = rng.choice(data.shape[0], size=120, replace=False)
+            if restrict == "sorted":
+                restrict_to = np.sort(restrict_to)
+        binning = GridBinning(data, bins_per_dimension=4, restrict_to=restrict_to)
+        for anchor in (data[7], data[7] + 100.0, data[7] - 100.0, np.full(8, 2.5)):
+            densities = binning.anchor_density(anchor, bins)
+            expected = one_dimensional_density_profile(
+                data, anchor, bins=bins, restrict_to=restrict_to
+            )
+            assert densities.tobytes() == expected.tobytes()
+            for dim in range(data.shape[1]):
+                scalar = one_dimensional_density(
+                    data, dim, anchor[dim], bins=bins, restrict_to=restrict_to
+                )
+                assert densities[dim] == scalar
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "decimal", "constant"])
+    @pytest.mark.parametrize("bins", [2, 5, 8])
+    def test_grid_columns_after_the_full_normalisation_match_lazy_ones(self, kind, bins):
+        rng = np.random.default_rng(30 + bins)
+        data = _oracle_data(rng, kind)
+        if kind == "constant":
+            data[:, 1] = -4.0
+        restrict_to = rng.choice(data.shape[0], size=200, replace=False)
+        normalised = GridBinning(data, bins_per_dimension=bins, restrict_to=restrict_to)
+        normalised.anchor_density(data[3], 2 * bins)
+        lazy = GridBinning(data, bins_per_dimension=bins, restrict_to=restrict_to)
+        for dim in range(data.shape[1]):
+            ours, theirs = normalised.column(dim), lazy.column(dim)
+            np.testing.assert_array_equal(ours[0], theirs[0])
+            assert ours[1] == theirs[1] and ours[2] == theirs[2]
+        dims = [0, 1, 5]
+        start = data[11]
+        assert_same_result(
+            Grid(normalised, dims).hill_climb(start), ReferenceGrid(lazy, dims).hill_climb(start)
+        )

@@ -233,14 +233,13 @@ def test_grid_build_matches_per_row_reference(dataset):
 
 
 def test_density_profile_matches_scalar_helper(dataset):
-    from repro.core.grid import one_dimensional_density, one_dimensional_density_profile
+    from repro.core.grid import GridBinning
+    from tests.test_grid import one_dimensional_density
 
     rng = np.random.default_rng(6)
     anchor = dataset.data[int(rng.integers(dataset.data.shape[0]))]
     restrict = np.sort(rng.choice(dataset.data.shape[0], size=120, replace=False))
-    profile = one_dimensional_density_profile(
-        dataset.data, anchor, bins=9, restrict_to=restrict
-    )
+    profile = GridBinning(dataset.data, restrict_to=restrict).anchor_density(anchor, 9)
     for dim in range(dataset.data.shape[1]):
         scalar = one_dimensional_density(
             dataset.data, dim, anchor[dim], bins=9, restrict_to=restrict

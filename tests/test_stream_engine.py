@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sspc import SSPC
 from repro.data.streams import (
@@ -21,7 +24,9 @@ from repro.reliability import IntegrityError, mmap_npz, stamp_checksum
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream import StreamConfig, StreamingSSPC, load_checkpoint
 from repro.stream.checkpoint import ARRAYS_NAME, STATE_NAME, resolve_checkpoint_dir
+from repro.bench.chaos import engine_fingerprint
 from repro.stream.engine import DRIFT_WINDOW, RETIRED_CONFIG_FIELDS
+from repro.stream.lifecycle import RowWindow, find_spawn_candidate
 
 STREAM_SHAPE = dict(
     n_dimensions=40,
@@ -102,6 +107,158 @@ class TestOutlierBuffer:
         assert len(engine.outliers) <= 16
         assert engine.outliers.n_dropped > 0
         assert engine.outliers.n_seen > 16
+
+
+class TestRowWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 24),
+        width=st.integers(1, 3),
+        operations=st.lists(
+            st.tuples(st.sampled_from(["extend", "extend", "remove"]), st.integers(0, 60)),
+            max_size=30,
+        ),
+        data=st.data(),
+    )
+    def test_matches_concatenate_then_trim(self, capacity, width, operations, data):
+        """Extends of 0 rows, of at least ``capacity`` rows, and removes."""
+        window = RowWindow(capacity, width)
+        expected = np.empty((0, width))
+        counter = 0
+        for kind, size in operations:
+            if kind == "extend":
+                rows = np.arange(counter, counter + size * width, dtype=float).reshape(size, width)
+                counter += size * width
+                dropped = window.extend(rows)
+                merged = np.concatenate([expected, rows], axis=0)
+                assert dropped == merged.shape[0] - merged[-capacity:].shape[0]
+                expected = merged[-capacity:]
+            else:
+                drop = data.draw(st.sets(st.integers(0, max(len(expected) - 1, 0))))
+                drop = sorted(i for i in drop if i < len(expected))
+                window.remove(np.asarray(drop, dtype=int))
+                expected = np.delete(expected, drop, axis=0)
+            assert len(window) == expected.shape[0]
+            assert window.rows.flags.c_contiguous
+            np.testing.assert_array_equal(window.rows, expected)
+        assert window._block.shape[0] <= capacity + capacity // 4
+
+    def test_full_window_appends_allocate_nothing(self):
+        window = RowWindow(64, 5)
+        rows = np.ones((7, 5))
+        for _ in range(40):
+            window.extend(rows)
+        block = window._block
+        for _ in range(40):
+            window.extend(rows)
+        assert window._block is block
+
+
+class TestBatchValidation:
+    """A batch is checked before anything changes, as the index checks it."""
+
+    @staticmethod
+    def state(engine):
+        index = engine.index
+        return (
+            engine_fingerprint(engine),
+            engine.n_batches,
+            engine.n_points,
+            index.n_updates,
+            index.n_points_absorbed,
+            [len(window) for window in engine._windows],
+            [window.rows.tobytes() for window in engine._windows],
+            list(engine._accepted_since_sweep),
+        )
+
+    def test_a_1d_point_is_a_one_row_batch(self, stream_model):
+        point = make_stream().batch(0, 20).data[3]
+        as_point = StreamingSSPC(stream_model.to_artifact(), config=StreamConfig(seed=1))
+        as_batch = StreamingSSPC(stream_model.to_artifact(), config=StreamConfig(seed=1))
+        for _ in range(3):
+            ours = as_point.process_batch(point)
+            theirs = as_batch.process_batch(point[None, :])
+            np.testing.assert_array_equal(ours.labels, theirs.labels)
+            assert ours.labels.shape == (1,)
+        assert as_point.n_points == 3 and as_point.index.n_updates == 3
+        assert self.state(as_point) == self.state(as_batch)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(np.empty((0, 40)), id="empty"),
+            pytest.param(np.ones((5, 39)), id="wrong-width"),
+            pytest.param(np.ones(39), id="wrong-width-point"),
+            pytest.param(np.full((5, 40), np.nan), id="nan"),
+            pytest.param(np.ones((2, 3, 40)), id="three-d"),
+        ],
+    )
+    def test_a_rejected_batch_changes_nothing(self, stream_model, bad):
+        engine = StreamingSSPC(stream_model.to_artifact(), config=StreamConfig(seed=1))
+        for batch in make_stream().batches(3, 150):
+            engine.process_batch(batch.data)
+        before = self.state(engine)
+        with pytest.raises(ValueError):
+            engine.process_batch(bad)
+        assert self.state(engine) == before
+
+
+@pytest.fixture(scope="module")
+def wide_stream():
+    """A d=100 model and a stream half of whose rows fail the gate."""
+    shape = dict(n_dimensions=100, n_clusters=3, avg_cluster_dimensionality=6, random_state=5)
+    warmup = DriftingStreamGenerator(outlier_fraction=0.05, **shape).warmup(600)
+    model = SSPC(3, m=0.5, max_iterations=10, random_state=0).fit(warmup.data)
+    batches = list(DriftingStreamGenerator(outlier_fraction=0.5, **shape).batches(41, 128))
+    return model, batches
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    def test_steady_state_batch_does_not_copy_the_buffers(self, wide_stream):
+        model, batches = wide_stream
+        config = StreamConfig(
+            seed=0, lifecycle_every=0, drift_check_every=0, projection_window=256
+        )
+        engine = StreamingSSPC(model.to_artifact(), config=config)
+        for batch in batches[:-1]:
+            engine.process_batch(batch.data)
+        assert len(engine.outliers) == engine.outliers.capacity == 1024
+        assert all(len(window) == DRIFT_WINDOW for window in engine._windows)
+        last = batches[-1].data
+        _, peak = traced_peak(lambda: engine.process_batch(last))
+        # A few batch-sized copies (the index's and the engine's split, the
+        # variance temporaries), and nothing the size of the 1024 x 100
+        # outlier buffer (800 KiB) or of the drift windows.
+        bound = 4 * last.nbytes + (64 << 10)
+        assert bound < engine.outliers.rows.nbytes
+        assert peak < bound
+
+    def test_spawn_search_is_linear_in_the_buffer(self, wide_stream):
+        model, batches = wide_stream
+        config = StreamConfig(seed=0, lifecycle_every=0, drift_check_every=0)
+        engine = StreamingSSPC(model.to_artifact(), config=config)
+        for batch in batches:
+            engine.process_batch(batch.data)
+        rows = engine.outliers.rows.copy()
+        assert rows.shape == (1024, 100)
+        threshold = engine._spawn_threshold()
+        _, peak = traced_peak(
+            lambda: find_spawn_candidate(rows, threshold, np.random.default_rng(0), min_points=24)
+        )
+        # O(buffer x d): the normalised copy of the buffer and its float
+        # and 1-byte binned temporaries.  A (rows, seeds, dims) max-min
+        # broadcast or a rows x rows distance matrix (8 MiB) would not fit.
+        assert peak < 3 * rows.nbytes
 
 
 class TestLifecycle:
@@ -299,13 +456,13 @@ class TestCheckpointRestore:
         for batch in make_stream().batches(20, 150):
             engine.process_batch(batch.data)
         assert engine.outliers.n_dropped > 0
-        assert all(window.shape[0] == DRIFT_WINDOW for window in engine._windows)
+        assert all(len(window) == DRIFT_WINDOW for window in engine._windows)
         engine.checkpoint(tmp_path / "ck")
 
         smaller = dataclasses.replace(config, outlier_buffer_size=40)
         restored = load_checkpoint(tmp_path / "ck", config=smaller)
         for ours, theirs in zip(restored._windows, engine._windows):
-            np.testing.assert_array_equal(ours, theirs)
+            np.testing.assert_array_equal(ours.rows, theirs.rows)
         np.testing.assert_array_equal(restored.outliers.rows, engine.outliers.rows[-40:])
         assert restored.outliers.n_seen == engine.outliers.n_seen
         assert restored.outliers.n_dropped == engine.outliers.n_dropped + 64 - 40
