@@ -43,6 +43,19 @@ import numpy as np
 
 from repro.utils.validation import check_array_2d, check_fraction, check_probability
 
+#: Size keys each memo of a threshold keeps.  A fit visits at most a few
+#: hundred (144 at n=20000, k=10, p=0.01), but every fold of a serving or
+#: stream index adds the new size of each cluster it touched, so past this
+#: many keys a memo drops its oldest one.
+MEMO_KEYS = 1024
+
+
+def _remember(memo: Dict, key: int, value) -> None:
+    """Store ``value`` under ``key``, dropping the oldest key past :data:`MEMO_KEYS`."""
+    if len(memo) >= MEMO_KEYS:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
 
 def chi_square_quantile(p: float, dof: float) -> float:
     """``chi2_inv(p, dof)``: the ``p`` quantile of a chi-square with ``dof`` degrees of freedom.
@@ -113,9 +126,10 @@ class SelectionThreshold(abc.ABC):
         """Vector of ``s_hat^2_ij`` over all dimensions for a cluster of this size.
 
         The same few cluster sizes recur every SSPC iteration, so the
-        threshold vectors are memoized per effective size key (refitting
-        clears the memo).  The returned array is marked read-only —
-        callers slice or combine it arithmetically, never mutate it.
+        threshold vectors are memoized per effective size key, at most
+        :data:`MEMO_KEYS` of them (refitting clears the memo).  The
+        returned array is marked read-only — callers slice or combine it
+        arithmetically, never mutate it.
         """
         if cluster_size < 0:
             raise ValueError("cluster_size must be non-negative")
@@ -124,7 +138,7 @@ class SelectionThreshold(abc.ABC):
         if cached is None:
             cached = np.asarray(self._compute_values(int(cluster_size)), dtype=float)
             cached.flags.writeable = False
-            self._values_cache[key] = cached
+            _remember(self._values_cache, key, cached)
         return cached
 
     def _cache_key(self, cluster_size: int) -> int:
@@ -195,9 +209,11 @@ class ChiSquareThreshold(SelectionThreshold):
     def _factor(self, cluster_size: int) -> float:
         """``chi2_inv(p, n_i - 1) / (n_i - 1)``, cached per cluster size."""
         dof = max(int(cluster_size) - 1, self.min_degrees_of_freedom)
-        if dof not in self._factor_cache:
-            self._factor_cache[dof] = chi_square_quantile(self.p, dof) / dof
-        return self._factor_cache[dof]
+        factor = self._factor_cache.get(dof)
+        if factor is None:
+            factor = chi_square_quantile(self.p, dof) / dof
+            _remember(self._factor_cache, dof, factor)
+        return factor
 
     def _cache_key(self, cluster_size: int) -> int:
         """Thresholds only depend on the effective degrees of freedom."""

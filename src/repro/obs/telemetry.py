@@ -6,9 +6,10 @@ the server and is **always on** (unlike the opt-in global recorder):
 
 * **Request identity** — every request gets an id (inbound
   ``X-Request-Id`` honored, otherwise generated) and a
-  :class:`RequestTrace` that keeps its phases (serialization, a bulk
-  kernel) and a reference to the micro-batch flush record that served
-  it (:class:`~repro.server.batcher.Flush`, written by the batcher).
+  :class:`RequestTrace` that keeps its phases (body decode,
+  serialization, a bulk kernel) and a reference to the micro-batch
+  flush record that served it (:class:`~repro.server.batcher.Flush`,
+  written by the batcher).
 * **One per-request tally** — every finished request is counted once,
   by bounded method, route label, status code and whether it failed
   with an error message; request totals by route × status class, by

@@ -43,12 +43,14 @@ One asyncio event loop accepts connections, parses requests
     scanning paths cannot grow the scrape.
 ``GET /debug/tail_trace``
     Chrome trace of the tail capture: the slowest and errored requests
-    with their full span trees — each ``server.request`` span linked to
-    the ``server.flush`` that served it and, under that, a
-    ``worker.predict`` span for the kernel (built from the duration the
-    backend timed, with the worker's pid in a pool), all stamped with the
-    request id.  Each captured request points at the batcher's record of
-    its flush, so the link survives however many flushes ran since.
+    with their full span trees — a point route's ``server.decode`` phase
+    (body to checked point block, bytes in and rows out), and each
+    ``server.request`` span linked to the ``server.flush`` that served it
+    and, under that, a ``worker.predict`` span for the kernel (built from
+    the duration the backend timed, with the worker's pid in a pool), all
+    stamped with the request id.  Each captured request points at the
+    batcher's record of its flush, so the link survives however many
+    flushes ran since.
 
 Every request carries an id: an inbound ``X-Request-Id`` header is
 honored, otherwise one is generated, and every response — including
@@ -113,9 +115,27 @@ ROUTE_LABELS = {
 #: themselves.
 ROUTE_PATHS = {label: path for path, label in ROUTE_LABELS.items()}
 
+#: orjson reads an integer literal outside ``[-2**63, 2**64)`` as a float
+#: of at least this magnitude, where :func:`json.loads` keeps the int.
+_WIDE = 2.0**63
+
 
 class ArtifactInStateDirError(ValueError):
     """The boot artifact lies inside ``state_dir``, whose generations are recycled."""
+
+
+class _Inexact(Exception):
+    """A fast-decoded body holds a number of magnitude 2**63 or more.
+
+    orjson may have read it from an integer literal past 64 bits, so the
+    body is parsed again from :meth:`HTTPRequest.reference_json`.
+    """
+
+
+def _refuse_inexact(value: object, exact: bool) -> None:
+    """Raise :class:`_Inexact` for a float past 2**63 in a fast decode."""
+    if not exact and isinstance(value, float) and abs(value) >= _WIDE:
+        raise _Inexact
 
 
 @dataclass
@@ -417,7 +437,28 @@ class PredictServer:
     # ------------------------------------------------------------------ #
     # request parsing helpers
     # ------------------------------------------------------------------ #
-    def _parse_points(self, payload: object) -> Tuple[np.ndarray, bool]:
+    def _decode(self, request: HTTPRequest, trace: RequestTrace, parse):
+        """``parse`` a point route's body, timed as its ``server.decode`` phase.
+
+        ``parse(payload, exact)`` checks the fast decode first; when it
+        raises :class:`_Inexact`, it checks the reference decode, so every
+        status and error text is the one :func:`json.loads` gives.
+        """
+        start = obs.monotonic()
+        try:
+            parsed = parse(request.json(), False)
+        except _Inexact:
+            parsed = parse(request.reference_json(), True)
+        trace.add_phase(
+            "server.decode",
+            self.telemetry.to_timeline(start),
+            obs.monotonic() - start,
+            bytes=len(request.body),
+            rows=int(parsed[0].shape[0]),
+        )
+        return parsed
+
+    def _parse_points(self, payload: object, exact: bool) -> Tuple[np.ndarray, bool]:
         """``(points_2d, is_single)`` from a ``point`` / ``points`` body."""
         if not isinstance(payload, dict):
             raise HTTPError(400, "request body must be a JSON object")
@@ -438,6 +479,13 @@ class PredictServer:
                 400, "points must be JSON numbers, not strings, booleans, nulls or "
                 "integers past 64 bits",
             )
+        # orjson reads an integer literal past 64 bits as a float, where
+        # json.loads keeps an int that makes this an object array, refused
+        # above: a magnitude of 2**63 or more goes to json.loads before any
+        # other check.  A fast decode holds no NaN or infinity, so this
+        # pass is its finiteness check too.
+        if not exact and not (np.abs(points) < _WIDE).all():
+            raise _Inexact
         if single:
             if points.ndim != 1:
                 raise HTTPError(400, "'point' must be a flat list of numbers")
@@ -455,9 +503,9 @@ class PredictServer:
         points = points.astype(float, copy=False)
         if single:
             points = points[None, :]
-        # json parses NaN, Infinity and overflowing literals (1e400); one
-        # such row would fail the whole micro-batch it joins.
-        if not np.isfinite(points).all():
+        # json.loads parses NaN, Infinity and overflowing literals (1e400);
+        # one such row would fail the whole micro-batch it joins.
+        if exact and not np.isfinite(points).all():
             raise HTTPError(400, "points must be finite numbers")
         if self._n_dimensions is not None and points.shape[1] != self._n_dimensions:
             raise HTTPError(
@@ -467,21 +515,42 @@ class PredictServer:
             )
         return points, single
 
-    def _parse_labels(self, raw: object, n_rows: int) -> np.ndarray:
-        """Validate client-supplied fold labels: integers in ``[-1, k)``."""
-        if not isinstance(raw, list) or len(raw) != n_rows:
+    def _parse_soft(self, payload: object, exact: bool) -> Tuple[np.ndarray, bool, int]:
+        """``(points_2d, is_single, top_m)`` from a ``/predict_soft`` body."""
+        points, single = self._parse_points(payload, exact)
+        top_m = payload.get("top_m", min(3, self._n_clusters))
+        if not isinstance(top_m, int) or isinstance(top_m, bool) or top_m < 1:
+            _refuse_inexact(top_m, exact)
+            raise HTTPError(400, "'top_m' must be a positive integer")
+        if top_m > self._n_clusters:
+            raise HTTPError(
+                400, "'top_m' must be at most %d, the served cluster count" % self._n_clusters
+            )
+        return points, single, top_m
+
+    def _parse_update(
+        self, payload: object, exact: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(points_2d, labels or None)`` from a ``/partial_update`` body."""
+        points, _ = self._parse_points(payload, exact)
+        raw = payload.get("labels")
+        if raw is None:
+            return points, None
+        # Validate client-supplied fold labels: integers in [-1, k).
+        if not isinstance(raw, list) or len(raw) != points.shape[0]:
             raise HTTPError(400, "'labels' must match 'points' row for row")
         k = self._n_clusters
         for label in raw:
             if not isinstance(label, int) or isinstance(label, bool) or not -1 <= label < k:
+                _refuse_inexact(label, exact)
                 raise HTTPError(400, "'labels' must be integers in [-1, %d), got %r" % (k, label))
-        return np.asarray(raw, dtype=int)
+        return points, np.asarray(raw, dtype=int)
 
     # ------------------------------------------------------------------ #
     # handlers — each returns (payload, status)
     # ------------------------------------------------------------------ #
     async def _handle_predict(self, request: HTTPRequest, trace: RequestTrace):
-        points, single = self._parse_points(request.json())
+        points, single = self._decode(request, trace, self._parse_points)
         if single:
             label = await self.batcher.submit(points[0], trace)
             return {"label": int(label), "generation": self.generation}, 200
@@ -499,15 +568,7 @@ class PredictServer:
         }, 200
 
     async def _handle_predict_soft(self, request: HTTPRequest, trace: RequestTrace):
-        payload = request.json()
-        points, single = self._parse_points(payload)
-        top_m = payload.get("top_m", min(3, self._n_clusters))
-        if not isinstance(top_m, int) or isinstance(top_m, bool) or top_m < 1:
-            raise HTTPError(400, "'top_m' must be a positive integer")
-        if top_m > self._n_clusters:
-            raise HTTPError(
-                400, "'top_m' must be at most %d, the served cluster count" % self._n_clusters
-            )
+        points, single, top_m = self._decode(request, trace, self._parse_soft)
         labels, clusters, gains = await self.backend.predict_soft(points, top_m)
         body = {
             "labels": [int(label) for label in labels],
@@ -525,11 +586,7 @@ class PredictServer:
         return body, 200
 
     async def _handle_partial_update(self, request: HTTPRequest, trace: RequestTrace):
-        payload = request.json()
-        points, _ = self._parse_points(payload)
-        labels = None
-        if isinstance(payload, dict) and payload.get("labels") is not None:
-            labels = self._parse_labels(payload["labels"], points.shape[0])
+        points, labels = self._decode(request, trace, self._parse_update)
         async with self._write_lock:
             with obs.span("server.partial_update", category="server") as update_span:
                 # The owner commits the generation (durable, CURRENT

@@ -375,8 +375,12 @@ class ProjectedClusterIndex:
         Deterministic: a pure function of the artifact state and the
         input batch.
         """
+        return self._predict(self.check_points(points))
+
+    def _predict(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of a block :meth:`check_points` returned."""
         with obs.span("serve.predict", category="serve") as pred_span:
-            gains = self.gains_matrix(points)
+            gains = self._engine.compute(points)
             labels = self._labels_from_gains(gains)
             recorder = obs.get_recorder()
             if recorder is not None:
@@ -451,9 +455,15 @@ class ProjectedClusterIndex:
 
         Returns the label vector that was applied.
         """
-        points = self.check_points(points)
+        return self._fold(self.check_points(points), labels)
+
+    def _fold(self, points: np.ndarray, labels: Optional[np.ndarray] = None) -> np.ndarray:
+        """:meth:`partial_update` of a block :meth:`check_points` returned.
+
+        The stream engine checks each batch once and folds it here.
+        """
         if labels is None:
-            labels = self.predict(points)
+            labels = self._predict(points)
         else:
             labels = np.asarray(labels, dtype=int).ravel()
             if labels.shape[0] != points.shape[0]:

@@ -344,7 +344,7 @@ class StreamingSSPC:
         """
         points = self.index.check_points(points)
         with obs.span("stream.batch", category="stream", batch=self.n_batches) as batch_span:
-            positions = self.index.partial_update(points)
+            positions = self.index._fold(points)
             batch_index = self.n_batches
             self.n_batches += 1
             self.n_points += int(points.shape[0])

@@ -39,8 +39,8 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 FIT_ONLY = ("repro.core.sspc", "repro.core.seed_groups", "repro.core.grid")
 
 #: Helpers of every snippet: ``mark()`` snapshots ``sys.modules``,
-#: ``added(before)`` lists the ``repro.*``/``scipy*`` modules imported since,
-#: and ``report(value)`` prints the case's result.
+#: ``added(before)`` lists the ``repro.*``/``scipy*``/``orjson`` modules
+#: imported since, and ``report(value)`` prints the case's result.
 PRELUDE = """
 import json, sys
 
@@ -50,7 +50,7 @@ def mark():
 def added(before):
     return sorted(
         name for name in set(sys.modules) - before
-        if name.startswith(("repro.", "scipy"))
+        if name.startswith(("repro.", "scipy", "orjson"))
     )
 
 def report(value):
@@ -293,7 +293,8 @@ def test_index_loads_scipy_special_only_for_the_p_scheme(scheme_artifacts, schem
 
 @pytest.mark.parametrize("scheme", ["m", "p"])
 def test_daemon_loads_what_it_serves_before_ready(scheme_artifacts, scheme):
-    """An m-scheme daemon never loads scipy; requests import nothing either way."""
+    """An m-scheme daemon never loads scipy; orjson, the body decoder, is
+    loaded by READY; requests import nothing either way."""
     result = run_child(
         """
         import asyncio
@@ -314,7 +315,9 @@ def test_daemon_loads_what_it_serves_before_ready(scheme_artifacts, scheme):
         async def main():
             server = PredictServer(sys.argv[1], ServerConfig(port=0))
             host, port = await server.start()
-            value = {"ready": sorted(m for m in sys.modules if m.startswith("scipy"))}
+            value = {
+                "ready": sorted(m for m in sys.modules if m.startswith(("scipy", "orjson")))
+            }
             points = [[0.25] * 40, [-0.5] * 40]
             before = mark()
             value["statuses"] = [
@@ -332,8 +335,9 @@ def test_daemon_loads_what_it_serves_before_ready(scheme_artifacts, scheme):
     )
     assert result["statuses"] == [200, 200, 200]
     assert result["requests"] == []
+    assert "orjson" in result["ready"]
     if scheme == "m":
-        assert result["ready"] == []
+        assert not [name for name in result["ready"] if name.startswith("scipy")]
     else:
         assert "scipy.special" in result["ready"]
         assert "scipy.stats" not in result["ready"]

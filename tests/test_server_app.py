@@ -696,6 +696,10 @@ def test_string_and_boolean_coordinates_are_400_on_every_route(artifact_on_disk,
         {"points": [row, [True] * len(row)]},
         {"points": [[True] * len(row), [False] * len(row)]},
     ]
+    # Nulls and integers past 64 bits (orjson reads the latter as floats).
+    for value in (None, 2**64, -(2**63) - 1, 10**30):
+        bad_bodies.append({"point": [value] + row[1:]})
+        bad_bodies.append({"points": [row, other[:3] + [value] + other[4:]]})
     # Numbers equal to 0 or 1 are coordinates, not booleans.
     zeros_and_ones = [0, 1, 0.0, 1.0] + row[4:]
 
@@ -712,6 +716,24 @@ def test_string_and_boolean_coordinates_are_400_on_every_route(artifact_on_disk,
             for payload in ({"point": zeros_and_ones}, {"points": [zeros_and_ones, row]}):
                 status, body = await request(host, port, "POST", "/predict", payload)
                 assert status == 200, body
+            await assert_no_server_errors(host, port)
+
+    asyncio.run(drive())
+
+
+@pytest.mark.parametrize("depth", [3_000, 100_000])
+def test_a_deeply_nested_body_is_a_400_on_every_route(artifact_on_disk, depth):
+    """Past the recursion limit json.loads raised RecursionError, a 500."""
+    nested = b"[" * depth + b"0.5" + b"]" * depth
+    bodies = [b'{"points": %s}' % nested, b'{"point": %s, "top_m": 1}' % nested]
+
+    async def drive():
+        async with running_server(artifact_on_disk) as (server, host, port):
+            for path in ("/predict", "/predict_soft", "/partial_update"):
+                for body in bodies:
+                    status, headers, parsed = await raw_request(host, port, "POST", path, body)
+                    assert status == 400, (path, depth, parsed)
+                    assert headers.get("x-request-id")
             await assert_no_server_errors(host, port)
 
     asyncio.run(drive())

@@ -536,6 +536,35 @@ class TestTailTraceEndToEnd:
     ):
         self.assert_every_captured_predict_is_linked(artifact_on_disk, query_points, workers=2)
 
+    def test_a_captured_predict_shows_its_body_decode(self, artifact_on_disk, query_points):
+        payloads = {
+            "decode-single": {"point": list(query_points[0])},
+            "decode-batch": {"points": query_points[:5].tolist()},
+        }
+
+        async def drive():
+            async with running_server(artifact_on_disk) as (server, host, port):
+                for request_id, payload in payloads.items():
+                    status, _, _ = await request(
+                        host, port, "POST", "/predict", payload,
+                        extra_headers=[("X-Request-Id", request_id)],
+                    )
+                    assert status == 200
+                _, _, trace = await request(host, port, "GET", "/debug/tail_trace")
+                return trace
+
+        spans = [e for e in asyncio.run(drive())["traceEvents"] if e.get("ph") == "X"]
+        for request_id, payload in payloads.items():
+            mine = {
+                span["name"]: span for span in spans if span["args"]["request_id"] == request_id
+            }
+            decode, request_span = mine["server.decode"], mine["server.request"]
+            assert decode["args"]["parent_id"] == request_span["args"]["span_id"]
+            assert decode["args"]["bytes"] == len(json.dumps(payload).encode())
+            assert decode["args"]["rows"] == len(payload.get("points", [None]))
+            assert request_span["ts"] <= decode["ts"]
+            assert decode["ts"] + decode["dur"] <= request_span["ts"] + request_span["dur"]
+
     def test_no_recorder_is_built_per_flush(self, artifact_on_disk, query_points, monkeypatch):
         built = []
         original_init = obs.Recorder.__init__

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core import thresholds
 from repro.core.model import OUTLIER_LABEL
+from repro.core.sspc import SSPC
+from repro.data.generator import make_projected_clusters
 from repro.serving.artifact import ClusterModel, ModelArtifact, load_artifact
 from repro.serving.index import ProjectedClusterIndex
 
@@ -364,6 +368,56 @@ class TestInputValidation:
         forced = replace(artifact, parameters={**artifact.parameters, "allow_outliers": False})
         with pytest.raises(ValueError, match="allow_outliers"):
             ProjectedClusterIndex(forced)
+
+
+def traced(call):
+    """``(retained, peak)`` bytes allocated by ``call()``."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        call()
+        current, peak = tracemalloc.get_traced_memory()
+        return current - baseline, peak - baseline
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """predict and partial_update at d=100, k=5, under both threshold schemes."""
+
+    @pytest.fixture(scope="class", params=["m", "p"])
+    def wide(self, request):
+        data = make_projected_clusters(
+            n_objects=2000, n_dimensions=100, n_clusters=5, avg_cluster_dimensionality=10,
+            random_state=11,
+        ).data
+        option = {"m": 0.5} if request.param == "m" else {"p": 0.01}
+        model = SSPC(5, max_iterations=10, random_state=0, **option).fit(data[:1000])
+        return model.to_artifact(), data
+
+    def test_a_batch_peaks_at_twice_its_bytes(self, wide):
+        artifact, data = wide
+        index = ProjectedClusterIndex(artifact, projection_window=256)
+        batch = data[:1024]
+        index.partial_update(batch[:8])  # allocates the engine's workspace
+        for call in (index.predict, index.partial_update):
+            _, peak = traced(lambda: call(batch))
+            # The checked block and per-row-block temporaries; a
+            # (rows, k, d) broadcast alone would take 4 MiB.
+            assert peak < 2 * batch.nbytes + (256 << 10), call.__name__
+
+    def test_folds_retain_at_most_the_threshold_memos(self, wide):
+        artifact, data = wide
+        index = ProjectedClusterIndex(artifact, projection_window=256)
+        rng = np.random.default_rng(0)
+        batches = [data[rng.integers(0, len(data), size=32)] for _ in range(1000)]
+        index.partial_update(batches[0])
+        retained, _ = traced(lambda: [index.partial_update(batch) for batch in batches])
+        # Each fold adds the new size of every cluster it touched to a
+        # p-scheme's memos (about 3,600 keys here, 3.5 MiB if unbounded);
+        # they keep at most MEMO_KEYS vectors of d floats.  The m scheme
+        # keys on nothing, and the 256-row projection windows stay put.
+        assert retained < 2 * thresholds.MEMO_KEYS * data.shape[1] * 8
 
 
 class TestEstimatorIntegration:

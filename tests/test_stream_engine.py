@@ -21,6 +21,7 @@ from repro.data.streams import (
 )
 from repro.evaluation import adjusted_rand_index
 from repro.reliability import IntegrityError, mmap_npz, stamp_checksum
+from repro.serving import index as index_module
 from repro.serving.index import ProjectedClusterIndex
 from repro.stream import StreamConfig, StreamingSSPC, load_checkpoint
 from repro.stream.checkpoint import ARRAYS_NAME, STATE_NAME, resolve_checkpoint_dir
@@ -170,6 +171,20 @@ class TestBatchValidation:
             [window.rows.tobytes() for window in engine._windows],
             list(engine._accepted_since_sweep),
         )
+
+    def test_a_batch_is_checked_once(self, stream_model, monkeypatch):
+        # The engine checks each batch, then folds and predicts the
+        # checked block without checking it again.
+        checks = []
+        check = index_module.check_array_2d
+        monkeypatch.setattr(
+            index_module, "check_array_2d", lambda *a, **k: checks.append(1) or check(*a, **k)
+        )
+        config = StreamConfig(seed=1, lifecycle_every=0, drift_check_every=0)
+        engine = StreamingSSPC(stream_model.to_artifact(), config=config)
+        for batch in make_stream().batches(8, 150):
+            engine.process_batch(batch.data)
+        assert len(checks) == engine.n_batches == 8
 
     def test_a_1d_point_is_a_one_row_batch(self, stream_model):
         point = make_stream().batch(0, 20).data[3]
