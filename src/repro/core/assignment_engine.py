@@ -253,6 +253,28 @@ class AssignmentEngine:
         self.n_updates_changed += 1
         return True
 
+    def write_center(
+        self, index: int, center: np.ndarray, threshold: Optional[np.ndarray] = None
+    ) -> None:
+        """Write one cluster's new center, and thresholds if given, into its plan row.
+
+        The serving fold's patch: a fold moves a cluster's center and
+        size, never its dimensions, so the values are written straight
+        into the planned arrays, with no copy, coercion or diff (use
+        :meth:`update_cluster` for anything else).  The cluster must have
+        a non-empty dimension set, and ``center`` and ``threshold`` must
+        be float64 vectors of its dimension count.  Its column becomes
+        dirty.
+        """
+        count, row = self._slot[index]
+        group = self._groups[count]
+        self._centers[index][:] = center
+        group.centers[row] = center
+        if threshold is not None:
+            self._thresholds[index][:] = threshold
+            group.thresholds[row] = threshold
+        self._dirty.add(index)
+
     def invalidate(self) -> None:
         """Mark every column dirty (full recomputation on next :meth:`gains`)."""
         self._dirty = set(range(self.n_clusters))

@@ -145,18 +145,31 @@ def column_median(block: np.ndarray) -> np.ndarray:
     """
     if block.ndim != 2 or block.shape[0] == 0:
         raise ValueError("column_median needs a 2-d block with at least one row")
-    rows = block.shape[0]
-    half = rows // 2
     columns = np.array(block.T, dtype=np.float64, order="C")
+    median = partition_median(columns)
+    # A NaN sorts last, so it lies at or after the partition point.
+    median[np.isnan(np.maximum.reduce(columns[:, block.shape[0] // 2 :], 1))] = np.nan
+    return median
+
+
+def partition_median(columns: np.ndarray) -> np.ndarray:
+    """Median of each row of ``columns``, partitioning it in place.
+
+    The kernel of :func:`column_median`, without its copy, coercion and
+    NaN rule: ``columns`` is a C-contiguous float64 ``(d, m)`` scratch
+    array with ``m >= 1``, the transpose of the block whose column
+    medians are wanted.  A row holding a NaN gives an unspecified value,
+    so callers pass blocks they know to be finite (the serving fold's
+    projection windows are, by construction) or use
+    :func:`column_median`.
+    """
+    rows = columns.shape[1]
+    half = rows // 2
     columns.partition(half, axis=1)
     upper = columns[:, half]
     if rows % 2:
-        median = 0.0 + upper
-    else:
-        median = (0.0 + columns[:, :half].max(axis=1) + upper) / 2.0
-    # A NaN sorts last, so it lies at or after the partition point.
-    median[np.isnan(columns[:, half:].max(axis=1))] = np.nan
-    return median
+        return 0.0 + upper
+    return (0.0 + np.maximum.reduce(columns[:, :half], 1) + upper) / 2.0
 
 
 def column_variance(block: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -170,7 +183,7 @@ def column_variance(block: np.ndarray, mean: np.ndarray) -> np.ndarray:
         return np.zeros(block.shape[1])
     deviations = block - mean
     deviations *= deviations
-    return deviations.sum(axis=0) / (block.shape[0] - 1)
+    return np.add.reduce(deviations, 0) / (block.shape[0] - 1)
 
 
 @dataclass

@@ -97,7 +97,13 @@ def merge_mean_variance(
     -------
     (int, numpy.ndarray, numpy.ndarray)
         Merged ``(size, mean, variance)`` with ``ddof=1`` variance
-        (zeros when the merged block has fewer than two rows).
+        (zeros when the merged block has fewer than two rows).  The
+        results are fresh arrays; the inputs are never written.
+
+    The serving fold runs this for every cluster a batch touches, so the
+    sizes enter the arithmetic as floats (numpy converts a Python int
+    operand on every operation) and no guard runs for a one-row block,
+    whose ``M2`` is its zero variance times zero.
     """
     size_a = int(size_a)
     size_b = int(size_b)
@@ -111,19 +117,16 @@ def merge_mean_variance(
         return size_b, mean_b.copy(), variance_b.copy()
     if size_b == 0:
         return size_a, mean_a.copy(), variance_a.copy()
+    # Both blocks hold a row here, so size - 1 is at least 1.
     size = size_a + size_b
     delta = mean_b - mean_a
     mean = mean_a + delta * (size_b / size)
     m2 = (
-        variance_a * max(size_a - 1, 0)
-        + variance_b * max(size_b - 1, 0)
-        + delta ** 2 * (size_a * size_b / size)
+        variance_a * float(size_a - 1)
+        + variance_b * float(size_b - 1)
+        + delta * delta * (size_a * size_b / size)
     )
-    if size > 1:
-        variance = m2 / (size - 1)
-    else:
-        variance = np.zeros_like(mean)
-    return size, mean, variance
+    return size, mean, m2 / float(size - 1)
 
 
 class ClusterStatsCache:

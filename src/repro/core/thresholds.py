@@ -77,6 +77,11 @@ class SelectionThreshold(abc.ABC):
     obtain the vector of thresholds ``s_hat^2_ij`` for all dimensions.
     """
 
+    #: Whether :meth:`values` depends on the cluster size.  When it does
+    #: not, a cluster's thresholds move only when the scheme is refitted,
+    #: so the serving fold leaves them alone.
+    depends_on_size = False
+
     def __init__(self) -> None:
         self._global_variance: Optional[np.ndarray] = None
         self._values_cache: Dict[int, np.ndarray] = {}
@@ -197,6 +202,8 @@ class ChiSquareThreshold(SelectionThreshold):
         stays defined (it is only queried for clusters that are about to
         receive members).
     """
+
+    depends_on_size = True
 
     def __init__(self, p: float = 0.01, *, min_degrees_of_freedom: int = 1) -> None:
         super().__init__()

@@ -5,6 +5,10 @@ Both backends expose the same ``async`` surface (``predict`` /
 application layer does not care where the kernel runs.  ``predict``
 returns ``(labels, kernel seconds, worker pid or None)``: the serving
 telemetry's ``worker.predict`` span, with no recorder built per call.
+Each takes point blocks the daemon's body parser already proved finite,
+float64 and ``d`` wide (a micro-batch flush stacks such rows), so the
+index runs its checked-block paths (``_predict``, ``_top_assignments``,
+``_fold``) and checks no block a second time.
 
 * :class:`InProcessBackend` (``workers=0``) holds one
   :class:`~repro.serving.index.ProjectedClusterIndex`.  Reads
@@ -186,7 +190,7 @@ def _apply_partial_update(
     """
     before = index.n_points_absorbed
     with index.rollback_on_error():
-        applied = index.partial_update(points, labels)
+        applied = index._fold(points, labels)[0]
         if state_dir is not None:
             artifact = index.export_artifact()
             with GenerationStore(state_dir).commit() as (_, staging):
@@ -197,7 +201,7 @@ def _apply_partial_update(
 def _timed_predict(index: ProjectedClusterIndex, points: np.ndarray) -> Tuple[np.ndarray, float]:
     """``(labels, kernel seconds)``: the serving telemetry's ``worker.predict`` span."""
     start = obs.monotonic()
-    labels = index.predict(points)
+    labels = index._predict(points)
     return labels, obs.monotonic() - start
 
 
@@ -231,7 +235,7 @@ def _worker_main(conn, artifact_path: str, daemon_ends) -> None:
             if op == "predict":
                 payload = (*_timed_predict(index, message[1]), os.getpid())
             elif op == "predict_soft":
-                labels, clusters, gains = index.top_assignments(message[1], message[2])
+                labels, clusters, gains = index._top_assignments(message[1], message[2])
                 payload = (labels, clusters, gains)
             elif op == "partial_update":
                 payload = _apply_partial_update(index, message[1], message[2], message[3])
@@ -381,7 +385,7 @@ class InProcessBackend:
         return labels, kernel_s, None
 
     async def predict_soft(self, points: np.ndarray, top_m: int):
-        return await self._read("predict_soft", self.index.top_assignments, points, top_m)
+        return await self._read("predict_soft", self.index._top_assignments, points, top_m)
 
     async def partial_update(
         self,

@@ -66,7 +66,7 @@ import numpy as np
 from repro import obs
 from repro.core.assignment_engine import AssignmentEngine
 from repro.core.model import OUTLIER_LABEL
-from repro.core.objective import column_median, column_variance
+from repro.core.objective import column_median, column_variance, partition_median
 from repro.core.stats_cache import merge_mean_variance
 from repro.core.thresholds import SelectionThreshold
 from repro.serving.artifact import ModelArtifact, load_artifact
@@ -225,11 +225,20 @@ class ProjectedClusterIndex:
         ):
             serving_sizes = [cluster.size for cluster in artifact.clusters]
         self._clusters: List[_ServingCluster] = []
-        for cluster, serving_size in zip(artifact.clusters, serving_sizes):
+        for position, (cluster, serving_size) in enumerate(
+            zip(artifact.clusters, serving_sizes)
+        ):
             dims = cluster.dimensions.copy()
             projections = None
             if cluster.member_projections is not None:
                 projections = np.asarray(cluster.member_projections, dtype=float)
+                # The maintained medians are taken of these buffers; one
+                # NaN would make the center NaN and every point an outlier.
+                if not np.isfinite(projections).all():
+                    raise ValueError(
+                        "cluster %d's member projections hold NaN or infinite values"
+                        % position
+                    )
             self._clusters.append(
                 _ServingCluster(
                     dimensions=dims,
@@ -378,7 +387,11 @@ class ProjectedClusterIndex:
         return self._predict(self.check_points(points))
 
     def _predict(self, points: np.ndarray) -> np.ndarray:
-        """:meth:`predict` of a block :meth:`check_points` returned."""
+        """:meth:`predict` of a block :meth:`check_points` returned.
+
+        The daemon's backends call this with the blocks its body parser
+        proved finite, float64 and ``d`` wide.
+        """
         with obs.span("serve.predict", category="serve") as pred_span:
             gains = self._engine.compute(points)
             labels = self._labels_from_gains(gains)
@@ -409,7 +422,13 @@ class ProjectedClusterIndex:
         """
         if top_m < 1:
             raise ValueError("top_m must be at least 1")
-        gains = self.gains_matrix(points)
+        return self._top_assignments(self.check_points(points), top_m)
+
+    def _top_assignments(
+        self, points: np.ndarray, top_m: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`top_assignments` of a block :meth:`check_points` returned."""
+        gains = self._engine.compute(points)
         n = gains.shape[0]
         m = min(int(top_m), self.n_clusters)
         order = np.argsort(-gains, axis=1, kind="stable")[:, :m]
@@ -455,12 +474,17 @@ class ProjectedClusterIndex:
 
         Returns the label vector that was applied.
         """
-        return self._fold(self.check_points(points), labels)
+        return self._fold(self.check_points(points), labels)[0]
 
-    def _fold(self, points: np.ndarray, labels: Optional[np.ndarray] = None) -> np.ndarray:
+    def _fold(
+        self, points: np.ndarray, labels: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`partial_update` of a block :meth:`check_points` returned.
 
-        The stream engine checks each batch once and folds it here.
+        Returns ``(labels, grouped, starts)``: the applied labels and the
+        batch split by them (:func:`group_rows`).  The stream engine
+        checks each batch once, folds it here and files the split rows
+        into its windows without splitting the batch again.
         """
         if labels is None:
             labels = self._predict(points)
@@ -480,39 +504,53 @@ class ProjectedClusterIndex:
                 )
 
         with obs.span("serve.partial_update", category="serve") as fold_span:
-            absorbed = 0
             grouped, starts = group_rows(points, labels, len(self._clusters))
-            for index, cluster in enumerate(self._clusters):
-                rows = grouped[starts[index + 1] : starts[index + 2]]
-                if rows.shape[0] == 0:
-                    continue
-                batch_mean = rows.mean(axis=0)
-                cluster.size, cluster.mean, cluster.variance = merge_mean_variance(
-                    cluster.size,
-                    cluster.mean,
-                    cluster.variance,
-                    rows.shape[0],
-                    batch_mean,
-                    column_variance(rows, batch_mean),
-                )
-                if cluster.projections is not None:
-                    # A fresh buffer, bounded *before* the median so windowed
-                    # mode pays a single median pass per fold.
-                    cluster.projections = _appended_projections(
-                        cluster.projections, rows, cluster.dimensions, self.projection_window
-                    )
-                    cluster.median_selected = column_median(cluster.projections)
-                # The fold moved this cluster's size (size-dependent
-                # thresholds) and possibly its center — patch its plan entry
-                # so the next batch scores against the new state.  Clusters
-                # that absorbed nothing keep their plan rows untouched.
-                self._sync_plan(index)
-                absorbed += rows.shape[0]
+            # Clusters that absorbed nothing keep their state and plan rows.
+            for position in np.flatnonzero(np.diff(starts)[1:]).tolist():
+                self._fold_rows(position, grouped[starts[position + 1] : starts[position + 2]])
+            absorbed = int(starts[-1] - starts[1])
             self.n_updates += 1
             self.n_points_absorbed += absorbed
-            fold_span.set(rows=int(points.shape[0]), absorbed=int(absorbed))
+            fold_span.set(rows=int(points.shape[0]), absorbed=absorbed)
         obs.incr("serve.points_absorbed", float(absorbed))
-        return labels
+        return labels, grouped, starts
+
+    def _fold_rows(self, position: int, rows: np.ndarray) -> None:
+        """Fold one cluster's accepted ``rows``: statistics, median and plan row, once each."""
+        cluster = self._clusters[position]
+        was_servable = self._servable(cluster)
+        n_rows = rows.shape[0]
+        batch_mean = np.add.reduce(rows, 0) / n_rows
+        cluster.size, cluster.mean, cluster.variance = merge_mean_variance(
+            cluster.size,
+            cluster.mean,
+            cluster.variance,
+            n_rows,
+            batch_mean,
+            column_variance(rows, batch_mean),
+        )
+        if cluster.projections is not None:
+            # A fresh buffer, bounded *before* the median so windowed mode
+            # pays a single median pass per fold.  Its rows are finite (a
+            # folded block is checked, and so are the artifact's buffers
+            # when the index is built), so the median needs only
+            # column_median's kernel, without its coercion and NaN rule.
+            cluster.projections = _appended_projections(
+                cluster.projections, rows, cluster.dimensions, self.projection_window
+            )
+            cluster.median_selected = partition_median(cluster.projections.T.copy())
+        if was_servable:
+            # A fold moves the center and the size, never the dimensions:
+            # write the plan row in place.  The thresholds move only under
+            # a size-dependent scheme.
+            self._engine.write_center(
+                position,
+                cluster.median_selected,
+                self._cluster_thresholds(cluster) if self._threshold.depends_on_size else None,
+            )
+        elif cluster.dimensions.size:
+            # An empty cluster became servable: it joins its plan group.
+            self._sync_plan(position)
 
     def fold_into(self, artifact: ModelArtifact) -> ModelArtifact:
         """Write the index's updated statistics back into ``artifact``.
@@ -631,6 +669,8 @@ class ProjectedClusterIndex:
         retained window rather than of the full absorbed history — the
         bounded-memory trade the streaming engine opts into explicitly.
         """
+        if not (0 <= position < len(self._clusters)):
+            raise IndexError("cluster position %d out of range" % position)
         if keep_last < 1:
             raise ValueError("keep_last must be at least 1")
         cluster = self._clusters[position]
@@ -644,7 +684,8 @@ class ProjectedClusterIndex:
         """Put the clusters and fold counters back as they were on entry if the block raises.
 
         Mutations replace a cluster's arrays instead of writing into them,
-        so a shallow copy of each cluster keeps its entry state.  The
+        so a shallow copy of each cluster keeps its entry state, and the
+        plan, which a fold writes in place, is rebuilt from it.  The
         threshold scheme (:meth:`refresh_threshold`) is not restored.
         """
         clusters = [copy.copy(cluster) for cluster in self._clusters]

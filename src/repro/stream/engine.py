@@ -56,7 +56,7 @@ from repro.core.model import OUTLIER_LABEL
 from repro.core.objective import ObjectiveFunction, column_median, column_variance
 from repro.core.stats_cache import ClusterStatsCache, merge_mean_variance
 from repro.serving.artifact import ModelArtifact, threshold_from_description
-from repro.serving.index import ProjectedClusterIndex, group_rows
+from repro.serving.index import ProjectedClusterIndex
 from repro.stream.drift import DriftDetector
 from repro.stream.lifecycle import SPAWN_GRIDS, OutlierBuffer, RowWindow, find_spawn_candidate
 
@@ -234,11 +234,11 @@ class StreamingSSPC:
     behaviour — requires an artifact saved *with* member projections
     (the default).
 
-    Per batch, :meth:`process_batch` checks the points once, lets the
-    index fold them, then splits the batch once by label (a stable
-    argsort, :func:`~repro.serving.index.group_rows`): each cluster's
-    accepted rows go to its drift window and the rejected rows to the
-    outlier buffer.  Both are
+    Per batch, :meth:`process_batch` checks the points once and lets the
+    index fold them.  The fold splits the batch once by label (a stable
+    argsort, :func:`~repro.serving.index.group_rows`) and hands the split
+    back: each cluster's accepted rows go to its drift window and the
+    rejected rows to the outlier buffer.  Both are
     :class:`~repro.stream.lifecycle.RowWindow` s, which append in place
     instead of copying the whole window per batch, so a batch that
     triggers no sweep costs O(batch x d) memory whatever the buffer
@@ -344,7 +344,7 @@ class StreamingSSPC:
         """
         points = self.index.check_points(points)
         with obs.span("stream.batch", category="stream", batch=self.n_batches) as batch_span:
-            positions = self.index._fold(points)
+            positions, grouped, starts = self.index._fold(points)
             batch_index = self.n_batches
             self.n_batches += 1
             self.n_points += int(points.shape[0])
@@ -354,13 +354,14 @@ class StreamingSSPC:
             # outlier label -1 picks the appended sentinel.
             labels = np.append(np.asarray(self.cluster_ids, dtype=int), OUTLIER_LABEL)[positions]
 
-            grouped, starts = group_rows(points, positions, self.index.n_clusters)
-            for position, window in enumerate(self._windows):
-                rows = grouped[starts[position + 1] : starts[position + 2]]
-                if rows.shape[0]:
-                    self._accepted_since_sweep[position] += int(rows.shape[0])
-                    window.extend(rows)
-            n_outliers = int(starts[1])
+            # The fold's own split: each cluster's accepted rows go to its
+            # drift window, the rejected rows to the outlier buffer.
+            counts = np.diff(starts)
+            for position in np.flatnonzero(counts[1:]).tolist():
+                start, stop = starts[position + 1], starts[position + 2]
+                self._accepted_since_sweep[position] += int(stop - start)
+                self._windows[position].extend(grouped[start:stop])
+            n_outliers = int(counts[0])
             if n_outliers:
                 self.outliers.extend(grouped[:n_outliers])
             self._update_global(points)
@@ -402,7 +403,7 @@ class StreamingSSPC:
 
     def _update_global(self, points: np.ndarray) -> None:
         """Fold a batch into the running stream-wide statistics."""
-        batch_mean = points.mean(axis=0)
+        batch_mean = np.add.reduce(points, 0) / points.shape[0]
         self._global_size, self._global_mean, self._global_variance = merge_mean_variance(
             self._global_size,
             self._global_mean,

@@ -78,7 +78,18 @@ class RowWindow:
         The count covers retained rows pushed out and rows of ``rows``
         itself beyond the newest ``capacity``.
         """
-        n_rows = int(rows.shape[0])
+        n_rows = rows.shape[0]
+        stop = self._stop + n_rows
+        if stop <= self._block.shape[0] and n_rows <= self.capacity:
+            # The common append: it fits behind the window, so the rows
+            # are written once and the window slides; nothing moves.
+            self._block[self._stop : stop] = rows
+            self._stop = stop
+            dropped = stop - self._start - self.capacity
+            if dropped > 0:
+                self._start += dropped
+                return dropped
+            return 0
         dropped = max(0, len(self) + n_rows - self.capacity)
         incoming = rows[max(0, n_rows - self.capacity) :]
         n_incoming = incoming.shape[0]
