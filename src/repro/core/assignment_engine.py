@@ -18,7 +18,9 @@ observations:
    (:meth:`update_cluster` / :meth:`add_cluster` /
    :meth:`remove_cluster`): an unchanged cluster costs nothing per call,
    a changed one a single row write (or a two-group restack when its
-   selected-dimension *count* changes).
+   selected-dimension *count* changes).  A serving fold, which moves a
+   cluster's center but never its dimensions, writes the row directly
+   (:meth:`write_center`).
 2. **Dirty-cluster tracking** — a gain column is a pure function of
    ``(points, dims_i, center_i, thresholds_i)``, so when the engine is
    bound to a *fixed* point set (the training data) it caches the

@@ -31,18 +31,30 @@ Incremental-plan contract: the index holds a live
 :class:`~repro.core.assignment_engine.AssignmentEngine` plan — the
 per-cluster dimension/center/threshold arrays are validated and stacked
 *once* at construction instead of being re-coerced for every ``predict``
-batch, and every mutation that can change a gain column
-(:meth:`ProjectedClusterIndex.partial_update` folding points,
-:meth:`~ProjectedClusterIndex.add_cluster` /
-:meth:`~ProjectedClusterIndex.remove_cluster` /
-:meth:`~ProjectedClusterIndex.reanchor_cluster` /
-:meth:`~ProjectedClusterIndex.trim_projections` /
-:meth:`~ProjectedClusterIndex.refresh_threshold`) patches exactly the
-affected plan entries.  Anything else added around the index (the
-streaming engine, custom maintenance loops) must route cluster mutations
-through those methods — they are the dirty-tracking API; mutating
-``cluster_statistics`` snapshots or artifact payloads directly cannot
-reach the plan.
+batch, and every mutation that can change a gain column patches exactly
+the affected plan entries:
+
+* :meth:`ProjectedClusterIndex.partial_update` moves a touched cluster's
+  center and size, never its dimensions, so it writes the new center —
+  and, under a size-dependent threshold scheme, the new thresholds —
+  straight into the cluster's plan row
+  (:meth:`~repro.core.assignment_engine.AssignmentEngine.write_center`).
+  Only a cluster that had no members, and so no plan row, goes through
+  the full patch below when its first rows arrive;
+* :meth:`~ProjectedClusterIndex.add_cluster` /
+  :meth:`~ProjectedClusterIndex.remove_cluster` /
+  :meth:`~ProjectedClusterIndex.reanchor_cluster` /
+  :meth:`~ProjectedClusterIndex.trim_projections` /
+  :meth:`~ProjectedClusterIndex.refresh_threshold` re-submit the whole
+  entry, which the engine copies, coerces and diffs
+  (:meth:`~repro.core.assignment_engine.AssignmentEngine.update_cluster`).
+
+Anything else added around the index (the streaming engine, custom
+maintenance loops) must route cluster mutations through those methods —
+they are the dirty-tracking API; mutating ``cluster_statistics``
+snapshots or artifact payloads directly cannot reach the plan.  The
+plan is the only state a mutation writes in place, and
+:meth:`ProjectedClusterIndex.rollback_on_error` rebuilds it.
 
 :meth:`ProjectedClusterIndex.partial_update` folds accepted points into
 the cached per-cluster statistics without refitting: sizes / means /
@@ -472,7 +484,9 @@ class ProjectedClusterIndex:
           frozen at its training value, while sizes still advance the
           size-dependent thresholds.
 
-        Returns the label vector that was applied.
+        The batch is split by label once, each touched cluster is folded
+        once, and its plan row is written in place (see the module
+        notes).  Returns the label vector that was applied.
         """
         return self._fold(self.check_points(points), labels)[0]
 

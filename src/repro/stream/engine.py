@@ -31,16 +31,19 @@ across lifecycle events.
 Dirty-tracking contract: the serving index holds a persistent
 :class:`~repro.core.assignment_engine.AssignmentEngine` plan that is
 reused across micro-batches rather than rebuilt per batch — steady-state
-batches pay only the blocked gain evaluation.  The engine above must
-therefore mutate clusters *only* through the index's maintenance API
-(``partial_update`` and the lifecycle methods ``add_cluster`` /
-``remove_cluster`` / ``reanchor_cluster`` / ``trim_projections`` /
-``refresh_threshold``), which patch the affected plan entries; this
-module does exactly that, so a drift-free stream stays bit-identical to
-driving a bare index.  :meth:`StreamingSSPC.checkpoint` persists the
-engine through the existing model-artifact format (see
-:mod:`repro.stream.checkpoint`); a restored engine continues the stream
-bit-identically to one that never stopped.
+batches pay only the blocked gain evaluation and the fold, which writes
+each touched cluster's new center into its plan row in place.  The
+engine above must therefore mutate clusters *only* through the index's
+maintenance API (the fold behind ``partial_update``, and the lifecycle
+methods ``add_cluster`` / ``remove_cluster`` / ``reanchor_cluster`` /
+``trim_projections`` / ``refresh_threshold``), which patch the affected
+plan entries; this module does exactly that, so a drift-free stream
+stays bit-identical to driving a bare index.  It takes the batch split
+the fold made instead of splitting the batch again.
+:meth:`StreamingSSPC.checkpoint` persists the engine through the
+existing model-artifact format (see :mod:`repro.stream.checkpoint`); a
+restored engine continues the stream bit-identically to one that never
+stopped.
 """
 
 from __future__ import annotations

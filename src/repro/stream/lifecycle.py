@@ -76,48 +76,47 @@ class RowWindow:
         """Append the ``(n, d)`` block ``rows``; returns how many rows fell out.
 
         The count covers retained rows pushed out and rows of ``rows``
-        itself beyond the newest ``capacity``.
+        itself beyond the newest ``capacity``.  An append that fits
+        behind the window writes the rows and slides the window; only one
+        that would run past the block's end moves rows first.
         """
         n_rows = rows.shape[0]
+        dropped = max(0, self._stop - self._start + n_rows - self.capacity)
+        if n_rows > self.capacity:
+            rows = rows[n_rows - self.capacity :]
+            n_rows = self.capacity
+        if self._stop + n_rows > self._block.shape[0]:
+            self._make_room(n_rows)
         stop = self._stop + n_rows
-        if stop <= self._block.shape[0] and n_rows <= self.capacity:
-            # The common append: it fits behind the window, so the rows
-            # are written once and the window slides; nothing moves.
-            self._block[self._stop : stop] = rows
-            self._stop = stop
-            dropped = stop - self._start - self.capacity
-            if dropped > 0:
-                self._start += dropped
-                return dropped
-            return 0
-        dropped = max(0, len(self) + n_rows - self.capacity)
-        incoming = rows[max(0, n_rows - self.capacity) :]
-        n_incoming = incoming.shape[0]
-        if n_incoming == 0:
-            return dropped
-        if self._stop + n_incoming > self._block.shape[0]:
-            keep = min(len(self), self.capacity - n_incoming)
-            source = self._stop - keep
-            limit = self.capacity + self.capacity // 4
-            if self._block.shape[0] < limit:
-                grown = max(2 * self._block.shape[0], keep + n_incoming)
-                block = np.empty((min(limit, grown), self.n_dimensions))
-                block[:keep] = self._block[source : self._stop]
-                self._block = block
-            else:
-                # Move the kept rows to the front in pieces that do not
-                # overlap their source (``source`` >= 1 rows apart), so
-                # numpy needs no temporary copy for any of them.
-                for offset in range(0, keep, source):
-                    piece = min(source, keep - offset)
-                    self._block[offset : offset + piece] = self._block[
-                        source + offset : source + offset + piece
-                    ]
-            self._start, self._stop = 0, keep
-        self._block[self._stop : self._stop + n_incoming] = incoming
-        self._stop += n_incoming
-        self._start = max(self._start, self._stop - self.capacity)
+        self._block[self._stop : stop] = rows
+        self._stop = stop
+        self._start = max(self._start, stop - self.capacity)
         return dropped
+
+    def _make_room(self, n_incoming: int) -> None:
+        """Put the rows an append of ``n_incoming`` keeps at the front of the block.
+
+        The block grows by doubling up to its limit; past it, the kept
+        rows move within it.
+        """
+        keep = min(len(self), self.capacity - n_incoming)
+        source = self._stop - keep
+        limit = self.capacity + self.capacity // 4
+        if self._block.shape[0] < limit:
+            grown = max(2 * self._block.shape[0], keep + n_incoming)
+            block = np.empty((min(limit, grown), self.n_dimensions))
+            block[:keep] = self._block[source : self._stop]
+            self._block = block
+        else:
+            # Move the kept rows to the front in pieces that do not
+            # overlap their source (``source`` >= 1 rows apart), so numpy
+            # needs no temporary copy for any of them.
+            for offset in range(0, keep, source):
+                piece = min(source, keep - offset)
+                self._block[offset : offset + piece] = self._block[
+                    source + offset : source + offset + piece
+                ]
+        self._start, self._stop = 0, keep
 
     def remove(self, indices: np.ndarray) -> None:
         """Drop the rows at ``indices`` (positions in :attr:`rows`)."""

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.objective import ClusterStatistics, column_median, column_variance
+from repro.core.objective import (
+    ClusterStatistics,
+    column_median,
+    column_variance,
+    partition_median,
+)
 from repro.serving.index import ProjectedClusterIndex
 
 SRC_DIR = Path(repro.__file__).resolve().parent
@@ -124,6 +129,32 @@ class TestColumnMedian:
     def test_empty_block_is_rejected(self, shape):
         with pytest.raises(ValueError):
             column_median(np.empty(shape))
+
+
+class TestPartitionMedian:
+    """The kernel the serving fold calls on its finite projection windows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 500),
+        columns=st.integers(0, 12),
+        kind=st.sampled_from(("normal", "ties", "signed_zeros")),
+    )
+    def test_finite_blocks_match_np_median_bit_for_bit(self, seed, rows, columns, kind):
+        block = random_block(seed, rows, columns, kind)
+        assert_same_bits(partition_median(block.T.copy()), np.median(block, axis=0))
+
+    @pytest.mark.parametrize("column", [[-0.0], [-0.0, 0.0], [0.0, -0.0], [1e308, 1e308]])
+    def test_edge_columns(self, column):
+        block = np.asarray(column, dtype=float)[:, None]
+        with np.errstate(over="ignore"):
+            assert_same_bits(partition_median(block.T.copy()), np.median(block, axis=0))
+
+    def test_the_result_owns_its_memory(self):
+        columns = np.random.default_rng(6).normal(size=(3, 9))
+        median = partition_median(columns)
+        assert not np.shares_memory(median, columns)
 
 
 class TestStatisticsPass:

@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.reliability import FaultPlan, FaultSpec, GenerationStore, active
 from repro.serving.artifact import load_artifact
+from repro.serving import index as index_module
 from repro.serving.index import ProjectedClusterIndex
 from repro.server import app as app_module
 from repro.server.app import ArtifactInStateDirError, PredictServer, ServerConfig
@@ -371,6 +372,45 @@ def test_worker_pool_end_to_end(artifact_on_disk, query_points, tmp_path):
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_a_parsed_block_is_checked_once(artifact_on_disk, query_points, workers, monkeypatch):
+    """The parser proves each block; the index does not check it again.
+
+    The spy raises, and it is installed before the pool forks, so a
+    check in a worker would answer 503 as well.
+    """
+    reference = ProjectedClusterIndex(load_artifact(artifact_on_disk))
+    expected = reference.predict(query_points)
+    soft = reference.top_assignments(query_points, 2)
+    checks = []
+
+    def spy(*args, **kwargs):
+        checks.append(args)
+        raise AssertionError("a parsed block was checked again")
+
+    monkeypatch.setattr(index_module, "check_array_2d", spy)
+    rows = query_points.tolist()
+
+    async def drive():
+        async with running_server(artifact_on_disk, workers=workers) as (server, host, port):
+            singles = await asyncio.gather(*(
+                request(host, port, "POST", "/predict", {"point": row}) for row in rows[:8]
+            ))
+            batch = await request(host, port, "POST", "/predict", {"points": rows})
+            top = await request(host, port, "POST", "/predict_soft", {"points": rows, "top_m": 2})
+            update = await request(host, port, "POST", "/partial_update", {"points": rows[:4]})
+            return singles, batch, top, update
+
+    singles, batch, top, update = asyncio.run(drive())
+    assert [status for status, _ in singles] == [200] * 8
+    assert [body["label"] for _, body in singles] == list(expected[:8])
+    assert batch == (200, {"labels": list(expected), "generation": 0})
+    assert top[0] == 200
+    assert top[1]["labels"] == list(soft[0]) and top[1]["clusters"] == soft[1].tolist()
+    assert update[0] == 200 and update[1]["applied_labels"] == list(expected[:4])
+    assert checks == []
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_non_finite_point_is_a_400_and_spares_its_batch(
     artifact_on_disk, query_points, workers
 ):
@@ -460,8 +500,9 @@ def test_worker_failure_body_carries_no_traceback(
     def boom(self, points, top_m):
         raise RuntimeError("boom")
 
-    # Patched before the pool forks, so every worker inherits it.
-    monkeypatch.setattr(ProjectedClusterIndex, "top_assignments", boom)
+    # Patched before the pool forks, so every worker inherits it.  The
+    # worker runs the checked-block path on the parser's block.
+    monkeypatch.setattr(ProjectedClusterIndex, "_top_assignments", boom)
 
     async def drive():
         async with running_server(artifact_on_disk, workers=2) as (server, host, port):
@@ -821,8 +862,9 @@ def test_in_process_reads_run_on_the_loop_and_writes_on_the_compute_thread(
             phases = []
             # Reads before and after a write; the fold itself predicts
             # the rows it absorbs, so each phase is recorded on its own.
+            # The backend runs the index's checked-block paths.
             for requests in (reads, (("/partial_update", {"points": rows}),), reads):
-                names = ("predict", "top_assignments", "partial_update")
+                names = ("_predict", "_top_assignments", "_fold")
                 with recording_threads(server.backend.index, names) as threads:
                     for path, payload in requests:
                         status, body = await request(host, port, "POST", path, payload)
@@ -832,9 +874,9 @@ def test_in_process_reads_run_on_the_loop_and_writes_on_the_compute_thread(
 
     loop_thread, (before, write, after) = asyncio.run(drive())
     for threads in (before, after):
-        assert threads["predict"] == threads["top_assignments"] == {loop_thread}
-    assert len(write["partial_update"]) == 1
-    assert commit_threads == write["partial_update"]
+        assert threads["_predict"] == threads["_top_assignments"] == {loop_thread}
+    assert len(write["_fold"]) == 1
+    assert commit_threads == write["_fold"]
     assert loop_thread not in commit_threads
 
 

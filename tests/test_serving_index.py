@@ -369,6 +369,32 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="allow_outliers"):
             ProjectedClusterIndex(forced)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_projections_are_refused(self, artifact, bad):
+        # One such value would make the maintained median NaN and every
+        # point an outlier, silently.
+        projections = artifact.clusters[1].member_projections.copy()
+        projections[3, 0] = bad
+        clusters = list(artifact.clusters)
+        clusters[1] = replace(clusters[1], member_projections=projections)
+        with pytest.raises(ValueError, match="cluster 1's member projections"):
+            ProjectedClusterIndex(replace(artifact, clusters=clusters))
+
+    @pytest.mark.parametrize("position", [-1, 3, -4])
+    def test_trim_projections_checks_its_position_before_it_trims(self, index, query_points, position):
+        assert index.n_clusters == 3
+        before = [index.cluster_statistics(i) for i in range(index.n_clusters)]
+        buffers = [cluster.projections for cluster in index._clusters]
+        with pytest.raises(IndexError, match="out of range"):
+            index.trim_projections(position, 5)
+        for i, stats in enumerate(before):
+            assert np.array_equal(index.cluster_statistics(i).median_selected, stats.median_selected)
+            assert index._clusters[i].projections is buffers[i]
+        # Each cluster's median and its plan row still agree.
+        gains = index.gains_matrix(query_points)
+        for row, point in enumerate(query_points):
+            assert np.array_equal(index.gains_single(point), gains[row])
+
 
 def traced(call):
     """``(retained, peak)`` bytes allocated by ``call()``."""

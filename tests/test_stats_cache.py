@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.objective import ClusterStatistics, ObjectiveFunction
 from repro.core.stats_cache import ClusterStatsCache
@@ -258,6 +260,64 @@ class TestMergeMeanVariance:
 
         with pytest.raises(ValueError):
             merge_mean_variance(-1, np.zeros(2), np.zeros(2), 1, np.zeros(2), np.zeros(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size_a=st.integers(0, 10**6),
+        size_b=st.integers(0, 300),
+        d=st.integers(0, 9),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
+    )
+    def test_bits_of_the_textbook_expressions(self, seed, size_a, size_b, d, scale):
+        """The merge gives the bits of its docstring's formulas, evaluated as written."""
+        from repro.core.stats_cache import merge_mean_variance
+
+        rng = np.random.default_rng(seed)
+        mean_a, mean_b = (scale * rng.normal(size=d) for _ in range(2))
+        variance_a, variance_b = (scale * scale * rng.random(d) for _ in range(2))
+        if size_a < 2:
+            variance_a = np.zeros(d)
+        if size_b < 2:
+            variance_b = np.zeros(d)
+        got = merge_mean_variance(size_a, mean_a, variance_a, size_b, mean_b, variance_b)
+        expected = reference_merge(size_a, mean_a, variance_a, size_b, mean_b, variance_b)
+        assert got[0] == expected[0]
+        for got_array, expected_array in zip(got[1:], expected[1:]):
+            assert got_array.tobytes() == expected_array.tobytes()
+        for array in got[1:]:
+            for given_array in (mean_a, mean_b, variance_a, variance_b):
+                assert not np.shares_memory(array, given_array)
+
+    def test_lists_and_float32_are_coerced(self):
+        from repro.core.stats_cache import merge_mean_variance
+
+        mean_a = np.asarray([1.5, -2.0], dtype=np.float32)
+        got = merge_mean_variance(3, mean_a, [0.25, 1.0], 2, [0.5, 4.0], (2.0, 0.5))
+        expected = reference_merge(
+            3, mean_a.astype(float), np.asarray([0.25, 1.0]), 2,
+            np.asarray([0.5, 4.0]), np.asarray([2.0, 0.5]),
+        )
+        assert got[1].dtype == got[2].dtype == np.float64
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert got[2].tobytes() == expected[2].tobytes()
+
+
+def reference_merge(size_a, mean_a, variance_a, size_b, mean_b, variance_b):
+    """The merge as written before the serving fold used it per touched cluster."""
+    if size_a == 0:
+        return size_b, mean_b.copy(), variance_b.copy()
+    if size_b == 0:
+        return size_a, mean_a.copy(), variance_a.copy()
+    size = size_a + size_b
+    delta = mean_b - mean_a
+    mean = mean_a + delta * (size_b / size)
+    m2 = (
+        variance_a * max(size_a - 1, 0)
+        + variance_b * max(size_b - 1, 0)
+        + delta ** 2 * (size_a * size_b / size)
+    )
+    return size, mean, m2 / (size - 1) if size > 1 else np.zeros_like(mean)
 
 
 class TestEvictionAccounting:
