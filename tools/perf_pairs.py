@@ -4,11 +4,11 @@
 Usage (from the repository root)::
 
     python3 tools/perf_pairs.py --parent REV [--change REV] --workload W --pairs N \\
-        [--seed S] [--seconds S] [--scratch DIR] [--record]
+        [--seed S] [--scratch DIR] [--record]
 
 Both revisions are exported with ``git archive`` into a scratch directory
 (``--change`` defaults to ``HEAD``), and each side runs its own,
-unchanged ``perfbench/run.py``.  Pair ``i`` runs the parent first when
+unchanged ``perfbench/run.py`` at the benchmark's own run length.  Pair ``i`` runs the parent first when
 ``i`` is even and the change first when it is odd, so a drift of the
 host's speed over the session favours neither side.
 
@@ -123,7 +123,7 @@ def summarise(
     def reading(result, name):
         return None if result is None else float(result["metrics"][name]["value"])
 
-    summary = {
+    return {
         "metrics": {
             metric["name"]: compare_metric(
                 [reading(run["parent"], metric["name"]) for run in runs],
@@ -140,7 +140,6 @@ def summarise(
             side: sum(1 for run in runs if run[side] is None) for side in ("parent", "change")
         },
     }
-    return summary
 
 
 def format_summary(summary: Dict[str, object]) -> List[str]:
@@ -203,12 +202,9 @@ def export_tree(revision: str, destination: Path) -> None:
         raise SystemExit("perf_pairs: git archive %s failed" % revision)
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> Optional[dict]:
+def run_side(tree: Path, workload: str, seed: int) -> Optional[dict]:
     """One ``perfbench/run.py`` run in ``tree``: its result line, or ``None`` if lost."""
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds),
-    ]
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(
         command, cwd=str(tree), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     )
@@ -250,8 +246,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=None,
                         help="perfbench input seed (default: perfbench's)")
-    parser.add_argument("--seconds", type=float, default=20.0,
-                        help="perfbench --seconds (default %(default)s)")
     parser.add_argument("--scratch", default=None,
                         help="directory for the exported trees (default: a new temporary one)")
     parser.add_argument("--record", action="store_true",
@@ -285,8 +279,7 @@ def main(argv=None) -> int:
         runs = []
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            results = {side: run_side(trees[side], args.workload, seed, args.seconds)
-                       for side in order}
+            results = {side: run_side(trees[side], args.workload, seed) for side in order}
             runs.append(results)
             print("  pair %d (%s first): %s" % (pair + 1, order[0], "  ".join(
                 "%s %s" % (side, "lost" if results[side] is None else " ".join(
@@ -307,7 +300,6 @@ def main(argv=None) -> int:
             "parent": shas["parent"],
             "workload": args.workload,
             "seed": seed,
-            "seconds": args.seconds,
             "pairs": args.pairs,
             "host": {
                 "reference_s": [host_before, host_after],
