@@ -71,7 +71,8 @@ def assert_bits(got: np.ndarray, expected: np.ndarray) -> None:
 
 def assert_same_state(index: ProjectedClusterIndex, oracle: ProjectedClusterIndex, probe) -> None:
     assert index.n_clusters == oracle.n_clusters
-    assert (index.n_updates, index.n_points_absorbed) == (oracle.n_updates, oracle.n_points_absorbed)
+    assert index.n_updates == oracle.n_updates
+    assert index.n_points_absorbed == oracle.n_points_absorbed
     for position in range(index.n_clusters):
         got, expected = index._clusters[position], oracle._clusters[position]
         assert got.size == expected.size

@@ -8,9 +8,10 @@ Usage (from the repository root)::
 
 Both revisions are exported with ``git archive`` into a scratch directory
 (``--change`` defaults to ``HEAD``), and each side runs its own,
-unchanged ``perfbench/run.py`` at the benchmark's own run length.  Pair ``i`` runs the parent first when
-``i`` is even and the change first when it is odd, so a drift of the
-host's speed over the session favours neither side.
+unchanged ``perfbench/run.py`` at the benchmark's own run length.  Pair
+``i`` runs the parent first when ``i`` is even and the change first when
+it is odd, so a drift of the host's speed over the session favours
+neither side.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 medians and quartiles, and the change's wins: the pairs in which the
